@@ -27,9 +27,14 @@ Four rule families (the rule name appears in every diagnostic):
 ``requant-shift``
     Fixed-point shift split into ``[0, 62]`` right / non-negative left
     parts, ``|m0| < 2^31`` (Q31 multiplier), ``z_y`` within the output
-    code range, and the full Eq. 5 pipeline free of int64 overflow at
-    the layer's accumulator bound; threshold tables sized ``2^bits - 1``
-    and sorted.
+    code range; the folded Eq. 5 constants ``M = m0 << lshift``,
+    ``B = (bq * m0) << lshift`` (and, on the float64 tier,
+    ``C = B + (z_y << rshift)``, ``M' = M * 2^-rshift``,
+    ``C' = C * 2^-rshift``) recomputed in Python ints equal to the
+    compiled ones; and per channel, at the layer's accumulator bound,
+    ``acc_bound * |M| + |C| < 2^53`` for a float64-tier epilogue or
+    ``acc_bound * |M| + |B| < 2^63`` for an int64-tier one.  Threshold
+    tables sized ``2^bits - 1`` and sorted.
 ``slab-aliasing``
     Walk the ping-pong schedule and prove no two simultaneously-live
     tensors share slab bytes and every read happens inside its
@@ -45,6 +50,8 @@ non-integral weights, broken metadata cross-checks) are reported under
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -118,6 +125,8 @@ class VerificationReport:
 
     checks: Dict[str, int] = field(default_factory=dict)
     violations: List[Violation] = field(default_factory=list)
+    #: Eq. 5 epilogue tier proven per conv layer ("f64", "i64", "thr").
+    tiers: Dict[str, str] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -143,7 +152,9 @@ class VerificationReport:
         per_rule = ", ".join(
             f"{rule}={n}" for rule, n in sorted(self.checks.items())
         )
-        return f"verified {total} checks ({per_rule}): {status}"
+        tiers = sorted(Counter(self.tiers.values()).items())
+        eq5 = "; eq5 tiers " + ", ".join(f"{t}={n}" for t, n in tiers) if tiers else ""
+        return f"verified {total} checks ({per_rule}){eq5}: {status}"
 
 
 # ----------------------------------------------------------------------
@@ -359,8 +370,8 @@ def _check_container(layer, narrow: bool, report: VerificationReport) -> None:
     report.passed("container-dtype")
 
 
-def _check_requant(layer, report: VerificationReport) -> None:
-    """Requantization shift/multiplier ranges and int64-overflow freedom."""
+def _check_requant(layer, narrow: bool, report: VerificationReport) -> None:
+    """Requantization ranges, folded Eq. 5 constants and the tier bound."""
     name = layer.name
     requant = layer.requant
     if requant.kind == "thr":
@@ -386,6 +397,7 @@ def _check_requant(layer, report: VerificationReport) -> None:
                     f"channel {c}: threshold table is not sorted ascending",
                 )
                 return
+        report.tiers[name] = "thr"
         report.passed("requant-shift")
         return
     rshift = np.asarray(requant.rshift).reshape(-1)
@@ -431,31 +443,87 @@ def _check_requant(layer, report: VerificationReport) -> None:
             f"output zero point {requant.z_y} outside [0, {qmax}]",
         )
         return
-    # Eq. 5 over int64: (|Phi| + |bq|) * |m0| * 2^lshift must stay below
-    # 2^63 per channel (Python ints — no wraparound in the check itself).
-    bq = np.asarray(requant.bq).reshape(-1)
-    bound = int(layer.acc_bound)
-    c_out = layer.out_channels
-    bq_b = np.broadcast_to(bq, (c_out,)) if bq.size in (1, c_out) else bq
-    m0_b = np.broadcast_to(m0, (c_out,)) if m0.size in (1, c_out) else m0
-    ls_b = np.broadcast_to(lshift, (c_out,)) if lshift.size in (1, c_out) else lshift
-    if len(bq_b) != c_out or len(m0_b) != c_out or len(ls_b) != c_out:
+    tier = getattr(requant, "tier", None)
+    if tier not in ("f64", "i64"):
         report.fail(
-            "structure", name,
-            f"requant constants do not broadcast over {c_out} channels "
-            f"(bq {bq.size}, m0 {m0.size}, lshift {lshift.size})",
+            "requant-shift", name,
+            f"unknown Eq. 5 epilogue tier {tier!r} (expected 'f64' or 'i64')",
         )
         return
-    for c in range(c_out):
-        worst = (bound + abs(int(bq_b[c]))) * abs(int(m0_b[c]))
-        worst <<= int(ls_b[c])
-        if worst >= (1 << 63):
+    if tier == "f64" and not narrow:
+        report.fail(
+            "requant-shift", name,
+            "float64 epilogue in a wide plan — the in-place int64 path "
+            "only runs the int64 formula",
+        )
+        return
+    # Fold the constants again in Python ints (no wraparound) and prove
+    # the tier's bound at the layer's accumulator bound, per channel.
+    bound = int(layer.acc_bound)
+    c_out = layer.out_channels
+    consts = {
+        "bq": requant.bq, "m0": requant.m0, "rshift": requant.rshift,
+        "lshift": lshift, "M": requant.m_int, "B": requant.b_int,
+    }
+    if tier == "f64":
+        consts.update({"M_f64": requant.m_f64, "C_f64": requant.c_f64})
+    per_channel = {}
+    for key, value in consts.items():
+        flat = np.asarray(value).reshape(-1)
+        if flat.size not in (1, c_out):
             report.fail(
-                "requant-shift", name,
-                f"channel {c}: |Phi + bq| * |m0| << lshift = {worst} "
-                ">= 2^63 — Eq. 5 overflows the int64 intermediate",
+                "structure", name,
+                f"requant constant {key} has {flat.size} entries for "
+                f"{c_out} channels",
             )
             return
+        per_channel[key] = np.broadcast_to(flat, (c_out,)).tolist()
+    for c in range(c_out):
+        bq_c, m0_c = int(per_channel["bq"][c]), int(per_channel["m0"][c])
+        r, ls = int(per_channel["rshift"][c]), int(per_channel["lshift"][c])
+        m_c = m0_c << ls
+        b_c = (bq_c * m0_c) << ls
+        if per_channel["M"][c] != m_c or per_channel["B"][c] != b_c:
+            report.fail(
+                "requant-shift", name,
+                f"channel {c}: folded M={per_channel['M'][c]}, "
+                f"B={per_channel['B'][c]} but m0 << lshift = {m_c}, "
+                f"(bq * m0) << lshift = {b_c}",
+            )
+            return
+        if tier == "i64":
+            # Phi * M + B, then (>> rshift) + z_y, must both stay in int64.
+            worst = bound * abs(m_c) + abs(b_c)
+            if worst >= (1 << 63) or (worst >> r) + int(requant.z_y) >= (1 << 63):
+                report.fail(
+                    "requant-shift", name,
+                    f"channel {c}: acc_bound * |M| + |B| = {worst} (then "
+                    f">> {r}, + z_y) reaches 2^63 — the int64 epilogue "
+                    "overflows",
+                )
+                return
+            continue
+        c_c = b_c + (int(requant.z_y) << r)
+        # M' and C' must be M and C scaled by exactly 2^-rshift: scaling
+        # the stored float back up by 2^rshift is exact (no rounding
+        # below 2^1024), and float == int compares exactly.
+        m_f, c_f = per_channel["M_f64"][c], per_channel["C_f64"][c]
+        if math.ldexp(m_f, r) != m_c or math.ldexp(c_f, r) != c_c:
+            report.fail(
+                "requant-shift", name,
+                f"channel {c}: float64 constants M'={m_f!r}, C'={c_f!r} "
+                f"are not M={m_c}, C={c_c} scaled by 2^-{r}",
+            )
+            return
+        worst = bound * abs(m_c) + abs(c_c)
+        if worst >= (1 << FLOAT64_EXACT_BITS):
+            report.fail(
+                "requant-shift", name,
+                f"channel {c}: acc_bound * |M| + |C| = {worst} >= 2^53 — "
+                "the float64 epilogue is not exact",
+            )
+            return
+    report.tiers[name] = tier
     report.passed("requant-shift")
 
 
@@ -710,7 +778,7 @@ def verify_plan(plan, input_hw: Optional[Tuple[int, int]] = None, *,
     for layer in plan.layers:
         _check_acc_bound(layer, plan.validate, refined, report)
         _check_container(layer, plan.narrow, report)
-        _check_requant(layer, report)
+        _check_requant(layer, plan.narrow, report)
     if plan.classifier is not None:
         _check_acc_bound(plan.classifier, plan.validate, refined, report)
     _check_chain(plan, report)

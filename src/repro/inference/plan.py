@@ -19,15 +19,17 @@ per-inference path:
   im2col column tensor (per-tap strided multiply-adds, same exactness
   dispatch, stride-1 and stride-2 — see
   :func:`repro.inference.kernels.depthwise_stencil_accumulate`);
-* requantization constants (``m0``/``n0``/``bq``, threshold tables) are
-  pre-reshaped for the flat ``(N, C, L)`` accumulator layout and the
-  fixed-point shift is split into its divisor / left-shift parts;
+* fixed-point requantization (Eq. 5) is folded into per-channel
+  constants for the flat ``(N, C, L)`` accumulator layout and runs as a
+  short float64 or int64 epilogue, the tier picked from the layer's
+  accumulator bound and re-proved by :mod:`repro.analysis.verify`;
+  threshold tables are pre-sliced for ``searchsorted``;
 * range validation runs once at the network boundary (``validate=True``
   by default there) instead of per layer inside the hot loop;
 * activation codes live at their *container width* end to end
   (``narrow=True``, the default): uint8 slabs for every <=8-bit
   activation, requantized accumulators streamed through a small
-  cache-blocked int64 scratch straight into the narrow code slab — the
+  cache-blocked scratch straight into the narrow code slab — the
   arena's physical code bytes match the paper's Eq. 7 accounting for
   8-bit networks instead of inflating 8x through int64.  ``narrow=False``
   restores the legacy int64-code pipeline for A/B comparisons;
@@ -65,6 +67,7 @@ from repro.inference.arena import (
 )
 from repro.inference.kernels import (
     FLOAT32_EXACT_BITS,
+    FLOAT64_EXACT_BITS,
     INT32_EXACT_BITS,
     check_codes,
     depthwise_prefers_stencil,
@@ -166,32 +169,64 @@ def _resolve_compiled_backend(backend: str, bound: int, k: int,
 # ----------------------------------------------------------------------
 # Compiled requantization (bit-identical to repro.core.icn on (N, C, L))
 # ----------------------------------------------------------------------
+def _float64_tier_fits(acc_bound: int, m_int: np.ndarray, b_int: np.ndarray,
+                       rshift: np.ndarray, z_y: int) -> bool:
+    """Whether ``max_c acc_bound*|M_c| + |C_c| < 2^53``, conservatively,
+    without a per-channel Python loop.
+
+    ``C = B + (z_y << rshift)`` may not fit int64 (``z_y << 62``), so the
+    bound is estimated in float64: ``z_y * 2^rshift`` is exact there and
+    ``|B| < 2^63``, so near the edge the estimate is off by less than
+    ``2^11``.  A layer whose estimate comes within ``2^11`` of ``2^53``
+    takes the int64 tier.
+    """
+    est = float(np.max(
+        np.abs(b_int + np.ldexp(float(z_y), rshift)) + float(acc_bound) * np.abs(m_int)
+    ))
+    return est < 2.0 ** FLOAT64_EXACT_BITS - 2.0 ** 11
+
+
 class _CompiledFixedPointRequant:
-    """Eq. 5 with constants pre-broadcast for the (N, C, L) accumulator.
+    """Eq. 5 folded into per-channel constants for the (N, C, L) accumulator.
 
     Serves both ICN (per-channel ``bq``/``m0``/``n0``) and folded-BN
-    (per-channel ``bq``, scalar multiplier) — they share the identical
-    fixed-point hot loop.  The divide of ``icn._fixed_point_scale`` is a
-    floor division by ``2^pos``, which over int64 equals an arithmetic
-    right shift — several times faster than ``floor_divide``.
+    (per-channel ``bq``, scalar multiplier).  ``icn._fixed_point_scale``
+    floor-divides by ``2^rshift`` (clamped to [0, 62]) and left-shifts
+    by the residual ``lshift``; at most one of the two is non-zero, so
+    with ``M = m0 << lshift`` and ``B = (bq * m0) << lshift`` Eq. 5 is
+    exactly ``clip(((Phi * M + B) >> rshift) + z_y, 0, qmax)``.  Two
+    tiers run it, picked once from the layer's accumulator bound:
 
-    Two entry points, bit-identical by construction (and by test):
+    ``"i64"``
+        That formula over int64: ``*M``, ``+B``, ``>>rshift``, ``+z_y``,
+        clip.  ``z_y << rshift`` is never formed, so large shifts cannot
+        overflow it.  Sound while ``acc_bound * |M| + |B| < 2^63``.
+    ``"f64"``
+        With ``C = B + (z_y << rshift)``, ``M' = M * 2^-rshift`` and
+        ``C' = C * 2^-rshift``: when ``acc_bound * |M| + |C| < 2^53``
+        every ``Phi * M + C`` is an integer that float64 holds exactly,
+        and scaling by a power of two is exact, so ``Phi * M' + C'`` is
+        the exact quotient; clipped to ``[0, qmax]`` its truncation into the
+        codes equals the floor.  Three passes: ``*M'``, ``+C'``, clip.
 
-    ``__call__(phi)``
-        The legacy wide path: every step runs in place on the
-        caller-owned int64 accumulator.
-    ``store(phi, out, scratch)``
-        The narrow path: the accumulator (float32/float64/int32/int64)
-        is tiled through the small int64 ``scratch`` in cache-resident
-        chunks — Eq. 5's Q31 multiply needs 64-bit intermediates — and
-        each requantized chunk is stored straight into the
-        container-width ``out`` codes, so the full-size int64 round trip
-        of the wide path never touches memory.
+    :mod:`repro.analysis.verify` recomputes every folded constant in
+    Python ints and re-proves the tier's bound.
+
+    ``__call__(phi)`` is the legacy wide path: the int64 formula in place
+    on the caller-owned int64 accumulator.  ``store(phi, out, scratch)``
+    is the narrow path: the accumulator (float32/float64/int32/int64)
+    is cast into the small int64 ``scratch`` (viewed as float64 on the
+    ``f64`` tier) in cache-resident chunks — one per image when an
+    image's accumulator fits — requantized there in place and truncated
+    into the container-width ``out`` codes.  The casts stay in those two
+    plain copies: a ufunc that casts its operands runs numpy's buffered
+    loop, which measured slower than the extra copy.
     """
 
     kind = "fixed"
 
-    def __init__(self, bq: np.ndarray, m0, n0, z_y: int, out_bits: int):
+    def __init__(self, bq: np.ndarray, m0, n0, z_y: int, out_bits: int,
+                 acc_bound: int, narrow: bool):
         self.bq = bq
         self.m0 = m0
         shift = M0_FRACTIONAL_BITS - n0
@@ -201,23 +236,46 @@ class _CompiledFixedPointRequant:
         self.lshift = np.maximum(-shift, 0)
         self.z_y = int(z_y)
         self.qmax = 2 ** out_bits - 1
+        self.m_int = np.left_shift(m0, self.lshift)
+        self.b_int = np.left_shift(bq * m0, self.lshift)
+        # The wide path runs the int64 formula in place; only the narrow
+        # store can take the float64 tier.
+        if narrow and _float64_tier_fits(
+                int(acc_bound), self.m_int, self.b_int, self.rshift, self.z_y):
+            self.tier = "f64"
+            # |C| < 2^53 here, so even if ``z_y << rshift`` wraps, the
+            # wrapping (mod 2^64) int64 sum is C exactly.
+            c_int = self.b_int + np.left_shift(np.int64(self.z_y), self.rshift)
+            self.m_f64 = np.ldexp(np.asarray(self.m_int, dtype=np.float64), -self.rshift)
+            self.c_f64 = np.ldexp(c_int.astype(np.float64), -self.rshift)
+        else:
+            self.tier = "i64"
+            self.m_f64 = self.c_f64 = None
 
     # hot
-    def _steps(self, phi: np.ndarray) -> np.ndarray:
-        phi += self.bq
-        phi *= self.m0
-        np.right_shift(phi, self.rshift, out=phi)
-        np.left_shift(phi, self.lshift, out=phi)
-        phi += self.z_y
-        np.clip(phi, 0, self.qmax, out=phi)
-        return phi
+    def _i64(self, s: np.ndarray) -> None:
+        s *= self.m_int
+        s += self.b_int
+        np.right_shift(s, self.rshift, out=s)
+        s += self.z_y
+        np.clip(s, 0, self.qmax, out=s)
+
+    # hot
+    def _f64(self, s: np.ndarray) -> None:
+        s *= self.m_f64
+        s += self.c_f64
+        np.clip(s, 0, self.qmax, out=s)
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
         # ``phi`` is owned by the caller's layer and safe to mutate.
-        return self._steps(phi)
+        self._i64(phi)
+        return phi
 
     # hot
     def store(self, phi: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        epilogue = self._i64
+        if self.tier == "f64":
+            epilogue, scratch = self._f64, scratch.view(np.float64)
         n, c, l = phi.shape
         lc = max(1, min(l, scratch.size // max(c, 1)))
         for b in range(n):
@@ -225,12 +283,13 @@ class _CompiledFixedPointRequant:
                 l1 = min(l0 + lc, l)
                 s = scratch[: c * (l1 - l0)].reshape(1, c, l1 - l0)
                 np.copyto(s, phi[b:b + 1, :, l0:l1], casting="unsafe")
-                self._steps(s)
+                epilogue(s)
                 np.copyto(out[b:b + 1, :, l0:l1], s, casting="unsafe")
         return out
 
 
-def _compile_icn_requant(params: ICNParams) -> _CompiledFixedPointRequant:
+def _compile_icn_requant(params: ICNParams, acc_bound: int,
+                         narrow: bool) -> _CompiledFixedPointRequant:
     c_o = params.out_channels
     return _CompiledFixedPointRequant(
         bq=params.bq.reshape(1, c_o, 1),
@@ -238,16 +297,21 @@ def _compile_icn_requant(params: ICNParams) -> _CompiledFixedPointRequant:
         n0=params.n0.reshape(1, c_o, 1),
         z_y=params.z_y,
         out_bits=params.out_bits,
+        acc_bound=acc_bound,
+        narrow=narrow,
     )
 
 
-def _compile_folded_requant(params: FoldedBNParams) -> _CompiledFixedPointRequant:
+def _compile_folded_requant(params: FoldedBNParams, acc_bound: int,
+                            narrow: bool) -> _CompiledFixedPointRequant:
     return _CompiledFixedPointRequant(
         bq=params.bq.reshape(1, -1, 1),
         m0=np.int64(params.m0),
         n0=np.int64(params.n0),
         z_y=params.z_y,
         out_bits=params.out_bits,
+        acc_bound=acc_bound,
+        narrow=narrow,
     )
 
 
@@ -261,6 +325,7 @@ class _CompiledThresholdRequant:
     """
 
     kind = "thr"
+    tier = "thr"
 
     def __init__(self, params: ThresholdParams):
         self.levels = 2 ** params.out_bits
@@ -299,11 +364,11 @@ class _CompiledThresholdRequant:
         return out
 
 
-def _compile_requant(params):
+def _compile_requant(params, acc_bound: int, narrow: bool):
     if isinstance(params, ICNParams):
-        return _compile_icn_requant(params)
+        return _compile_icn_requant(params, acc_bound, narrow)
     if isinstance(params, FoldedBNParams):
-        return _compile_folded_requant(params)
+        return _compile_folded_requant(params, acc_bound, narrow)
     if isinstance(params, ThresholdParams):
         return _CompiledThresholdRequant(params)
     raise TypeError(f"unsupported requantization parameters {type(params)!r}")
@@ -422,8 +487,10 @@ class CompiledConvLayer:
                 # (C, 1, kh*kw) batched-matmul form for the im2col path
                 # (the integer einsum contraction keeps the flat form).
                 self.w2 = np.ascontiguousarray(self.w2[:, None, :])
-        self.requant = _compile_requant(p)
+        self.requant = _compile_requant(p, self.acc_bound, self.narrow)
         self.requant_kind = self.requant.kind
+        #: Eq. 5 epilogue tier: "f64", "i64" or "thr" (thresholds).
+        self.epilogue = self.requant.tier
 
     def _accumulate_int(self, cols: np.ndarray, out=None) -> np.ndarray:
         """Integer einsum contraction (int64 reference / forced int32)."""
@@ -640,6 +707,8 @@ class LayerPlanInfo:
     container: str = "-"
     #: Refined worst-case |Phi| the accumulator dtype was picked for.
     acc_bound: int = 0
+    #: Eq. 5 epilogue tier ("f64", "i64", "thr"); "-" for fc logits.
+    epilogue: str = "-"
 
 
 class ExecutionPlan:
@@ -867,7 +936,8 @@ class ExecutionPlan:
         infos = [
             LayerPlanInfo(l.name, l.kind, l.backend, np.dtype(l.gemm_dtype).name,
                           l.k_reduction, l.out_channels, l.in_bits, l.w_bits,
-                          l.dw_mode, np.dtype(l.out_dtype).name, l.acc_bound)
+                          l.dw_mode, np.dtype(l.out_dtype).name, l.acc_bound,
+                          l.epilogue)
             for l in self.layers
         ]
         if self.classifier is not None:
@@ -883,6 +953,10 @@ class ExecutionPlan:
                  batch_size: int = 1) -> str:
         """Human-readable per-layer dispatch summary.
 
+        The ``eq5`` column is each layer's requantization epilogue tier:
+        ``f64`` (folded float64 constants), ``i64`` (int64 formula) or
+        ``thr`` (threshold tables).
+
         With ``input_hw`` (or after the plan has already executed on some
         geometry) the summary ends with the activation-arena plan: the
         host slab bytes for ``batch_size`` images, the physical
@@ -891,13 +965,14 @@ class ExecutionPlan:
         and logical agree exactly for pure 8-bit networks.
         """
         lines = [f"{'layer':<16} {'kind':<5} {'backend':<7} {'acc':<8} "
-                 f"{'codes':<6} {'k':>6} {'c_out':>6}  {'path'}"]
+                 f"{'codes':<6} {'eq5':<4} {'k':>6} {'c_out':>6}  {'path'}"]
         paths = {"always": "fused-stencil", "never": "im2col", "auto": "auto-stencil"}
         for info in self.layer_info():
             path = paths.get(info.dw_mode, "im2col")
             lines.append(
                 f"{info.name:<16} {info.kind:<5} {info.backend:<7} {info.gemm_dtype:<8} "
-                f"{info.container:<6} {info.k_reduction:>6} {info.out_channels:>6}  {path}"
+                f"{info.container:<6} {info.epilogue:<4} {info.k_reduction:>6} "
+                f"{info.out_channels:>6}  {path}"
             )
         arena: Optional[ActivationArena] = None
         if input_hw is not None:

@@ -352,7 +352,8 @@ class Session:
         infos = {i.name: i for i in plan.layer_info()}
         for i, layer in enumerate(plan.layers):
             info = infos[layer.name]
-            dispatch = f"{info.backend}/{info.gemm_dtype}->{info.container}"
+            dispatch = (f"{info.backend}/{info.gemm_dtype}->{info.container}"
+                        f" eq5:{info.epilogue}")
             if info.dw_mode:
                 dispatch += f" dw:{info.dw_mode}"
             if arena is not None:

@@ -387,6 +387,10 @@ class ServingServer:
                         content_length = int(value.strip())
                     except ValueError:
                         raise MalformedRequestError("bad Content-Length") from None
+                    if content_length < 0:
+                        # readexactly() raises ValueError on a negative
+                        # count, which would escape as an empty reply.
+                        raise MalformedRequestError("negative Content-Length")
             if content_length > self.options.max_body_bytes:
                 raise MalformedRequestError(
                     f"body of {content_length} bytes exceeds the "

@@ -40,6 +40,10 @@ class TestZooAcceptance:
             for rule in ("acc-bound", "container-dtype", "requant-shift",
                          "slab-aliasing", "structure"):
                 assert report.count(rule) > 0, rule
+            # Every layer's Eq. 5 epilogue tier was proven.
+            assert report.tiers == {l.name: l.epilogue for l in plan.layers}
+            if not options.narrow:
+                assert set(report.tiers.values()) == {"i64"}
 
     @pytest.mark.parametrize("act_bits", [2, 4, 8])
     @pytest.mark.parametrize("w_bits", [2, 4, 8])
@@ -163,6 +167,54 @@ class TestCorruptionRejection:
             verify_plan(plan, HW)
         assert "requant-shift" in exc_info.value.rules
         assert victim.name in exc_info.value.layers
+
+    @pytest.mark.parametrize("constant", ["m_f64", "c_f64", "b_int"])
+    def test_tampered_folded_constant_rejected(self, constant):
+        plan = _fresh_plan()
+        victim = next(l for l in plan.layers if l.epilogue == "f64")
+        requant = victim.requant
+        forged = np.array(getattr(requant, constant), copy=True)
+        rng = np.random.default_rng(7)
+        channel = int(rng.integers(forged.size))
+        # One channel off by one unit (one ulp of the scaled float64
+        # constants): the epilogue would still run, a code would be wrong.
+        if forged.dtype.kind == "f":
+            forged.flat[channel] = np.nextafter(forged.flat[channel], np.inf)
+        else:
+            forged.flat[channel] += 1
+        setattr(requant, constant, forged)
+        with pytest.raises(PlanVerificationError) as exc_info:
+            verify_plan(plan, HW)
+        err = exc_info.value
+        assert err.rules == ["requant-shift"]
+        assert err.layers == [victim.name]
+        assert f"channel {channel}" in str(err)
+
+    def test_in_range_multiplier_tamper_breaks_the_fold(self):
+        plan = _fresh_plan()
+        victim = plan.layers[4]
+        victim.requant.m0 = np.asarray(victim.requant.m0) - 1  # still Q31
+        with pytest.raises(PlanVerificationError) as exc_info:
+            verify_plan(plan, HW)
+        assert exc_info.value.rules == ["requant-shift"]
+        assert "folded M=" in str(exc_info.value)
+
+    def test_forged_float64_tier_past_the_edge_rejected(self):
+        plan = _fresh_plan()
+        victim = next(l for l in plan.layers if l.epilogue == "i64")
+        requant = victim.requant
+        # Forge the tier with correctly folded float64 constants: only the
+        # 2^53 bound can catch it.
+        c_int = requant.b_int + np.left_shift(np.int64(requant.z_y), requant.rshift)
+        requant.m_f64 = np.ldexp(np.asarray(requant.m_int, dtype=np.float64), -requant.rshift)
+        requant.c_f64 = np.ldexp(c_int.astype(np.float64), -requant.rshift)
+        requant.tier = "f64"
+        with pytest.raises(PlanVerificationError) as exc_info:
+            verify_plan(plan, HW)
+        err = exc_info.value
+        assert err.rules == ["requant-shift"]
+        assert err.layers == [victim.name]
+        assert ">= 2^53" in str(err)
 
     def test_report_collects_every_violation(self):
         plan = _fresh_plan()

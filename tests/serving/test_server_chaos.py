@@ -219,6 +219,19 @@ class TestMalformedPayloads:
 
         run_scenario(tiny_session, BASE, None, scenario)
 
+    def test_negative_content_length_gets_400(self, tiny_session, image):
+        async def scenario(server, host, port):
+            status, _, body = await raw_request(
+                host, port,
+                b"POST /v1/predict HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            )
+            assert status == 400
+            assert b"MalformedRequestError" in body
+            assert server.stats.malformed == 1
+            await alive(host, port, image)
+
+        run_scenario(tiny_session, BASE, None, scenario)
+
     def test_unknown_route_and_method(self, tiny_session):
         async def scenario(server, host, port):
             status, _ = await request_json(host, port, "GET", "/nope")
