@@ -1,38 +1,43 @@
-"""E9 — throughput of the compiled inference engine vs. the seed
-interpreted int64-einsum path on a MobileNetV1 deployment graph.
+"""E9 — throughput of the compiled inference engine vs. the interpreted
+int64-einsum reference on a MobileNetV1 deployment graph.
 
-Four measurements:
+Three measurements:
 
-* E9  — end-to-end + per-layer latency of the narrow-native arena plan
-  against both the interpreted seed and the PR-1 im2col compiled plan,
-  asserting bit-exactness and the headline speedup;
+* E9  — end-to-end + per-layer latency of the compiled arena plan
+  against the interpreted reference, asserting bit-exactness and the
+  headline speedup;
 * E9a — the depthwise-dominated regime (the paper's flagship 224_1.0
-  geometry, where the kh*kw-fold im2col copy blows the cache): the fused
-  stencil layers must beat the im2col plan on the memory-bound layers,
-  stride-1 and (new) stride-2;
+  geometry, where the kh*kw-fold im2col copy blows the cache): on the
+  layers where the per-call rule picks the stencil, the stencil must
+  beat the same plan with the rule's thresholds raised past every layer
+  (im2col everywhere), stride-1 and stride-2;
 * E9b — a streamed ``run_batched`` sweep whose measured peak allocation
   must stay inside the compile-time activation-arena plan reported by
-  ``ExecutionPlan.describe()``;
-* E9c — narrow-dtype-native execution vs. the legacy wide (int64-code,
-  a-priori-dispatch) pipeline on a bandwidth-bound zoo config: container
-  codes + chunked requant + refined-bound sgemm must deliver >= 1.3x
-  end-to-end with a smaller planned arena and child-process peak RSS.
+  ``ExecutionPlan.describe()``.
+
+The narrow-vs-wide comparison that justified container-width codes
+(E9c) is recorded in ``results/engine_narrow_native.txt``; the wide
+pipeline it measured no longer exists.
 
 Run as a script for the CI smoke lane::
 
     python benchmarks/bench_engine_throughput.py --quick
 
-which sweeps reduced-size parity checks (narrow / wide / int32 plans vs.
-the interpreted int64 reference) and exits non-zero on any mismatch.
+which sweeps reduced-size parity checks (default / int32 / int64 plans
+and the stencil on every depthwise layer vs. the interpreted int64
+reference, plus an artifact round trip) and exits non-zero on any
+mismatch.
 """
 
 import argparse
+import contextlib
 import sys
 import time
 import tracemalloc
 
 import numpy as np
 
+import repro.inference.kernels as kernels
 from repro.evaluation.tables import render_table
 from repro.inference.kernels import depthwise_prefers_stencil
 from repro.inference.testing import integer_network_from_spec
@@ -44,12 +49,8 @@ WIDTH = 0.5
 BATCH = 8
 NUM_CLASSES = 100
 
-# E9c: bandwidth-bound config where the narrow pipeline pays most (the
-# deep 512/1024-channel pointwise stack dominated by GEMM + requant
-# traffic).
-NARROW_RES = 128
-NARROW_WIDTH = 1.0
-NARROW_BATCH = 8
+#: A depthwise stencil threshold no layer's im2col tensor reaches.
+IM2COL_EVERYWHERE = 1 << 62
 
 
 def _best_of(fn, reps: int = 3) -> float:
@@ -61,18 +62,17 @@ def _best_of(fn, reps: int = 3) -> float:
     return best
 
 
-def _pr1_compile(net):
-    """The PR-1 engine: per-call im2col allocation, int64 codes,
-    a-priori dispatch."""
-    return net.compile(CompileOptions(use_arena=False, fused_depthwise=False,
-                                      narrow=False, refined_bound=False))
-
-
-def _pr2_compile(net, input_hw=None):
-    """The PR-2 engine: arena + auto stencil, but int64 codes, in-place
-    int64 requant and a-priori accumulator tiers."""
-    return net.compile(CompileOptions(narrow=False, refined_bound=False,
-                                      input_hw=input_hw))
+@contextlib.contextmanager
+def _dw_thresholds(nbytes: int):
+    """Set both depthwise stencil thresholds (stride 1 and 2) for the
+    duration: 0 sends every depthwise layer to the stencil,
+    ``IM2COL_EVERYWHERE`` to im2col."""
+    saved = kernels.DW_IM2COL_BYTES_THRESHOLD, kernels.DW_IM2COL_S2_BYTES_THRESHOLD
+    kernels.DW_IM2COL_BYTES_THRESHOLD = kernels.DW_IM2COL_S2_BYTES_THRESHOLD = nbytes
+    try:
+        yield
+    finally:
+        kernels.DW_IM2COL_BYTES_THRESHOLD, kernels.DW_IM2COL_S2_BYTES_THRESHOLD = saved
 
 
 def test_benchmark_engine_throughput(record_report):
@@ -80,58 +80,45 @@ def test_benchmark_engine_throughput(record_report):
     net = integer_network_from_spec(spec, np.random.default_rng(0))
     x = np.random.default_rng(1).uniform(0, 1, size=(BATCH, 3, RESOLUTION, RESOLUTION))
     plan = net.compile(CompileOptions(input_hw=(RESOLUTION, RESOLUTION)))
-    plan_pr1 = _pr1_compile(net)
 
-    # Bit-exactness of both compiled generations vs. the int64 reference.
+    # Bit-exactness vs. the int64 reference.
     ref_logits = net.forward(x)
     fast_logits = plan.run(x)
     assert np.array_equal(ref_logits, fast_logits), "compiled engine diverged from int64 reference"
-    assert np.array_equal(ref_logits, plan_pr1.run(x))
     assert np.array_equal(fast_logits, plan.run_batched(x, batch_size=3))
 
     t_seed = _best_of(lambda: net.forward(x))
     t_plan = _best_of(lambda: plan.run(x))
-    t_pr1 = _best_of(lambda: plan_pr1.run(x))
     speedup = t_seed / t_plan
 
-    # Per-layer latency on the propagated intermediate codes: seed vs.
-    # PR-1 im2col plan vs. narrow arena/auto plan.
+    # Per-layer latency on the propagated intermediate codes.  Layer i
+    # reads arena slot (i-1)%2 and writes slot i%2, so its input
+    # survives the timing repeats.
     rows = []
     codes = plan.quantize_input(x)
-    codes_pr1 = plan_pr1.quantize_input(x)
     arena = plan.arena_for((RESOLUTION, RESOLUTION))
     arena.ensure(BATCH)
     infos = {i.name: i for i in plan.layer_info()}
-    for i, (new_layer, pr1_layer, ref_layer) in enumerate(
-            zip(plan.layers, plan_pr1.layers, net.conv_layers)):
-        # Use the layer's true ping-pong slot: code slots are sized per
-        # parity, so slot 0 need not fit an odd-index layer's output.
-        t_l_seed = _best_of(lambda: ref_layer.forward(codes_pr1))
-        t_l_pr1 = _best_of(lambda: pr1_layer(codes_pr1.copy()))
-        t_l_new = _best_of(lambda: new_layer(codes, arena=arena, slot=i % 2))
-        info = infos[new_layer.name]
-        dispatch = f"{info.backend}/{info.gemm_dtype}->{info.container}"
-        if info.dw_mode:
-            dispatch += f" dw:{info.dw_mode}"
+    for i, (layer, ref_layer) in enumerate(zip(plan.layers, net.conv_layers)):
+        t_l_seed = _best_of(lambda: ref_layer.forward(codes))
+        t_l_plan = _best_of(lambda: layer(codes, arena, slot=i % 2))
+        info = infos[layer.name]
         rows.append([
-            new_layer.name,
-            new_layer.kind,
-            dispatch,
+            layer.name,
+            layer.kind,
+            f"{info.backend}/{info.gemm_dtype}->{info.container}",
             round(t_l_seed * 1e3, 2),
-            round(t_l_pr1 * 1e3, 2),
-            round(t_l_new * 1e3, 2),
-            round(t_l_seed / t_l_new, 1),
+            round(t_l_plan * 1e3, 2),
+            round(t_l_seed / t_l_plan, 1),
         ])
-        codes = new_layer(codes)      # propagate via owned (non-arena) arrays
-        codes_pr1 = pr1_layer(codes_pr1)
+        codes = layer(codes, arena, slot=i % 2)
     rows.append([
-        "TOTAL", "", "",
-        round(t_seed * 1e3, 2), round(t_pr1 * 1e3, 2), round(t_plan * 1e3, 2),
+        "TOTAL", "", "", round(t_seed * 1e3, 2), round(t_plan * 1e3, 2),
         round(speedup, 1),
     ])
 
     report = render_table(
-        ["Layer", "Kind", "Dispatch", "Seed ms", "PR-1 ms", "Narrow ms", "Speedup"],
+        ["Layer", "Kind", "Dispatch", "Seed ms", "Plan ms", "Speedup"],
         rows,
         title=(
             f"E9 — MobileNetV1 {RESOLUTION}_{WIDTH} batch={BATCH}: "
@@ -144,12 +131,6 @@ def test_benchmark_engine_throughput(record_report):
     record_report("engine_throughput", report)
 
     assert speedup >= 5.0, f"compiled engine speedup {speedup:.2f}x below the 5x target"
-    # The narrow plan must not regress the PR-1 engine end to end.
-    # Generous headroom: best-of-3 on a shared machine jitters ~10-20%,
-    # and this guard is for gross regressions, not single-digit drift.
-    assert t_plan <= 1.3 * t_pr1, (
-        f"narrow plan {t_plan * 1e3:.1f} ms regressed vs PR-1 {t_pr1 * 1e3:.1f} ms"
-    )
 
 
 def test_benchmark_depthwise_fused_speedup(record_report):
@@ -157,53 +138,55 @@ def test_benchmark_depthwise_fused_speedup(record_report):
 
     At this scale a depthwise layer's im2col column tensor is tens to
     hundreds of MB — far past cache — which is exactly the "depthwise
-    layers are memory-bound" headroom the roadmap records.  The auto
-    dispatch routes those layers to the fused stencil (stride-1, and
-    stride-2 since the narrow-native refactor); stride-1 stencils must
-    beat the PR-1 im2col path >= 1.5x in aggregate, stride-2 >= 1.1x,
-    bit-exactly.
+    layers are memory-bound" headroom the roadmap records.  The per-call
+    rule routes those layers to the stencil (stride-1 and stride-2);
+    against the same plan with the thresholds raised past every layer
+    (im2col everywhere), stride-1 stencils must win >= 1.5x in
+    aggregate, stride-2 >= 1.1x, bit-exactly.
     """
     res, batch = 224, 6
     spec = mobilenet_v1_spec(res, 1.0, num_classes=NUM_CLASSES)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
     x = np.random.default_rng(1).uniform(0, 1, size=(batch, 3, res, res))
     plan = net.compile(CompileOptions(input_hw=(res, res)))
-    plan_pr1 = _pr1_compile(net)
-    assert np.array_equal(plan.run(x), plan_pr1.run(x)), "fused/auto plan diverged"
+    stencil_logits = plan.run(x)
+    with _dw_thresholds(IM2COL_EVERYWHERE):
+        assert np.array_equal(stencil_logits, plan.run(x)), "stencil and im2col diverged"
 
     rows = []
     codes = plan.quantize_input(x)
     arena = plan.arena_for((res, res))
     arena.ensure(batch)
-    totals = {1: [0.0, 0.0, 0], 2: [0.0, 0.0, 0]}  # stride -> [new, pr1, layers]
-    for i, (new_layer, pr1_layer) in enumerate(zip(plan.layers, plan_pr1.layers)):
-        if new_layer.kind == "dw":
+    totals = {1: [0.0, 0.0, 0], 2: [0.0, 0.0, 0]}  # stride -> [stencil, im2col, layers]
+    for i, layer in enumerate(plan.layers):
+        if layer.kind == "dw":
             n, c, h, w = codes.shape
-            oh = (h + 2 * new_layer.padding - new_layer.kh) // new_layer.stride + 1
+            oh = (h + 2 * layer.padding - layer.kh) // layer.stride + 1
             fused = depthwise_prefers_stencil(
-                n, c, new_layer.kh, new_layer.kw, oh, oh,
-                new_layer.gemm_itemsize, stride=new_layer.stride,
+                n, c, layer.kh, layer.kw, oh, oh, layer.gemm_itemsize,
+                stride=layer.stride,
             )
-            t_l_pr1 = _best_of(lambda: pr1_layer(codes))
-            t_l_new = _best_of(lambda: new_layer(codes, arena=arena, slot=i % 2))
+            t_l_auto = _best_of(lambda: layer(codes, arena, slot=i % 2))
+            with _dw_thresholds(IM2COL_EVERYWHERE):
+                t_l_im2col = _best_of(lambda: layer(codes, arena, slot=i % 2))
             if fused:
-                agg = totals[new_layer.stride]
-                agg[0] += t_l_new
-                agg[1] += t_l_pr1
+                agg = totals[layer.stride]
+                agg[0] += t_l_auto
+                agg[1] += t_l_im2col
                 agg[2] += 1
             rows.append([
-                new_layer.name,
-                f"s{new_layer.stride} " + ("stencil" if fused else "im2col"),
-                round(t_l_pr1 * 1e3, 2),
-                round(t_l_new * 1e3, 2),
-                round(t_l_pr1 / t_l_new, 2),
+                layer.name,
+                f"s{layer.stride} " + ("stencil" if fused else "im2col"),
+                round(t_l_im2col * 1e3, 2),
+                round(t_l_auto * 1e3, 2),
+                round(t_l_im2col / t_l_auto, 2),
             ])
-        codes = new_layer(codes)  # propagate without the arena (owned arrays)
+        codes = layer(codes, arena, slot=i % 2)
     s1_speedup = totals[1][1] / totals[1][0]
     s2_speedup = totals[2][1] / totals[2][0]
 
     report = render_table(
-        ["Layer", "Auto path", "PR-1 im2col ms", "Narrow ms", "Speedup"],
+        ["Layer", "Auto path", "im2col ms", "Auto ms", "Speedup"],
         rows + [
             ["STENCIL s1 TOTAL", f"{totals[1][2]} layers",
              round(totals[1][1] * 1e3, 2), round(totals[1][0] * 1e3, 2),
@@ -214,7 +197,7 @@ def test_benchmark_depthwise_fused_speedup(record_report):
         ],
         title=(
             f"E9a — MobileNetV1 {res}_1.0 batch={batch} depthwise layers: "
-            f"fused stencil {s1_speedup:.2f}x (s1) / {s2_speedup:.2f}x (s2) "
+            f"stencil {s1_speedup:.2f}x (s1) / {s2_speedup:.2f}x (s2) "
             f"over im2col on the memory-bound layers (bit-exact)"
         ),
     )
@@ -223,10 +206,10 @@ def test_benchmark_depthwise_fused_speedup(record_report):
     assert totals[1][2] >= 2, "auto dispatch engaged on too few s1 dw layers"
     assert totals[2][2] >= 1, "auto dispatch engaged on no s2 dw layer"
     assert s1_speedup >= 1.5, (
-        f"fused depthwise s1 speedup {s1_speedup:.2f}x below the 1.5x target"
+        f"depthwise stencil s1 speedup {s1_speedup:.2f}x below the 1.5x target"
     )
     assert s2_speedup >= 1.1, (
-        f"fused depthwise s2 speedup {s2_speedup:.2f}x below the 1.1x target"
+        f"depthwise stencil s2 speedup {s2_speedup:.2f}x below the 1.1x target"
     )
 
 
@@ -267,117 +250,6 @@ def test_benchmark_batched_sweep_throughput(record_report):
     assert rate > 0
 
 
-_RSS_CHILD = """
-import numpy as np
-from repro.inference.testing import integer_network_from_spec
-from repro.models.model_zoo import mobilenet_v1_spec
-from repro.runtime import CompileOptions
-
-narrow = {narrow}
-spec = mobilenet_v1_spec({res}, {width}, num_classes={classes})
-net = integer_network_from_spec(spec, np.random.default_rng(0))
-x = np.random.default_rng(1).uniform(0, 1, size=({sweep}, 3, {res}, {res}))
-if narrow:
-    plan = net.compile(CompileOptions(input_hw=({res}, {res})))
-else:
-    plan = net.compile(CompileOptions(narrow=False, refined_bound=False,
-                                      input_hw=({res}, {res})))
-plan.run_batched(x, batch_size={batch})
-# VmHWM (not ru_maxrss): the rusage high-water mark is inherited across
-# fork+exec on Linux, so a child of a large parent would report the
-# parent's peak; /proc VmHWM is reset when the new image is exec'd.
-with open("/proc/self/status") as f:
-    for line in f:
-        if line.startswith("VmHWM:"):
-            print(int(line.split()[1]))
-            break
-"""
-
-
-def _measure_peak_rss(narrow: bool) -> int:
-    """Peak RSS (kB) of a fresh interpreter running one engine flavour."""
-    import os
-    import subprocess
-
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-    code = _RSS_CHILD.format(
-        narrow=narrow, res=NARROW_RES, width=NARROW_WIDTH,
-        classes=NUM_CLASSES, sweep=2 * NARROW_BATCH, batch=NARROW_BATCH,
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, check=True,
-        capture_output=True, text=True,
-    )
-    return int(out.stdout.strip().splitlines()[-1])
-
-
-def test_benchmark_narrow_vs_wide(record_report):
-    """E9c — narrow-dtype-native execution vs. the legacy wide pipeline.
-
-    Same network, same arena/stencil machinery; the only differences are
-    what this refactor added: container-width (uint8) code slabs, the
-    chunked accumulator->container requantization, and the weight-data
-    refined accumulator bound (sgemm on the wide pointwise stack).  On
-    the bandwidth-bound 128_1.0 geometry the narrow plan must win
-    >= 1.3x end to end, bit-exactly, with a smaller planned arena and a
-    lower child-process peak RSS.
-    """
-    spec = mobilenet_v1_spec(NARROW_RES, NARROW_WIDTH, num_classes=NUM_CLASSES)
-    net = integer_network_from_spec(spec, np.random.default_rng(0))
-    x = np.random.default_rng(1).uniform(
-        0, 1, size=(NARROW_BATCH, 3, NARROW_RES, NARROW_RES)
-    )
-    narrow = net.compile(CompileOptions(input_hw=(NARROW_RES, NARROW_RES)))
-    wide = _pr2_compile(net, input_hw=(NARROW_RES, NARROW_RES))
-    assert np.array_equal(narrow.run(x), wide.run(x)), "narrow plan diverged from wide"
-
-    t_narrow = _best_of(lambda: narrow.run(x), reps=5)
-    t_wide = _best_of(lambda: wide.run(x), reps=5)
-    speedup = t_wide / t_narrow
-
-    arena_n = narrow.arena_for((NARROW_RES, NARROW_RES))
-    arena_w = wide.arena_for((NARROW_RES, NARROW_RES))
-    rss_n = _measure_peak_rss(narrow=True)
-    rss_w = _measure_peak_rss(narrow=False)
-
-    f32_promoted = sum(
-        1 for i in narrow.layer_info() if i.gemm_dtype == "float32" and i.k_reduction > 257
-    )
-    report = render_table(
-        ["Pipeline", "e2e ms", "imgs/sec", "Planned arena B", "Code pair B", "Peak RSS kB"],
-        [
-            ["wide (PR-2: int64 codes, a-priori tiers)",
-             round(t_wide * 1e3, 1), round(NARROW_BATCH / t_wide, 1),
-             arena_w.planned_bytes(NARROW_BATCH),
-             arena_w.physical_code_bytes(1), rss_w],
-            ["narrow (uint8 codes, chunked requant, refined sgemm)",
-             round(t_narrow * 1e3, 1), round(NARROW_BATCH / t_narrow, 1),
-             arena_n.planned_bytes(NARROW_BATCH),
-             arena_n.physical_code_bytes(1), rss_n],
-        ],
-        title=(
-            f"E9c — MobileNetV1 {NARROW_RES}_{NARROW_WIDTH} batch={NARROW_BATCH}: "
-            f"narrow-native {speedup:.2f}x over the wide pipeline "
-            f"({f32_promoted} wide-k layers promoted to sgemm by the refined "
-            f"bound; code pair {arena_w.physical_code_bytes(1)} -> "
-            f"{arena_n.physical_code_bytes(1)} B == Eq.7 peak; bit-exact)"
-        ),
-    )
-    record_report("engine_narrow_native", report)
-
-    assert arena_n.physical_code_bytes(1) * 8 == arena_w.physical_code_bytes(1)
-    assert arena_n.planned_bytes(NARROW_BATCH) < arena_w.planned_bytes(NARROW_BATCH)
-    assert rss_n < rss_w, f"narrow RSS {rss_n} kB not below wide {rss_w} kB"
-    # Checked-in results record the measured ~1.3-1.4x; the assert keeps
-    # ~10% headroom for shared-machine jitter.
-    assert speedup >= 1.2, (
-        f"narrow-native speedup {speedup:.2f}x below target on the "
-        f"bandwidth-bound config"
-    )
-
-
 # ----------------------------------------------------------------------
 # CI smoke lane: `python benchmarks/bench_engine_throughput.py --quick`
 # ----------------------------------------------------------------------
@@ -398,21 +270,20 @@ def _quick_parity_sweep() -> None:
         x = np.random.default_rng(1).uniform(0, 1, size=(3, 3, res, res))
         ref = net.forward(x)
         flavours = {
-            "narrow": net.compile(),
-            "wide": _pr2_compile(net),
-            "pr1": _pr1_compile(net),
+            "default": net.compile(),
             "int32": net.compile(CompileOptions(backend="int32")),
             "int64": net.compile(CompileOptions(backend="int64")),
-            "stencil": net.compile(CompileOptions(fused_depthwise=True)),
         }
-        for name, plan in flavours.items():
-            got = plan.run(x)
+        outputs = {name: plan.run(x) for name, plan in flavours.items()}
+        with _dw_thresholds(0):  # the stencil on every depthwise layer
+            outputs["stencil"] = flavours["default"].run(x)
+        for name, got in outputs.items():
             if not np.array_equal(ref, got):
                 raise AssertionError(
                     f"{res}_{width} @ {bits}-bit: {name} plan diverged from "
                     f"the interpreted int64 reference"
                 )
-        batched = flavours["narrow"].run_batched(x, batch_size=2)
+        batched = flavours["default"].run_batched(x, batch_size=2)
         if not np.array_equal(ref, batched):
             raise AssertionError(f"{res}_{width} @ {bits}-bit: run_batched diverged")
         # Session-artifact round trip: save -> load -> serve must stay
@@ -426,7 +297,7 @@ def _quick_parity_sweep() -> None:
                     f"{res}_{width} @ {bits}-bit: artifact round trip diverged"
                 )
         print(f"  parity ok: {res}_{width} @ {bits}-bit "
-              f"({len(flavours)} engine flavours + artifact round trip, bit-exact)")
+              f"({len(outputs)} engine flavours + artifact round trip, bit-exact)")
 
 
 def main(argv=None) -> int:
@@ -437,7 +308,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.quick:
-        print("E9 quick parity sweep (narrow/wide/int32/int64/stencil)...")
+        print("E9 quick parity sweep (default/int32/int64/stencil)...")
         _quick_parity_sweep()
         print("OK — all engine flavours bit-exact against the reference")
         return 0
@@ -456,7 +327,6 @@ def main(argv=None) -> int:
     test_benchmark_engine_throughput(record)
     test_benchmark_depthwise_fused_speedup(record)
     test_benchmark_batched_sweep_throughput(record)
-    test_benchmark_narrow_vs_wide(record)
     return 0
 
 

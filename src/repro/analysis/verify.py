@@ -192,8 +192,7 @@ def _x_magnitude(z_x: int, x_bits: int) -> int:
     return max(int(z_x), 2 ** x_bits - 1 - int(z_x))
 
 
-def _check_acc_bound(layer, plan_validate: bool, refined: bool,
-                     report: VerificationReport) -> None:
+def _check_acc_bound(layer, plan_validate: bool, report: VerificationReport) -> None:
     """Accumulator-overflow safety of one compiled layer's dispatch."""
     name = layer.name
     w = _recover_int_weights(layer, report)
@@ -221,10 +220,10 @@ def _check_acc_bound(layer, plan_validate: bool, refined: bool,
         np.abs(w).sum(axis=1, dtype=np.int64) * x_mag
         if w.size else np.zeros(w.shape[0], dtype=np.int64)
     )
-    refined_bound = int(per_channel.max()) if per_channel.size else 0
+    refined = int(per_channel.max()) if per_channel.size else 0
     # The refinement is only sound when boundary validation guarantees
     # in-range codes; mirror the compiler's gating exactly.
-    bound = min(apriori, refined_bound) if (refined and plan_validate) else apriori
+    bound = min(apriori, refined) if plan_validate else apriori
     recorded = int(layer.acc_bound)
     if recorded < bound:
         report.fail(
@@ -329,17 +328,16 @@ def _check_split_k(layer, w: np.ndarray, x_mag: int,
         report.passed("acc-bound")
 
 
-def _check_container(layer, narrow: bool, report: VerificationReport) -> None:
+def _check_container(layer, report: VerificationReport) -> None:
     """Container-dtype soundness of one layer's output codes."""
     name = layer.name
     out_dtype = np.dtype(layer.out_dtype)
-    expected = container_dtype(layer.out_bits) if narrow else _INT64
+    expected = container_dtype(layer.out_bits)
     if out_dtype != expected:
         report.fail(
             "container-dtype", name,
             f"output codes land in {out_dtype.name} but container_dtype"
-            f"({layer.out_bits}) prescribes {expected.name} "
-            f"({'narrow' if narrow else 'wide'} plan)",
+            f"({layer.out_bits}) prescribes {expected.name}",
         )
         return
     qmax = 2 ** layer.out_bits - 1
@@ -370,7 +368,7 @@ def _check_container(layer, narrow: bool, report: VerificationReport) -> None:
     report.passed("container-dtype")
 
 
-def _check_requant(layer, narrow: bool, report: VerificationReport) -> None:
+def _check_requant(layer, report: VerificationReport) -> None:
     """Requantization ranges, folded Eq. 5 constants and the tier bound."""
     name = layer.name
     requant = layer.requant
@@ -448,13 +446,6 @@ def _check_requant(layer, narrow: bool, report: VerificationReport) -> None:
         report.fail(
             "requant-shift", name,
             f"unknown Eq. 5 epilogue tier {tier!r} (expected 'f64' or 'i64')",
-        )
-        return
-    if tier == "f64" and not narrow:
-        report.fail(
-            "requant-shift", name,
-            "float64 epilogue in a wide plan — the in-place int64 path "
-            "only runs the int64 formula",
         )
         return
     # Fold the constants again in Python ints (no wraparound) and prove
@@ -546,25 +537,18 @@ def _conv_slab_needs(layer, h: int, w: int) -> Tuple[Dict[str, int], Tuple[int, 
     out_elems = layer.out_channels * oh * ow
     hp, wp = h + 2 * layer.padding, w + 2 * layer.padding
     pad = layer.in_channels * hp * wp * gemm_isz
-    im2col_need = layer.in_channels * layer.kh * layer.kw * oh * ow * gemm_isz
-    stencil_tmp = out_elems * gemm_isz if layer.k_reduction > 1 else 0
-    if layer.kind == "dw":
-        if layer.dw_mode == "always":
-            cols = stencil_tmp
-        elif layer.dw_mode == "never":
-            cols = im2col_need
-        else:  # "auto" may take either path at run time
-            cols = max(im2col_need, stencil_tmp)
-    elif layer.kh == 1 and layer.kw == 1 and layer.stride == 1:
+    if layer.kh == 1 and layer.kw == 1 and layer.stride == 1:
+        # A 1x1/s1 unfold is a view and a single-tap stencil needs no
+        # temporary; only a split-K layer uses the slab (its sgemm chunk).
         cols = out_elems * gemm_isz if getattr(layer, "split_k", None) else 0
     else:
-        cols = im2col_need
-    acc_in_codes = (not layer.narrow) and np.dtype(layer.gemm_dtype) == _INT64
-    acc = 0 if acc_in_codes else out_elems * gemm_isz
+        # im2col columns; a depthwise stencil's output-sized tap
+        # temporary (C * OH * OW) is never larger.
+        cols = layer.in_channels * layer.kh * layer.kw * oh * ow * gemm_isz
+    acc = out_elems * gemm_isz
     out = out_elems * np.dtype(layer.out_dtype).itemsize
     requant = requant_scratch_bytes(
-        layer.kind, layer.requant_kind, layer.out_channels, out_elems,
-        np.dtype(layer.out_dtype).itemsize,
+        layer.kind, layer.requant_kind, layer.out_channels, out_elems
     )
     return (
         {"pad": pad, "cols": cols, "acc": acc, "out": out, "requant": requant},
@@ -626,11 +610,7 @@ def _check_arena(plan, input_hw: Tuple[int, int],
             )
             return
         needs, (oh, ow) = _conv_slab_needs(layer, h, w)
-        in_bytes = (
-            layer.in_channels * h * w
-            * (container_dtype(layer.in_bits).itemsize if layer.narrow
-               else _INT64.itemsize)
-        )
+        in_bytes = layer.in_channels * h * w * container_dtype(layer.in_bits).itemsize
         # Capacity: every per-image view this layer takes must fit its
         # slab — the static form of ActivationArena._view's overflow guard.
         for slab in ("pad", "cols", "acc", "requant"):
@@ -774,17 +754,15 @@ def verify_plan(plan, input_hw: Optional[Tuple[int, int]] = None, *,
     ``raise_on_violation`` (the default) and any check failed.
     """
     report = VerificationReport()
-    refined = bool(plan.options.refined_bound)
     for layer in plan.layers:
-        _check_acc_bound(layer, plan.validate, refined, report)
-        _check_container(layer, plan.narrow, report)
-        _check_requant(layer, plan.narrow, report)
+        _check_acc_bound(layer, plan.validate, report)
+        _check_container(layer, report)
+        _check_requant(layer, report)
     if plan.classifier is not None:
-        _check_acc_bound(plan.classifier, plan.validate, refined, report)
+        _check_acc_bound(plan.classifier, plan.validate, report)
     _check_chain(plan, report)
-    if plan.use_arena:
-        for hw in _known_geometries(plan, input_hw):
-            _check_arena(plan, hw, schedule, report)
+    for hw in _known_geometries(plan, input_hw):
+        _check_arena(plan, hw, schedule, report)
     if raise_on_violation:
         report.raise_if_failed()
     return report
@@ -862,7 +840,7 @@ def verify_artifact(path: Union[str, Path],
             )
         else:
             report.passed("acc-bound")
-    if arena_info is not None and plan.use_arena and hw is not None:
+    if arena_info is not None and hw is not None:
         recorded_peak = int(arena_info.get("rw_peak_bytes", -1))
         actual_peak = plan.arena_for(hw).logical_rw_peak_bytes
         if recorded_peak != actual_peak:

@@ -8,7 +8,6 @@ from repro.inference.kernels import (
     depthwise_stencil_accumulate,
     int_conv2d,
     int_depthwise_conv2d,
-    int_depthwise_conv2d_fused,
     int_linear,
     max_abs_accumulator,
     resolve_gemm_backend,
@@ -45,7 +44,6 @@ __all__ = [
     "depthwise_stencil_accumulate",
     "int_conv2d",
     "int_depthwise_conv2d",
-    "int_depthwise_conv2d_fused",
     "int_linear",
     "IntegerConvLayer",
     "IntegerLinearLayer",

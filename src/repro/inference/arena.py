@@ -14,8 +14,8 @@ This module plans that behaviour statically, at compile time:
 * :func:`plan_activations` cascades the input geometry through the layer
   stack once and records, per layer, the activation shapes plus every
   scratch buffer the compiled kernels need (padded/shifted input, im2col
-  columns or fused-stencil tap temporary, GEMM accumulator, requantization
-  scratch);
+  columns — which also hold the depthwise stencil's tap temporary — GEMM
+  accumulator, requantization scratch);
 * :class:`ActivationArena` turns that plan into preallocated slabs: a
   ping-pong pair of *container-width* code slabs (uint8 for every <=8-bit
   activation — the Eq. 7 input/output pair at its true physical width,
@@ -55,7 +55,7 @@ from repro.nn.functional import conv_output_size
 
 _INT64_BYTES = np.dtype(np.int64).itemsize
 
-#: Target size of one requantization tile.  The narrow-native plan
+#: Target size of one requantization tile.  The compiled plan
 #: requantizes the accumulator in cache-blocked chunks through a small
 #: int64 scratch (Eq. 5 needs 64-bit intermediates for the Q31 multiply)
 #: and stores straight into the container-width code slab — instead of
@@ -72,10 +72,9 @@ class LayerGeometry:
     ``gemm_itemsize`` is the byte width of the layer's GEMM operands and
     accumulator (float32/float64/int32/int64 depending on dispatch);
     ``out_itemsize`` the container width its output codes are stored at
-    (1 for every <=8-bit activation under the narrow-native plan, 8 for
-    the legacy wide plan); ``requant_kind`` selects the requantization
-    scratch requirement (``"fixed"`` fixed-point Eq. 5, ``"thr"``
-    thresholds, ``""`` for fc).
+    (1 for every <=8-bit activation); ``requant_kind`` selects the
+    requantization scratch requirement (``"fixed"`` fixed-point Eq. 5,
+    ``"thr"`` thresholds, ``""`` for fc).
     """
 
     name: str
@@ -89,7 +88,6 @@ class LayerGeometry:
     in_bits: int
     out_bits: int
     gemm_itemsize: int  # bytes per scratch element (float32/float64/int32/int64)
-    fused: bool  # depthwise stencil path (no im2col columns)
     out_itemsize: int = 1  # container bytes per output code
     requant_kind: str = "fixed"
     #: Split-K sgemm layer: needs an output-sized float32 chunk buffer in
@@ -116,7 +114,6 @@ class LayerGeometry:
                 np.dtype(layer.gemm_dtype).itemsize,
                 np.dtype(getattr(layer, "acc_dtype", layer.gemm_dtype)).itemsize,
             ),
-            fused=getattr(layer, "fused", False),
             out_itemsize=np.dtype(layer.out_dtype).itemsize,
             requant_kind=getattr(layer, "requant_kind", "fixed"),
             split_k=getattr(layer, "split_k", None) is not None,
@@ -133,7 +130,6 @@ class LayerGeometry:
         in_bits: int,
         w_bits: int,
         out_bits: int,
-        fused_depthwise: bool = True,
         requant_kind: str = "fixed",
     ) -> "LayerGeometry":
         """Geometry from a raw weight shape, using the a-priori GEMM
@@ -165,7 +161,6 @@ class LayerGeometry:
             in_bits=int(in_bits),
             out_bits=int(out_bits),
             gemm_itemsize=itemsize,
-            fused=fused_depthwise and kind == "dw",
             out_itemsize=container_dtype(int(out_bits)).itemsize,
             requant_kind=requant_kind,
         )
@@ -220,16 +215,15 @@ class LayerActivationPlan:
 
 
 def requant_scratch_bytes(kind: str, requant_kind: str, c_out: int,
-                           out_elems: int, out_itemsize: int) -> int:
+                           out_elems: int) -> int:
     """Fixed int64 scratch one layer's chunked requantization needs.
 
     Fixed-point layers tile the accumulator into ~``REQUANT_SCRATCH_BYTES``
     chunks (never smaller than one (C, 1) column so the per-channel
     constants broadcast); threshold layers consume one whole image at a
-    time (per-channel ``searchsorted`` wants contiguous rows).  Legacy
-    wide layers (int64 containers) requantize in place and need none.
+    time (per-channel ``searchsorted`` wants contiguous rows).
     """
-    if kind == "fc" or out_itemsize >= _INT64_BYTES:
+    if kind == "fc":
         return 0
     if requant_kind == "thr":
         return out_elems * _INT64_BYTES
@@ -275,15 +269,14 @@ def plan_activations(
             )
         hp, wp = h + 2 * g.padding, w + 2 * g.padding
         out_elems = g.out_channels * oh * ow
-        if g.fused:
-            # The stencil needs one output-sized tap temporary; it shares
-            # the cols slab, which the fused path never uses for columns.
-            cols_elems = out_elems
-        elif g.kh == 1 and g.kw == 1 and g.stride == 1:
+        if g.kh == 1 and g.kw == 1 and g.stride == 1:
             # im2col of a 1x1/s1 kernel is a pure view; split-K layers
             # repurpose the cols slab as their sgemm chunk buffer.
             cols_elems = out_elems if g.split_k else 0
         else:
+            # im2col columns; a depthwise layer that takes the stencil
+            # uses the same slab for its (smaller) output-sized tap
+            # temporary.
             cols_elems = g.in_channels * g.kh * g.kw * oh * ow
         plans.append(
             LayerActivationPlan(
@@ -299,8 +292,7 @@ def plan_activations(
                 gemm_itemsize=g.gemm_itemsize,
                 out_itemsize=g.out_itemsize,
                 requant_bytes=requant_scratch_bytes(
-                    g.kind, g.requant_kind, g.out_channels, out_elems,
-                    g.out_itemsize,
+                    g.kind, g.requant_kind, g.out_channels, out_elems
                 ),
             )
         )
@@ -340,8 +332,9 @@ class ActivationArena:
         Zero-point-shifted (and zero-padded) input in the layer's GEMM
         dtype.
     ``cols``
-        im2col columns — or, for the fused depthwise path, the
-        output-sized tap temporary.
+        im2col columns — also the output-sized tap temporary of a
+        depthwise layer that takes the stencil, and the chunk buffer of a
+        split-K layer.
     ``acc``
         The GEMM accumulator (float tier, int32, or int64 depending on
         the layer's dispatch).
@@ -521,7 +514,7 @@ class ActivationArena:
         return slab[:nbytes].view(dtype).reshape(shape)
 
     # -- per-call views ------------------------------------------------
-    def codes(self, slot: int, shape: Tuple[int, ...], dtype=np.int64) -> np.ndarray:
+    def codes(self, slot: int, shape: Tuple[int, ...], dtype) -> np.ndarray:
         return self._view(self._codes[slot % 2], dtype, shape)
 
     def pad(self, dtype, shape: Tuple[int, ...]) -> np.ndarray:

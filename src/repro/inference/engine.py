@@ -9,7 +9,6 @@ the final classifier dequantization used to produce real-valued logits.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
@@ -24,14 +23,11 @@ from repro.core.icn import (
     threshold_requantize,
 )
 from repro.inference.kernels import (
-    blas_gemm_dtype,
-    gemm_reduction_length,
     int_avg_pool_global,
     int_conv2d,
     int_depthwise_conv2d,
     int_linear,
     quantize_input_codes,
-    resolve_gemm_backend,
     shift_weights,
 )
 from repro.inference.packing import packed_size_bytes
@@ -39,42 +35,18 @@ from repro.inference.packing import packed_size_bytes
 RequantParams = Union[ICNParams, FoldedBNParams, ThresholdParams]
 
 
-def _gemm_weight_dtype(backend: str, k: int, x_bits: int, w_bits: int):
-    """Operand dtype the kernel's resolved backend will contract in
-    (None for the int64 path) — lets a layer hand the kernel weights
-    already cast to the GEMM dtype, so repeated forwards skip both the
-    per-call zero-point shift *and* the per-call dtype cast."""
-    resolved = resolve_gemm_backend(backend, k, x_bits, w_bits)
-    if resolved == "blas":
-        return blas_gemm_dtype(k, x_bits, w_bits)
-    if resolved == "int32":
-        return np.int32
-    return None
+def _cached_shift(cache: Optional[tuple], weights_q: np.ndarray, z_w) -> tuple:
+    """Single-shift weight cache for the interpreted layers.
 
-
-def _shift_cache_lookup(cache, weights_q: np.ndarray, z_w, dtype):
-    """Shared single-shift/single-cast weight cache for the interpreted
-    layers.
-
-    ``cache`` is ``(weights_q identity, {dtype: shifted/cast array})`` or
+    ``cache`` is ``(weights_q identity, int64 shifted weights)`` or
     ``None``; keyed on the identity of ``weights_q``, so swapping in a
-    new weight tensor recomputes while repeated forwards reuse both the
-    zero-point shift and any GEMM-dtype cast.  (In-place mutation of the
-    same array is not tracked — replace the tensor to requantize.)
-    Returns ``(cache, weights)``.
+    new weight tensor recomputes while repeated forwards reuse the
+    zero-point shift.  (In-place mutation of the same array is not
+    tracked — replace the tensor to requantize.)
     """
     if cache is None or cache[0] is not weights_q:
-        cache = (weights_q, {})
-    key = np.dtype(np.int64 if dtype is None else dtype)
-    weights = cache[1].get(key)
-    if weights is None:
-        base = cache[1].get(np.dtype(np.int64))
-        if base is None:
-            base = shift_weights(weights_q, z_w, int(weights_q.shape[0]))
-            cache[1][np.dtype(np.int64)] = base
-        weights = base if key == np.int64 else base.astype(key)
-        cache[1][key] = weights
-    return cache, weights
+        cache = (weights_q, shift_weights(weights_q, z_w, int(weights_q.shape[0])))
+    return cache
 
 
 @dataclass
@@ -100,48 +72,25 @@ class IntegerConvLayer:
         default=None, init=False, repr=False, compare=False
     )
 
-    def _shifted_weights(self, dtype=None) -> np.ndarray:
-        """Zero-point-shifted (and GEMM-dtype-cast) weights, computed
-        once per weight tensor — the seed engine re-ran ``w - Z_w`` (and
-        the BLAS float cast) inside the kernel on every forward; see
-        :func:`_shift_cache_lookup` for the invalidation contract."""
+    def _shifted_weights(self) -> np.ndarray:
+        """Zero-point-shifted int64 weights, computed once per weight
+        tensor (see :func:`_cached_shift` for the invalidation contract)."""
         p = self.params
-        self._w_shift_cache, weights = _shift_cache_lookup(
-            self._w_shift_cache, p.weights_q, p.z_w, dtype
-        )
-        return weights
+        self._w_shift_cache = _cached_shift(self._w_shift_cache, p.weights_q, p.z_w)
+        return self._w_shift_cache[1]
 
-    def forward(
-        self, x_codes: np.ndarray, validate: bool = True, backend: str = "int64"
-    ) -> np.ndarray:
-        """Interpreted (reference) forward.
-
-        Defaults to the int64 einsum backend so this path stays the
-        ground truth the compiled :class:`~repro.inference.plan.ExecutionPlan`
-        is verified against; pass ``backend="auto"`` to allow the BLAS
-        fast path here too.
-        """
+    def forward(self, x_codes: np.ndarray, validate: bool = True) -> np.ndarray:
+        """Interpreted (reference) forward over the int64 einsum kernels —
+        the ground truth the compiled
+        :class:`~repro.inference.plan.ExecutionPlan` is verified against."""
         p = self.params
-        dtype = _gemm_weight_dtype(
-            backend, gemm_reduction_length(self.kind, p.weights_q.shape),
-            self.in_bits, p.w_bits,
+        kernel = int_depthwise_conv2d if self.kind == "dw" else int_conv2d
+        phi = kernel(
+            x_codes, p.weights_q, p.z_x, p.z_w,
+            stride=self.stride, padding=self.padding,
+            x_bits=self.in_bits, w_bits=p.w_bits,
+            validate=validate, w_shift=self._shifted_weights(),
         )
-        if self.kind == "dw":
-            phi = int_depthwise_conv2d(
-                x_codes, p.weights_q, p.z_x, p.z_w,
-                stride=self.stride, padding=self.padding,
-                x_bits=self.in_bits, w_bits=p.w_bits,
-                validate=validate, backend=backend,
-                w_shift=self._shifted_weights(dtype),
-            )
-        else:
-            phi = int_conv2d(
-                x_codes, p.weights_q, p.z_x, p.z_w,
-                stride=self.stride, padding=self.padding,
-                x_bits=self.in_bits, w_bits=p.w_bits,
-                validate=validate, backend=backend,
-                w_shift=self._shifted_weights(dtype),
-            )
         if isinstance(p, ICNParams):
             return icn_requantize(phi, p)
         if isinstance(p, FoldedBNParams):
@@ -176,25 +125,16 @@ class IntegerLinearLayer:
         default=None, init=False, repr=False, compare=False
     )
 
-    def _shifted_weights(self, dtype=None) -> np.ndarray:
-        """Shifted (and GEMM-dtype-cast) classifier weights — same
-        single-shift/single-cast contract as :class:`IntegerConvLayer`
-        (see :func:`_shift_cache_lookup`)."""
-        self._w_shift_cache, weights = _shift_cache_lookup(
-            self._w_shift_cache, self.weights_q, self.z_w, dtype
-        )
-        return weights
+    def _shifted_weights(self) -> np.ndarray:
+        """Shifted int64 classifier weights — same single-shift contract
+        as :class:`IntegerConvLayer` (see :func:`_cached_shift`)."""
+        self._w_shift_cache = _cached_shift(self._w_shift_cache, self.weights_q, self.z_w)
+        return self._w_shift_cache[1]
 
-    def forward(
-        self, x_codes: np.ndarray, validate: bool = True, backend: str = "int64"
-    ) -> np.ndarray:
-        dtype = _gemm_weight_dtype(
-            backend, int(self.weights_q.shape[1]), self.in_bits, self.w_bits
-        )
+    def forward(self, x_codes: np.ndarray, validate: bool = True) -> np.ndarray:
         phi = int_linear(x_codes, self.weights_q, self.z_x, self.z_w,
                          x_bits=self.in_bits, w_bits=self.w_bits,
-                         validate=validate, backend=backend,
-                         w_shift=self._shifted_weights(dtype))
+                         validate=validate, w_shift=self._shifted_weights())
         s_w = np.asarray(self.s_w, dtype=np.float64).reshape(-1)
         if s_w.size == 1:
             logits = self.s_in * float(s_w[0]) * phi.astype(np.float64)
@@ -260,7 +200,7 @@ class IntegerNetwork:
         """Class predictions for a real image batch."""
         return np.argmax(self.forward(x_real), axis=1)
 
-    def compile(self, options=None, **legacy_kwargs):
+    def compile(self, options=None):
         """Compile the graph into an :class:`~repro.inference.plan.ExecutionPlan`.
 
         ``options`` is a :class:`repro.runtime.CompileOptions`; ``None``
@@ -268,47 +208,15 @@ class IntegerNetwork:
         per-layer GEMM-form weights, requantization constants and
         backend dispatch (narrowest exact accumulator under the
         weight-data refined bound), runs range validation only at the
-        network boundary, routes depthwise layers through the fused
-        stencil kernel, stores activation codes at container width
-        (``narrow=True``; uint8 for the paper's networks), executes
-        inside a static activation arena (planned eagerly when
-        ``options.input_hw`` is given), and exposes a tiled
-        ``run_batched`` for large sweeps.  Outputs are bit-identical to
-        this interpreted engine.
-
-        .. deprecated::
-            The historical loose keyword form
-            (``compile(backend=..., narrow=..., ...)``) still works but
-            emits a ``DeprecationWarning``; it builds the identical
-            ``CompileOptions`` and forwards.
+        network boundary, stores activation codes at container width
+        (uint8 for the paper's networks) inside a static activation
+        arena (planned eagerly when ``options.input_hw`` is given),
+        routes large depthwise layers through the stencil kernel, and
+        exposes a tiled ``run_batched`` for large sweeps.  Outputs are
+        bit-identical to this interpreted engine.
         """
         from repro.inference.plan import ExecutionPlan
 
-        if isinstance(options, str):
-            # Legacy positional form: compile("int32") bound the string
-            # to the old leading `backend` parameter.
-            if "backend" in legacy_kwargs:
-                raise TypeError(
-                    "compile() got multiple values for argument 'backend'"
-                )
-            legacy_kwargs = {"backend": options, **legacy_kwargs}
-            options = None
-        if legacy_kwargs:
-            if options is not None:
-                raise TypeError(
-                    "pass either options=CompileOptions(...) or the legacy "
-                    "keyword arguments, not both"
-                )
-            from repro.runtime.options import CompileOptions
-
-            warnings.warn(
-                "IntegerNetwork.compile(**kwargs) with loose keyword options "
-                "is deprecated; pass repro.runtime.CompileOptions instead, "
-                "e.g. net.compile(CompileOptions(narrow=False))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            options = CompileOptions.from_legacy_kwargs(**legacy_kwargs)
         return ExecutionPlan(self, options)
 
     def weight_storage_bytes(self) -> int:

@@ -70,10 +70,9 @@ def _layer_aux_bytes(params) -> int:
 
 def _network_geometries(net: IntegerNetwork) -> List[LayerGeometry]:
     """Activation-planning geometries of the deployment graph, matching
-    what ``net.compile()`` defaults would plan: auto GEMM dispatch, and
-    ``fused_depthwise=False`` for planning purposes — the "auto" stencil
-    dispatch keeps the conservative im2col-sized scratch plan, exactly
-    like ``ExecutionPlan._geometries`` for a default-compiled plan."""
+    what ``net.compile()`` would plan with the a-priori GEMM dispatch
+    (im2col-sized cols scratch, which also holds the depthwise stencil's
+    tap temporary, exactly like ``ExecutionPlan._geometries``)."""
     geoms = [
         LayerGeometry.from_weights(
             name=layer.name, kind=layer.kind,
@@ -81,7 +80,6 @@ def _network_geometries(net: IntegerNetwork) -> List[LayerGeometry]:
             stride=layer.stride, padding=layer.padding,
             in_bits=layer.in_bits, w_bits=layer.params.w_bits,
             out_bits=layer.out_bits,
-            fused_depthwise=False,
             requant_kind=(
                 "thr" if isinstance(layer.params, ThresholdParams) else "fixed"
             ),
@@ -223,9 +221,9 @@ def export_network(net: IntegerNetwork, input_hw: Optional[Tuple[int, int]] = No
                 "rw_bytes": p.rw_bytes,
                 "physical_out_bytes": p.physical_out_bytes,
             }
-        # Physical bytes of the container-width ping-pong pair a
-        # narrow-native runtime allocates for this geometry (equals the
-        # Eq. 7 peak for pure 8-bit networks, >= it for sub-byte).
+        # Physical bytes of the container-width ping-pong pair the
+        # runtime allocates for this geometry (equals the Eq. 7 peak for
+        # pure 8-bit networks, >= it for sub-byte).
         # ActivationArena.__init__ only sizes slabs (no allocation), so
         # the runtime's own slot-sizing rule is the single source of truth.
         physical = ActivationArena(plans).physical_code_bytes(1)

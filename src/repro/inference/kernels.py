@@ -8,36 +8,22 @@ with exact integer arithmetic over UINT-Q operand codes — the same
 quantity the extended CMSIS-NN kernels accumulate in their MAC loop — and
 leaves the requantization (ICN, folded-BN or thresholds) to the caller.
 
-Two GEMM backends produce the identical accumulator:
+:func:`int_conv2d`, :func:`int_depthwise_conv2d` and :func:`int_linear`
+contract in int64 ``einsum`` (large reductions K-tiled by
+:func:`int_einsum_gemm`).  They never dispatch to BLAS and have no
+magnitude restriction: they are the ground-truth reference of the
+interpreted engine, which the compiled plan is tested against.
 
-``"blas"``
-    The operands are zero-point-shifted into float64 and the contraction
-    runs through ``np.matmul`` so it dispatches to BLAS.  Every operand is
-    an exact small integer and every partial sum is an integer bounded by
-    ``k * (2^Qx - 1) * (2^Qw - 1)``; whenever that bound is below ``2^53``
-    (the float64 significand) every intermediate value is exactly
-    representable and the result equals the integer accumulator
-    bit-for-bit, regardless of the summation order BLAS picks.  This holds
-    for every UINT2/4/8 network the paper deploys.
-``"int32"``
-    Narrow-integer contraction with int32 accumulators — the dtype the
-    extended CMSIS-NN kernels accumulate in on the MCU.  Exact whenever
-    ``bits_w + bits_a + log2(k)`` keeps the worst-case accumulator below
-    ``2^31``; rejected otherwise.  Operands are shifted into int32 and the
-    contraction (K-tiled einsum, or the depthwise stencil) runs natively
-    in int32 — no float detour, half the traffic of the int64 reference.
-
-``"int64"``
-    The original int64 ``einsum`` contraction.  Never dispatches to BLAS
-    (10-50x slower) but has no magnitude restriction; it is kept as the
-    guarded fallback and as the ground-truth reference the fast path is
-    tested against.  Large-K contractions are cache-blocked over the
-    reduction axis (:func:`int_einsum_gemm`) so the exact-reference path
-    does not thrash on wide pointwise layers.
-
-``backend="auto"`` (the default) picks ``"blas"`` exactly when the bound
-holds.  Range validation of the operand codes is opt-in via ``validate``
-so a compiled execution plan can hoist it to the network boundary.
+The compiled plan (:mod:`repro.inference.plan`) picks a faster tier per
+layer with the exactness bounds defined here.  Every operand is an exact
+small integer and every partial sum is bounded by
+``k * (2^Qx - 1) * (2^Qw - 1)``; below ``2^24`` (float32) or ``2^53``
+(float64) every intermediate of a float BLAS GEMM is exactly
+representable, so the result equals the integer accumulator bit for bit
+regardless of the summation order BLAS picks (the ``"blas"`` tier).
+Below ``2^31`` the MCU-style int32 accumulator is exact (``"int32"``).
+Range validation of the operand codes is opt-in via ``validate`` so the
+plan can hoist it to the network boundary.
 
 The a-priori bound ``k * (2^Qx - 1) * (2^Qw - 1)`` assumes every weight
 sits at the corner of its code range.  At compile time the actual shifted
@@ -162,9 +148,6 @@ def check_codes(name: str, arr: np.ndarray, bits: int) -> None:
         raise ValueError(f"{name} codes out of UINT{bits} range [0, {qmax}]")
 
 
-# Backwards-compatible alias (pre-compile-engine name).
-_check_codes = check_codes
-
 
 def quantize_input_codes(
     x_real: np.ndarray, scale: float, zero_point: int, bits: int, dtype=np.int64
@@ -174,7 +157,7 @@ def quantize_input_codes(
     The single boundary quantizer shared by the interpreted engine and
     the compiled plan, so their bit-exactness contract cannot drift.
     ``dtype`` selects the code container: the interpreted reference keeps
-    int64, the narrow-native plan passes the uint8 container.
+    int64, the compiled plan passes the uint8 container.
     """
     q = np.floor(np.asarray(x_real, dtype=np.float64) / scale)
     q = q + zero_point
@@ -232,13 +215,14 @@ def int_einsum_gemm(
     The tiled path allocates one output-sized partial per call — the
     zero-steady-state-allocation contract of the activation arena covers
     the default (auto/BLAS) plan; forced integer backends over wide
-    reductions trade that guarantee for the tiling win.
+    reductions trade that guarantee for the tiling win.  ``out=None``
+    (a fresh result) serves the interpreted reference engine.
     """
     n, k, l = cols.shape
     if k <= k_block:
         return np.einsum("ok,nkl->nol", w2, cols, optimize=True, out=out)
     if out is None:
-        out = np.empty((n, w2.shape[0], l), dtype=np.result_type(w2, cols))  # analysis: ignore[hot-alloc] — arena-less fallback
+        out = np.empty((n, w2.shape[0], l), dtype=np.result_type(w2, cols))  # analysis: ignore[hot-alloc] — reference engine (no arena)
     np.einsum("ok,nkl->nol", w2[:, :k_block], cols[:, :k_block], optimize=True, out=out)
     partial = np.empty_like(out)  # analysis: ignore[hot-alloc] — documented tiling tradeoff
     for k0 in range(k_block, k, k_block):
@@ -248,7 +232,7 @@ def int_einsum_gemm(
     return out
 
 
-#: Route a stride-1 depthwise layer through the fused stencil when
+#: Route a stride-1 depthwise layer through the stencil when
 #: materialising its im2col column tensor would exceed this many bytes.
 #: While the unfold stays near cache-resident the batched BLAS
 #: contraction is the faster path; once the kh*kw-fold copy clearly
@@ -277,8 +261,8 @@ def depthwise_prefers_stencil(
     n: int, c: int, kh: int, kw: int, oh: int, ow: int, itemsize: int,
     stride: int = 1,
 ) -> bool:
-    """Whether the fused stencil beats materialised im2col for this shape
-    (the ``fused_depthwise="auto"`` dispatch rule of the compiled plan).
+    """Whether the stencil beats materialised im2col for this shape (the
+    per-call depthwise dispatch rule of the compiled plan).
 
     Stride-1 and stride-2 layers dispatch on the size their im2col column
     tensor would reach, each with its own cache threshold (the strided
@@ -301,10 +285,10 @@ def depthwise_stencil_accumulate(
     kh: int,
     kw: int,
     stride: int,
-    out: np.ndarray | None = None,
-    tmp: np.ndarray | None = None,
+    out: np.ndarray,
+    tmp: np.ndarray | None,
 ) -> np.ndarray:
-    """Fused depthwise accumulation: per-tap strided stencil, no im2col.
+    """Depthwise accumulation as a per-tap strided stencil, no im2col.
 
     ``x_shift`` is the zero-point-shifted, already zero-padded input
     ``(N, C, HP, WP)`` and ``w_cols`` the shifted weights ``(C, kh*kw)``
@@ -316,23 +300,20 @@ def depthwise_stencil_accumulate(
     Taps run innermost over batch blocks of ~``DW_STENCIL_BLOCK_BYTES``
     so the accumulator stays cache-resident across the tap sweep.
 
-    Exactness matches the GEMM backends: every tap product is bounded by
+    Exactness matches the GEMM tiers: every tap product is bounded by
     ``(2^Qx - 1) * (2^Qw - 1)`` and every partial sum by
     ``k * (2^Qx - 1) * (2^Qw - 1)``, so whenever that bound fits the
     float significand (the same 2^24 / 2^53 dispatch as
     :func:`blas_gemm_dtype`) every float intermediate is an exact
     integer; over int64 it is exact unconditionally.
 
-    ``out`` and ``tmp`` are optional preallocated ``(N, C, OH, OW)``
-    buffers (activation-arena slabs); ``out`` must not alias ``x_shift``.
+    ``out`` and ``tmp`` are preallocated ``(N, C, OH, OW)`` buffers
+    (activation-arena slabs); ``out`` must not alias ``x_shift``, and
+    ``tmp`` may be ``None`` only for a single-tap (1x1) kernel.
     """
     n, c, hp, wp = x_shift.shape
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    if out is None:
-        out = np.empty((n, c, oh, ow), dtype=x_shift.dtype)  # analysis: ignore[hot-alloc] — arena-less fallback
-    if tmp is None and kh * kw > 1:
-        tmp = np.empty((n, c, oh, ow), dtype=x_shift.dtype)  # analysis: ignore[hot-alloc] — arena-less fallback
     itemsize = x_shift.dtype.itemsize
     per_channel = 3 * oh * ow * itemsize
     c_block = max(1, DW_STENCIL_BLOCK_BYTES // max(per_channel, 1))
@@ -374,10 +355,9 @@ def int_conv2d(
     x_bits: int = 8,
     w_bits: int = 8,
     validate: bool = True,
-    backend: str = "auto",
     w_shift: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Integer accumulator of a standard convolution.
+    """Integer accumulator of a standard convolution (int64 reference).
 
     ``x_codes``: (N, C_in, H, W) unsigned codes; ``w_codes``: (C_out, C_in,
     kh, kw).  ``z_w`` may be a scalar (per-layer) or a per-output-channel
@@ -392,24 +372,12 @@ def int_conv2d(
         check_codes("weight", w_codes, w_bits)
     n, c_in, h, w = x_codes.shape
     c_out, _, kh, kw = w_codes.shape
-    backend = resolve_gemm_backend(backend, c_in * kh * kw, x_bits, w_bits)
     if w_shift is None:
         w_shift = shift_weights(w_codes, z_w, c_out)
-    w2 = w_shift.reshape(c_out, -1)
     # Shift activations by Z_x before im2col so zero padding contributes 0.
-    if backend == "blas":
-        dtype = blas_gemm_dtype(c_in * kh * kw, x_bits, w_bits)
-        x_shift = np.subtract(x_codes, int(z_x), dtype=dtype)
-        cols = im2col(x_shift, kh, kw, stride, padding, contiguous=False)
-        # copy=False: a no-op when the caller supplied pre-cast w_shift.
-        phi = np.matmul(w2.astype(dtype, copy=False), cols).astype(np.int64)
-    else:
-        idtype = np.int32 if backend == "int32" else np.int64
-        x_shift = np.subtract(x_codes, int(z_x), dtype=idtype)
-        cols = im2col(x_shift, kh, kw, stride, padding, contiguous=False)
-        phi = int_einsum_gemm(w2.astype(idtype, copy=False), cols)
-        if phi.dtype != np.int64:
-            phi = phi.astype(np.int64)
+    x_shift = np.subtract(x_codes, int(z_x), dtype=np.int64)
+    cols = im2col(x_shift, kh, kw, stride, padding, contiguous=False)
+    phi = int_einsum_gemm(w_shift.reshape(c_out, -1), cols)
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
     return phi.reshape(n, c_out, oh, ow)
@@ -425,14 +393,14 @@ def int_depthwise_conv2d(
     x_bits: int = 8,
     w_bits: int = 8,
     validate: bool = True,
-    backend: str = "auto",
     w_shift: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Integer accumulator of a depthwise convolution (im2col reference).
+    """Integer accumulator of a depthwise convolution (int64 im2col
+    reference).
 
     ``w_codes`` has shape (C, 1, kh, kw); the per-channel ``z_w`` vector
     has one entry per channel.  This is the unfold-then-contract ground
-    truth the fused stencil path (:func:`int_depthwise_conv2d_fused`) is
+    truth the stencil kernel (:func:`depthwise_stencil_accumulate`) is
     property-tested against.
     """
     if validate:
@@ -442,88 +410,16 @@ def int_depthwise_conv2d(
     kh, kw = w_codes.shape[2], w_codes.shape[3]
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
-    backend = resolve_gemm_backend(backend, kh * kw, x_bits, w_bits)
     if w_shift is None:
         try:
             w_shift = shift_weights(w_codes, z_w, c)
         except ValueError:
             raise ValueError("per-channel z_w must have one entry per channel") from None
-    w2 = w_shift.reshape(c, kh * kw)
-    if backend == "blas":
-        dtype = blas_gemm_dtype(kh * kw, x_bits, w_bits)
-        x_shift = np.subtract(x_codes, int(z_x), dtype=dtype)
-        cols = im2col(x_shift, kh, kw, stride, padding, contiguous=False)
-        cols = cols.reshape(n, c, kh * kw, oh * ow)
-        # (C, 1, kh*kw) @ (N, C, kh*kw, L) -> (N, C, 1, L), batched over N, C.
-        phi = np.matmul(w2.astype(dtype, copy=False)[:, None, :], cols)
-        phi = phi.astype(np.int64).reshape(n, c, oh * ow)
-    else:
-        idtype = np.int32 if backend == "int32" else np.int64
-        x_shift = np.subtract(x_codes, int(z_x), dtype=idtype)
-        cols = im2col(x_shift, kh, kw, stride, padding, contiguous=False)
-        cols = cols.reshape(n, c, kh * kw, oh * ow)
-        phi = np.einsum("ck,nckl->ncl", w2.astype(idtype, copy=False), cols, optimize=True)
-        if phi.dtype != np.int64:
-            phi = phi.astype(np.int64)
+    x_shift = np.subtract(x_codes, int(z_x), dtype=np.int64)
+    cols = im2col(x_shift, kh, kw, stride, padding, contiguous=False)
+    cols = cols.reshape(n, c, kh * kw, oh * ow)
+    phi = np.einsum("ck,nckl->ncl", w_shift.reshape(c, kh * kw), cols, optimize=True)
     return phi.reshape(n, c, oh, ow)
-
-
-def int_depthwise_conv2d_fused(
-    x_codes: np.ndarray,
-    w_codes: np.ndarray,
-    z_x: int,
-    z_w: np.ndarray | int,
-    stride: int = 1,
-    padding: int = 0,
-    x_bits: int = 8,
-    w_bits: int = 8,
-    validate: bool = True,
-    backend: str = "auto",
-    w_shift: np.ndarray | None = None,
-) -> np.ndarray:
-    """Integer accumulator of a depthwise convolution, fused stencil path.
-
-    Same contract (and bit-identical result, by property test) as
-    :func:`int_depthwise_conv2d`, but the ``kh*kw``-fold im2col copy is
-    never materialised: the accumulation runs as per-tap strided
-    multiply-adds via :func:`depthwise_stencil_accumulate`.  Backend
-    dispatch follows the same exactness bounds — float32/float64 when the
-    worst-case accumulator fits the significand, int64 otherwise.
-    """
-    if validate:
-        check_codes("activation", x_codes, x_bits)
-        check_codes("weight", w_codes, w_bits)
-    n, c, h, w = x_codes.shape
-    kh, kw = w_codes.shape[2], w_codes.shape[3]
-    backend = resolve_gemm_backend(backend, kh * kw, x_bits, w_bits)
-    if w_shift is None:
-        try:
-            w_shift = shift_weights(w_codes, z_w, c)
-        except ValueError:
-            raise ValueError("per-channel z_w must have one entry per channel") from None
-    if backend == "blas":
-        dtype = blas_gemm_dtype(kh * kw, x_bits, w_bits)
-    elif backend == "int32":
-        dtype = np.int32
-    else:
-        dtype = np.int64
-    w_cols = w_shift.reshape(c, kh * kw).astype(dtype, copy=False)
-    if padding > 0:
-        x_shift = np.zeros(
-            (n, c, h + 2 * padding, w + 2 * padding), dtype=dtype
-        )
-        # dtype= pins the subtract loop so narrow (uint8) code containers
-        # widen instead of wrapping below z_x.
-        np.subtract(
-            x_codes, int(z_x), out=x_shift[:, :, padding:-padding, padding:-padding],
-            dtype=dtype,
-        )
-    else:
-        x_shift = np.subtract(x_codes, int(z_x), dtype=dtype)
-    phi = depthwise_stencil_accumulate(x_shift, w_cols, kh, kw, stride)
-    if phi.dtype != np.int64:
-        phi = phi.astype(np.int64)
-    return phi
 
 
 def int_linear(
@@ -534,30 +430,21 @@ def int_linear(
     x_bits: int = 8,
     w_bits: int = 8,
     validate: bool = True,
-    backend: str = "auto",
     w_shift: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Integer accumulator of a fully connected layer.
+    """Integer accumulator of a fully connected layer (int64 reference).
 
     ``x_codes``: (N, in_features); ``w_codes``: (out_features, in_features).
     """
     if validate:
         check_codes("activation", x_codes, x_bits)
         check_codes("weight", w_codes, w_bits)
-    backend = resolve_gemm_backend(backend, w_codes.shape[1], x_bits, w_bits)
     if w_shift is None:
         try:
             w_shift = shift_weights(w_codes, z_w, w_codes.shape[0])
         except ValueError:
             raise ValueError("per-channel z_w must have one entry per output feature") from None
-    if backend == "blas":
-        dtype = blas_gemm_dtype(w_codes.shape[1], x_bits, w_bits)
-        x_shift = np.subtract(x_codes, int(z_x), dtype=dtype)
-        return (x_shift @ w_shift.T.astype(dtype, copy=False)).astype(np.int64)
-    idtype = np.int32 if backend == "int32" else np.int64
-    x_shift = np.subtract(x_codes, int(z_x), dtype=idtype)
-    phi = x_shift @ w_shift.T.astype(idtype, copy=False)
-    return phi if phi.dtype == np.int64 else phi.astype(np.int64)
+    return np.subtract(x_codes, int(z_x), dtype=np.int64) @ w_shift.T
 
 
 # hot

@@ -15,10 +15,11 @@ per-inference path:
   K-tiled int64 einsum as the unbounded reference fallback; forcing
   ``backend="int32"`` runs the narrow MCU-style integer path (int32
   accumulators) wherever the ``2^31`` bound allows;
-* depthwise layers take a fused stencil path that never materialises the
-  im2col column tensor (per-tap strided multiply-adds, same exactness
-  dispatch, stride-1 and stride-2 — see
-  :func:`repro.inference.kernels.depthwise_stencil_accumulate`);
+* a depthwise layer whose im2col column tensor would blow the cache
+  takes a stencil path that never materialises it (per-tap strided
+  multiply-adds, same exactness dispatch, stride-1 and stride-2 — see
+  :func:`repro.inference.kernels.depthwise_stencil_accumulate`), picked
+  per call from the input size;
 * fixed-point requantization (Eq. 5) is folded into per-channel
   constants for the flat ``(N, C, L)`` accumulator layout and runs as a
   short float64 or int64 epilogue, the tier picked from the layer's
@@ -26,18 +27,15 @@ per-inference path:
   threshold tables are pre-sliced for ``searchsorted``;
 * range validation runs once at the network boundary (``validate=True``
   by default there) instead of per layer inside the hot loop;
-* activation codes live at their *container width* end to end
-  (``narrow=True``, the default): uint8 slabs for every <=8-bit
-  activation, requantized accumulators streamed through a small
-  cache-blocked scratch straight into the narrow code slab — the
-  arena's physical code bytes match the paper's Eq. 7 accounting for
-  8-bit networks instead of inflating 8x through int64.  ``narrow=False``
-  restores the legacy int64-code pipeline for A/B comparisons;
+* activation codes live at their *container width* end to end: uint8
+  slabs for every <=8-bit activation, requantized accumulators streamed
+  through a small cache-blocked scratch straight into the code slab —
+  the arena's physical code bytes match the paper's Eq. 7 accounting
+  for 8-bit networks;
 * activation and scratch buffers come from a static
   :class:`~repro.inference.arena.ActivationArena` sized at plan time, so
   steady-state inference performs no per-layer allocations and peak host
-  activation memory equals the compile-time plan (``use_arena=False``
-  restores per-call allocation for A/B tests).
+  activation memory equals the compile-time plan.
 
 The plan executes bit-identically to ``IntegerNetwork.forward`` — the
 tests assert equality against the int64 einsum reference — and
@@ -59,12 +57,7 @@ from repro.core.icn import (
     ICNParams,
     ThresholdParams,
 )
-from repro.inference.arena import (
-    ActivationArena,
-    LayerGeometry,
-    plan_activations,
-    requant_scratch_bytes,
-)
+from repro.inference.arena import ActivationArena, LayerGeometry, plan_activations
 from repro.inference.kernels import (
     FLOAT32_EXACT_BITS,
     FLOAT64_EXACT_BITS,
@@ -144,13 +137,6 @@ def _resolve_compiled_backend(backend: str, bound: int, k: int,
         if float_dtype is not None:
             return "blas", np.dtype(float_dtype)
         return "int64", _INT64
-    if backend == "blas":
-        if float_dtype is None:
-            raise ValueError(
-                f"float GEMM is not exact: refined worst-case |Phi| = {bound} "
-                f">= 2^53 (k={k}, Qx={x_bits}, Qw={w_bits})"
-            )
-        return "blas", np.dtype(float_dtype)
     if backend == "int32":
         if bound >= (1 << INT32_EXACT_BITS):
             raise ValueError(
@@ -162,7 +148,7 @@ def _resolve_compiled_backend(backend: str, bound: int, k: int,
         return "int64", _INT64
     raise ValueError(
         f"unknown GEMM backend {backend!r}; expected one of "
-        "('auto', 'blas', 'int32', 'int64')"
+        "('auto', 'int32', 'int64')"
     )
 
 
@@ -212,12 +198,10 @@ class _CompiledFixedPointRequant:
     :mod:`repro.analysis.verify` recomputes every folded constant in
     Python ints and re-proves the tier's bound.
 
-    ``__call__(phi)`` is the legacy wide path: the int64 formula in place
-    on the caller-owned int64 accumulator.  ``store(phi, out, scratch)``
-    is the narrow path: the accumulator (float32/float64/int32/int64)
-    is cast into the small int64 ``scratch`` (viewed as float64 on the
-    ``f64`` tier) in cache-resident chunks — one per image when an
-    image's accumulator fits — requantized there in place and truncated
+    ``store(phi, out, scratch)`` casts the accumulator (float32/float64/
+    int32/int64) into the small int64 ``scratch`` (viewed as float64 on
+    the ``f64`` tier) in cache-resident chunks — one per image when an
+    image's accumulator fits — requantizes there in place and truncates
     into the container-width ``out`` codes.  The casts stay in those two
     plain copies: a ufunc that casts its operands runs numpy's buffered
     loop, which measured slower than the extra copy.
@@ -226,7 +210,7 @@ class _CompiledFixedPointRequant:
     kind = "fixed"
 
     def __init__(self, bq: np.ndarray, m0, n0, z_y: int, out_bits: int,
-                 acc_bound: int, narrow: bool):
+                 acc_bound: int):
         self.bq = bq
         self.m0 = m0
         shift = M0_FRACTIONAL_BITS - n0
@@ -238,9 +222,7 @@ class _CompiledFixedPointRequant:
         self.qmax = 2 ** out_bits - 1
         self.m_int = np.left_shift(m0, self.lshift)
         self.b_int = np.left_shift(bq * m0, self.lshift)
-        # The wide path runs the int64 formula in place; only the narrow
-        # store can take the float64 tier.
-        if narrow and _float64_tier_fits(
+        if _float64_tier_fits(
                 int(acc_bound), self.m_int, self.b_int, self.rshift, self.z_y):
             self.tier = "f64"
             # |C| < 2^53 here, so even if ``z_y << rshift`` wraps, the
@@ -266,11 +248,6 @@ class _CompiledFixedPointRequant:
         s += self.c_f64
         np.clip(s, 0, self.qmax, out=s)
 
-    def __call__(self, phi: np.ndarray) -> np.ndarray:
-        # ``phi`` is owned by the caller's layer and safe to mutate.
-        self._i64(phi)
-        return phi
-
     # hot
     def store(self, phi: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         epilogue = self._i64
@@ -288,8 +265,7 @@ class _CompiledFixedPointRequant:
         return out
 
 
-def _compile_icn_requant(params: ICNParams, acc_bound: int,
-                         narrow: bool) -> _CompiledFixedPointRequant:
+def _compile_icn_requant(params: ICNParams, acc_bound: int) -> _CompiledFixedPointRequant:
     c_o = params.out_channels
     return _CompiledFixedPointRequant(
         bq=params.bq.reshape(1, c_o, 1),
@@ -298,12 +274,11 @@ def _compile_icn_requant(params: ICNParams, acc_bound: int,
         z_y=params.z_y,
         out_bits=params.out_bits,
         acc_bound=acc_bound,
-        narrow=narrow,
     )
 
 
-def _compile_folded_requant(params: FoldedBNParams, acc_bound: int,
-                            narrow: bool) -> _CompiledFixedPointRequant:
+def _compile_folded_requant(params: FoldedBNParams,
+                            acc_bound: int) -> _CompiledFixedPointRequant:
     return _CompiledFixedPointRequant(
         bq=params.bq.reshape(1, -1, 1),
         m0=np.int64(params.m0),
@@ -311,17 +286,15 @@ def _compile_folded_requant(params: FoldedBNParams, acc_bound: int,
         z_y=params.z_y,
         out_bits=params.out_bits,
         acc_bound=acc_bound,
-        narrow=narrow,
     )
 
 
 class _CompiledThresholdRequant:
     """Per-channel threshold tables pre-sliced/pre-reversed for searchsorted.
 
-    ``__call__`` requantizes an int64 accumulator in place (legacy wide
-    path); ``store`` consumes the accumulator one image at a time through
-    the int64 scratch — ``searchsorted`` compares in the integer domain —
-    and writes the clipped levels into the container-width code slab.
+    ``store`` consumes the accumulator one image at a time through the
+    int64 scratch — ``searchsorted`` compares in the integer domain — and
+    writes the clipped levels into the container-width code slab.
     """
 
     kind = "thr"
@@ -344,13 +317,6 @@ class _CompiledThresholdRequant:
             y = self.levels - 1 - np.searchsorted(table, vals, side="left")
         return y
 
-    def __call__(self, phi: np.ndarray) -> np.ndarray:
-        for c, (table, direction) in enumerate(self.tables):
-            vals = phi[:, c, :]
-            y = self._levels_for(vals, table, direction)
-            np.clip(y, 0, self.levels - 1, out=vals)
-        return phi
-
     # hot
     def store(self, phi: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         n, c, l = phi.shape
@@ -364,11 +330,11 @@ class _CompiledThresholdRequant:
         return out
 
 
-def _compile_requant(params, acc_bound: int, narrow: bool):
+def _compile_requant(params, acc_bound: int):
     if isinstance(params, ICNParams):
-        return _compile_icn_requant(params, acc_bound, narrow)
+        return _compile_icn_requant(params, acc_bound)
     if isinstance(params, FoldedBNParams):
-        return _compile_folded_requant(params, acc_bound, narrow)
+        return _compile_folded_requant(params, acc_bound)
     if isinstance(params, ThresholdParams):
         return _CompiledThresholdRequant(params)
     raise TypeError(f"unsupported requantization parameters {type(params)!r}")
@@ -385,25 +351,19 @@ class CompiledConvLayer:
     zero per-inference cost (and required for the float exactness bound,
     which assumes codes within [0, 2^Q - 1]).
 
-    ``fused_depthwise`` (depthwise only) selects the im2col-free stencil
-    path: ``True`` forces it, ``False`` forces the unfold+matmul path,
-    and ``"auto"`` (default) picks per call — stencil exactly when the
-    batch's im2col column tensor would blow the cache threshold and turn
-    the layer memory-bound (:func:`~repro.inference.kernels.depthwise_prefers_stencil`).
+    A depthwise layer picks its kernel per call: the im2col-free stencil
+    exactly when the batch's im2col column tensor would blow the cache
+    threshold and turn the layer memory-bound
+    (:func:`~repro.inference.kernels.depthwise_prefers_stencil`), the
+    unfold+matmul path otherwise.
 
-    ``narrow`` stores the output codes at container width (uint8 for
-    <=8-bit activations) and requantizes through the chunked scratch;
-    ``narrow=False`` keeps the legacy int64 code pipeline.
-
-    Called with an :class:`~repro.inference.arena.ActivationArena`, the
-    layer computes entirely inside preallocated slab views and returns a
-    view into the arena's code slot ``slot``; called without, it keeps
-    the fresh-allocation behaviour (the reference for the arena tests).
+    The layer computes entirely inside preallocated views of an
+    :class:`~repro.inference.arena.ActivationArena` and returns a view
+    into the arena's code slot ``slot``, at the output's container width
+    (uint8 for <=8-bit activations).
     """
 
-    def __init__(self, layer, backend: str = "auto", validate: bool = True,
-                 fused_depthwise="auto", narrow: bool = True,
-                 refined_bound: bool = True):
+    def __init__(self, layer, backend: str = "auto", validate: bool = True):
         p = layer.params
         self.name = layer.name
         self.kind = layer.kind
@@ -412,7 +372,6 @@ class CompiledConvLayer:
         self.in_bits = int(layer.in_bits)
         self.out_bits = int(layer.out_bits)
         self.w_bits = int(p.w_bits)
-        self.narrow = bool(narrow)
         w = p.weights_q
         if validate:
             check_codes(f"{self.name} weight", w, self.w_bits)
@@ -425,11 +384,10 @@ class CompiledConvLayer:
         # Refined accumulator bound: the actual shifted weights are in
         # hand, so dispatch on max_o sum_k |W'| * max|X - Zx| instead of
         # the a-priori corner case (exact for codes within range, which
-        # compile()/boundary validation guarantees).  ``refined_bound=False``
-        # (or disabling validation, which voids the range guarantee the
-        # refinement relies on) restores the a-priori corner-case tiering.
+        # compile()/boundary validation guarantees; disabling validation
+        # voids that guarantee and keeps the corner case).
         self.acc_bound = max_abs_accumulator(self.k_reduction, self.in_bits, self.w_bits)
-        if refined_bound and validate:
+        if validate:
             self.acc_bound = min(
                 self.acc_bound,
                 refined_max_abs_accumulator(w_shift, self.z_x, self.in_bits),
@@ -445,8 +403,7 @@ class CompiledConvLayer:
         # summed exactly in float64.
         self.split_k = None
         if (
-            self.backend == "blas" and gemm_dtype == np.float64
-            and refined_bound and validate
+            self.backend == "blas" and gemm_dtype == np.float64 and validate
             and self.kind == "pw" and self.kh == 1 and self.kw == 1
             and self.stride == 1 and self.padding == 0
         ):
@@ -454,24 +411,7 @@ class CompiledConvLayer:
             if self.split_k is not None:
                 self.gemm_dtype = np.dtype(np.float32)
                 self.acc_dtype = np.dtype(np.float64)
-        self.out_dtype = (
-            container_dtype(self.out_bits) if self.narrow else _INT64
-        )
-        if fused_depthwise is True:
-            mode = "always"
-        elif fused_depthwise is False:
-            mode = "never"
-        elif fused_depthwise == "auto":
-            mode = "auto"
-        else:
-            raise ValueError(
-                f"fused_depthwise must be True, False or 'auto', got {fused_depthwise!r}"
-            )
-        self.dw_mode = mode if self.kind == "dw" else ""
-        # "Always" is what the arena planner treats as fused (it shrinks
-        # the cols slab to the tap temporary); "auto" keeps the
-        # conservative im2col-sized plan since either path may run.
-        self.fused = self.dw_mode == "always"
+        self.out_dtype = container_dtype(self.out_bits)
         w2 = np.ascontiguousarray(
             w_shift.reshape(self.out_channels, -1).astype(self.gemm_dtype)
         )
@@ -483,16 +423,16 @@ class CompiledConvLayer:
         self.gemm_itemsize = self.gemm_dtype.itemsize
         if self.kind == "dw":
             self.w_cols = self.w2  # (C, kh*kw) stencil form
-            if self.backend == "blas" and self.dw_mode != "always":
+            if self.backend == "blas":
                 # (C, 1, kh*kw) batched-matmul form for the im2col path
                 # (the integer einsum contraction keeps the flat form).
                 self.w2 = np.ascontiguousarray(self.w2[:, None, :])
-        self.requant = _compile_requant(p, self.acc_bound, self.narrow)
+        self.requant = _compile_requant(p, self.acc_bound)
         self.requant_kind = self.requant.kind
         #: Eq. 5 epilogue tier: "f64", "i64" or "thr" (thresholds).
         self.epilogue = self.requant.tier
 
-    def _accumulate_int(self, cols: np.ndarray, out=None) -> np.ndarray:
+    def _accumulate_int(self, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Integer einsum contraction (int64 reference / forced int32)."""
         if self.kind == "dw":
             return np.einsum("ck,nckl->ncl", self.w2, cols, optimize=True, out=out)
@@ -500,7 +440,7 @@ class CompiledConvLayer:
 
     # hot
     def _shift_pad(self, x_codes: np.ndarray, dtype, arena) -> np.ndarray:
-        """Zero-point shift and zero-pad in a single (or zero) allocation.
+        """Zero-point shift and zero-pad into the arena's pad slab.
 
         Writing ``x - Z_x`` straight into the interior of the padded
         buffer fuses what the interpreted path does in two full-tensor
@@ -511,16 +451,10 @@ class CompiledConvLayer:
         p = self.padding
         n, c, h, w = x_codes.shape
         if p == 0:
-            if arena is not None:
-                out = arena.pad(dtype, (n, c, h, w))
-                return np.subtract(x_codes, self.z_x, out=out, dtype=dtype)
-            return np.subtract(x_codes, self.z_x, dtype=dtype)
-        shape = (n, c, h + 2 * p, w + 2 * p)
-        if arena is not None:
-            out = arena.pad(dtype, shape)
-            out.fill(0)
-        else:
-            out = np.zeros(shape, dtype=dtype)  # analysis: ignore[hot-alloc] — arena-less fallback
+            out = arena.pad(dtype, (n, c, h, w))
+            return np.subtract(x_codes, self.z_x, out=out, dtype=dtype)
+        out = arena.pad(dtype, (n, c, h + 2 * p, w + 2 * p))
+        out.fill(0)
         np.subtract(x_codes, self.z_x, out=out[:, :, p:-p, p:-p], dtype=dtype)
         return out
 
@@ -530,67 +464,36 @@ class CompiledConvLayer:
         if self.kh == 1 and self.kw == 1 and self.stride == 1:
             return x_shift.reshape(n, self.in_channels, l_out)
         shape = (n, self.in_channels * self.kh * self.kw, l_out)
-        if arena is not None:
-            return im2col(x_shift, self.kh, self.kw, self.stride, 0,
-                          out=arena.cols(x_shift.dtype, shape))
-        return im2col(x_shift, self.kh, self.kw, self.stride, 0, contiguous=False)
+        return im2col(x_shift, self.kh, self.kw, self.stride, 0,
+                      out=arena.cols(x_shift.dtype, shape))
 
     # hot
-    def _requant_scratch(self, n: int, l_out: int, arena) -> np.ndarray:
-        if arena is not None:
-            return arena.requant_scratch()
-        # Same sizing rule as the arena planner (single source of truth).
-        nbytes = requant_scratch_bytes(
-            self.kind, self.requant_kind, self.out_channels,
-            self.out_channels * l_out, np.dtype(self.out_dtype).itemsize,
-        )
-        return np.empty(max(1, nbytes // 8), dtype=np.int64)  # analysis: ignore[hot-alloc] — arena-less fallback
-
-    # hot
-    def __call__(self, x_codes: np.ndarray, arena: Optional[ActivationArena] = None,
+    def __call__(self, x_codes: np.ndarray, arena: ActivationArena,
                  slot: int = 0) -> np.ndarray:
         n, c, h, w = x_codes.shape
         oh = conv_output_size(h, self.kh, self.stride, self.padding)
         ow = conv_output_size(w, self.kw, self.stride, self.padding)
         l_out = oh * ow
         out_shape = (n, self.out_channels, l_out)
-        fused = self.kind == "dw" and (
-            self.dw_mode == "always"
-            or (self.dw_mode == "auto" and depthwise_prefers_stencil(
-                n, c, self.kh, self.kw, oh, ow, self.gemm_itemsize,
-                stride=self.stride))
-        )
-        # Narrow layers always accumulate into the acc slab (the codes
-        # slab is too narrow for the accumulator); wide int64 layers keep
-        # the legacy shortcut of contracting straight into the int64
-        # codes slab.
-        acc_in_codes = (not self.narrow) and self.gemm_dtype == _INT64
         x_shift = self._shift_pad(x_codes, self.gemm_dtype, arena)
-        if fused:
-            # Per-tap strided stencil; the cols slab serves as the tap
-            # temporary (it is never used for columns on this path).
-            if arena is None:
-                acc = None
-            elif acc_in_codes:
-                acc = arena.codes(slot, (n, c, oh, ow))
-            else:
-                acc = arena.acc(self.gemm_dtype, (n, c, oh, ow))
+        if self.kind == "dw" and depthwise_prefers_stencil(
+                n, c, self.kh, self.kw, oh, ow, self.gemm_itemsize,
+                stride=self.stride):
+            # Per-tap strided stencil; the im2col-sized cols slab holds
+            # the output-sized tap temporary.
             tmp = (arena.cols(self.gemm_dtype, (n, c, oh, ow))
-                   if arena is not None and self.k_reduction > 1 else None)
+                   if self.k_reduction > 1 else None)
             phi = depthwise_stencil_accumulate(
-                x_shift, self.w_cols, self.kh, self.kw, self.stride, out=acc, tmp=tmp
-            ).reshape(n, c, l_out)
+                x_shift, self.w_cols, self.kh, self.kw, self.stride,
+                out=arena.acc(self.gemm_dtype, (n, c, oh, ow)), tmp=tmp,
+            )
         elif self.backend == "blas":
             cols = self._unfold(x_shift, arena, n, l_out)
             if self.split_k is not None:
                 # Chunked sgemm over the K-partition, each chunk exact in
                 # float32, summed exactly in the float64 accumulator.
-                if arena is not None:
-                    acc = arena.acc(np.float64, out_shape)
-                    tmp = arena.cols(self.gemm_dtype, out_shape)
-                else:
-                    acc = np.empty(out_shape, dtype=np.float64)  # analysis: ignore[hot-alloc] — arena-less fallback
-                    tmp = np.empty(out_shape, dtype=self.gemm_dtype)  # analysis: ignore[hot-alloc] — arena-less fallback
+                acc = arena.acc(np.float64, out_shape)
+                tmp = arena.cols(self.gemm_dtype, out_shape)
                 (k0, k1), *rest = self.split_k
                 np.matmul(self.w2_chunks[0], cols[:, k0:k1, :], out=tmp)
                 np.copyto(acc, tmp)
@@ -600,44 +503,21 @@ class CompiledConvLayer:
                 phi = acc
             elif self.kind == "dw":
                 cols = cols.reshape(n, c, self.k_reduction, l_out)
-                acc = arena.acc(self.gemm_dtype, (n, c, 1, l_out)) if arena is not None else None
-                phi = np.matmul(self.w2, cols, out=acc).reshape(n, c, l_out)
+                phi = np.matmul(self.w2, cols,
+                                out=arena.acc(self.gemm_dtype, (n, c, 1, l_out)))
             else:
-                acc = arena.acc(self.gemm_dtype, out_shape) if arena is not None else None
-                phi = np.matmul(self.w2, cols, out=acc)
+                phi = np.matmul(self.w2, cols, out=arena.acc(self.gemm_dtype, out_shape))
         else:
             cols = self._unfold(x_shift, arena, n, l_out)
             if self.kind == "dw":
                 cols = cols.reshape(n, c, self.k_reduction, l_out)
-            if arena is None:
-                acc = None
-            elif acc_in_codes:
-                # Wide: the int64 contraction writes straight into the
-                # output code slab — no separate accumulator, no copy.
-                acc = arena.codes(slot, out_shape)
-            else:
-                acc = arena.acc(self.gemm_dtype, out_shape)
-            phi = self._accumulate_int(cols, out=acc)
-        phi = phi.reshape(out_shape)
-        if self.narrow:
-            # Chunked requantization: accumulator -> int64 scratch tiles
-            # -> container-width codes.  Exact: every accumulator value
-            # is an integer below the refined bound by construction.
-            if arena is not None:
-                out = arena.codes(slot, out_shape, self.out_dtype)
-            else:
-                out = np.empty(out_shape, dtype=self.out_dtype)  # analysis: ignore[hot-alloc] — arena-less fallback
-            self.requant.store(phi, out, self._requant_scratch(n, l_out, arena))
-            return out.reshape(n, self.out_channels, oh, ow)
-        # Legacy wide path: int64 codes, requantized in place.
-        if phi.dtype == np.int64:
-            phi64 = phi
-        elif arena is not None:
-            phi64 = arena.codes(slot, out_shape)
-            np.copyto(phi64, phi, casting="unsafe")
-        else:
-            phi64 = phi.astype(np.int64)  # analysis: ignore[hot-alloc] — arena-less fallback
-        return self.requant(phi64).reshape(n, self.out_channels, oh, ow)
+            phi = self._accumulate_int(cols, out=arena.acc(self.gemm_dtype, out_shape))
+        # Chunked requantization: accumulator -> int64 scratch tiles ->
+        # container-width codes.  Exact: every accumulator value is an
+        # integer below the refined bound by construction.
+        out = arena.codes(slot, out_shape, self.out_dtype)
+        self.requant.store(phi.reshape(out_shape), out, arena.requant_scratch())
+        return out.reshape(n, self.out_channels, oh, ow)
 
 
 class CompiledLinear:
@@ -646,8 +526,7 @@ class CompiledLinear:
     accumulator dtype uses the same refined weight-data bound as the
     conv layers (sgemm on most classifier widths)."""
 
-    def __init__(self, layer, backend: str = "auto", validate: bool = True,
-                 refined_bound: bool = True):
+    def __init__(self, layer, backend: str = "auto", validate: bool = True):
         self.name = layer.name
         self.kind = "fc"
         self.in_bits = int(layer.in_bits)
@@ -659,7 +538,7 @@ class CompiledLinear:
         self.z_x = int(layer.z_x)
         w_shift = shift_weights(layer.weights_q, layer.z_w, self.out_channels)
         self.acc_bound = max_abs_accumulator(self.k_reduction, self.in_bits, self.w_bits)
-        if refined_bound and validate:
+        if validate:
             self.acc_bound = min(
                 self.acc_bound,
                 refined_max_abs_accumulator(w_shift, self.z_x, self.in_bits),
@@ -701,8 +580,6 @@ class LayerPlanInfo:
     out_channels: int
     in_bits: int
     w_bits: int
-    #: Depthwise dispatch mode ("always"/"never"/"auto"); "" for non-dw.
-    dw_mode: str = ""
     #: Container dtype the output codes are stored at ("-" for fc logits).
     container: str = "-"
     #: Refined worst-case |Phi| the accumulator dtype was picked for.
@@ -715,23 +592,13 @@ class ExecutionPlan:
     """Compiled form of an :class:`~repro.inference.engine.IntegerNetwork`.
 
     Construction is driven by a single
-    :class:`~repro.runtime.options.CompileOptions` value (the loose
-    keyword arguments of earlier revisions survive only through the
-    deprecated ``IntegerNetwork.compile(**kwargs)`` shim):
-
+    :class:`~repro.runtime.options.CompileOptions` value.
     ``options.validate`` controls the boundary range check on incoming
     codes and a one-time weight-code check at compile time; the per-call
     per-layer scans of the interpreted engine never run inside the plan.
-    ``options.use_arena`` routes all activation/scratch traffic through
-    a static :class:`~repro.inference.arena.ActivationArena` (planned
-    lazily per input geometry, or eagerly when ``options.input_hw`` is
-    given).  ``options.fused_depthwise`` selects the stencil depthwise
-    kernel: ``"auto"`` (default) per-call by the cache-threshold rule,
-    ``True`` always, ``False`` never.  ``options.narrow`` (default)
-    keeps activation codes at container width end to end;
-    ``narrow=False`` plus ``use_arena=False`` plus
-    ``fused_depthwise=False`` restores the PR-1 int64 im2col behaviour
-    for A/B comparisons and tests.
+    All activation/scratch traffic goes through a static
+    :class:`~repro.inference.arena.ActivationArena`, planned lazily per
+    input geometry, or eagerly when ``options.input_hw`` is given.
     """
 
     def __init__(self, network, options=None):
@@ -742,18 +609,12 @@ class ExecutionPlan:
         elif not isinstance(options, CompileOptions):
             raise TypeError(
                 f"options must be a repro.runtime.CompileOptions, got "
-                f"{type(options).__name__!r} — the loose-kwargs form only "
-                f"survives through IntegerNetwork.compile(**kwargs)"
+                f"{type(options).__name__!r}"
             )
         self.options = options
         self.validate = bool(options.validate)
-        self.use_arena = bool(options.use_arena)
-        self.narrow = bool(options.narrow)
         self.layers: List[CompiledConvLayer] = [
-            CompiledConvLayer(l, backend=options.backend, validate=self.validate,
-                              fused_depthwise=options.fused_depthwise,
-                              narrow=self.narrow,
-                              refined_bound=options.refined_bound)
+            CompiledConvLayer(l, backend=options.backend, validate=self.validate)
             for l in network.conv_layers
         ]
         self.input_scale = float(network.input_scale)
@@ -763,8 +624,7 @@ class ExecutionPlan:
         self.classifier: Optional[CompiledLinear] = (
             None if network.classifier is None
             else CompiledLinear(network.classifier, backend=options.backend,
-                                validate=self.validate,
-                                refined_bound=options.refined_bound)
+                                validate=self.validate)
         )
         self._arenas: Dict[Tuple[int, int], ActivationArena] = {}
         # Shape-polymorphic plans size one arena for the declared max
@@ -779,11 +639,10 @@ class ExecutionPlan:
     def quantize_input(self, x_real: np.ndarray) -> np.ndarray:
         """Quantize a real NCHW image batch into input codes (same
         boundary quantizer as the interpreted engine, stored at the
-        input's container width under the narrow plan)."""
-        dtype = container_dtype(self.input_bits) if self.narrow else np.int64
+        input's container width)."""
         return quantize_input_codes(
             x_real, self.input_scale, self.input_zero_point, self.input_bits,
-            dtype=dtype,
+            dtype=container_dtype(self.input_bits),
         )
 
     # -- activation memory planning ------------------------------------
@@ -800,7 +659,6 @@ class ExecutionPlan:
                 # classifier output is accounted at the activation width.
                 out_bits=c.in_bits,
                 gemm_itemsize=np.dtype(c.gemm_dtype).itemsize,
-                fused=False,
                 out_itemsize=container_dtype(c.in_bits).itemsize,
                 requant_kind="",
             ))
@@ -845,15 +703,13 @@ class ExecutionPlan:
     # -- execution -----------------------------------------------------
     def _trunk(self, x_codes: np.ndarray) -> Tuple[np.ndarray, bool]:
         """Run the conv trunk; returns (codes, codes_are_an_arena_view)."""
-        n = x_codes.shape[0]
-        if not (self.use_arena and self.layers and n > 0):
-            for layer in self.layers:
-                x_codes = layer(x_codes)
+        if not self.layers:
             return x_codes, False
         arena = self.arena_for((x_codes.shape[2], x_codes.shape[3]))
-        arena.ensure(n)
+        # An empty batch runs on zero-size views of a one-image slab.
+        arena.ensure(max(1, x_codes.shape[0]))
         for i, layer in enumerate(self.layers):
-            x_codes = layer(x_codes, arena=arena, slot=i % 2)
+            x_codes = layer(x_codes, arena, slot=i % 2)
         return x_codes, True
 
     def run_codes(self, x_codes: np.ndarray, validate: Optional[bool] = None) -> np.ndarray:
@@ -936,8 +792,7 @@ class ExecutionPlan:
         infos = [
             LayerPlanInfo(l.name, l.kind, l.backend, np.dtype(l.gemm_dtype).name,
                           l.k_reduction, l.out_channels, l.in_bits, l.w_bits,
-                          l.dw_mode, np.dtype(l.out_dtype).name, l.acc_bound,
-                          l.epilogue)
+                          np.dtype(l.out_dtype).name, l.acc_bound, l.epilogue)
             for l in self.layers
         ]
         if self.classifier is not None:
@@ -966,9 +821,8 @@ class ExecutionPlan:
         """
         lines = [f"{'layer':<16} {'kind':<5} {'backend':<7} {'acc':<8} "
                  f"{'codes':<6} {'eq5':<4} {'k':>6} {'c_out':>6}  {'path'}"]
-        paths = {"always": "fused-stencil", "never": "im2col", "auto": "auto-stencil"}
         for info in self.layer_info():
-            path = paths.get(info.dw_mode, "im2col")
+            path = "auto-stencil" if info.kind == "dw" else "im2col"
             lines.append(
                 f"{info.name:<16} {info.kind:<5} {info.backend:<7} {info.gemm_dtype:<8} "
                 f"{info.container:<6} {info.epilogue:<4} {info.k_reduction:>6} "

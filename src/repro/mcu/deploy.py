@@ -57,8 +57,8 @@ def assert_arena_fits(plan, device: MCUDevice, input_hw,
     from the actual compiled layer stack instead of a
     :class:`NetworkSpec`.
 
-    With ``check_physical`` (default), a pure 8-bit narrow-native plan
-    must additionally allocate its container-width ping-pong code pair
+    With ``check_physical`` (default), a pure 8-bit plan must
+    additionally allocate its container-width ping-pong code pair
     within the Eq. 7 peak — the runtime's physical activation bytes are
     asserted not to exceed the paper's accounting (they agree *exactly*
     on every model-zoo pyramid, which the tests pin down), so a
@@ -88,7 +88,7 @@ def assert_arena_fits(plan, device: MCUDevice, input_hw,
         p.in_bits == 8 and p.out_bits == 8 and p.out_itemsize == 1
         for p in conv
     )
-    if check_physical and getattr(plan, "narrow", False) and pure_8bit:
+    if check_physical and pure_8bit:
         physical = arena.physical_code_bytes(1)
         if physical > peak:
             raise ValueError(

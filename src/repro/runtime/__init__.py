@@ -32,13 +32,10 @@ Vocabulary
 ----------
 :class:`CompileOptions`
     Frozen dataclass of compilation knobs — ``backend`` (GEMM dispatch
-    tier), ``validate`` (boundary/weight range checks), ``use_arena``
-    (static activation arena), ``fused_depthwise`` (stencil kernel
-    dispatch), ``narrow`` (container-width activation codes),
-    ``refined_bound`` (weight-data accumulator bound), ``input_hw``
-    (eager arena planning).  Replaces the historical loose kwargs of
-    ``IntegerNetwork.compile()``, which survive only as a deprecated
-    shim that forwards here.
+    tier), ``validate`` (boundary/weight range checks), ``input_hw``
+    (eager arena planning), ``max_input_hw`` (shape-polymorphic arena).
+    ``IntegerNetwork.compile(options)`` takes nothing else; artifacts
+    saved with since-retired options load, and re-saving drops them.
 :class:`SessionOptions`
     Frozen dataclass of serving knobs — ``batch_size`` (default tile
     for ``run_batched``/``predict``), ``validate`` (per-session

@@ -1,12 +1,11 @@
 """Options dataclasses for the :mod:`repro.runtime` front door.
 
-:class:`CompileOptions` replaces the loose keyword arguments that
-``IntegerNetwork.compile()`` accreted (``backend``, ``validate``,
-``use_arena``, ``fused_depthwise``, ``narrow``, ``refined_bound``,
-``input_hw``) with one frozen, validated, hashable value object —
-the ONNX-Runtime ``SessionOptions`` shape.  :class:`SessionOptions`
-carries the serving-side knobs (batch tiling, boundary-validation
-override, arena geometry) consumed by :class:`repro.runtime.Session`.
+:class:`CompileOptions` is how an ``IntegerNetwork`` is compiled: one
+frozen, validated, hashable value object (``backend``, ``validate``,
+``input_hw``, ``max_input_hw``) — the ONNX-Runtime ``SessionOptions``
+shape.  :class:`SessionOptions` carries the serving-side knobs (batch
+tiling, boundary-validation override, arena geometry) consumed by
+:class:`repro.runtime.Session`.
 
 Both classes are plain data: constructing them performs no work beyond
 validation, and the same instance can configure any number of networks.
@@ -16,11 +15,17 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
 #: GEMM backends understood by the compiled plan (see
 #: :func:`repro.inference.plan._resolve_compiled_backend`).
-VALID_BACKENDS = ("auto", "blas", "int32", "int64")
+VALID_BACKENDS = ("auto", "int32", "int64")
+
+#: Compile options that no longer exist.  Each selected an execution
+#: path whose answers are bit-identical to the single compiled plan, so
+#: :meth:`CompileOptions.from_dict` drops them: an artifact saved with
+#: any of them loads as the default plan, and re-saving omits them.
+RETIRED_COMPILE_OPTIONS = ("narrow", "use_arena", "fused_depthwise", "refined_bound")
 
 
 def _normalize_hw(value: Any) -> Optional[Tuple[int, int]]:
@@ -45,26 +50,14 @@ class CompileOptions:
 
     ``backend``
         GEMM dispatch: ``"auto"`` picks the narrowest exact accumulator
-        per layer under the refined bound; ``"blas"`` forces the float
-        tiers (error if inexact); ``"int32"`` forces the MCU-style int32
-        accumulator under the ``2^31`` bound; ``"int64"`` forces the
-        exact einsum reference.
+        per layer under the weight-data refined bound; ``"int32"``
+        forces the MCU-style int32 accumulator under the ``2^31`` bound
+        (error if it overflows); ``"int64"`` forces the exact einsum
+        reference.
     ``validate``
         Range-check weight codes at compile time and activation codes at
         the network boundary.  Disabling also voids the refined-bound
         guarantee (dispatch falls back to the a-priori corner case).
-    ``use_arena``
-        Execute inside the static activation arena (zero steady-state
-        allocations).  ``False`` restores per-call allocation for A/B.
-    ``fused_depthwise``
-        Depthwise kernel dispatch: ``"auto"`` (cache-threshold rule),
-        ``True`` (always the im2col-free stencil), ``False`` (never).
-    ``narrow``
-        Store activation codes at container width (uint8 for all paper
-        widths).  ``False`` restores the legacy int64-code pipeline.
-    ``refined_bound``
-        Use the weight-data refined accumulator bound for dispatch
-        (promotes most wide pointwise layers to float32 BLAS).
     ``input_hw``
         Optional ``(H, W)`` to plan the activation arena eagerly at
         compile time instead of lazily on first run.
@@ -79,10 +72,6 @@ class CompileOptions:
 
     backend: str = "auto"
     validate: bool = True
-    use_arena: bool = True
-    fused_depthwise: Union[bool, str] = "auto"
-    narrow: bool = True
-    refined_bound: bool = True
     input_hw: Optional[Tuple[int, int]] = None
     max_input_hw: Optional[Tuple[int, int]] = None
 
@@ -90,11 +79,6 @@ class CompileOptions:
         if self.backend not in VALID_BACKENDS:
             raise ValueError(
                 f"backend must be one of {VALID_BACKENDS}, got {self.backend!r}"
-            )
-        if self.fused_depthwise not in (True, False, "auto"):
-            raise ValueError(
-                f"fused_depthwise must be True, False or 'auto', "
-                f"got {self.fused_depthwise!r}"
             )
         object.__setattr__(self, "input_hw", _normalize_hw(self.input_hw))
         object.__setattr__(self, "max_input_hw", _normalize_hw(self.max_input_hw))
@@ -108,24 +92,6 @@ class CompileOptions:
                 f"input_hw {self.input_hw} exceeds max_input_hw "
                 f"{self.max_input_hw}"
             )
-
-    @classmethod
-    def from_legacy_kwargs(cls, **kwargs: Any) -> "CompileOptions":
-        """Build options from the historical ``compile(**kwargs)`` names.
-
-        The legacy keyword names map one-to-one onto the dataclass
-        fields; unknown names raise ``TypeError`` listing the valid set,
-        so old call sites fail loudly instead of silently ignoring a
-        typo'd option.
-        """
-        valid = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(kwargs) - valid
-        if unknown:
-            raise TypeError(
-                f"unknown compile option(s) {sorted(unknown)}; "
-                f"valid options are {sorted(valid)}"
-            )
-        return cls(**kwargs)
 
     def replace(self, **changes: Any) -> "CompileOptions":
         """A copy with ``changes`` applied (frozen-dataclass update)."""
@@ -146,7 +112,24 @@ class CompileOptions:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "CompileOptions":
-        return cls.from_legacy_kwargs(**d)
+        """Options from their :meth:`to_dict` form (an artifact manifest).
+
+        Retired options are dropped and ``backend: "blas"`` reads as
+        ``"auto"`` (it compiled exactly the ``"auto"`` plan or raised),
+        so every saved artifact still loads.  Unknown names raise
+        ``TypeError`` listing the valid set.
+        """
+        d = {k: v for k, v in d.items() if k not in RETIRED_COMPILE_OPTIONS}
+        if d.get("backend") == "blas":
+            d["backend"] = "auto"
+        valid = {f.name for f in dataclasses.fields(cls)}
+        unknown = set(d) - valid
+        if unknown:
+            raise TypeError(
+                f"unknown compile option(s) {sorted(unknown)}; "
+                f"valid options are {sorted(valid)}"
+            )
+        return cls(**d)
 
 
 @dataclass(frozen=True)

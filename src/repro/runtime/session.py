@@ -345,23 +345,19 @@ class Session:
         prof = SessionProfile(batch_size=n, input_hw=(h, w))
         prof.total_seconds = _best_of(lambda: plan.run(x_real), repeats)
         codes = plan.quantize_input(x_real)
-        arena = None
-        if plan.use_arena and plan.layers:
+        if plan.layers:
             arena = plan.arena_for((h, w))
-            arena.ensure(n)
+            arena.ensure(max(1, n))
         infos = {i.name: i for i in plan.layer_info()}
         for i, layer in enumerate(plan.layers):
             info = infos[layer.name]
             dispatch = (f"{info.backend}/{info.gemm_dtype}->{info.container}"
                         f" eq5:{info.epilogue}")
-            if info.dw_mode:
-                dispatch += f" dw:{info.dw_mode}"
-            if arena is not None:
-                t = _best_of(lambda: layer(codes, arena=arena, slot=i % 2), repeats)
-            else:
-                t = _best_of(lambda: layer(codes), repeats)
+            # Layer i reads slot (i-1)%2 and writes slot i%2, so its
+            # input survives the repeats; the last output feeds layer i+1.
+            t = _best_of(lambda: layer(codes, arena, slot=i % 2), repeats)
             prof.layers.append(LayerTiming(layer.name, layer.kind, dispatch, t))
-            codes = layer(codes)  # propagate via owned (non-arena) arrays
+            codes = layer(codes, arena, slot=i % 2)
         if plan.has_pool:
             from repro.inference.kernels import int_avg_pool_global
 
@@ -479,7 +475,6 @@ def pipeline(
     if (
         device is not None
         and policy.feasible
-        and session.plan.use_arena
         and options.input_hw is not None
     ):
         from repro.mcu.deploy import assert_arena_fits

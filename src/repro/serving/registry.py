@@ -308,7 +308,7 @@ class ModelRegistry:
         session = entry.session
         if session is None or entry.max_hw is None:
             return entry.rw_bytes
-        if not session.plan.use_arena or not session.plan.layers:
+        if not session.plan.layers:
             return entry.rw_bytes
         return session.plan.arena_for(entry.max_hw).logical_rw_peak_bytes
 
@@ -318,8 +318,7 @@ class ModelRegistry:
         same :func:`assert_arena_fits` check an MCU deployment runs."""
         if self.memory_budget_bytes is None:
             return
-        if entry.max_hw is None or not session.plan.use_arena \
-                or not session.plan.layers:
+        if entry.max_hw is None or not session.plan.layers:
             # No arena to size: charge weights only.
             while (self.resident_bytes() + entry.ro_bytes
                    > self.memory_budget_bytes):

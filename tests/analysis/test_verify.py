@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis import PlanVerificationError, verify_artifact, verify_plan
 from repro.inference.plan import ExecutionPlan
-from repro.inference.testing import integer_network_from_spec
+from repro.inference.testing import integer_network_from_spec, random_network
 from repro.models.model_zoo import all_mobilenet_configs
 from repro.runtime import Session
 from repro.runtime.options import CompileOptions, SessionOptions
@@ -13,11 +13,12 @@ from repro.runtime.options import CompileOptions, SessionOptions
 HW = (32, 32)
 CONFIGS = all_mobilenet_configs(num_classes=5)
 
-#: Every backend-relevant compile flag combination the issue names.
+#: Every dispatch-relevant compile option: each backend, and validation
+#: off (which voids the refined bound: a-priori dispatch, no split-K).
 FLAG_COMBOS = [
     CompileOptions(input_hw=HW),
-    CompileOptions(input_hw=HW, narrow=False),
-    CompileOptions(input_hw=HW, refined_bound=False),
+    CompileOptions(input_hw=HW, backend="int64"),
+    CompileOptions(input_hw=HW, validate=False),
     CompileOptions(input_hw=HW, backend="int32"),
 ]
 
@@ -42,8 +43,6 @@ class TestZooAcceptance:
                 assert report.count(rule) > 0, rule
             # Every layer's Eq. 5 epilogue tier was proven.
             assert report.tiers == {l.name: l.epilogue for l in plan.layers}
-            if not options.narrow:
-                assert set(report.tiers.values()) == {"i64"}
 
     @pytest.mark.parametrize("act_bits", [2, 4, 8])
     @pytest.mark.parametrize("w_bits", [2, 4, 8])
@@ -77,6 +76,25 @@ class TestZooAcceptance:
         assert report.ok
         # Both the max arena and the adopted smaller geometry were walked.
         assert report.count("slab-aliasing") >= 2 * len(plan.layers)
+
+
+class TestViewUnfoldDepthwise:
+    @pytest.mark.parametrize("seed", [38, 78])
+    def test_1x1_stride1_depthwise_verifies(self, seed):
+        """A 1x1 stride-1 depthwise layer unfolds as a pure view and its
+        single-tap stencil needs no temporary, so the planner gives it no
+        cols slab; the verifier must not charge it one."""
+        net = random_network(np.random.default_rng(seed), resolution=11)
+        assert any(
+            l.kind == "dw" and l.stride == 1
+            and l.params.weights_q.shape[2:] == (1, 1)
+            for l in net.conv_layers
+        )
+        plan = ExecutionPlan(net, CompileOptions(input_hw=(11, 11)))
+        report = verify_plan(plan, raise_on_violation=False)
+        assert report.ok, [str(v) for v in report.violations]
+        x = np.random.default_rng(seed + 1).uniform(0, 1, size=(2, 3, 11, 11))
+        assert np.array_equal(net.forward(x), plan.run(x))
 
 
 def _fresh_plan(seed=0):

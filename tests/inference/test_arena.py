@@ -1,6 +1,7 @@
-"""Activation-arena safety: arena vs. no-arena bit-identity on random
-networks, planned-peak bounds on measured allocations, and the Eq. 7
-cross-check against the analytical memory model."""
+"""Activation-arena safety: arena plan vs. interpreted reference
+bit-identity on random networks, planned-peak bounds on measured
+allocations, and the Eq. 7 cross-check against the analytical memory
+model."""
 
 import tracemalloc
 
@@ -20,22 +21,22 @@ from repro.inference.testing import integer_network_from_spec, random_network
 from repro.mcu.deploy import assert_arena_fits
 from repro.mcu.device import MCUDevice
 from repro.models.model_zoo import mobilenet_v1_spec
+from repro.runtime import CompileOptions
 
 
 @given(seed=st.integers(0, 2 ** 16), bits=st.sampled_from([2, 4, 8]))
 @settings(deadline=None)
 def test_property_arena_matches_no_arena(seed, bits):
-    """Random topologies + mixed requant strategies: the arena/fused plan,
-    the PR-1 style per-call-allocation plan and the interpreted reference
-    all produce identical codes and logits."""
+    """Random topologies + mixed requant strategies: the arena plan and
+    the interpreted reference (which allocates per call) produce
+    identical codes and logits."""
     net = random_network(
         np.random.default_rng(seed), resolution=11, act_bits=bits, w_bits=bits
     )
     x = np.random.default_rng(seed + 1).uniform(0, 1, size=(3, 3, 11, 11))
     codes = net.quantize_input(x)
     with_arena = net.compile()
-    without = net.compile(use_arena=False, fused_depthwise=False)
-    assert np.array_equal(with_arena.run_codes(codes), without.run_codes(codes))
+    assert np.array_equal(with_arena.run_codes(codes), net.forward_codes(codes))
     assert np.array_equal(with_arena.run(x), net.forward(x))
 
 
@@ -43,15 +44,14 @@ def test_property_arena_matches_no_arena(seed, bits):
 @settings(deadline=None)
 def test_property_repeated_runs_reuse_slabs_bit_exactly(seed):
     """Slab reuse must not leak state between calls: alternating inputs
-    through one plan matches fresh no-arena evaluations of each."""
+    through one plan matches the interpreted reference on each."""
     net = random_network(np.random.default_rng(seed), resolution=9)
     plan = net.compile()
-    ref = net.compile(use_arena=False, fused_depthwise=False)
     rng = np.random.default_rng(seed + 1)
     xa = rng.uniform(0, 1, size=(2, 3, 9, 9))
     xb = rng.uniform(0, 1, size=(4, 3, 9, 9))
     for x in (xa, xb, xa, xb):
-        assert np.array_equal(plan.run(x), ref.run(x))
+        assert np.array_equal(plan.run(x), net.forward(x))
 
 
 def test_run_codes_returns_owned_copy():
@@ -76,7 +76,7 @@ def test_logical_rw_peak_matches_memory_model(res, width):
     paper's analytical model agree layer for layer."""
     spec = mobilenet_v1_spec(res, width, num_classes=10)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
-    plan = net.compile(input_hw=(res, res))
+    plan = net.compile(CompileOptions(input_hw=(res, res)))
     arena = plan.arena_for((res, res))
     policy = QuantPolicy.uniform(spec, method=QuantMethod.PC_ICN, bits=8)
     model = MemoryModel(spec)
@@ -90,7 +90,7 @@ def test_measured_peak_allocation_within_planned_arena():
     memory than the compile-time planned arena size (tracemalloc peak)."""
     spec = mobilenet_v1_spec(64, 0.25, num_classes=10)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
-    plan = net.compile(input_hw=(64, 64))
+    plan = net.compile(CompileOptions(input_hw=(64, 64)))
     codes = plan.quantize_input(
         np.random.default_rng(1).uniform(0, 1, size=(4, 3, 64, 64))
     )
@@ -128,14 +128,14 @@ def test_arena_slab_overflow_rejected():
     plan.run(np.random.default_rng(12).uniform(0, 1, (1, 3, 10, 10)))
     arena = plan.arena_for((10, 10))
     with pytest.raises(ValueError, match="arena slab overflow"):
-        arena.codes(0, (10 ** 6,))
+        arena.codes(0, (10 ** 6,), np.uint8)
 
 
 def test_plan_activations_rejects_collapsing_geometry():
     geom = LayerGeometry(
         name="conv", kind="conv", in_channels=3, out_channels=4,
         kh=7, kw=7, stride=1, padding=0, in_bits=8, out_bits=8,
-        gemm_itemsize=4, fused=False,
+        gemm_itemsize=4,
     )
     with pytest.raises(ValueError, match="collapses"):
         plan_activations([geom], (4, 4))
@@ -166,13 +166,13 @@ def test_assert_arena_fits_against_device_budget():
 def test_describe_reports_arena_peak_and_fused_dispatch():
     spec = mobilenet_v1_spec(32, 0.25, num_classes=10)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
-    plan = net.compile(input_hw=(32, 32))
+    plan = net.compile(CompileOptions(input_hw=(32, 32)))
     text = plan.describe(batch_size=8)
     arena = plan.arena_for((32, 32))
     assert f"{arena.planned_bytes(8)} bytes" in text
     assert f"{arena.logical_rw_peak_bytes} bytes" in text
-    assert "auto-stencil" in text  # default dw dispatch is the auto rule
-    forced = net.compile(fused_depthwise=True, input_hw=(32, 32)).describe()
-    assert "fused-stencil" in forced
+    # Depthwise layers pick the stencil per call; the rest unfold.
+    for line in text.splitlines()[1:len(plan.layers) + 1]:
+        assert line.endswith("auto-stencil" if " dw " in line else "im2col"), line
     # Without a planned geometry the summary simply omits the arena block.
     assert "activation arena" not in net.compile().describe()

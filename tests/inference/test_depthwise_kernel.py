@@ -1,5 +1,6 @@
-"""Fused depthwise stencil kernel: bit-identity against the im2col int64
-reference across bit widths, strides, paddings and channel counts."""
+"""Depthwise stencil kernel: bit-identity against the im2col int64
+reference across bit widths, strides, paddings and channel counts, and
+the compiled plan's per-call stencil/im2col dispatch."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from repro.inference.kernels import (
     blas_gemm_dtype,
     depthwise_stencil_accumulate,
     int_depthwise_conv2d,
-    int_depthwise_conv2d_fused,
     shift_weights,
 )
 
@@ -43,17 +43,39 @@ def _random_problem(case):
     return x, wq, z_x, z_w, kwargs
 
 
+def _shifted_input(x, z_x, padding, dtype):
+    """``x - z_x`` zero-padded in ``dtype``, the stencil's input form."""
+    n, c, h, w = x.shape
+    xs = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dtype)
+    np.subtract(x, z_x, out=xs[:, :, padding:h + padding, padding:w + padding],
+                dtype=dtype)
+    return xs
+
+
+def _stencil(x, wq, z_x, z_w, kwargs, dtype, out=None, tmp=None):
+    """Run the stencil kernel in ``dtype`` (fresh buffers by default)."""
+    kernel, stride = wq.shape[2], kwargs["stride"]
+    xs = _shifted_input(x, z_x, kwargs["padding"], dtype)
+    w_cols = shift_weights(wq, z_w, wq.shape[0]).reshape(wq.shape[0], -1).astype(dtype)
+    oh = (xs.shape[2] - kernel) // stride + 1
+    ow = (xs.shape[3] - kernel) // stride + 1
+    shape = (x.shape[0], x.shape[1], oh, ow)
+    out = np.empty(shape, dtype=dtype) if out is None else out
+    tmp = np.empty(shape, dtype=dtype) if tmp is None else tmp
+    return depthwise_stencil_accumulate(xs, w_cols, kernel, kernel, stride, out=out, tmp=tmp)
+
+
 @given(case=dw_cases())
 @settings(deadline=None)
 def test_property_fused_matches_im2col_int64_reference(case):
-    """Fused stencil == im2col int64 reference, bit for bit, both backends."""
+    """Stencil == im2col int64 reference, bit for bit, on the int64 tier
+    and on the float tier the plan dispatches to."""
     x, wq, z_x, z_w, kwargs = _random_problem(case)
-    ref = int_depthwise_conv2d(x, wq, z_x, z_w, backend="int64", **kwargs)
-    fused_int64 = int_depthwise_conv2d_fused(x, wq, z_x, z_w, backend="int64", **kwargs)
-    fused_float = int_depthwise_conv2d_fused(x, wq, z_x, z_w, backend="blas", **kwargs)
-    assert np.array_equal(ref, fused_int64)
-    assert np.array_equal(ref, fused_float)
-    assert fused_float.dtype == np.int64
+    ref = int_depthwise_conv2d(x, wq, z_x, z_w, **kwargs)
+    k = wq.shape[2] * wq.shape[3]
+    float_dtype = blas_gemm_dtype(k, kwargs["x_bits"], kwargs["w_bits"])
+    assert np.array_equal(ref, _stencil(x, wq, z_x, z_w, kwargs, np.int64))
+    assert np.array_equal(ref, _stencil(x, wq, z_x, z_w, kwargs, float_dtype))
 
 
 @given(case=dw_cases())
@@ -62,48 +84,36 @@ def test_property_stencil_out_tmp_buffers_reused(case):
     """Caller-provided out/tmp slab views produce the identical result
     (the contract the activation arena relies on)."""
     x, wq, z_x, z_w, kwargs = _random_problem(case)
-    kernel = wq.shape[2]
-    stride, padding = kwargs["stride"], kwargs["padding"]
-    dtype = blas_gemm_dtype(kernel * kernel, kwargs["x_bits"], kwargs["w_bits"])
-    w_cols = shift_weights(wq, z_w, wq.shape[0]).reshape(wq.shape[0], -1).astype(dtype)
-    if padding:
-        xs = np.zeros(
-            (x.shape[0], x.shape[1], x.shape[2] + 2 * padding, x.shape[3] + 2 * padding),
-            dtype=dtype,
-        )
-        np.subtract(x, z_x, out=xs[:, :, padding:-padding, padding:-padding])
-    else:
-        xs = np.subtract(x, z_x, dtype=dtype)
-    fresh = depthwise_stencil_accumulate(xs, w_cols, kernel, kernel, stride)
+    dtype = blas_gemm_dtype(wq.shape[2] * wq.shape[3], kwargs["x_bits"], kwargs["w_bits"])
+    fresh = _stencil(x, wq, z_x, z_w, kwargs, dtype)
     # Poisoned preallocated buffers must be fully overwritten.
     out = np.full_like(fresh, 123456)
     tmp = np.full_like(fresh, -777)
-    reused = depthwise_stencil_accumulate(
-        xs, w_cols, kernel, kernel, stride, out=out, tmp=tmp
-    )
+    reused = _stencil(x, wq, z_x, z_w, kwargs, dtype, out=out, tmp=tmp)
     assert reused is out
     assert np.array_equal(fresh, reused)
 
 
 def test_fused_scalar_zero_point():
-    """Per-layer (scalar) z_w takes the same path as the reference."""
+    """Per-layer (scalar) z_w: the stencil matches the reference."""
     rng = np.random.default_rng(3)
     x = rng.integers(0, 256, size=(2, 4, 9, 9), dtype=np.int64)
     wq = rng.integers(0, 16, size=(4, 1, 3, 3), dtype=np.int64)
-    ref = int_depthwise_conv2d(x, wq, 7, 5, padding=1, w_bits=4)
-    fused = int_depthwise_conv2d_fused(x, wq, 7, 5, padding=1, w_bits=4)
-    assert np.array_equal(ref, fused)
+    kwargs = dict(stride=1, padding=1, x_bits=8, w_bits=4)
+    ref = int_depthwise_conv2d(x, wq, 7, 5, **kwargs)
+    assert np.array_equal(ref, _stencil(x, wq, 7, 5, kwargs, np.float32))
 
 
 def test_fused_precomputed_w_shift():
-    """A hoisted ``w_shift`` skips the per-call shift without changing codes."""
+    """A hoisted ``w_shift`` (what the interpreted engine caches) skips
+    the per-call shift without changing codes."""
     rng = np.random.default_rng(4)
     x = rng.integers(0, 16, size=(1, 3, 6, 6), dtype=np.int64)
     wq = rng.integers(0, 16, size=(3, 1, 3, 3), dtype=np.int64)
     z_w = rng.integers(0, 16, size=3, dtype=np.int64)
     ws = shift_weights(wq, z_w, 3)
-    a = int_depthwise_conv2d_fused(x, wq, 2, z_w, x_bits=4, w_bits=4)
-    b = int_depthwise_conv2d_fused(x, wq, 2, z_w, x_bits=4, w_bits=4, w_shift=ws)
+    a = int_depthwise_conv2d(x, wq, 2, z_w, x_bits=4, w_bits=4)
+    b = int_depthwise_conv2d(x, wq, 2, z_w, x_bits=4, w_bits=4, w_shift=ws)
     assert np.array_equal(a, b)
 
 
@@ -111,14 +121,14 @@ def test_fused_validate_rejects_out_of_range_codes():
     x = np.full((1, 2, 4, 4), 300, dtype=np.int64)
     wq = np.zeros((2, 1, 3, 3), dtype=np.int64)
     with pytest.raises(ValueError, match="out of UINT8 range"):
-        int_depthwise_conv2d_fused(x, wq, 0, 0)
+        int_depthwise_conv2d(x, wq, 0, 0)
 
 
 def test_fused_rejects_bad_per_channel_z_w():
     x = np.zeros((1, 2, 4, 4), dtype=np.int64)
     wq = np.zeros((2, 1, 3, 3), dtype=np.int64)
     with pytest.raises(ValueError, match="one entry per channel"):
-        int_depthwise_conv2d_fused(x, wq, 0, np.zeros(5, dtype=np.int64))
+        int_depthwise_conv2d(x, wq, 0, np.zeros(5, dtype=np.int64))
 
 
 @pytest.mark.parametrize("bits,expected", [(2, np.float32), (8, np.float32)])
@@ -129,7 +139,7 @@ def test_fused_float_tier_dispatch(bits, expected):
 
 
 class TestAutoDispatch:
-    """The compiled plan's fused_depthwise="auto" rule and its parity."""
+    """The compiled plan's per-call stencil/im2col rule and its parity."""
 
     def test_prefers_stencil_above_cache_threshold(self):
         from repro.inference.kernels import (
@@ -150,15 +160,22 @@ class TestAutoDispatch:
         assert 0 < DW_IM2COL_S2_BYTES_THRESHOLD < DW_IM2COL_BYTES_THRESHOLD
 
     @pytest.mark.parametrize("mode", [True, False, "auto"])
-    def test_all_dispatch_modes_bit_identical(self, mode):
+    def test_all_dispatch_modes_bit_identical(self, mode, monkeypatch):
+        """Stencil on every depthwise layer (thresholds of 0), on none
+        (thresholds past every layer) or by the default rule."""
+        import repro.inference.kernels as k
         from repro.inference.testing import integer_network_from_spec
         from repro.models.model_zoo import mobilenet_v1_spec
 
+        if mode != "auto":
+            threshold = 0 if mode else 1 << 62
+            monkeypatch.setattr(k, "DW_IM2COL_BYTES_THRESHOLD", threshold)
+            monkeypatch.setattr(k, "DW_IM2COL_S2_BYTES_THRESHOLD", threshold)
         spec = mobilenet_v1_spec(32, 0.25, num_classes=5)
         net = integer_network_from_spec(spec, np.random.default_rng(0))
         x = np.random.default_rng(1).uniform(0, 1, size=(2, 3, 32, 32))
         ref = net.forward(x)
-        assert np.array_equal(ref, net.compile(fused_depthwise=mode).run(x))
+        assert np.array_equal(ref, net.compile().run(x))
 
     def test_auto_engages_stencil_under_lowered_threshold(self, monkeypatch):
         """Force the auto rule to pick the stencil on a small net and
@@ -173,12 +190,3 @@ class TestAutoDispatch:
         ref = net.forward(x)
         monkeypatch.setattr(k, "DW_IM2COL_BYTES_THRESHOLD", 0)
         assert np.array_equal(ref, net.compile().run(x))
-
-    def test_invalid_mode_rejected(self):
-        from repro.inference.testing import integer_network_from_spec
-        from repro.models.model_zoo import mobilenet_v1_spec
-
-        spec = mobilenet_v1_spec(32, 0.25, num_classes=5)
-        net = integer_network_from_spec(spec, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="fused_depthwise"):
-            net.compile(fused_depthwise="sometimes")

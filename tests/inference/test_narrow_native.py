@@ -3,10 +3,10 @@
 Covers the container-dtype plumbing (quantizer -> QuantizedTensor ->
 packing -> arena -> plan -> export), the weight-data refined accumulator
 bound, the forced int32 MCU-accumulator backend (including max-magnitude
-codes at the int32 boundary), narrow-vs-wide plan parity, and the
-headline memory contract: for a pure 8-bit network the arena's physical
-(container-width) code bytes equal ``core.memory_model.rw_peak_bytes``
-exactly — no more 8x int64 inflation.
+codes at the int32 boundary), parity of every backend with the int64
+reference, and the headline memory contract: for a pure 8-bit network
+the arena's physical (container-width) code bytes equal
+``core.memory_model.rw_peak_bytes`` exactly — no int64 inflation.
 """
 
 import tracemalloc
@@ -40,6 +40,7 @@ from repro.inference.testing import integer_network_from_spec, random_network
 from repro.mcu.deploy import assert_arena_fits
 from repro.mcu.device import MCUDevice
 from repro.models.model_zoo import all_mobilenet_configs, mobilenet_v1_spec
+from repro.runtime import CompileOptions
 
 _ZOO = all_mobilenet_configs(num_classes=5)
 
@@ -126,15 +127,24 @@ class TestInt32Boundary:
             resolve_gemm_backend("int32", self.K_MAX + 1, 8, 8)
 
     def test_max_magnitude_codes_at_the_boundary_are_exact(self):
-        """All-corner codes at the largest admissible k: the int32 path
-        must reproduce the int64 reference at |Phi| within one product of
-        the int32 limit."""
+        """All-corner codes at the largest admissible k: the compiled
+        int32 path must reproduce the int64 reference at |Phi| within one
+        product of the int32 limit."""
+        from repro.inference.engine import IntegerLinearLayer
+        from repro.inference.plan import CompiledLinear
+
         k = self.K_MAX
         x = np.full((1, k), 255, dtype=np.int64)
         w = np.zeros((2, k), dtype=np.int64)  # z_w = 255 -> shifted -255
-        phi32 = int_linear(x, w, 0, 255, backend="int32")
-        phi64 = int_linear(x, w, 0, 255, backend="int64")
-        assert np.array_equal(phi32, phi64)
+        layer = IntegerLinearLayer(
+            name="fc", weights_q=w, z_w=np.array(255), s_w=np.array([1.0]),
+            z_x=0, s_in=1.0, bias=None, in_bits=8, w_bits=8,
+        )
+        mcu = CompiledLinear(layer, backend="int32")
+        assert mcu.gemm_dtype == np.int32
+        phi64 = int_linear(x, w, 0, 255)
+        assert np.array_equal(mcu(x), phi64.astype(np.float64))
+        assert np.array_equal(mcu(x), layer.forward(x))
         assert phi64[0, 0] == -k * 255 * 255
         assert abs(phi64[0, 0]) < 2 ** 31
         assert abs(phi64[0, 0]) + 255 * 255 >= 2 ** 31  # truly at the edge
@@ -200,8 +210,9 @@ class TestRefinedBound:
             assert layer.split_k[-1][1] == layer.k_reduction
             for (_, a), (b, _) in zip(layer.split_k, layer.split_k[1:]):
                 assert a == b  # contiguous partition
-        # Disabled alongside the refined bound (the wide A/B baseline).
-        legacy = net.compile(refined_bound=False)
+        # Disabled with validation, which voids the refined bound the
+        # chunk partition relies on (a-priori dispatch).
+        legacy = net.compile(CompileOptions(validate=False))
         assert all(l.split_k is None for l in legacy.layers)
         x = np.random.default_rng(4).uniform(0, 1, size=(2, 3, 64, 64))
         ref = net.forward(x)
@@ -231,42 +242,42 @@ def test_int_einsum_gemm_k_tiling_bit_exact(rng):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), bits=st.sampled_from([2, 4, 8]))
 def test_property_narrow_wide_and_int32_plans_agree(seed, bits):
-    """Random topologies: the narrow (container) plan, the legacy wide
-    (int64) plan, the forced-int32 MCU plan and the interpreted reference
-    all produce identical results."""
+    """Random topologies: the default (narrowest exact accumulator) plan,
+    the forced wide int64-accumulator plan, the forced-int32 MCU plan and
+    the interpreted reference all produce identical results, every plan
+    storing container-width codes."""
     net = random_network(
         np.random.default_rng(seed), resolution=11, act_bits=bits, w_bits=bits
     )
     x = np.random.default_rng(seed + 1).uniform(0, 1, size=(2, 3, 11, 11))
     ref = net.forward(x)
     narrow = net.compile()
-    wide = net.compile(narrow=False)
-    mcu = net.compile(backend="int32")
+    wide = net.compile(CompileOptions(backend="int64"))
+    mcu = net.compile(CompileOptions(backend="int32"))
     assert np.array_equal(ref, narrow.run(x))
     assert np.array_equal(ref, wide.run(x))
     assert np.array_equal(ref, mcu.run(x))
     codes = net.quantize_input(x)
+    assert np.array_equal(narrow.run_codes(codes), net.forward_codes(codes))
     assert np.array_equal(narrow.run_codes(codes), wide.run_codes(codes))
 
 
-def test_fused_kernel_accepts_narrow_codes_with_padding():
-    """Regression: the padded branch of int_depthwise_conv2d_fused must
-    widen uint8 codes below z_x instead of wrapping them (the subtract
-    loop has to be pinned to the GEMM dtype)."""
-    from repro.inference.kernels import int_depthwise_conv2d, int_depthwise_conv2d_fused
+def test_fused_kernel_accepts_narrow_codes_with_padding(monkeypatch):
+    """Regression: the padded zero-point shift must widen uint8 codes
+    below z_x instead of wrapping them (the subtract loop has to be
+    pinned to the GEMM dtype), on the stencil and the im2col path."""
+    import repro.inference.kernels as k
 
-    rng = np.random.default_rng(0)
-    x8 = rng.integers(0, 256, size=(2, 3, 6, 6), dtype=np.uint8)
-    wq = rng.integers(0, 256, size=(3, 1, 3, 3), dtype=np.uint8)
-    z_x = 200  # wraps any uint8 code < 200 if the loop runs in uint8
-    for padding in (0, 1):
-        ref = int_depthwise_conv2d(
-            x8.astype(np.int64), wq, z_x, 7, padding=padding, backend="int64"
-        )
-        for backend in ("blas", "int32", "int64"):
-            got = int_depthwise_conv2d_fused(x8, wq, z_x, 7, padding=padding,
-                                             backend=backend)
-            assert np.array_equal(ref, got), (padding, backend)
+    spec = mobilenet_v1_spec(32, 0.25, num_classes=5)
+    net = integer_network_from_spec(spec, np.random.default_rng(0))
+    dw = next(l for l in net.conv_layers if l.kind == "dw" and l.padding > 0)
+    dw.params.z_x = 200  # wraps any uint8 code < 200 if the loop runs in uint8
+    x = np.random.default_rng(1).uniform(0, 1, size=(2, 3, 32, 32))
+    ref = net.forward(x)
+    assert np.array_equal(ref, net.compile().run(x))
+    monkeypatch.setattr(k, "DW_IM2COL_BYTES_THRESHOLD", 0)
+    monkeypatch.setattr(k, "DW_IM2COL_S2_BYTES_THRESHOLD", 0)
+    assert np.array_equal(ref, net.compile().run(x))
 
 
 def test_narrow_codes_come_back_in_container_dtype():
@@ -278,8 +289,6 @@ def test_narrow_codes_come_back_in_container_dtype():
     assert codes.dtype == np.uint8
     out = plan.run_codes(codes)
     assert out.dtype == np.uint8
-    wide = net.compile(narrow=False)
-    assert wide.run_codes(net.quantize_input(x)).dtype == np.int64
 
 
 @pytest.mark.parametrize("spec", _ZOO, ids=lambda s: s.label)
@@ -289,7 +298,7 @@ def test_zoo_physical_code_bytes_equal_rw_peak(spec):
     of core.memory_model — not 8x it."""
     net = integer_network_from_spec(spec, np.random.default_rng(0))
     res = spec.resolution
-    plan = net.compile(input_hw=(res, res))
+    plan = net.compile(CompileOptions(input_hw=(res, res)))
     arena = plan.arena_for((res, res))
     policy = QuantPolicy.uniform(spec, method=QuantMethod.PC_ICN, bits=8)
     rw_peak = MemoryModel(spec).rw_peak_bytes(policy)
@@ -298,12 +307,12 @@ def test_zoo_physical_code_bytes_equal_rw_peak(spec):
 
 
 def test_arena_allocation_matches_plan_tracemalloc():
-    """Slab allocation measured with tracemalloc: the narrow arena
-    allocates exactly its planned bytes (codes pair == Eq. 7 peak, no
-    int64 inflation), 8x less code-slab memory than the wide arena."""
+    """Slab allocation measured with tracemalloc: the arena allocates
+    exactly its planned bytes (codes pair == Eq. 7 peak, no int64
+    inflation)."""
     spec = mobilenet_v1_spec(64, 0.25, num_classes=10)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
-    plan = net.compile(input_hw=(64, 64))
+    plan = net.compile(CompileOptions(input_hw=(64, 64)))
     arena = plan.arena_for((64, 64))
     tracemalloc.start()
     arena.ensure(1)
@@ -313,8 +322,6 @@ def test_arena_allocation_matches_plan_tracemalloc():
     # numpy adds a constant per-array header on top of the raw slabs.
     slack = 16 * 1024
     assert planned <= allocated <= planned + slack
-    wide = net.compile(narrow=False, input_hw=(64, 64)).arena_for((64, 64))
-    assert wide.physical_code_bytes(1) == 8 * arena.physical_code_bytes(1)
     policy = QuantPolicy.uniform(spec, method=QuantMethod.PC_ICN, bits=8)
     assert arena.physical_code_bytes(1) == MemoryModel(spec).rw_peak_bytes(policy)
 
@@ -326,7 +333,7 @@ def test_subbyte_containers_stay_one_byte():
     net = integer_network_from_spec(
         spec, np.random.default_rng(0), act_bits=4, w_bits=4
     )
-    plan = net.compile(input_hw=(32, 32))
+    plan = net.compile(CompileOptions(input_hw=(32, 32)))
     arena = plan.arena_for((32, 32))
     assert all(p.out_itemsize == 1 for p in arena.plans if p.kind != "fc")
     assert arena.physical_code_bytes(1) >= arena.logical_rw_peak_bytes
@@ -362,7 +369,6 @@ def test_stride2_stencil_plan_parity(monkeypatch):
     x = np.random.default_rng(1).uniform(0, 1, size=(2, 3, 32, 32))
     ref = net.forward(x)
     assert np.array_equal(ref, net.compile().run(x))
-    assert np.array_equal(ref, net.compile(fused_depthwise=True).run(x))
 
 
 # ----------------------------------------------------------------------
@@ -416,6 +422,6 @@ class TestExportNarrowBlobs:
         spec = mobilenet_v1_spec(64, 0.5, num_classes=5)
         net = integer_network_from_spec(spec, np.random.default_rng(0))
         exported = export_network(net, input_hw=(64, 64))
-        arena = net.compile(input_hw=(64, 64)).arena_for((64, 64))
+        arena = net.compile(CompileOptions(input_hw=(64, 64))).arena_for((64, 64))
         assert exported["arena"]["physical_code_bytes"] == arena.physical_code_bytes(1)
         assert exported["arena"]["rw_peak_bytes"] == arena.logical_rw_peak_bytes

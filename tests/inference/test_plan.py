@@ -58,8 +58,9 @@ class TestPlanBitExactness:
 
     def test_forced_int64_plan_matches_blas_plan(self, integer_net, small_dataset):
         x = small_dataset.x_test[:4]
-        blas = integer_net.compile(backend="blas")
-        ref = integer_net.compile(backend="int64")
+        blas = integer_net.compile()
+        assert all(info.backend == "blas" for info in blas.layer_info())
+        ref = integer_net.compile(CompileOptions(backend="int64"))
         assert np.array_equal(blas.run(x), ref.run(x))
 
 
@@ -81,7 +82,7 @@ class TestPlanStructure:
         assert all(info.backend == "blas" for info in plan.layer_info())
 
     def test_forced_int64_backend(self, integer_net):
-        plan = integer_net.compile(backend="int64")
+        plan = integer_net.compile(CompileOptions(backend="int64"))
         assert all(info.backend == "int64" for info in plan.layer_info())
 
     def test_depthwise_uses_float32_tier(self, integer_net):
@@ -111,12 +112,12 @@ class TestBoundaryValidation:
             plan.run_codes(bad)
 
     def test_validation_can_be_disabled(self, integer_net, small_dataset):
-        plan = integer_net.compile(validate=False)
+        plan = integer_net.compile(CompileOptions(validate=False))
         codes = integer_net.quantize_input(small_dataset.x_test[:2])
         assert plan.run_codes(codes).shape[0] == 2
 
     def test_per_call_override(self, integer_net):
-        plan = integer_net.compile(validate=False)
+        plan = integer_net.compile(CompileOptions(validate=False))
         bad = np.full((1, 3, 16, 16), 300, dtype=np.int64)
         with pytest.raises(ValueError):
             plan.run_codes(bad, validate=True)
@@ -135,7 +136,7 @@ class TestBoundaryValidation:
         params.weights_q[0, 0, 0, 0] = 700
         with pytest.raises(ValueError, match="weight codes out of UINT8 range"):
             broken.compile()
-        assert broken.compile(validate=False) is not None
+        assert broken.compile(CompileOptions(validate=False)) is not None
 
 
 class TestRunBatched:
@@ -160,6 +161,31 @@ class TestRunBatched:
         assert np.array_equal(plan.predict(x), plan.predict(x, batch_size=4))
 
 
+class TestEmptyBatch:
+    """A (0, C, H, W) batch runs on zero-size arena views and comes back
+    correctly shaped."""
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        spec = mobilenet_v1_spec(32, 0.25, num_classes=5)
+        return integer_network_from_spec(spec, np.random.default_rng(0))
+
+    def test_run_returns_empty_logits(self, net):
+        from repro.runtime import Session
+
+        empty = np.zeros((0, 3, 32, 32))
+        assert net.compile().run(empty).shape == (0, 5)
+        assert Session(net).run(empty).shape == (0, 5)
+
+    def test_run_codes_returns_empty_codes(self, net):
+        plan = net.compile()
+        codes = plan.run_codes(plan.quantize_input(np.zeros((0, 3, 32, 32))))
+        assert codes.shape == (0, 256, 1, 1)
+        # The plan still serves a real batch after the empty one.
+        x = np.random.default_rng(1).uniform(0, 1, size=(2, 3, 32, 32))
+        assert np.array_equal(net.forward(x), plan.run(x))
+
+
 class TestEvaluateIntegerNetwork:
     def test_compiled_and_interpreted_agree(self, integer_net, small_dataset):
         x = small_dataset.x_test[:12]
@@ -176,6 +202,11 @@ class TestEvaluateIntegerNetwork:
             r = evaluate_integer_network(integer_net, empty, compiled=compiled)
             assert r["predictions"].shape == (0,)
             assert r["num_images"] == 0
+
+
+def test_plan_constructor_rejects_non_options(integer_net):
+    with pytest.raises(TypeError, match="CompileOptions"):
+        ExecutionPlan(integer_net, {"backend": "auto"})
 
 
 def test_plan_constructor_direct(integer_net, small_dataset):

@@ -11,8 +11,10 @@ and ``qmax``, sub-byte outputs, and ``|Phi|`` at an accumulator bound on
 either side of the float64 tier edge.  The compiler picks the float64
 tier only with a ``2^11`` margin below that edge; the verifier accepts it
 up to the exact edge, so a requantizer moved onto the float64 tier just
-below the edge must still be exact.  The static verifier must accept
-every requantizer the compiler emits and prove the same tier.
+below the edge must still be exact.  A float64-tier requantizer moved
+onto the int64 tier must be exact too, so the int64 tier is checked on
+every drawn case.  The static verifier must accept every requantizer the
+compiler emits and prove the same tier.
 """
 
 import copy
@@ -94,7 +96,7 @@ def eq5_cases(draw):
     )
 
 
-def _compile(case, narrow):
+def _compile(case):
     if case.per_channel:
         params = ICNParams(
             weights_q=np.zeros((case.c, 1, 1, 1), dtype=np.uint8),
@@ -102,13 +104,13 @@ def _compile(case, narrow):
             bq=case.bq, m0=case.m0, n0=case.n0, out_bits=case.out_bits,
             w_bits=8, per_channel=True,
         )
-        return params, _compile_icn_requant(params, case.acc_bound, narrow)
+        return params, _compile_icn_requant(params, case.acc_bound)
     params = FoldedBNParams(
         weights_q=np.zeros((case.c, 1, 1, 1), dtype=np.uint8), z_w=0, z_x=0,
         z_y=case.z_y, bq=case.bq, m0=int(case.m0[0]), n0=int(case.n0[0]),
         out_bits=case.out_bits, w_bits=8,
     )
-    return params, _compile_folded_requant(params, case.acc_bound, narrow)
+    return params, _compile_folded_requant(params, case.acc_bound)
 
 
 def _reference(case, params, phi):
@@ -156,13 +158,21 @@ def _on_float64_tier(requant):
     return forced
 
 
-def _verify(case, requant, narrow):
+def _on_int64_tier(requant):
+    """``requant`` moved onto the int64 tier (no float64 constants)."""
+    forced = copy.copy(requant)
+    forced.m_f64 = forced.c_f64 = None
+    forced.tier = "i64"
+    return forced
+
+
+def _verify(case, requant):
     layer = SimpleNamespace(
         name="probe", requant=requant, out_bits=case.out_bits,
         out_channels=case.c, acc_bound=case.acc_bound,
     )
     report = VerificationReport()
-    _check_requant(layer, narrow, report)
+    _check_requant(layer, report)
     return report
 
 
@@ -176,8 +186,7 @@ def test_both_tiers_match_the_reference(case, seed, n):
     phi = rng.integers(-a, a + 1, size=(n, case.c, 7 + edges.shape[1]), dtype=np.int64)
     phi[:, :, 7:] = edges
     phi[0, :, 0], phi[0, :, 1], phi[-1, :, 2] = a, -a, 0  # |Phi| at the bound
-    params, fast = _compile(case, narrow=True)
-    _, wide = _compile(case, narrow=False)
+    params, fast = _compile(case)
     ref = _reference(case, params, phi)
 
     worst = max(a * abs(m) + abs(b + (case.z_y << r)) for m, b, r in case.chans)
@@ -187,20 +196,21 @@ def test_both_tiers_match_the_reference(case, seed, n):
         assert worst < F64_EDGE
     if worst < F64_EDGE - (1 << 12):
         assert fast.tier == "f64"
-    assert wide.tier == "i64"
-    requants = [(fast, True), (wide, False)]
-    if fast.tier == "i64":
+    if fast.tier == "f64":
+        requants = [fast, _on_int64_tier(fast)]
+    else:
+        requants = [fast]
         forced = _on_float64_tier(fast)
         if worst < F64_EDGE:
-            requants.append((forced, True))
+            requants.append(forced)
         else:
-            assert not _verify(case, forced, True).ok
-    for requant, narrow in requants:
-        report = _verify(case, requant, narrow)
+            assert not _verify(case, forced).ok
+    for requant in requants:
+        report = _verify(case, requant)
         assert report.ok, report.violations
         assert report.tiers == {"probe": requant.tier}
 
-    for requant, _ in requants:
+    for requant in requants:
         for dtype in _accumulator_dtypes(a):
             acc = phi.astype(dtype)
             # One chunk per image (the scratch holds an image) and the
@@ -210,6 +220,3 @@ def test_both_tiers_match_the_reference(case, seed, n):
                 scratch = np.empty(scratch_size, dtype=np.int64)
                 requant.store(acc, out, scratch)
                 np.testing.assert_array_equal(out, ref, err_msg=f"{requant.tier} {dtype}")
-    # The wide path requantizes its int64 accumulator in place.
-    in_place = phi.copy()
-    np.testing.assert_array_equal(wide(in_place), ref)

@@ -12,6 +12,7 @@ from repro.inference.testing import integer_network_from_spec, random_network
 from repro.models.model_zoo import all_mobilenet_configs, mobilenet_v1_spec
 from repro.runtime import CompileOptions, Session, SessionOptions
 from repro.runtime.artifact import BLOBS_NAME, MANIFEST_NAME, load_artifact
+from repro.runtime.options import RETIRED_COMPILE_OPTIONS
 
 _CONFIGS = all_mobilenet_configs(num_classes=5)
 _SMALL = mobilenet_v1_spec(32, 0.25, num_classes=5)
@@ -69,13 +70,48 @@ def test_options_survive_the_round_trip(tmp_path):
     net = integer_network_from_spec(_SMALL, np.random.default_rng(0))
     session = Session(
         net,
-        CompileOptions(backend="int64", narrow=False, fused_depthwise=False),
+        CompileOptions(backend="int64", validate=False),
         SessionOptions(batch_size=3, validate=False, input_hw=(32, 32)),
     )
     restored = _roundtrip(tmp_path, session)
     assert restored.compile_options == session.compile_options
     assert restored.options == session.options
     assert all(i.backend == "int64" for i in restored.layer_info())
+
+
+def test_artifact_with_retired_options_loads_as_default(tmp_path):
+    """An artifact saved while the plan still had A/B compile options may
+    carry them (and ``backend: "blas"``).  Each selected a path whose
+    answers are bit-identical to the one plan, so the artifact loads as
+    the default plan, verifies, and re-saves without them."""
+    from repro.analysis import verify_artifact
+
+    net = integer_network_from_spec(_SMALL, np.random.default_rng(0))
+    path = Session(net, options=SessionOptions(input_hw=(32, 32))).save(
+        tmp_path / "old.artifact"
+    )
+    manifest_path = path / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    # Wide int64 codes, no arena, always-stencil depthwise, a-priori
+    # bound: every retired option set away from its old default.
+    manifest["compile_options"].update(
+        zip(RETIRED_COMPILE_OPTIONS, (False, False, True, False)), backend="blas"
+    )
+    manifest_path.write_text(json.dumps(manifest))
+
+    session = Session.load(path)
+    assert session.compile_options == CompileOptions()
+    x = np.random.default_rng(1).uniform(0, 1, size=(2, 3, 32, 32))
+    assert np.array_equal(net.forward(x), session.run(x))
+    assert verify_artifact(path).ok
+    resaved = json.loads(
+        (session.save(tmp_path / "new.artifact") / MANIFEST_NAME).read_text()
+    )["compile_options"]
+    assert not set(RETIRED_COMPILE_OPTIONS) & set(resaved)
+    assert resaved["backend"] == "auto"
+    session.close()
+    with pytest.raises(TypeError, match="narow"):
+        CompileOptions.from_dict({"narow": True})
 
 
 def test_export_import_round_trip_in_memory():

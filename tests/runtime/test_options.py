@@ -8,16 +8,15 @@ from repro.runtime import CompileOptions, SessionOptions
 class TestCompileOptions:
     def test_defaults_are_the_production_pipeline(self):
         o = CompileOptions()
-        assert o.backend == "auto" and o.validate and o.use_arena
-        assert o.fused_depthwise == "auto" and o.narrow and o.refined_bound
-        assert o.input_hw is None
+        assert o.backend == "auto" and o.validate
+        assert o.input_hw is None and o.max_input_hw is None
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            CompileOptions().backend = "blas"
+            CompileOptions().backend = "int64"
 
     def test_hashable_and_equal_by_value(self):
-        assert CompileOptions(narrow=False) == CompileOptions(narrow=False)
+        assert CompileOptions(validate=False) == CompileOptions(validate=False)
         assert len({CompileOptions(), CompileOptions()}) == 1
 
     def test_input_hw_normalised_to_int_tuple(self):
@@ -26,23 +25,23 @@ class TestCompileOptions:
         assert all(isinstance(d, int) for d in o.input_hw)
 
     @pytest.mark.parametrize("bad", [{"backend": "sgemm"},
-                                     {"fused_depthwise": "maybe"},
+                                     {"backend": "blas"},
                                      {"input_hw": (0, 4)},
                                      {"input_hw": 32}])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ValueError):
             CompileOptions(**bad)
 
-    def test_from_legacy_kwargs_rejects_unknown_names(self):
+    def test_from_dict_rejects_unknown_names(self):
         with pytest.raises(TypeError, match="valid options"):
-            CompileOptions.from_legacy_kwargs(narow=True)
+            CompileOptions.from_dict({"narow": True})
 
     def test_replace(self):
         o = CompileOptions().replace(backend="int64")
-        assert o.backend == "int64" and o.narrow
+        assert o.backend == "int64" and o.validate
 
     def test_dict_round_trip(self):
-        o = CompileOptions(backend="int32", narrow=False, input_hw=(8, 8))
+        o = CompileOptions(backend="int32", validate=False, input_hw=(8, 8))
         assert CompileOptions.from_dict(o.to_dict()) == o
 
 

@@ -34,7 +34,7 @@ class TestSession:
         assert np.array_equal(session.predict(x), net.predict(x))
 
     def test_compile_options_flow_through(self, net, x):
-        session = Session(net, CompileOptions(backend="int64", narrow=False))
+        session = Session(net, CompileOptions(backend="int64"))
         assert all(i.backend == "int64" for i in session.layer_info())
         assert np.array_equal(session.run(x), net.forward(x))
 
