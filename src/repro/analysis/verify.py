@@ -63,8 +63,8 @@ from repro.inference.kernels import (
     FLOAT32_EXACT_BITS,
     FLOAT64_EXACT_BITS,
     INT32_EXACT_BITS,
+    a_priori_gemm_backend,
     max_abs_accumulator,
-    resolve_gemm_backend,
 )
 from repro.inference.packing import container_dtype
 from repro.nn.functional import conv_output_size
@@ -828,8 +828,8 @@ def verify_artifact(path: Union[str, Path],
                 f"compiled {layer.k_reduction}",
             )
         recorded_backend = entry.get("gemm_backend")
-        expected_backend = resolve_gemm_backend(
-            "auto", layer.k_reduction, layer.in_bits, layer.w_bits
+        expected_backend = a_priori_gemm_backend(
+            layer.k_reduction, layer.in_bits, layer.w_bits
         )
         if recorded_backend is not None and recorded_backend != expected_backend:
             report.fail(

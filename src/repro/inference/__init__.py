@@ -10,7 +10,6 @@ from repro.inference.kernels import (
     int_depthwise_conv2d,
     int_linear,
     max_abs_accumulator,
-    resolve_gemm_backend,
 )
 from repro.inference.engine import (
     IntegerConvLayer,
@@ -40,7 +39,6 @@ __all__ = [
     "QuantizedTensor",
     "blas_gemm_is_exact",
     "max_abs_accumulator",
-    "resolve_gemm_backend",
     "depthwise_stencil_accumulate",
     "int_conv2d",
     "int_depthwise_conv2d",

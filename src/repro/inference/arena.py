@@ -39,8 +39,10 @@ bounded by.
 
 from __future__ import annotations
 
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +63,12 @@ _INT64_BYTES = np.dtype(np.int64).itemsize
 #: and stores straight into the container-width code slab — instead of
 #: round-tripping the whole layer through an out-sized int64 buffer.
 REQUANT_SCRATCH_BYTES = 512 << 10
+
+#: Batch sizes whose layer bindings one arena keeps (the least recently
+#: used is dropped first).  A binding set is ~0.3 MB of view objects per
+#: batch size on MobileNetV1 128_0.5; 8 covers the serving default
+#: ``max_batch``, and an evicted batch size just rebinds on its next call.
+MAX_BOUND_BATCHES = 8
 
 
 @dataclass(frozen=True)
@@ -342,9 +350,18 @@ class ActivationArena:
         A small *fixed-size* int64 buffer the chunked requantization
         tiles the accumulator through (batch-independent).
 
-    ``ensure`` grows capacity monotonically; views are handed out per
-    call, sliced to the live batch, so a smaller batch reuses the same
-    storage.
+    ``ensure`` grows capacity monotonically; views are sliced to the live
+    batch, so a smaller batch reuses the same storage.
+
+    **Bindings.** A compiled layer runs inside views of these slabs:
+    :meth:`bound` builds them once per (layer, input shape, code slot)
+    through the layer's ``bind`` and hands the same views back on every
+    later call, so a steady-state call constructs no views at all.
+    Bindings are grouped by batch size, at most
+    :data:`MAX_BOUND_BATCHES` of them (least recently used dropped
+    first), and hold no reference to the layer or its weights.  Whenever
+    the slab owner reallocates, its bindings and those of every arena
+    sharing its slabs are dropped, so no view pins a retired slab.
 
     **Shape polymorphism** (``slabs_from``): an arena may *adopt* the
     slabs of a donor arena planned for a larger (max) geometry instead
@@ -352,11 +369,12 @@ class ActivationArena:
     non-decreasing in the input ``(H, W)`` (``conv_output_size`` is
     monotone, and every pad/cols/acc/requant formula scales with the
     layer element counts), so an arena planned for any geometry at or
-    below the donor's fits inside the donor's slabs; the per-call views
-    slice only the prefix they need.  The child keeps its *own* per-layer
+    below the donor's fits inside the donor's slabs; its views slice
+    only the prefix they need.  The child keeps its *own* per-layer
     plan list — so Eq. 7 accounting, ``describe`` and the physical-bytes
-    checks stay exact for its geometry — while ``ensure`` delegates all
-    storage to the donor.  This is what lets one
+    checks stay exact for its geometry — while all storage stays with
+    the donor: ``ensure`` grows the donor and views read the donor's
+    current slabs.  This is what lets one
     :class:`~repro.inference.plan.ExecutionPlan` serve every input
     geometry up to a declared maximum without per-resolution slab
     explosion.
@@ -382,15 +400,23 @@ class ActivationArena:
         self.requant_scratch_bytes = max(
             (p.requant_bytes for p in conv), default=0
         )
-        self.capacity = 0
+        # Slab storage; a slab-sharing arena leaves these unset and reads
+        # its donor's.
+        self._capacity = 0
         self._codes: List[Optional[np.ndarray]] = [None, None]
         self._pad: Optional[np.ndarray] = None
         self._cols: Optional[np.ndarray] = None
         self._acc: Optional[np.ndarray] = None
         self._requant: Optional[np.ndarray] = None
         self._donor = slabs_from
+        #: Arenas executing inside this arena's slabs.
+        self._sharers: weakref.WeakSet[ActivationArena] = weakref.WeakSet()
+        #: batch size -> {(id(layer), input shape, slot): (layer ref, views)},
+        #: least recently used first.
+        self._bindings: OrderedDict[int, Dict[tuple, Tuple[Any, Any]]] = OrderedDict()
         if slabs_from is not None:
             self._check_fits_donor(slabs_from)
+            slabs_from._sharers.add(self)
 
     def _check_fits_donor(self, donor: "ActivationArena") -> None:
         """Every per-image byte need must fit the donor's slab sizing —
@@ -445,6 +471,15 @@ class ActivationArena:
         return sum(self.code_slot_bytes_per_image) * int(batch_size)
 
     @property
+    def capacity(self) -> int:
+        """Images the slabs hold right now (the donor's, when shared)."""
+        return self._slab_owner._capacity
+
+    @property
+    def _slab_owner(self) -> "ActivationArena":
+        return self if self._donor is None else self._donor
+
+    @property
     def shares_slabs(self) -> bool:
         """Whether this arena executes inside a donor arena's slabs."""
         return self._donor is not None
@@ -463,7 +498,7 @@ class ActivationArena:
         never double-counts."""
         if self._donor is not None:
             return 0
-        return self.planned_bytes(self.capacity) if self.capacity else 0
+        return self.planned_bytes(self._capacity) if self._capacity else 0
 
     @property
     def logical_rw_peak_bytes(self) -> int:
@@ -475,21 +510,22 @@ class ActivationArena:
         """Grow the slabs to hold ``batch_size`` images (never shrinks).
 
         A slab-sharing arena grows the *donor* instead (at the donor's
-        larger per-image sizes) and adopts its slabs — the donor's
+        larger per-image sizes), whose slabs its views read — the donor's
         capacity for ``n`` images is sufficient for any smaller geometry
         by the monotonicity argument checked at construction."""
         n = int(batch_size)
         if self._donor is not None:
             self._donor.ensure(n)
-            self._codes = list(self._donor._codes)
-            self._pad = self._donor._pad
-            self._cols = self._donor._cols
-            self._acc = self._donor._acc
-            self._requant = self._donor._requant
-            self.capacity = self._donor.capacity
             return
-        if n <= self.capacity:
+        if n <= self._capacity:
             return
+        # Release the old slabs, and every view bound on them (ours and
+        # our sharers'), before allocating: they are freed, not held
+        # next to their replacements.
+        self._drop_bindings()
+        self._codes = [None, None]
+        self._pad = self._cols = self._acc = None
+        self._capacity = 0
         self._codes = [
             np.empty(n * self.code_slot_bytes_per_image[0], dtype=np.uint8),
             np.empty(n * self.code_slot_bytes_per_image[1], dtype=np.uint8),
@@ -501,8 +537,39 @@ class ActivationArena:
             self._requant = np.empty(
                 self.requant_scratch_bytes // _INT64_BYTES, dtype=np.int64
             )
-        self.capacity = n
+        self._capacity = n
 
+    # -- bindings ------------------------------------------------------
+    def bound(self, layer, shape: Tuple[int, ...], slot: int):
+        """The views ``layer`` runs one call in, for input ``shape`` and
+        output code slot ``slot``.
+
+        Built by ``layer.bind(self, shape, slot)`` on first use and
+        returned as is until the slabs are reallocated or the batch size
+        falls out of the :data:`MAX_BOUND_BATCHES` most recently used.
+        Keyed by ``id(layer)`` with a weak reference to tell a recycled
+        id apart, so the cache never keeps a layer (or the weights it
+        may map from disk) alive.
+        """
+        group = self._bindings.get(shape[0])
+        if group is None:
+            group = self._bindings[shape[0]] = {}
+            if len(self._bindings) > MAX_BOUND_BATCHES:
+                self._bindings.popitem(last=False)
+        else:
+            self._bindings.move_to_end(shape[0])
+        key = (id(layer), shape, slot)
+        entry = group.get(key)
+        if entry is None or entry[0]() is not layer:
+            entry = group[key] = (weakref.ref(layer), layer.bind(self, shape, slot))
+        return entry[1]
+
+    def _drop_bindings(self) -> None:
+        self._bindings.clear()
+        for sharer in self._sharers:
+            sharer._bindings.clear()
+
+    # -- views (taken by the layers' bind step) ------------------------
     @staticmethod
     def _view(slab: np.ndarray, dtype, shape: Tuple[int, ...]) -> np.ndarray:
         count = int(np.prod(shape))
@@ -513,21 +580,21 @@ class ActivationArena:
             )
         return slab[:nbytes].view(dtype).reshape(shape)
 
-    # -- per-call views ------------------------------------------------
     def codes(self, slot: int, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        return self._view(self._codes[slot % 2], dtype, shape)
+        return self._view(self._slab_owner._codes[slot % 2], dtype, shape)
 
     def pad(self, dtype, shape: Tuple[int, ...]) -> np.ndarray:
-        return self._view(self._pad, dtype, shape)
+        return self._view(self._slab_owner._pad, dtype, shape)
 
     def cols(self, dtype, shape: Tuple[int, ...]) -> np.ndarray:
-        return self._view(self._cols, dtype, shape)
+        return self._view(self._slab_owner._cols, dtype, shape)
 
     def acc(self, dtype, shape: Tuple[int, ...]) -> np.ndarray:
-        return self._view(self._acc, dtype, shape)
+        return self._view(self._slab_owner._acc, dtype, shape)
 
     def requant_scratch(self) -> np.ndarray:
         """The flat int64 requantization scratch (fixed size per arena)."""
-        if self._requant is None:
+        requant = self._slab_owner._requant
+        if requant is None:
             raise ValueError("arena was planned without requantization scratch")
-        return self._requant
+        return requant

@@ -27,7 +27,7 @@ from repro.inference.engine import (
     IntegerLinearLayer,
     IntegerNetwork,
 )
-from repro.inference.kernels import gemm_reduction_length, resolve_gemm_backend
+from repro.inference.kernels import a_priori_gemm_backend, gemm_reduction_length
 from repro.inference.packing import (
     container_dtype,
     pack_subbyte,
@@ -177,7 +177,7 @@ def export_network(net: IntegerNetwork, input_hw: Optional[Tuple[int, int]] = No
             # Host-emulation dispatch decision (recorded so a firmware
             # image and the emulator agree on the accumulator contract).
             "k_reduction": int(k_reduction),
-            "gemm_backend": resolve_gemm_backend("auto", k_reduction, layer.in_bits, p.w_bits),
+            "gemm_backend": a_priori_gemm_backend(k_reduction, layer.in_bits, p.w_bits),
         }
         layers.append(entry)
     out = {"conv_layers": layers}
@@ -188,8 +188,8 @@ def export_network(net: IntegerNetwork, input_hw: Optional[Tuple[int, int]] = No
             "w_bits": cl.w_bits,
             "in_bits": cl.in_bits,
             "k_reduction": gemm_reduction_length("fc", cl.weights_q.shape),
-            "gemm_backend": resolve_gemm_backend(
-                "auto", gemm_reduction_length("fc", cl.weights_q.shape), cl.in_bits, cl.w_bits
+            "gemm_backend": a_priori_gemm_backend(
+                gemm_reduction_length("fc", cl.weights_q.shape), cl.in_bits, cl.w_bits
             ),
             "weight_shape": list(cl.weights_q.shape),
             "weights_packed": pack_subbyte(cl.weights_q, cl.w_bits),

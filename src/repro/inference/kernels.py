@@ -54,8 +54,6 @@ FLOAT32_EXACT_BITS = 24
 #: ``bits_w + bits_a + log2(k)`` stays below 31 (signed).
 INT32_EXACT_BITS = 31
 
-GEMM_BACKENDS = ("auto", "blas", "int32", "int64")
-
 
 def max_abs_accumulator(k_reduction: int, x_bits: int, w_bits: int) -> int:
     """Worst-case ``|Phi|`` of a length-``k_reduction`` MAC reduction.
@@ -119,26 +117,15 @@ def blas_gemm_dtype(k_reduction: int, x_bits: int, w_bits: int):
     return np.float64
 
 
-def resolve_gemm_backend(backend: str, k_reduction: int, x_bits: int, w_bits: int) -> str:
-    """Resolve ``"auto"`` to a concrete backend; reject an unsound choice."""
-    if backend not in GEMM_BACKENDS:
-        raise ValueError(f"unknown GEMM backend {backend!r}; expected one of {GEMM_BACKENDS}")
-    exact = blas_gemm_is_exact(k_reduction, x_bits, w_bits)
-    if backend == "auto":
-        return "blas" if exact else "int64"
-    if backend == "blas" and not exact:
-        raise ValueError(
-            f"float64 GEMM is not exact for k={k_reduction}, Qx={x_bits}, Qw={w_bits}: "
-            f"worst-case |Phi| = {max_abs_accumulator(k_reduction, x_bits, w_bits)} "
-            f">= 2^{FLOAT64_EXACT_BITS}"
-        )
-    if backend == "int32" and not int32_gemm_is_exact(k_reduction, x_bits, w_bits):
-        raise ValueError(
-            f"int32 accumulation overflows for k={k_reduction}, Qx={x_bits}, "
-            f"Qw={w_bits}: worst-case |Phi| = "
-            f"{max_abs_accumulator(k_reduction, x_bits, w_bits)} >= 2^{INT32_EXACT_BITS}"
-        )
-    return backend
+def a_priori_gemm_backend(k_reduction: int, x_bits: int, w_bits: int) -> str:
+    """The a-priori accumulator contract of one layer: ``"blas"`` when a
+    float64 GEMM is exact for the corner-case bound, ``"int64"`` otherwise.
+
+    This is the label a deployment manifest records per layer (and the
+    verifier re-derives); the compiled plan refines it from the actual
+    weights, so the layer may still run a narrower tier.
+    """
+    return "blas" if blas_gemm_is_exact(k_reduction, x_bits, w_bits) else "int64"
 
 
 def check_codes(name: str, arr: np.ndarray, bits: int) -> None:

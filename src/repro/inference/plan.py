@@ -46,8 +46,9 @@ memory stays bounded by one tile regardless of the sweep size.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,6 +79,12 @@ from repro.inference.packing import container_dtype
 from repro.nn.functional import conv_output_size, im2col
 
 _INT64 = np.dtype(np.int64)
+
+#: Input geometries whose activation arenas one plan keeps.  Past it the
+#: least recently used one is dropped (never the compile-time
+#: ``input_hw`` arena or the ``max_input_hw`` donor); a dropped geometry
+#: is planned again on its next call.
+MAX_ARENA_GEOMETRIES = 8
 
 #: Most K-chunks a split-K sgemm layer may use.  Each chunk is one sgemm
 #: call plus one accumulate pass; past a few chunks the float64 GEMM is
@@ -198,13 +205,16 @@ class _CompiledFixedPointRequant:
     :mod:`repro.analysis.verify` recomputes every folded constant in
     Python ints and re-proves the tier's bound.
 
-    ``store(phi, out, scratch)`` casts the accumulator (float32/float64/
-    int32/int64) into the small int64 ``scratch`` (viewed as float64 on
-    the ``f64`` tier) in cache-resident chunks — one per image when an
-    image's accumulator fits — requantizes there in place and truncates
-    into the container-width ``out`` codes.  The casts stay in those two
-    plain copies: a ufunc that casts its operands runs numpy's buffered
-    loop, which measured slower than the extra copy.
+    ``bind(phi, out, scratch)`` cuts the accumulator (float32/float64/
+    int32/int64), the small int64 ``scratch`` (viewed as float64 on the
+    ``f64`` tier) and the container-width ``out`` codes into aligned
+    cache-resident chunks — one per image when an image's accumulator
+    fits; ``run(chunks)`` casts each accumulator chunk into its scratch,
+    requantizes there in place and truncates into its codes.  The casts
+    stay in those two plain copies: a ufunc that casts its operands runs
+    numpy's buffered loop, which measured slower than the extra copy.
+    The clip bounds are typed scalars, which ``ndarray.clip`` takes
+    without converting Python ints on every call.
     """
 
     kind = "fixed"
@@ -220,6 +230,9 @@ class _CompiledFixedPointRequant:
         self.lshift = np.maximum(-shift, 0)
         self.z_y = int(z_y)
         self.qmax = 2 ** out_bits - 1
+        self._z_y_i64 = np.int64(self.z_y)
+        self._clip_i64 = (np.int64(0), np.int64(self.qmax))
+        self._clip_f64 = (np.float64(0), np.float64(self.qmax))
         self.m_int = np.left_shift(m0, self.lshift)
         self.b_int = np.left_shift(bq * m0, self.lshift)
         if _float64_tier_fits(
@@ -234,35 +247,42 @@ class _CompiledFixedPointRequant:
             self.tier = "i64"
             self.m_f64 = self.c_f64 = None
 
-    # hot
-    def _i64(self, s: np.ndarray) -> None:
-        s *= self.m_int
-        s += self.b_int
-        np.right_shift(s, self.rshift, out=s)
-        s += self.z_y
-        np.clip(s, 0, self.qmax, out=s)
-
-    # hot
-    def _f64(self, s: np.ndarray) -> None:
-        s *= self.m_f64
-        s += self.c_f64
-        np.clip(s, 0, self.qmax, out=s)
-
-    # hot
-    def store(self, phi: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        epilogue = self._i64
+    def bind(self, phi: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> tuple:
+        """``(accumulator, scratch, codes)`` chunk views for :meth:`run`."""
         if self.tier == "f64":
-            epilogue, scratch = self._f64, scratch.view(np.float64)
+            scratch = scratch.view(np.float64)
         n, c, l = phi.shape
         lc = max(1, min(l, scratch.size // max(c, 1)))
+        chunks = []
         for b in range(n):
             for l0 in range(0, l, lc):
                 l1 = min(l0 + lc, l)
-                s = scratch[: c * (l1 - l0)].reshape(1, c, l1 - l0)
-                np.copyto(s, phi[b:b + 1, :, l0:l1], casting="unsafe")
-                epilogue(s)
-                np.copyto(out[b:b + 1, :, l0:l1], s, casting="unsafe")
-        return out
+                chunks.append((phi[b:b + 1, :, l0:l1],
+                               scratch[: c * (l1 - l0)].reshape(1, c, l1 - l0),
+                               out[b:b + 1, :, l0:l1]))
+        return tuple(chunks)
+
+    # hot
+    def run(self, chunks: tuple) -> None:
+        if self.tier == "f64":
+            m, c, (lo, hi) = self.m_f64, self.c_f64, self._clip_f64
+            for phi, s, out in chunks:
+                np.copyto(s, phi, casting="unsafe")
+                s *= m
+                s += c
+                s.clip(lo, hi, out=s)
+                np.copyto(out, s, casting="unsafe")
+            return
+        m, b, r, z, (lo, hi) = (self.m_int, self.b_int, self.rshift,
+                                self._z_y_i64, self._clip_i64)
+        for phi, s, out in chunks:
+            np.copyto(s, phi, casting="unsafe")
+            s *= m
+            s += b
+            np.right_shift(s, r, out=s)
+            s += z
+            s.clip(lo, hi, out=s)
+            np.copyto(out, s, casting="unsafe")
 
 
 def _compile_icn_requant(params: ICNParams, acc_bound: int) -> _CompiledFixedPointRequant:
@@ -292,9 +312,10 @@ def _compile_folded_requant(params: FoldedBNParams,
 class _CompiledThresholdRequant:
     """Per-channel threshold tables pre-sliced/pre-reversed for searchsorted.
 
-    ``store`` consumes the accumulator one image at a time through the
-    int64 scratch — ``searchsorted`` compares in the integer domain — and
-    writes the clipped levels into the container-width code slab.
+    ``run`` consumes the accumulator one image at a time through the
+    int64 scratch — ``searchsorted`` compares in the integer domain —
+    writes each channel's clipped levels back over its scratch row, and
+    copies the image's levels into the container-width code slab.
     """
 
     kind = "thr"
@@ -302,6 +323,7 @@ class _CompiledThresholdRequant:
 
     def __init__(self, params: ThresholdParams):
         self.levels = 2 ** params.out_bits
+        self._clip = (np.intp(0), np.intp(self.levels - 1))
         self.tables: List[tuple] = []
         for c in range(params.thresholds.shape[0]):
             th = params.thresholds[c, 1:]
@@ -317,17 +339,24 @@ class _CompiledThresholdRequant:
             y = self.levels - 1 - np.searchsorted(table, vals, side="left")
         return y
 
-    # hot
-    def store(self, phi: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    def bind(self, phi: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> tuple:
+        """The image-sized scratch, its per-channel rows, and per image
+        the ``(accumulator, codes)`` views for :meth:`run`."""
         n, c, l = phi.shape
-        for b in range(n):
-            s = scratch[: c * l].reshape(c, l)
-            np.copyto(s, phi[b], casting="unsafe")
-            for ch, (table, direction) in enumerate(self.tables):
-                y = self._levels_for(s[ch], table, direction)
-                np.clip(y, 0, self.levels - 1, out=y)
-                np.copyto(out[b, ch], y, casting="unsafe")
-        return out
+        s = scratch[: c * l].reshape(c, l)
+        return s, tuple(s), tuple((phi[b], out[b]) for b in range(n))
+
+    # hot
+    def run(self, bound: tuple) -> None:
+        s, rows, images = bound
+        lo, hi = self._clip
+        for phi, out in images:
+            np.copyto(s, phi, casting="unsafe")
+            for vals, (table, direction) in zip(rows, self.tables):
+                y = self._levels_for(vals, table, direction)
+                y.clip(lo, hi, out=y)
+                np.copyto(vals, y)
+            np.copyto(out, s, casting="unsafe")
 
 
 def _compile_requant(params, acc_bound: int):
@@ -438,86 +467,98 @@ class CompiledConvLayer:
             return np.einsum("ck,nckl->ncl", self.w2, cols, optimize=True, out=out)
         return int_einsum_gemm(self.w2, cols, out=out)
 
-    # hot
-    def _shift_pad(self, x_codes: np.ndarray, dtype, arena) -> np.ndarray:
-        """Zero-point shift and zero-pad into the arena's pad slab.
+    def bind(self, arena: ActivationArena, shape: Tuple[int, ...],
+             slot: int) -> "_LayerViews":
+        """Every arena view one call at input ``shape`` touches.
 
-        Writing ``x - Z_x`` straight into the interior of the padded
-        buffer fuses what the interpreted path does in two full-tensor
-        passes (``subtract`` then ``np.pad``).  The subtraction loop is
-        pinned to the GEMM dtype so narrow (uint8) input containers are
-        widened on the fly, never wrapped.
+        The arena caches the result (:meth:`ActivationArena.bound`), so
+        a steady-state call only issues kernels.  A depthwise layer binds
+        both the stencil's and the im2col path's views: which one runs is
+        decided on every call.
         """
-        p = self.padding
-        n, c, h, w = x_codes.shape
-        if p == 0:
-            out = arena.pad(dtype, (n, c, h, w))
-            return np.subtract(x_codes, self.z_x, out=out, dtype=dtype)
-        out = arena.pad(dtype, (n, c, h + 2 * p, w + 2 * p))
-        out.fill(0)
-        np.subtract(x_codes, self.z_x, out=out[:, :, p:-p, p:-p], dtype=dtype)
-        return out
-
-    # hot
-    def _unfold(self, x_shift: np.ndarray, arena, n: int, l_out: int) -> np.ndarray:
-        """im2col columns — a pure view for 1x1/s1, an arena slab otherwise."""
-        if self.kh == 1 and self.kw == 1 and self.stride == 1:
-            return x_shift.reshape(n, self.in_channels, l_out)
-        shape = (n, self.in_channels * self.kh * self.kw, l_out)
-        return im2col(x_shift, self.kh, self.kw, self.stride, 0,
-                      out=arena.cols(x_shift.dtype, shape))
-
-    # hot
-    def __call__(self, x_codes: np.ndarray, arena: ActivationArena,
-                 slot: int = 0) -> np.ndarray:
-        n, c, h, w = x_codes.shape
+        n, c, h, w = shape
         oh = conv_output_size(h, self.kh, self.stride, self.padding)
         ow = conv_output_size(w, self.kw, self.stride, self.padding)
         l_out = oh * ow
         out_shape = (n, self.out_channels, l_out)
-        x_shift = self._shift_pad(x_codes, self.gemm_dtype, arena)
-        if self.kind == "dw" and depthwise_prefers_stencil(
-                n, c, self.kh, self.kw, oh, ow, self.gemm_itemsize,
-                stride=self.stride):
-            # Per-tap strided stencil; the im2col-sized cols slab holds
-            # the output-sized tap temporary.
-            tmp = (arena.cols(self.gemm_dtype, (n, c, oh, ow))
-                   if self.k_reduction > 1 else None)
-            phi = depthwise_stencil_accumulate(
-                x_shift, self.w_cols, self.kh, self.kw, self.stride,
-                out=arena.acc(self.gemm_dtype, (n, c, oh, ow)), tmp=tmp,
+        v = _LayerViews()
+        # Zero-point-shifted input, zero-padded: ``x - Z_x`` is written
+        # straight into the interior of the padded buffer (one pass where
+        # the interpreted path makes two, subtract then ``np.pad``).
+        p = self.padding
+        v.pad = arena.pad(self.gemm_dtype, (n, c, h + 2 * p, w + 2 * p))
+        v.pad_in = v.pad[:, :, p:-p, p:-p] if p else v.pad
+        # im2col columns: a pure view for 1x1/s1, an arena slab otherwise.
+        if self.kh == 1 and self.kw == 1 and self.stride == 1:
+            v.cols = None
+            cols = v.pad.reshape(n, c, l_out)
+        else:
+            v.cols = cols = arena.cols(self.gemm_dtype, (n, c * self.kh * self.kw, l_out))
+        v.acc = arena.acc(self.acc_dtype, out_shape)
+        v.gemm_in, v.gemm_out = cols, v.acc
+        v.dispatch = v.split = None
+        if self.kind == "dw":
+            v.gemm_in = cols.reshape(n, c, self.k_reduction, l_out)
+            if self.backend == "blas":
+                v.gemm_out = v.acc.reshape(n, c, 1, l_out)
+            v.dispatch = (n, c, self.kh, self.kw, oh, ow, self.gemm_itemsize)
+            # The stencil accumulates into the same accumulator; the
+            # im2col-sized cols slab holds its output-sized tap buffer.
+            v.stencil_out = v.acc.reshape(n, c, oh, ow)
+            v.tap = (arena.cols(self.gemm_dtype, (n, c, oh, ow))
+                     if self.k_reduction > 1 else None)
+        elif self.split_k is not None:
+            v.split = (arena.cols(self.gemm_dtype, out_shape),
+                       tuple(cols[:, k0:k1, :] for k0, k1 in self.split_k))
+        out = arena.codes(slot, out_shape, self.out_dtype)
+        v.requant = self.requant.bind(v.acc, out, arena.requant_scratch())
+        v.out = out.reshape(n, self.out_channels, oh, ow)
+        return v
+
+    # hot
+    def __call__(self, x_codes: np.ndarray, arena: ActivationArena,
+                 slot: int = 0) -> np.ndarray:
+        v = arena.bound(self, x_codes.shape, slot)
+        if self.padding:
+            v.pad.fill(0)
+        # The subtraction loop is pinned to the GEMM dtype, so narrow
+        # (uint8) input containers are widened on the fly, never wrapped.
+        np.subtract(x_codes, self.z_x, out=v.pad_in, dtype=self.gemm_dtype)
+        if v.dispatch is not None and depthwise_prefers_stencil(
+                *v.dispatch, stride=self.stride):
+            depthwise_stencil_accumulate(
+                v.pad, self.w_cols, self.kh, self.kw, self.stride,
+                out=v.stencil_out, tmp=v.tap,
             )
-        elif self.backend == "blas":
-            cols = self._unfold(x_shift, arena, n, l_out)
-            if self.split_k is not None:
+        else:
+            if v.cols is not None:
+                im2col(v.pad, self.kh, self.kw, self.stride, 0, out=v.cols)
+            if v.split is not None:
                 # Chunked sgemm over the K-partition, each chunk exact in
                 # float32, summed exactly in the float64 accumulator.
-                acc = arena.acc(np.float64, out_shape)
-                tmp = arena.cols(self.gemm_dtype, out_shape)
-                (k0, k1), *rest = self.split_k
-                np.matmul(self.w2_chunks[0], cols[:, k0:k1, :], out=tmp)
-                np.copyto(acc, tmp)
-                for (k0, k1), w2c in zip(rest, self.w2_chunks[1:]):
-                    np.matmul(w2c, cols[:, k0:k1, :], out=tmp)
-                    acc += tmp
-                phi = acc
-            elif self.kind == "dw":
-                cols = cols.reshape(n, c, self.k_reduction, l_out)
-                phi = np.matmul(self.w2, cols,
-                                out=arena.acc(self.gemm_dtype, (n, c, 1, l_out)))
+                tmp, chunks = v.split
+                np.matmul(self.w2_chunks[0], chunks[0], out=tmp)
+                np.copyto(v.acc, tmp)
+                for w2c, chunk in zip(self.w2_chunks[1:], chunks[1:]):
+                    np.matmul(w2c, chunk, out=tmp)
+                    np.add(v.acc, tmp, out=v.acc)
+            elif self.backend == "blas":
+                np.matmul(self.w2, v.gemm_in, out=v.gemm_out)
             else:
-                phi = np.matmul(self.w2, cols, out=arena.acc(self.gemm_dtype, out_shape))
-        else:
-            cols = self._unfold(x_shift, arena, n, l_out)
-            if self.kind == "dw":
-                cols = cols.reshape(n, c, self.k_reduction, l_out)
-            phi = self._accumulate_int(cols, out=arena.acc(self.gemm_dtype, out_shape))
+                self._accumulate_int(v.gemm_in, out=v.gemm_out)
         # Chunked requantization: accumulator -> int64 scratch tiles ->
         # container-width codes.  Exact: every accumulator value is an
         # integer below the refined bound by construction.
-        out = arena.codes(slot, out_shape, self.out_dtype)
-        self.requant.store(phi.reshape(out_shape), out, arena.requant_scratch())
-        return out.reshape(n, self.out_channels, oh, ow)
+        self.requant.run(v.requant)
+        return v.out
+
+
+class _LayerViews:
+    """The arena views of one :class:`CompiledConvLayer` call at one input
+    shape: only slab views, never the layer or its weights."""
+
+    __slots__ = ("pad", "pad_in", "cols", "acc", "gemm_in", "gemm_out",
+                 "dispatch", "stencil_out", "tap", "split", "requant", "out")
 
 
 class CompiledLinear:
@@ -626,7 +667,9 @@ class ExecutionPlan:
             else CompiledLinear(network.classifier, backend=options.backend,
                                 validate=self.validate)
         )
-        self._arenas: Dict[Tuple[int, int], ActivationArena] = {}
+        self._arenas: OrderedDict[Tuple[int, int], ActivationArena] = OrderedDict()
+        self._pinned = {hw for hw in (options.input_hw, options.max_input_hw)
+                        if hw is not None}
         # Shape-polymorphic plans size one arena for the declared max
         # geometry; every smaller geometry adopts its slabs (arena_for).
         self._max_arena: Optional[ActivationArena] = None
@@ -667,9 +710,12 @@ class ExecutionPlan:
     def arena_for(self, input_hw: Tuple[int, int]) -> ActivationArena:
         """The static activation arena planned for one input geometry.
 
-        Planned once per ``(H, W)`` and cached; its slabs grow to the
-        largest batch seen (``planned_bytes(batch)`` is exact for any
-        batch).  This is also the introspection entry point: the arena
+        Planned once per ``(H, W)`` and cached, for at most
+        :data:`MAX_ARENA_GEOMETRIES` geometries (least recently used
+        dropped first, except the compile-time ``input_hw`` and
+        ``max_input_hw`` arenas); its slabs grow to the largest batch
+        seen (``planned_bytes(batch)`` is exact for any batch).  This is
+        also the introspection entry point: the arena
         carries the per-layer :class:`LayerActivationPlan` list, the
         Eq. 7 ``logical_rw_peak_bytes`` the deploy path checks against a
         device's RW budget, and the container-width
@@ -683,21 +729,26 @@ class ExecutionPlan:
         """
         key = (int(input_hw[0]), int(input_hw[1]))
         arena = self._arenas.get(key)
-        if arena is None:
-            donor = None
-            max_hw = self.options.max_input_hw
-            if self._max_arena is not None and key != max_hw:
-                if key[0] > max_hw[0] or key[1] > max_hw[1]:
-                    raise ValueError(
-                        f"input geometry {key[0]}x{key[1]} exceeds the "
-                        f"plan's declared max geometry "
-                        f"{max_hw[0]}x{max_hw[1]}"
-                    )
-                donor = self._max_arena
-            arena = ActivationArena(
-                plan_activations(self._geometries(), key), slabs_from=donor
-            )
-            self._arenas[key] = arena
+        if arena is not None:
+            self._arenas.move_to_end(key)
+            return arena
+        donor = None
+        max_hw = self.options.max_input_hw
+        if self._max_arena is not None and key != max_hw:
+            if key[0] > max_hw[0] or key[1] > max_hw[1]:
+                raise ValueError(
+                    f"input geometry {key[0]}x{key[1]} exceeds the "
+                    f"plan's declared max geometry "
+                    f"{max_hw[0]}x{max_hw[1]}"
+                )
+            donor = self._max_arena
+        arena = ActivationArena(
+            plan_activations(self._geometries(), key), slabs_from=donor
+        )
+        self._arenas[key] = arena
+        if len(self._arenas) > MAX_ARENA_GEOMETRIES:
+            stale = next(k for k in self._arenas if k not in self._pinned)
+            del self._arenas[stale]
         return arena
 
     # -- execution -----------------------------------------------------

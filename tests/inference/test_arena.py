@@ -1,9 +1,12 @@
 """Activation-arena safety: arena plan vs. interpreted reference
 bit-identity on random networks, planned-peak bounds on measured
-allocations, and the Eq. 7 cross-check against the analytical memory
-model."""
+allocations, the Eq. 7 cross-check against the analytical memory
+model, and the lifetime of the views layers bind to the slabs and of
+the per-geometry arenas."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,16 +15,18 @@ from hypothesis import given, settings, strategies as st
 from repro.core.memory_model import MemoryModel
 from repro.core.policy import QuantMethod, QuantPolicy
 from repro.inference.arena import (
+    MAX_BOUND_BATCHES,
     ActivationArena,
     LayerGeometry,
     logical_rw_peak_bytes,
     plan_activations,
 )
+from repro.inference.plan import MAX_ARENA_GEOMETRIES
 from repro.inference.testing import integer_network_from_spec, random_network
 from repro.mcu.deploy import assert_arena_fits
 from repro.mcu.device import MCUDevice
 from repro.models.model_zoo import mobilenet_v1_spec
-from repro.runtime import CompileOptions
+from repro.runtime import CompileOptions, Session, SessionOptions
 
 
 @given(seed=st.integers(0, 2 ** 16), bits=st.sampled_from([2, 4, 8]))
@@ -176,3 +181,110 @@ def test_describe_reports_arena_peak_and_fused_dispatch():
         assert line.endswith("auto-stencil" if " dw " in line else "im2col"), line
     # Without a planned geometry the summary simply omits the arena block.
     assert "activation arena" not in net.compile().describe()
+
+
+def _mobilenet(resolution=32):
+    spec = mobilenet_v1_spec(resolution, 0.25, num_classes=5)
+    return integer_network_from_spec(spec, np.random.default_rng(0))
+
+
+def _images(n, hw, seed=0):
+    return np.random.default_rng(seed).uniform(0, 1, (n, 3, *hw))
+
+
+class TestBindings:
+    """Layers bind their views once per input shape; a binding must never
+    outlive the slabs it views, and the cache stays bounded."""
+
+    def test_growth_frees_the_old_slabs(self):
+        net = _mobilenet()
+        plan = net.compile()
+        arena = plan.arena_for((32, 32))
+        plan.run(_images(1, (32, 32)))
+        old_pad = weakref.ref(arena._pad)
+        for n in (4, 1):
+            x = _images(n, (32, 32), seed=n)
+            assert np.array_equal(plan.run(x), net.forward(x))
+        gc.collect()
+        assert old_pad() is None
+        assert arena.capacity == 4
+
+    def test_donor_growth_drops_the_sharers_bindings(self):
+        net = _mobilenet(64)
+        plan = net.compile(CompileOptions(max_input_hw=(64, 64)))
+        donor = plan.arena_for((64, 64))
+        x = _images(1, (32, 32))
+        assert np.array_equal(plan.run(x), net.forward(x))
+        child = plan.arena_for((32, 32))
+        assert child.donor is donor and tuple(child._bindings) == (1,)
+        old_pad = weakref.ref(donor._pad)
+        x = _images(3, (64, 64), seed=1)
+        assert np.array_equal(plan.run(x), net.forward(x))
+        # The donor's reallocation dropped the child's views at once.
+        gc.collect()
+        assert old_pad() is None
+        assert tuple(child._bindings) == ()
+        x = _images(1, (32, 32), seed=2)
+        assert np.array_equal(plan.run(x), net.forward(x))
+        gc.collect()
+        assert old_pad() is None
+
+    def test_batch_sizes_bound_is_kept(self):
+        net = _mobilenet()
+        plan = net.compile()
+        arena = plan.arena_for((32, 32))
+        x = _images(64, (32, 32))
+        ref = net.forward(x)
+        # Largest batch first: the slabs never grow again, so every batch
+        # size binds on the same slabs and only the LRU bound evicts.
+        for n in range(64, 0, -1):
+            out = plan.run(x[:n])
+            assert len(arena._bindings) <= MAX_BOUND_BATCHES
+        assert np.array_equal(out, ref[:1])
+        assert tuple(arena._bindings)[-1] == 1
+        # An evicted batch size rebinds and stays exact.
+        assert 64 not in arena._bindings
+        assert np.array_equal(plan.run(x), ref)
+
+    def test_binding_keeps_no_layer_alive(self):
+        net = _mobilenet()
+        plan = net.compile()
+        arena = plan.arena_for((32, 32))
+        plan.run(_images(1, (32, 32)))
+        layer = weakref.ref(plan.layers[0])
+        plan.layers = []
+        gc.collect()
+        assert layer() is None
+        assert tuple(arena._bindings) == (1,)
+
+
+def test_per_geometry_arenas_are_bounded():
+    """Every new input geometry plans an arena; a plan keeps only the most
+    recently used few, plus the compile-time one."""
+    net = _mobilenet()
+    session = Session(net, CompileOptions(input_hw=(32, 32)),
+                      SessionOptions(input_hw=(32, 32)))
+    plan = session.plan
+    x = _images(1, (32, 32))
+    # Warm the reference engine too: it caches its shifted weights.
+    assert np.array_equal(session.run(x), net.forward(x))
+    geometries = [(hw, hw) for hw in range(33, 96, 2)]
+    assert len(geometries) == 32
+    largest = 0
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        for i, hw in enumerate(geometries):
+            x = _images(1, hw, seed=i)
+            assert np.array_equal(session.run(x), net.forward(x)), hw
+            largest = max(largest, plan.arena_for(hw).allocated_bytes)
+            assert len(plan._arenas) <= MAX_ARENA_GEOMETRIES
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert retained <= MAX_ARENA_GEOMETRIES * largest, (retained, largest)
+    assert (32, 32) in plan._arenas
+    assert geometries[0] not in plan._arenas
+    x = _images(1, geometries[0], seed=99)
+    assert np.array_equal(session.run(x), net.forward(x))

@@ -190,3 +190,35 @@ class TestAutoDispatch:
         ref = net.forward(x)
         monkeypatch.setattr(k, "DW_IM2COL_BYTES_THRESHOLD", 0)
         assert np.array_equal(ref, net.compile().run(x))
+
+    def test_dispatch_is_read_per_call_after_binding(self, monkeypatch):
+        """One plan, three threshold settings: the views a layer binds on
+        its first call must not freeze the stencil/im2col decision."""
+        import repro.inference.kernels as k
+        import repro.inference.plan as plan_mod
+        from repro.inference.testing import integer_network_from_spec
+        from repro.models.model_zoo import mobilenet_v1_spec
+
+        spec = mobilenet_v1_spec(32, 0.25, num_classes=5)
+        net = integer_network_from_spec(spec, np.random.default_rng(0))
+        plan = net.compile()
+        n_dw = sum(layer.kind == "dw" for layer in plan.layers)
+        stencil = plan_mod.depthwise_stencil_accumulate
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return stencil(*args, **kwargs)
+
+        monkeypatch.setattr(plan_mod, "depthwise_stencil_accumulate", counted)
+        x = np.random.default_rng(3).uniform(0, 1, size=(1, 3, 32, 32))
+        ref = net.forward(x)
+        counts = []
+        for threshold in (None, 0, 1 << 62):
+            if threshold is not None:
+                monkeypatch.setattr(k, "DW_IM2COL_BYTES_THRESHOLD", threshold)
+                monkeypatch.setattr(k, "DW_IM2COL_S2_BYTES_THRESHOLD", threshold)
+            calls.clear()
+            assert np.array_equal(plan.run(x), ref)
+            counts.append(len(calls))
+        assert counts == [0, n_dw, 0]

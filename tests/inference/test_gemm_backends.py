@@ -12,11 +12,11 @@ import pytest
 from repro.inference.kernels import (
     FLOAT32_EXACT_BITS,
     FLOAT64_EXACT_BITS,
+    a_priori_gemm_backend,
     blas_gemm_dtype,
     blas_gemm_is_exact,
     int_conv2d,
     max_abs_accumulator,
-    resolve_gemm_backend,
 )
 from repro.nn.functional import im2col
 
@@ -33,21 +33,14 @@ class TestExactnessBound:
     def test_bound_rejects_wide_operands(self):
         # 32-bit operands overflow the float64 significand even at k=10.
         assert not blas_gemm_is_exact(10, 32, 32)
-        assert resolve_gemm_backend("auto", 10, 32, 32) == "int64"
-
-    def test_forced_blas_raises_when_not_exact(self):
-        with pytest.raises(ValueError, match="not exact"):
-            resolve_gemm_backend("blas", 10, 32, 32)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown GEMM backend"):
-            resolve_gemm_backend("fast", 9, 8, 8)
+        assert a_priori_gemm_backend(10, 32, 32) == "int64"
+        assert a_priori_gemm_backend(10, 8, 8) == "blas"
 
     def test_kernel_falls_back_when_bound_exceeded(self):
-        """auto on 32-bit operands resolves to int64, and the int64
+        """32-bit operands take the int64 label, and the int64
         reference stays exact where no float significand would."""
         rng = np.random.default_rng(0)
-        assert resolve_gemm_backend("auto", 2 * 9, 32, 32) == "int64"
+        assert a_priori_gemm_backend(2 * 9, 32, 32) == "int64"
         # 2^29 codes: 18 products stay below 2^63 but far above 2^53.
         x = rng.integers(0, 2 ** 29, size=(1, 2, 4, 4))
         w = rng.integers(0, 2 ** 29, size=(2, 2, 3, 3))

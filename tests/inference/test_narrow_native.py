@@ -28,7 +28,6 @@ from repro.inference.kernels import (
     int_linear,
     max_abs_accumulator,
     refined_max_abs_accumulator,
-    resolve_gemm_backend,
 )
 from repro.inference.packing import (
     container_dtype,
@@ -119,12 +118,28 @@ class TestInt32Boundary:
     # still fits the int32 accumulator: k * 255 * 255 < 2^31.
     K_MAX = (1 << INT32_EXACT_BITS) // (255 * 255)
 
+    @staticmethod
+    def _corner_classifier(k):
+        """A k-wide classifier whose shifted weights all sit at -255."""
+        from repro.inference.engine import IntegerLinearLayer, IntegerNetwork
+
+        layer = IntegerLinearLayer(
+            name="fc", weights_q=np.zeros((2, k), dtype=np.int64),
+            z_w=np.array(255), s_w=np.array([1.0]), z_x=0, s_in=1.0,
+            bias=None, in_bits=8, w_bits=8,
+        )
+        return IntegerNetwork(classifier=layer)
+
     def test_bound_flips_exactly_at_k_max(self):
+        from repro.runtime import CompileOptions
+
         assert int32_gemm_is_exact(self.K_MAX, 8, 8)
         assert not int32_gemm_is_exact(self.K_MAX + 1, 8, 8)
-        assert resolve_gemm_backend("int32", self.K_MAX, 8, 8) == "int32"
+        int32 = CompileOptions(backend="int32")
+        plan = self._corner_classifier(self.K_MAX).compile(int32)
+        assert plan.classifier.backend == "int32"
         with pytest.raises(ValueError, match="int32 accumulation overflows"):
-            resolve_gemm_backend("int32", self.K_MAX + 1, 8, 8)
+            self._corner_classifier(self.K_MAX + 1).compile(int32)
 
     def test_max_magnitude_codes_at_the_boundary_are_exact(self):
         """All-corner codes at the largest admissible k: the compiled

@@ -218,5 +218,5 @@ def test_both_tiers_match_the_reference(case, seed, n):
             for scratch_size in (phi[0].size, 2 * case.c):
                 out = np.empty(phi.shape, dtype=np.uint8)
                 scratch = np.empty(scratch_size, dtype=np.int64)
-                requant.store(acc, out, scratch)
+                requant.run(requant.bind(acc, out, scratch))
                 np.testing.assert_array_equal(out, ref, err_msg=f"{requant.tier} {dtype}")
