@@ -156,9 +156,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         budget = (args.memory_budget_kb * 1024
                   if args.memory_budget_kb is not None else None)
         registry = ModelRegistry.from_directory(
-            args.fleet, memory_budget_bytes=budget,
-            workers=max(1, args.workers or 1),
-            worker_retries=args.worker_retries,
+            args.fleet, memory_budget_bytes=budget
         )
         default_model = args.default_model
         if default_model is not None and default_model not in registry:

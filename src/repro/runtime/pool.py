@@ -26,16 +26,17 @@ Failure contract:
   detected by its dispatcher thread, **respawned**, and the task is
   retried up to ``PoolOptions.retries`` times before the caller sees a
   :class:`~repro.runtime.errors.WorkerCrashedError`;
-* a worker wedged past ``task_timeout_s`` is SIGKILL'd and handled the
-  same way (the pool-side analogue of the engine's hung-batch watchdog);
+* a worker wedged past :data:`TASK_TIMEOUT_S` is SIGKILL'd and handled
+  the same way (the pool-side analogue of the engine's hung-batch watchdog);
 * an exception *inside* the task (bad input reaching a kernel) comes
   back as :class:`~repro.runtime.errors.WorkerTaskError` without a
   respawn — task failures are not worker failures.
 
 The ``worker-kill`` chaos fault lives here: the pool accepts any object
 with a ``fire(kind) -> spec|None`` method (duck-typed so this module
-never imports the serving tier) and SIGKILLs the worker right after a
-task is handed to it — a deterministic stand-in for a mid-batch crash.
+never imports the serving tier) and, when it fires, marks the task so
+the worker SIGKILLs itself on reading it, before computing or replying
+— a deterministic stand-in for a mid-batch crash.
 """
 
 from __future__ import annotations
@@ -62,6 +63,18 @@ from repro.runtime.shm import SharedSlab
 _FALLBACK_SLAB_BYTES = 16 * 1024 * 1024
 
 
+#: ``multiprocessing`` start method.  ``spawn`` gives every worker a
+#: clean interpreter with no locks inherited from a threaded parent —
+#: crash-respawn from a dispatcher thread is only safe with clean
+#: children.
+START_METHOD = "spawn"
+#: How long to wait for a worker to report ready (plan compiled, arena
+#: warm), and the per-task wedge watchdog: a worker silent past it is
+#: killed and respawned.
+SPAWN_TIMEOUT_S = 120.0
+TASK_TIMEOUT_S = 120.0
+
+
 @dataclass(frozen=True)
 class PoolOptions:
     """Configuration of a :class:`WorkerPool` (frozen value object).
@@ -71,38 +84,14 @@ class PoolOptions:
     ``retries``
         Respawn-and-retry budget per task after a worker crash
         (0 = fail the task on the first crash).
-    ``start_method``
-        ``multiprocessing`` start method.  The default ``"spawn"``
-        gives every worker a clean interpreter with no locks inherited
-        from a threaded parent — crash-respawn from a dispatcher thread
-        is only safe with clean children.
-    ``mmap_weights``
-        Workers open the artifact through the zero-copy mmap load path
-        (the whole point of the pool); ``False`` restores the copying
-        loader for A/B.
-    ``spawn_timeout_s`` / ``task_timeout_s``
-        How long to wait for a worker to report ready, and the per-task
-        wedge watchdog (a worker silent past it is killed + respawned).
-    ``steal``
-        Work stealing between worker queues (``False`` pins tasks to
-        the queue ``submit`` chose — for tests and A/B).
-    ``slab_bytes``
-        Shared-memory slab size per direction per worker; ``None``
-        sizes it from the artifact's arena geometry (max tile bytes),
-        falling back to 16 MiB.
     ``max_tile``
         Upper bound on images per dispatched task; ``run_batched``
-        sweeps are split into tiles of at most this many images.
+        sweeps are split into tiles of at most this many images, and
+        the shared-memory slabs are sized to carry one such tile.
     """
 
     workers: int = 2
     retries: int = 1
-    start_method: str = "spawn"
-    mmap_weights: bool = True
-    spawn_timeout_s: float = 120.0
-    task_timeout_s: float = 120.0
-    steal: bool = True
-    slab_bytes: Optional[int] = None
     max_tile: int = 32
 
     def __post_init__(self):
@@ -110,17 +99,12 @@ class PoolOptions:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.start_method not in ("spawn", "fork", "forkserver"):
-            raise ValueError(
-                f"start_method must be spawn/fork/forkserver, "
-                f"got {self.start_method!r}"
-            )
         if self.max_tile < 1:
             raise ValueError(f"max_tile must be >= 1, got {self.max_tile}")
 
 
 def _worker_main(worker_id: int, artifact_path: str, req_name: str,
-                 resp_name: str, conn, mmap_weights: bool) -> None:  # pragma: no cover
+                 resp_name: str, conn) -> None:  # pragma: no cover
     """Worker-process body: load the artifact (mmap), warm the plan,
     then serve run/batched requests off the control pipe until told to
     close.  Runs in a child process — everything it needs arrives via
@@ -137,7 +121,7 @@ def _worker_main(worker_id: int, artifact_path: str, req_name: str,
     req = SharedSlab.attach(req_name)
     resp = SharedSlab.attach(resp_name)
     try:
-        session = Session.load(artifact_path, mmap=mmap_weights)
+        session = Session.load(artifact_path, mmap=True)
         health = session.healthcheck()  # warms the arena + kernels
         conn.send({"op": "ready", "pid": os.getpid(), "worker": worker_id,
                    "health": health})
@@ -159,6 +143,10 @@ def _worker_main(worker_id: int, artifact_path: str, req_name: str,
                            "etype": "ValueError",
                            "message": f"unknown op {op!r}"})
                 continue
+            if msg.get("kill"):
+                # Injected worker-kill: die holding the task, before
+                # computing or replying, so the crash is certain.
+                os.kill(os.getpid(), signal.SIGKILL)
             try:
                 if msg.get("inline") is not None:
                     xs = np.asarray(msg["inline"])
@@ -271,8 +259,6 @@ class WorkerPool:
         return pool
 
     def _slab_bytes(self, manifest: dict) -> int:
-        if self.options.slab_bytes is not None:
-            return int(self.options.slab_bytes)
         try:
             net = manifest["network"]
             arena = net["arena"]
@@ -296,14 +282,14 @@ class WorkerPool:
 
         manifest = read_manifest(self.artifact_path)  # fail fast + sizing
         slab_bytes = self._slab_bytes(manifest)
-        self._ctx = mp.get_context(self.options.start_method)
+        self._ctx = mp.get_context(START_METHOD)
         for wid in range(self.options.workers):
             handle = _WorkerHandle(
                 wid, SharedSlab(slab_bytes), SharedSlab(slab_bytes)
             )
             self._workers.append(handle)
             self._spawn(handle)
-        deadline = time.monotonic() + self.options.spawn_timeout_s
+        deadline = time.monotonic() + SPAWN_TIMEOUT_S
         for handle in self._workers:
             self._await_ready(handle, deadline)
         self._started = True
@@ -321,8 +307,7 @@ class WorkerPool:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(handle.worker_id, str(self.artifact_path),
-                  handle.req.name, handle.resp.name, child_conn,
-                  self.options.mmap_weights),
+                  handle.req.name, handle.resp.name, child_conn),
             name=f"repro-pool-worker-{handle.worker_id}",
             daemon=True,
         )
@@ -340,7 +325,7 @@ class WorkerPool:
             if timeout <= 0:
                 raise WorkerCrashedError(
                     f"worker {handle.worker_id} did not report ready within "
-                    f"{self.options.spawn_timeout_s:.0f}s"
+                    f"{SPAWN_TIMEOUT_S:.0f}s"
                 )
             if handle.conn.poll(min(0.1, timeout)):
                 try:
@@ -373,9 +358,7 @@ class WorkerPool:
         with self._lock:
             self._total_restarts += 1
         self._spawn(handle)
-        self._await_ready(
-            handle, time.monotonic() + self.options.spawn_timeout_s
-        )
+        self._await_ready(handle, time.monotonic() + SPAWN_TIMEOUT_S)
 
     def close(self) -> None:
         """Stop dispatchers, shut workers down, release every shared
@@ -394,7 +377,7 @@ class WorkerPool:
                     PoolClosedError("pool closed with tasks still queued")
                 )
         for t in self._threads:
-            t.join(timeout=self.options.task_timeout_s + 10.0)
+            t.join(timeout=TASK_TIMEOUT_S + 10.0)
         for handle in self._workers:
             try:
                 if handle.alive:
@@ -453,14 +436,13 @@ class WorkerPool:
                     return None
                 if self._queues[wid]:
                     return self._queues[wid].popleft()
-                if self.options.steal:
-                    victim = max(
-                        range(len(self._queues)),
-                        key=lambda i: len(self._queues[i]),
-                    )
-                    if self._queues[victim]:
-                        handle.stolen += 1
-                        return self._queues[victim].popleft()
+                victim = max(
+                    range(len(self._queues)),
+                    key=lambda i: len(self._queues[i]),
+                )
+                if self._queues[victim]:
+                    handle.stolen += 1
+                    return self._queues[victim].popleft()
                 handle.state = "idle"
                 self._lock.wait()
 
@@ -531,6 +513,13 @@ class WorkerPool:
             msg["inline"] = xs
             with self._lock:
                 self.inline_fallbacks += 1
+        # Chaos hook: the task carries the kill, and the worker SIGKILLs
+        # itself on reading it — a deterministic mid-batch crash the
+        # dispatcher must absorb.
+        if self.faults is not None and self.faults.fire("worker-kill") is not None:
+            msg["kill"] = True
+            with self._lock:
+                self.kills += 1
         try:
             handle.conn.send(msg)
         except (BrokenPipeError, OSError) as exc:
@@ -538,16 +527,7 @@ class WorkerPool:
                 f"worker {handle.worker_id} (pid {handle.pid}) pipe broke "
                 f"while sending a task"
             ) from exc
-        # Chaos hook: kill the worker *after* the task is in its hands —
-        # a deterministic mid-batch crash the dispatcher must absorb.
-        if self.faults is not None and self.faults.fire("worker-kill") is not None:
-            with self._lock:
-                self.kills += 1
-            try:
-                os.kill(handle.pid, signal.SIGKILL)
-            except (ProcessLookupError, OSError):
-                pass
-        deadline = time.monotonic() + self.options.task_timeout_s
+        deadline = time.monotonic() + TASK_TIMEOUT_S
         while True:
             if handle.conn.poll(0.05):
                 try:
@@ -576,8 +556,7 @@ class WorkerPool:
                     pass
                 raise WorkerCrashedError(
                     f"worker {handle.worker_id} (pid {handle.pid}) wedged "
-                    f"past the {self.options.task_timeout_s:.0f}s task "
-                    f"watchdog"
+                    f"past the {TASK_TIMEOUT_S:.0f}s task watchdog"
                 )
         if reply.get("op") == "error":
             raise WorkerTaskError(reply.get("etype", "Exception"),
@@ -659,7 +638,6 @@ class WorkerPool:
                 "stolen": sum(h.stolen for h in self._workers),
                 "inline_fallbacks": self.inline_fallbacks,
                 "queue_depths": self.queue_depths(),
-                "mmap_weights": self.options.mmap_weights,
                 "per_worker": [
                     {
                         "worker": h.worker_id,

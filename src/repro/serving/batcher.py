@@ -43,7 +43,7 @@ class Request:
     #: Tagged by the fault injector: this request deterministically
     #: crashes any batch containing it (data-dependent kernel fault).
     poisoned: bool = False
-    #: Fleet routing key (``None`` on a single-model server).
+    #: The registry entry the request routes to.
     model: Optional[str] = None
     req_id: int = field(default_factory=lambda: next(_request_ids))
 
@@ -143,15 +143,14 @@ class MicroBatcher:
 
 
 class FleetBatcher:
-    """Per-``(model, input shape)`` micro-batching for the fleet server.
+    """Per-``(model, input shape)`` micro-batching: the server's batcher.
 
     A tile must be homogeneous — one model, one geometry — because the
     engine stacks it into a single array and runs it through one
     session.  Each distinct ``(request.model, request.x.shape)`` pair
     therefore gets its own :class:`MicroBatcher` lane; lanes are created
     on first use and dropped when empty, so a fleet of mostly-idle
-    models costs nothing.  The interface mirrors ``MicroBatcher`` — the
-    server's batch loop drives either without caring which.
+    models costs nothing.  The interface mirrors ``MicroBatcher``.
     """
 
     def __init__(self, max_batch: int, max_wait_s: float,

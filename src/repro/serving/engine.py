@@ -1,26 +1,27 @@
 """Batch engine: the bridge from the asyncio front end to the
 synchronous, GIL-releasing inference stack.
 
-One ``BatchEngine`` owns one :class:`~repro.runtime.Session` (circuit
-breaking is therefore per model by construction), the executor batches
-run on, and the robustness machinery around it:
+One ``BatchEngine`` runs tiles through one
+:class:`~repro.serving.registry.ModelRegistry` — a fleet, or a single
+session adopted as a fleet of one — on an executor, with the
+robustness machinery around it:
 
 * **retry with deterministic backoff** for transient faults,
 * a **hung-batch watchdog**: a batch exceeding ``batch_timeout_s`` is
   abandoned and the executor thread *replaced*, so one wedged kernel
   cannot take the tier down (the abandoned thread dies with its batch),
 * **fault injection hooks** that run inside the executor thread,
-  exactly where a real kernel would fail.
+  exactly where a real kernel would fail,
+* one **circuit breaker per model**, created on first use.
 
-Backend width follows ``ServerOptions.workers``.  At ``workers=1`` the
-executor has a single inference thread — the compiled plan's activation
+Executor width follows ``ServerOptions.workers``.  At ``workers=1`` the
+executor has a single inference thread — a compiled plan's activation
 arena is not concurrency-safe, so one in-process thread is the
-correctness contract, not a limitation.  At ``workers=N`` the engine
-stands up a :class:`repro.runtime.pool.WorkerPool` of N artifact-backed
-processes (one mmap'd copy of the weights, one private arena each) and
-widens the executor to N threads, each of which only *waits* on the
-pool — the arena-safety contract moves into the per-worker processes
-and N tiles really execute concurrently.
+correctness contract, not a limitation.  At ``workers=N`` the registry
+gives every resident model a :class:`repro.runtime.pool.WorkerPool` of
+N artifact-backed processes and the executor widens to N threads, each
+of which only *waits* on a pool — the arena-safety contract moves into
+the per-worker processes and N tiles really execute concurrently.
 
 The engine reports terminal failures as
 :class:`~repro.serving.errors.BatchExecutionError`; the server layered
@@ -53,35 +54,23 @@ from repro.serving.policies import CircuitBreaker, ServerOptions
 class BatchEngine:
     """Executes engine-shaped tiles with retry, watchdog, and injection."""
 
-    def __init__(self, session, options: Optional[ServerOptions] = None,
+    def __init__(self, registry, options: Optional[ServerOptions] = None,
                  faults: Optional[FaultInjector] = None,
                  stats: Optional[ServerStats] = None,
-                 artifact_path=None, registry=None):
-        if session is None and registry is None:
-            raise ValueError("BatchEngine needs a session or a registry")
-        self.session = session
+                 default_model: Optional[str] = None):
         self.registry = registry
+        self.default_model = default_model
         self.options = options or ServerOptions()
         self.faults = faults
         self.stats = stats or ServerStats()
         self.workers = max(1, int(self.options.workers))
-        self.artifact_path = artifact_path
-        self.pool = None
-        self.breaker = CircuitBreaker(
-            failure_threshold=self.options.circuit_threshold,
-            reset_after_s=self.options.circuit_reset_s,
-        )
-        # Fleet mode: one breaker per model, created on first use, so a
-        # poisoned model opens its own circuit without shedding its
-        # neighbours.  `self.breaker` doubles as the single-model (and
-        # model=None) breaker for back-compat.
+        # One breaker per model, created on first use, so a poisoned
+        # model opens its own circuit without shedding its neighbours.
         self._breakers: dict = {}
         self._executor = self._new_executor()
         self._closed = False
 
-    def breaker_for(self, model: Optional[str]) -> CircuitBreaker:
-        if model is None:
-            return self.breaker
+    def breaker_for(self, model: str) -> CircuitBreaker:
         breaker = self._breakers.get(model)
         if breaker is None:
             breaker = self._breakers[model] = CircuitBreaker(
@@ -89,6 +78,20 @@ class BatchEngine:
                 reset_after_s=self.options.circuit_reset_s,
             )
         return breaker
+
+    @property
+    def breaker(self) -> Optional[CircuitBreaker]:
+        """The default model's breaker (``None`` without a default)."""
+        if self.default_model is None:
+            return None
+        return self.breaker_for(self.default_model)
+
+    @property
+    def pool(self):
+        """The default model's worker pool, while it has one."""
+        if self.default_model not in self.registry:
+            return None
+        return self.registry.entry(self.default_model).pool
 
     def _new_executor(self) -> concurrent.futures.ThreadPoolExecutor:
         return concurrent.futures.ThreadPoolExecutor(
@@ -99,53 +102,23 @@ class BatchEngine:
     def concurrency(self) -> int:
         """How many batches may execute at once: the pool width, or one
         for the in-process single-thread backend."""
-        return self.workers if self.pool is not None else 1
-
-    def start(self) -> None:
-        """Stand up the worker pool when ``workers > 1`` (blocking —
-        spawning + warming N processes takes seconds; the server calls
-        this off the event loop).  Idempotent; a no-op at width 1 and
-        in fleet mode (the registry stands per-model pools itself)."""
-        if (self.workers <= 1 or self.pool is not None or self._closed
-                or self.registry is not None):
-            return
-        from repro.runtime.pool import PoolOptions, WorkerPool
-
-        pool_options = PoolOptions(
-            workers=self.workers,
-            retries=self.options.worker_retries,
-            max_tile=max(32, self.options.max_batch),
-        )
-        if self.artifact_path is not None:
-            self.pool = WorkerPool(self.artifact_path, pool_options,
-                                   faults=self.faults)
-            self.pool.start()
-        else:
-            # No artifact on disk: stage one from the live session
-            # (from_session reuses session.source_artifact when known).
-            self.pool = WorkerPool.from_session(self.session, pool_options,
-                                                faults=self.faults)
-            self.pool.start()
+        return self.workers
 
     def _run_sync(self, xs: np.ndarray, poisoned: bool,
-                  model: Optional[str]) -> np.ndarray:
+                  model: str) -> np.ndarray:
         """Executor-thread body: faults first (that is where a real
-        kernel would blow up), then the actual inference — in-process,
-        shipped to a pool worker, or routed through the fleet registry
-        (which loads/evicts under its budget right here, off the event
-        loop)."""
+        kernel would blow up), then the inference, routed through the
+        registry (which loads/evicts under its budget right here, off
+        the event loop, and runs the tile in-process or on the model's
+        worker pool)."""
         if self.faults:
             self.faults.apply_batch_faults()
         if poisoned:
             raise InjectedFaultError("poisoned request in batch")
-        if self.registry is not None:
-            return np.argmax(self.registry.run(model, xs), axis=1)
-        if self.pool is not None:
-            return np.argmax(self.pool.run(xs), axis=1)
-        return np.argmax(self.session.run(xs), axis=1)
+        return np.argmax(self.registry.run(model, xs), axis=1)
 
     async def _attempt(self, xs: np.ndarray, poisoned: bool,
-                       model: Optional[str]) -> np.ndarray:
+                       model: str) -> np.ndarray:
         loop = asyncio.get_running_loop()
         future = loop.run_in_executor(self._executor, self._run_sync, xs,
                                       poisoned, model)
@@ -166,10 +139,11 @@ class BatchEngine:
 
     async def run_batch(self, xs: np.ndarray, poisoned: bool = False,
                         model: Optional[str] = None) -> np.ndarray:
-        """Run one tile to per-image class predictions, retrying per the
-        policy; raises :class:`BatchExecutionError` when retries are
-        exhausted.  Does *not* touch the circuit breaker — the server
-        records outcomes after degradation has had its say.
+        """Run one tile of ``model`` (default: the default model) to
+        per-image class predictions, retrying per the policy; raises
+        :class:`BatchExecutionError` when retries are exhausted.  Does
+        *not* touch the circuit breaker — the server records outcomes
+        after degradation has had its say.
 
         Fleet conditions — unknown model, over budget — are permanent
         for this request and re-raise untouched (no retry, no 500
@@ -177,6 +151,8 @@ class BatchEngine:
         """
         if self._closed:
             raise BatchExecutionError("engine is closed")
+        if model is None:
+            model = self.default_model
         self.stats.observe_batch(len(xs))
         delays = list(self.options.retry.delays())
         last: Optional[BaseException] = None
@@ -202,13 +178,8 @@ class BatchEngine:
     async def close(self) -> None:
         self._closed = True
         self._executor.shutdown(wait=False, cancel_futures=True)
-        if self.pool is not None:
-            pool, self.pool = self.pool, None
-            # pool.close() joins dispatcher threads and worker processes
-            # — keep that off the event loop.
-            await asyncio.get_running_loop().run_in_executor(None, pool.close)
-        if self.registry is not None:
-            # Unmaps every resident model (and joins per-model pools).
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.registry.close
-            )
+        # Joins every per-model pool and unmaps every model the registry
+        # loaded (adopted sessions stay open) — off the event loop.
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.registry.close
+        )

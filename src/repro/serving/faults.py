@@ -22,10 +22,11 @@ event counts, not on luck:
     Force admission control to treat the queue as full for this
     request (shed path without needing a real traffic burst).
 ``worker-kill``
-    Consumed by :class:`repro.runtime.pool.WorkerPool`: SIGKILL the
-    worker process *after* a task has been handed to it — a
-    deterministic mid-batch crash the dispatcher must absorb via
-    respawn-and-retry (``serve --workers N --inject worker-kill:every=7``).
+    Consumed by :class:`repro.runtime.pool.WorkerPool`: the task goes
+    out marked, and the worker SIGKILLs itself on reading it, before it
+    computes or replies — a deterministic mid-batch crash the
+    dispatcher must absorb via respawn-and-retry
+    (``serve --workers N --inject worker-kill:every=7``).
 ``malformed``
     Consumed by the *load generator*: emit a garbage payload instead of
     a valid one (the server must 400 it and stay live).

@@ -109,7 +109,7 @@ class ServerStats:
         self.degraded_batches = 0
         self.hung_batches = 0
         self.breaker_opens = 0
-        # Fleet-mode outcomes (zero and invisible for single-model servers).
+        # Routing outcomes (always zero on a server built over a session).
         self.unknown_model = 0
         self.over_budget = 0
 

@@ -158,9 +158,11 @@ class ServerOptions:
     ``workers``
         Inference backend width: ``1`` executes in-process on the
         engine's single inference thread (the degenerate case); ``N >
-        1`` stands up a :class:`repro.runtime.pool.WorkerPool` of N
-        artifact-backed processes sharing one mmap'd copy of the
-        weights, and the batch loop runs up to N tiles concurrently.
+        1`` gives every resident model a
+        :class:`repro.runtime.pool.WorkerPool` of N artifact-backed
+        processes sharing one mmap'd copy of its weights (tiles of up to
+        ``max(32, max_batch)`` images), and the batch loop runs up to N
+        tiles concurrently.
     ``worker_retries``
         Pool-level respawn-and-retry budget per task after a worker
         crash (on top of — and usually instead of — the engine-level

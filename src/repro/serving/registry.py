@@ -25,6 +25,13 @@ Residency is managed lazily with LRU eviction:
   :class:`~repro.serving.errors.OverBudgetError` (HTTP 413);
 * models with requests in flight are never evicted.
 
+A single-model server is a fleet of one: :meth:`ModelRegistry.adopt`
+registers the caller's live session as a resident entry that the
+registry never evicts or closes (the caller owns it).  Worker pools are
+configured once for the whole registry (:meth:`ModelRegistry.use_pools`,
+from the server's options and fault injector); each resident model gets
+its own pool on first checkout, torn down at eviction or close.
+
 All public methods are thread-safe; ``run`` is called from the batch
 engine's executor threads.
 """
@@ -44,9 +51,9 @@ from repro.serving.errors import ModelNotFoundError, OverBudgetError
 class FleetEntry:
     """One artifact known to the registry (resident or cold)."""
 
-    def __init__(self, name: str, path: Path, manifest: dict):
+    def __init__(self, name: str, path: Optional[Path], manifest: dict):
         self.name = name
-        self.path = Path(path)
+        self.path = Path(path) if path is not None else None
         self.max_hw = _native_hw(manifest)
         #: Read-only cost: the byte length of blobs.bin (what the mmap
         #: pins), from the manifest blob table.
@@ -62,6 +69,9 @@ class FleetEntry:
         )
         self.session = None
         self.pool = None
+        #: An adopted session: the caller owns it, so the registry never
+        #: evicts or closes it.
+        self.borrowed = False
         self.inflight = 0
         self.last_used = 0
         self.loads = 0
@@ -110,20 +120,19 @@ class ModelRegistry:
 
     ``memory_budget_bytes=None`` disables eviction entirely (every
     model loads and stays resident — the unconstrained dev default).
-    ``workers > 1`` gives each *resident* model its own
+    After :meth:`use_pools` each *resident* model runs on its own
     :class:`repro.runtime.pool.WorkerPool` of artifact-backed worker
-    processes; the pool is stood up at load and torn down at eviction.
+    processes, stood up at first checkout and torn down at eviction.
     """
 
-    def __init__(self, *, memory_budget_bytes: Optional[int] = None,
-                 workers: int = 1, worker_retries: int = 1):
+    def __init__(self, *, memory_budget_bytes: Optional[int] = None):
         if memory_budget_bytes is not None and memory_budget_bytes < 1:
             raise ValueError(
                 f"memory_budget_bytes must be >= 1, got {memory_budget_bytes}"
             )
         self.memory_budget_bytes = memory_budget_bytes
-        self.workers = max(1, int(workers))
-        self.worker_retries = int(worker_retries)
+        self.pool_options = None
+        self.faults = None
         self._entries: Dict[str, FleetEntry] = {}
         self._lock = threading.RLock()
         self._tick = 0
@@ -160,12 +169,34 @@ class ModelRegistry:
 
         if manifest is None:
             manifest = read_manifest(path)
-        entry = FleetEntry(name, Path(path), manifest)
+        return self._register(FleetEntry(name, Path(path), manifest))
+
+    def adopt(self, name: str, session, path=None) -> FleetEntry:
+        """Register a live session the caller owns, resident from the
+        start.  The registry never evicts or closes it (it does close
+        any pool it starts for it) and charges it nothing: it validates
+        its own inputs at any geometry the session accepts.  ``path``
+        is the artifact a pool mmaps; without one, a pool stages the
+        session's own (:meth:`WorkerPool.from_session`)."""
+        entry = FleetEntry(name, path, {})
+        entry.session = session
+        entry.borrowed = True
+        return self._register(entry)
+
+    def _register(self, entry: FleetEntry) -> FleetEntry:
         with self._lock:
-            if name in self._entries:
-                raise ValueError(f"model {name!r} already registered")
-            self._entries[name] = entry
+            if entry.name in self._entries:
+                raise ValueError(f"model {entry.name!r} already registered")
+            self._entries[entry.name] = entry
         return entry
+
+    def use_pools(self, options, faults=None) -> None:
+        """Run every resident model on a
+        :class:`~repro.runtime.pool.WorkerPool` built from ``options``
+        (a :class:`~repro.runtime.pool.PoolOptions`; ``None`` runs
+        in-process), with ``faults`` as the pools' chaos hook."""
+        self.pool_options = options
+        self.faults = faults
 
     # -- lookup --------------------------------------------------------
     @property
@@ -194,8 +225,9 @@ class ModelRegistry:
     # -- residency -----------------------------------------------------
     def checkout(self, name: str) -> FleetEntry:
         """Pin ``name`` resident and mark a request in flight.  Loads
-        (and evicts) as needed; every checkout must be paired with
-        :meth:`release`."""
+        (and evicts) as needed, and stands up the model's worker pool
+        once :meth:`use_pools` has configured one; every checkout must
+        be paired with :meth:`release`."""
         with self._lock:
             if self._closed:
                 raise ModelNotFoundError("registry is closed")
@@ -206,6 +238,8 @@ class ModelRegistry:
                 )
             if not entry.resident:
                 self._load_locked(entry)
+            if entry.pool is None and self.pool_options is not None:
+                entry.pool = self._start_pool(entry)
             entry.inflight += 1
             entry.requests += 1
             self._tick += 1
@@ -218,7 +252,7 @@ class ModelRegistry:
 
     def run(self, name: str, xs: np.ndarray) -> np.ndarray:
         """Execute one tile on ``name``'s session (or worker pool) —
-        the batch engine's executor-thread body for fleet dispatch."""
+        the batch engine's executor-thread body."""
         entry = self.checkout(name)
         try:
             if entry.pool is not None:
@@ -226,13 +260,6 @@ class ModelRegistry:
             return entry.session.run(xs)
         finally:
             self.release(entry)
-
-    def warm(self, names) -> None:
-        """Eagerly load ``names`` (in order, subject to the budget —
-        later names may evict earlier ones, exactly as live traffic
-        would)."""
-        for name in names:
-            self.release(self.checkout(name))
 
     def validate_input(self, name: str, x_real) -> None:
         """Boundary validation without forcing a load.
@@ -300,8 +327,6 @@ class ModelRegistry:
         rw = self.rw_from_plan(entry)
         if rw is not None:
             entry.rw_bytes = rw
-        if self.workers > 1:
-            entry.pool = self._start_pool(entry)
 
     @staticmethod
     def rw_from_plan(entry: FleetEntry) -> Optional[int]:
@@ -362,7 +387,7 @@ class ModelRegistry:
         """Evict the least-recently-used idle resident model; False when
         nothing is evictable (all cold or all in flight)."""
         victims = [e for e in self._entries.values()
-                   if e.resident and e.inflight == 0]
+                   if e.resident and e.inflight == 0 and not e.borrowed]
         if not victims:
             return False
         victim = min(victims, key=lambda e: e.last_used)
@@ -377,17 +402,19 @@ class ModelRegistry:
         session, entry.session = entry.session, None
         if pool is not None:
             pool.close()
-        if session is not None:
+        if session is not None and not entry.borrowed:
             session.close()
 
     def _start_pool(self, entry: FleetEntry):
-        from repro.runtime.pool import PoolOptions, WorkerPool
+        from repro.runtime.pool import WorkerPool
 
-        pool = WorkerPool(entry.path, PoolOptions(
-            workers=self.workers, retries=self.worker_retries,
-        ))
-        pool.start()
-        return pool
+        if entry.path is not None:
+            pool = WorkerPool(entry.path, self.pool_options,
+                              faults=self.faults)
+        else:
+            pool = WorkerPool.from_session(entry.session, self.pool_options,
+                                           faults=self.faults)
+        return pool.start()
 
     # -- introspection / lifecycle -------------------------------------
     def stats(self) -> dict:

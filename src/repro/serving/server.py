@@ -1,21 +1,28 @@
-"""Fault-tolerant asyncio serving front end over a :class:`Session`.
+"""Fault-tolerant asyncio serving front end over a model fleet.
+
+A server is built over a :class:`~repro.serving.registry.ModelRegistry`
+of artifacts, or over one :class:`~repro.runtime.Session`, which it
+adopts into a one-entry, budget-less registry as the default model — a
+fleet of one.  Both take the same path; a session-built server just
+ignores the request's ``"model"`` field and leaves replies unlabelled.
 
 One process, three moving parts:
 
 * **connection handlers** (one asyncio task per connection) parse a
-  minimal HTTP/1.1 request, validate the payload at the session
+  minimal HTTP/1.1 request, validate the payload at the model's
   boundary, run admission control (circuit state, bounded queue), and
   park a :class:`~repro.serving.batcher.Request` future;
 * the **batch loop** (one task) drives the
-  :class:`~repro.serving.batcher.MicroBatcher` — expire deadlines
-  *before* batching, flush on full-or-timeout, carry remainders — and
-  hands tiles to the :class:`~repro.serving.engine.BatchEngine`,
-  keeping up to ``engine.concurrency`` tiles in flight at once (one for
-  the in-process backend, N for a ``--workers N`` pool);
-* the **engine** executes with retry and a hung-batch watchdog — on its
-  single inference thread, or across a process
-  :class:`~repro.runtime.pool.WorkerPool` sharing one mmap'd copy of
-  the weights.
+  :class:`~repro.serving.batcher.FleetBatcher` — one micro-batch lane
+  per (model, input shape); expire deadlines *before* batching, flush
+  on full-or-timeout, carry remainders — and hands tiles to the
+  :class:`~repro.serving.engine.BatchEngine`, keeping up to
+  ``engine.concurrency`` tiles in flight at once (one in-process, N
+  with ``--workers N``);
+* the **engine** executes through the registry with retry and a
+  hung-batch watchdog — on its single inference thread, or across each
+  model's process :class:`~repro.runtime.pool.WorkerPool` sharing one
+  mmap'd copy of the weights.
 
 Failure policy (the README table restates this mapping):
 
@@ -47,7 +54,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.runtime.errors import InvalidInputError
-from repro.serving.batcher import FleetBatcher, MicroBatcher, Request
+from repro.runtime.pool import PoolOptions
+from repro.serving.batcher import FleetBatcher, Request
 from repro.serving.engine import BatchEngine
 from repro.serving.errors import (
     BatchExecutionError,
@@ -63,6 +71,7 @@ from repro.serving.errors import (
 from repro.serving.faults import FaultInjector
 from repro.serving.metrics import DrainTracker, ServerStats
 from repro.serving.policies import BreakerState, ServerOptions, retry_after_s
+from repro.serving.registry import ModelRegistry
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -80,35 +89,45 @@ class ServingServer:
     "deadline_ms": float?, "model": str?}``), ``GET /healthz``,
     ``GET /stats``.  ``model`` routes between fleet artifacts when the
     server was built over a
-    :class:`~repro.serving.registry.ModelRegistry`; a single-model
-    server ignores it.
+    :class:`~repro.serving.registry.ModelRegistry`; a server built over
+    a session ignores it.  ``artifact_path`` is the session's artifact
+    on disk, which ``--workers N`` pools mmap instead of staging a copy.
     """
 
     def __init__(self, session=None, options: Optional[ServerOptions] = None,
                  faults: Optional[FaultInjector] = None,
                  artifact_path=None, registry=None,
                  default_model: Optional[str] = None):
-        if session is None and registry is None:
-            raise ValueError("ServingServer needs a session or a registry")
-        self.session = session
+        if (session is None) == (registry is None):
+            raise ValueError(
+                "ServingServer needs exactly one of a session or a registry"
+            )
+        self.options = options or ServerOptions()
+        # A fleet routes by the request's "model" and labels replies; a
+        # session server is a fleet of one whose clients never name it.
+        self._routed = registry is not None
+        if session is not None:
+            registry = ModelRegistry()
+            default_model = registry.adopt("default", session,
+                                           artifact_path).name
+        if self.options.workers > 1:
+            registry.use_pools(PoolOptions(
+                workers=self.options.workers,
+                retries=self.options.worker_retries,
+                max_tile=max(32, self.options.max_batch),
+            ), faults)
         self.registry = registry
         self.default_model = default_model
-        self.options = options or ServerOptions()
         self.faults = faults
         self.stats = ServerStats()
         self.drain = DrainTracker()
-        self.engine = BatchEngine(session, self.options, faults=faults,
+        self.engine = BatchEngine(registry, self.options, faults=faults,
                                   stats=self.stats,
-                                  artifact_path=artifact_path,
-                                  registry=registry)
-        if registry is not None:
-            # Tiles must be homogeneous per (model, shape); the fleet
-            # batcher keeps one lane per pair.
-            self.batcher = FleetBatcher(self.options.max_batch,
-                                        self.options.max_wait_ms / 1e3)
-        else:
-            self.batcher = MicroBatcher(self.options.max_batch,
-                                        self.options.max_wait_ms / 1e3)
+                                  default_model=default_model)
+        # Tiles must be homogeneous per (model, shape); the batcher
+        # keeps one lane per pair.
+        self.batcher = FleetBatcher(self.options.max_batch,
+                                    self.options.max_wait_ms / 1e3)
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop_task: Optional[asyncio.Task] = None
         self._wakeup = asyncio.Event()
@@ -127,12 +146,12 @@ class ServingServer:
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> Tuple[str, int]:
-        """Stand up the backend (worker pool when ``workers > 1``), warm
-        the engine (one healthcheck inference plans the arena), bind the
-        socket, and start the batch loop.  Returns the bound
-        ``(host, port)`` — pass ``port=0`` for an ephemeral port."""
+        """Warm the default model (load it, stand up its worker pool
+        when ``workers > 1``, one healthcheck inference plans the
+        arena), bind the socket, and start the batch loop.  Returns the
+        bound ``(host, port)`` — pass ``port=0`` for an ephemeral
+        port."""
         loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self.engine.start)
         self._startup_health = await loop.run_in_executor(
             None, self._startup_check
         )
@@ -148,19 +167,22 @@ class ServingServer:
     def _startup_check(self) -> dict:
         """Blocking warmup probe (runs off the event loop).
 
-        Single-model: the session's own healthcheck.  Fleet: warm the
-        default model (when one is named) so the first request does not
-        pay its load, and report the fleet shape; an empty registry or a
-        default that cannot fit the budget is a startup failure."""
-        if self.registry is None:
-            return self.session.healthcheck()
-        report = {"ok": True, "fleet": self.registry.stats()["models_known"]}
-        if self.default_model is not None:
-            try:
-                self.registry.warm([self.default_model])
-                report["warmed"] = self.default_model
-            except ServingError as exc:
-                return {"ok": False, "error": str(exc)}
+        Reports the fleet shape.  With a default model, load it and
+        stand up its pool so the first request pays neither, then run
+        its session healthcheck; a default that cannot fit the budget
+        is a startup failure."""
+        report = {"ok": True, "fleet": len(self.registry.models)}
+        if self.default_model is None:
+            return report
+        try:
+            entry = self.registry.checkout(self.default_model)
+        except ServingError as exc:
+            return {"ok": False, "error": str(exc)}
+        try:
+            report.update(entry.session.healthcheck())
+        finally:
+            self.registry.release(entry)
+        report["warmed"] = self.default_model
         return report
 
     async def stop(self) -> None:
@@ -220,7 +242,7 @@ class ServingServer:
                 "prediction": int(prediction),
                 "latency_ms": round(latency * 1e3, 3),
             }
-            if request.model is not None:
+            if self._routed:
                 result["model"] = request.model
             request.future.set_result(result)
 
@@ -281,8 +303,7 @@ class ServingServer:
         finally:
             self._inflight.pop(id(batch), None)
 
-    def _record_breaker(self, success: bool,
-                        model: Optional[str] = None) -> None:
+    def _record_breaker(self, success: bool, model: str) -> None:
         breaker = self.engine.breaker_for(model)
         before = breaker.state
         breaker.record_success() if success else breaker.record_failure()
@@ -418,14 +439,19 @@ class ServingServer:
             return 200, self._stats_payload(), {}
         return 404, {"error": "NotFound", "detail": f"no route {path}"}, {}
 
+    def _circuit(self) -> BreakerState:
+        """The default model's circuit (closed without a default)."""
+        breaker = self.engine.breaker
+        return BreakerState.CLOSED if breaker is None else breaker.state
+
     def _healthz(self):
-        breaker = self.engine.breaker.state
+        circuit = self._circuit()
         startup = self._startup_health or {}
-        ok = (not self._closing and breaker is not BreakerState.OPEN
+        ok = (not self._closing and circuit is not BreakerState.OPEN
               and bool(startup.get("ok")))
         payload = {
             "status": "ok" if ok else "degraded",
-            "circuit": breaker.value,
+            "circuit": circuit.value,
             "queued": len(self.batcher),
             "startup": startup,
         }
@@ -436,29 +462,28 @@ class ServingServer:
                 "alive": pool.alive_workers(),
                 "restarts": pool.restarts,
             }
-        if self.registry is not None:
-            reg = self.registry.stats()
-            payload["fleet"] = {
-                "models_known": reg["models_known"],
-                "models_resident": reg["models_resident"],
-                "resident_bytes": reg["resident_bytes"],
-                "budget_bytes": reg["budget_bytes"],
-            }
+        reg = self.registry.stats()
+        payload["fleet"] = {
+            "models_known": reg["models_known"],
+            "models_resident": reg["models_resident"],
+            "resident_bytes": reg["resident_bytes"],
+            "budget_bytes": reg["budget_bytes"],
+        }
         return (200 if ok else 503), payload, {}
 
     def _stats_payload(self) -> dict:
         payload = self.stats.to_dict()
-        payload["circuit"] = self.engine.breaker.state.value
+        payload["circuit"] = self._circuit().value
         payload["queued"] = len(self.batcher)
         payload["inflight"] = self._inflight_count()
-        if self.engine.pool is not None:
-            payload["pool"] = self.engine.pool.stats()
-        if self.registry is not None:
-            payload["registry"] = self.registry.stats()
-            payload["circuits"] = {
-                name: self.engine.breaker_for(name).state.value
-                for name in self.engine._breakers
-            }
+        pool = self.engine.pool
+        if pool is not None:
+            payload["pool"] = pool.stats()
+        payload["registry"] = self.registry.stats()
+        payload["circuits"] = {
+            name: self.engine.breaker_for(name).state.value
+            for name in self.engine._breakers
+        }
         if self.faults:
             payload["faults"] = self.faults.summary()
         return payload
@@ -504,37 +529,30 @@ class ServingServer:
             raise MalformedRequestError(
                 f"input must be one CHW image (3 dims), got shape {x.shape}"
             )
-        model: Optional[str] = None
-        if self.registry is not None:
-            model = payload.get("model", self.default_model)
-            if model is None:
-                self.stats.malformed += 1
-                raise MalformedRequestError(
-                    'fleet server requires "model" (no default configured)'
-                )
-            if not isinstance(model, str):
-                self.stats.malformed += 1
-                raise MalformedRequestError(
-                    f'"model" must be a string, got {type(model).__name__}'
-                )
-            if model not in self.registry:
-                self.stats.unknown_model += 1
-                raise ModelNotFoundError(
-                    f"unknown model {model!r}; fleet has {self.registry.models}"
-                )
-            try:
-                # Cold models validate against manifest metadata only —
-                # loading happens off the event loop, at batch time.
-                self.registry.validate_input(model, x[None])
-            except InvalidInputError as exc:
-                self.stats.malformed += 1
-                raise MalformedRequestError(str(exc)) from exc
-        else:
-            try:
-                self.session.validate_input(x[None])
-            except InvalidInputError as exc:
-                self.stats.malformed += 1
-                raise MalformedRequestError(str(exc)) from exc
+        model = (payload.get("model", self.default_model) if self._routed
+                 else self.default_model)
+        if model is None:
+            self.stats.malformed += 1
+            raise MalformedRequestError(
+                'fleet server requires "model" (no default configured)'
+            )
+        if not isinstance(model, str):
+            self.stats.malformed += 1
+            raise MalformedRequestError(
+                f'"model" must be a string, got {type(model).__name__}'
+            )
+        if model not in self.registry:
+            self.stats.unknown_model += 1
+            raise ModelNotFoundError(
+                f"unknown model {model!r}; fleet has {self.registry.models}"
+            )
+        try:
+            # Cold models validate against manifest metadata only —
+            # loading happens off the event loop, at batch time.
+            self.registry.validate_input(model, x[None])
+        except InvalidInputError as exc:
+            self.stats.malformed += 1
+            raise MalformedRequestError(str(exc)) from exc
 
         if self.engine.breaker_for(model).state is BreakerState.OPEN:
             self.stats.shed_circuit += 1
@@ -588,12 +606,11 @@ def serve(session=None, options: Optional[ServerOptions] = None,
           default_model: Optional[str] = None) -> None:
     """Blocking convenience entry point (the ``repro-mcu serve`` body):
     start, announce the bound address, serve until Ctrl-C or ``ttl_s``,
-    shut down cleanly.  ``artifact_path`` lets a ``--workers N`` pool
-    mmap the artifact already on disk instead of staging a copy.
-    ``registry`` switches to fleet mode (``repro-mcu serve --fleet``):
-    requests route by their ``"model"`` field through a
-    :class:`~repro.serving.registry.ModelRegistry` instead of one
-    session."""
+    shut down cleanly.  Takes exactly one of ``session`` (served as a
+    fleet of one; ``artifact_path`` lets a ``--workers N`` pool mmap the
+    artifact already on disk instead of staging a copy) or ``registry``
+    (``repro-mcu serve --fleet``: requests route by their ``"model"``
+    field)."""
 
     async def _main():
         server = ServingServer(session, options=options, faults=faults,
@@ -602,10 +619,9 @@ def serve(session=None, options: Optional[ServerOptions] = None,
                                default_model=default_model)
         host, port = await server.start()
         if announce is not None:
-            fleet = (f"fleet={len(registry.models)} models, "
-                     if registry is not None else "")
             announce(f"serving on http://{host}:{port} "
-                     f"({fleet}workers={server.engine.workers}, "
+                     f"(models={len(server.registry.models)}, "
+                     f"workers={server.engine.workers}, "
                      f"max_batch={server.options.max_batch}, "
                      f"queue_depth={server.options.queue_depth}) — Ctrl-C to stop")
         try:

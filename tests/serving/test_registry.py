@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from repro.serving import (
+    FaultInjector,
+    FaultSpec,
     ModelNotFoundError,
     ModelRegistry,
     OverBudgetError,
@@ -258,6 +260,48 @@ class TestFleetServer:
             assert not registry.entry("32x0.25").resident
 
         self._scenario(fleet_dir, _two_of_three_budget(costs), body)
+
+    def test_pooled_fleet_gets_the_single_model_pool(self, fleet_dir, costs):
+        """``--workers 2`` on a fleet: the default model's pool is built
+        like a pooled single model's — the server's fault injector,
+        ``--max-batch``-sized tiles, one concurrent tile per worker —
+        and shows up in ``/healthz`` and ``/stats``."""
+        options = ServerOptions(port=0, max_wait_ms=2.0, workers=2,
+                                worker_retries=2)
+        faults = FaultInjector([FaultSpec("worker-kill", every=2, limit=1)])
+
+        async def _main():
+            registry = ModelRegistry.from_directory(
+                fleet_dir, memory_budget_bytes=_two_of_three_budget(costs)
+            )
+            server = ServingServer(registry=registry, options=options,
+                                   faults=faults, default_model="32x0.25")
+            host, port = await server.start()
+            try:
+                # One request at a time: one pool task each, so the
+                # second one is the one the schedule kills.
+                for _ in range(6):
+                    status, reply = await predict(
+                        host, port, _image("32x0.25"), deadline_ms=0,
+                        timeout=60.0,
+                    )
+                    assert status == 200, reply
+                assert faults.summary()["worker-kill"]["fires"] >= 1
+                assert server.engine.concurrency == 2
+                status, health = await request_json(host, port, "GET",
+                                                    "/healthz")
+                assert status == 200
+                assert health["workers"]["alive"] == 2
+                status, stats = await request_json(host, port, "GET",
+                                                   "/stats")
+                assert status == 200
+                assert stats["pool"]["kills"] >= 1
+                pool = registry.entry("32x0.25").pool
+                assert pool.options.max_tile == max(32, options.max_batch)
+            finally:
+                await server.stop()
+
+        asyncio.run(_main())
 
     def test_single_model_serve_unchanged(self, tiny_session, image):
         """Migration guarantee: a session-backed server neither requires

@@ -184,6 +184,28 @@ class TestHungBatch:
         run_scenario(tiny_session, options, faults, scenario)
 
 
+class TestMixedGeometry:
+    def test_two_geometries_in_one_flush_window_both_answer(self, tiny_session):
+        """A session server accepts every geometry the session does.  A
+        32x32 and a 40x40 request inside one flush window must not share
+        a tile (they cannot be stacked): each gets its own lane and an
+        exact answer."""
+        options = BASE.replace(max_batch=2, max_wait_ms=200.0)
+        rng = np.random.default_rng(8)
+        images = [rng.uniform(0.0, 1.0, size=(3, hw, hw)) for hw in (32, 40)]
+
+        async def scenario(server, host, port):
+            results = await asyncio.gather(
+                *[predict(host, port, x, deadline_ms=0) for x in images]
+            )
+            assert [s for s, _ in results] == [200, 200], results
+            for (_, body), x in zip(results, images):
+                expected = int(np.argmax(tiny_session.run(x[None]), axis=1)[0])
+                assert body["prediction"] == expected
+
+        run_scenario(tiny_session, options, None, scenario)
+
+
 class TestMalformedPayloads:
     @pytest.mark.parametrize("payload", [
         {"input": [[1.0, 2.0], [3.0, 4.0]]},              # wrong rank
