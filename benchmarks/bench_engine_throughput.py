@@ -7,10 +7,9 @@ Three measurements:
   against the interpreted reference, asserting bit-exactness and the
   headline speedup;
 * E9a — the depthwise-dominated regime (the paper's flagship 224_1.0
-  geometry, where the kh*kw-fold im2col copy blows the cache): on the
-  layers where the per-call rule picks the stencil, the stencil must
-  beat the same plan with the rule's thresholds raised past every layer
-  (im2col everywhere), stride-1 and stride-2;
+  geometry, where a whole-layer kh*kw-fold im2col copy would blow the
+  cache): per depthwise layer, the plan's loop over cache-sized unfold
+  tiles, bit-exact, with the planned arena at batch 8 at most 75 MiB;
 * E9b — a streamed ``run_batched`` sweep whose measured peak allocation
   must stay inside the compile-time activation-arena plan reported by
   ``ExecutionPlan.describe()``.
@@ -24,33 +23,28 @@ Run as a script for the CI smoke lane::
     python benchmarks/bench_engine_throughput.py --quick
 
 which sweeps reduced-size parity checks (default / int32 / int64 plans
-and the stencil on every depthwise layer vs. the interpreted int64
-reference, plus an artifact round trip) and exits non-zero on any
-mismatch.
+vs. the interpreted int64 reference, plus an artifact round trip) and
+exits non-zero on any mismatch.
 """
 
 import argparse
-import contextlib
 import sys
 import time
 import tracemalloc
 
 import numpy as np
 
-import repro.inference.kernels as kernels
 from repro.evaluation.tables import render_table
-from repro.inference.kernels import depthwise_prefers_stencil
+from repro.inference.arena import depthwise_channel_bytes
 from repro.inference.testing import integer_network_from_spec
 from repro.models.model_zoo import mobilenet_v1_spec
+from repro.nn.functional import conv_output_size
 from repro.runtime import CompileOptions, Session, SessionOptions
 
 RESOLUTION = 128
 WIDTH = 0.5
 BATCH = 8
 NUM_CLASSES = 100
-
-#: A depthwise stencil threshold no layer's im2col tensor reaches.
-IM2COL_EVERYWHERE = 1 << 62
 
 
 def _best_of(fn, reps: int = 3) -> float:
@@ -60,19 +54,6 @@ def _best_of(fn, reps: int = 3) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-@contextlib.contextmanager
-def _dw_thresholds(nbytes: int):
-    """Set both depthwise stencil thresholds (stride 1 and 2) for the
-    duration: 0 sends every depthwise layer to the stencil,
-    ``IM2COL_EVERYWHERE`` to im2col."""
-    saved = kernels.DW_IM2COL_BYTES_THRESHOLD, kernels.DW_IM2COL_S2_BYTES_THRESHOLD
-    kernels.DW_IM2COL_BYTES_THRESHOLD = kernels.DW_IM2COL_S2_BYTES_THRESHOLD = nbytes
-    try:
-        yield
-    finally:
-        kernels.DW_IM2COL_BYTES_THRESHOLD, kernels.DW_IM2COL_S2_BYTES_THRESHOLD = saved
 
 
 def test_benchmark_engine_throughput(record_report):
@@ -133,84 +114,62 @@ def test_benchmark_engine_throughput(record_report):
     assert speedup >= 5.0, f"compiled engine speedup {speedup:.2f}x below the 5x target"
 
 
-def test_benchmark_depthwise_fused_speedup(record_report):
+def test_benchmark_depthwise_tile_loop(record_report):
     """E9a — depthwise-dominated regime (flagship 224_1.0 geometry).
 
-    At this scale a depthwise layer's im2col column tensor is tens to
-    hundreds of MB — far past cache — which is exactly the "depthwise
-    layers are memory-bound" headroom the roadmap records.  The per-call
-    rule routes those layers to the stencil (stride-1 and stride-2);
-    against the same plan with the thresholds raised past every layer
-    (im2col everywhere), stride-1 stencils must win >= 1.5x in
-    aggregate, stride-2 >= 1.1x, bit-exactly.
+    A whole depthwise layer's im2col tensor is tens to hundreds of MB at
+    this scale, far past cache.  The plan instead loops over tiles whose
+    unfold stays within ``DW_TILE_BYTES``, requantizing each at once.
+    Per depthwise layer the table shows the tiles, the largest tile's
+    unfold against the whole layer's, and the tile loop's time; the run
+    must be bit-exact against the interpreted reference with the batch-8
+    arena planned at most 75 MiB (169.8 MiB when every layer unfolded
+    whole).
     """
-    res, batch = 224, 6
+    res, batch = 224, 8
     spec = mobilenet_v1_spec(res, 1.0, num_classes=NUM_CLASSES)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
     x = np.random.default_rng(1).uniform(0, 1, size=(batch, 3, res, res))
     plan = net.compile(CompileOptions(input_hw=(res, res)))
-    stencil_logits = plan.run(x)
-    with _dw_thresholds(IM2COL_EVERYWHERE):
-        assert np.array_equal(stencil_logits, plan.run(x)), "stencil and im2col diverged"
+    assert np.array_equal(plan.run(x), net.forward(x)), "tile loop diverged"
 
     rows = []
     codes = plan.quantize_input(x)
     arena = plan.arena_for((res, res))
     arena.ensure(batch)
-    totals = {1: [0.0, 0.0, 0], 2: [0.0, 0.0, 0]}  # stride -> [stencil, im2col, layers]
+    total = 0.0
     for i, layer in enumerate(plan.layers):
         if layer.kind == "dw":
             n, c, h, w = codes.shape
-            oh = (h + 2 * layer.padding - layer.kh) // layer.stride + 1
-            fused = depthwise_prefers_stencil(
-                n, c, layer.kh, layer.kw, oh, oh, layer.gemm_itemsize,
-                stride=layer.stride,
-            )
-            t_l_auto = _best_of(lambda: layer(codes, arena, slot=i % 2))
-            with _dw_thresholds(IM2COL_EVERYWHERE):
-                t_l_im2col = _best_of(lambda: layer(codes, arena, slot=i % 2))
-            if fused:
-                agg = totals[layer.stride]
-                agg[0] += t_l_auto
-                agg[1] += t_l_im2col
-                agg[2] += 1
+            images, blocks = layer.tile_blocking(h, w, arena.dw_tile_bytes)
+            oh = conv_output_size(h, layer.kh, layer.stride, layer.padding)
+            ow = conv_output_size(w, layer.kw, layer.stride, layer.padding)
+            channel_bytes = depthwise_channel_bytes(
+                layer.kh, layer.kw, layer.stride, oh, ow, layer.gemm_itemsize)
+            widest = max(c1 - c0 for c0, c1 in blocks)
+            t_tiles = _best_of(lambda: layer(codes, arena, slot=i % 2))
+            total += t_tiles
             rows.append([
-                layer.name,
-                f"s{layer.stride} " + ("stencil" if fused else "im2col"),
-                round(t_l_im2col * 1e3, 2),
-                round(t_l_auto * 1e3, 2),
-                round(t_l_im2col / t_l_auto, 2),
+                layer.name, f"s{layer.stride}", -(-n // images) * len(blocks),
+                round(min(images, n) * widest * channel_bytes / 2 ** 10, 1),
+                round(n * c * channel_bytes / 2 ** 20, 1),
+                round(t_tiles * 1e3, 2),
             ])
         codes = layer(codes, arena, slot=i % 2)
-    s1_speedup = totals[1][1] / totals[1][0]
-    s2_speedup = totals[2][1] / totals[2][0]
+    planned = arena.planned_bytes(batch)
 
     report = render_table(
-        ["Layer", "Auto path", "im2col ms", "Auto ms", "Speedup"],
-        rows + [
-            ["STENCIL s1 TOTAL", f"{totals[1][2]} layers",
-             round(totals[1][1] * 1e3, 2), round(totals[1][0] * 1e3, 2),
-             round(s1_speedup, 2)],
-            ["STENCIL s2 TOTAL", f"{totals[2][2]} layers",
-             round(totals[2][1] * 1e3, 2), round(totals[2][0] * 1e3, 2),
-             round(s2_speedup, 2)],
-        ],
+        ["Layer", "Stride", "Tiles", "Tile KiB", "Whole unfold MiB", "Tile loop ms"],
+        rows + [["TOTAL", "", "", "", "", round(total * 1e3, 2)]],
         title=(
-            f"E9a — MobileNetV1 {res}_1.0 batch={batch} depthwise layers: "
-            f"stencil {s1_speedup:.2f}x (s1) / {s2_speedup:.2f}x (s2) "
-            f"over im2col on the memory-bound layers (bit-exact)"
+            f"E9a — MobileNetV1 {res}_1.0 batch={batch} depthwise layers as "
+            f"cache-sized tile loops (bit-exact); arena "
+            f"{planned / 2 ** 20:.1f} MiB planned"
         ),
     )
     record_report("engine_depthwise_fused", report)
 
-    assert totals[1][2] >= 2, "auto dispatch engaged on too few s1 dw layers"
-    assert totals[2][2] >= 1, "auto dispatch engaged on no s2 dw layer"
-    assert s1_speedup >= 1.5, (
-        f"depthwise stencil s1 speedup {s1_speedup:.2f}x below the 1.5x target"
-    )
-    assert s2_speedup >= 1.1, (
-        f"depthwise stencil s2 speedup {s2_speedup:.2f}x below the 1.1x target"
-    )
+    assert planned <= 75 * 2 ** 20, f"planned arena {planned} B above 75 MiB"
 
 
 def test_benchmark_batched_sweep_throughput(record_report):
@@ -275,8 +234,6 @@ def _quick_parity_sweep() -> None:
             "int64": net.compile(CompileOptions(backend="int64")),
         }
         outputs = {name: plan.run(x) for name, plan in flavours.items()}
-        with _dw_thresholds(0):  # the stencil on every depthwise layer
-            outputs["stencil"] = flavours["default"].run(x)
         for name, got in outputs.items():
             if not np.array_equal(ref, got):
                 raise AssertionError(
@@ -308,7 +265,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.quick:
-        print("E9 quick parity sweep (default/int32/int64/stencil)...")
+        print("E9 quick parity sweep (default/int32/int64)...")
         _quick_parity_sweep()
         print("OK — all engine flavours bit-exact against the reference")
         return 0
@@ -325,7 +282,7 @@ def main(argv=None) -> int:
         print(f"\n{text}\n[saved to {path}]")
 
     test_benchmark_engine_throughput(record)
-    test_benchmark_depthwise_fused_speedup(record)
+    test_benchmark_depthwise_tile_loop(record)
     test_benchmark_batched_sweep_throughput(record)
     return 0
 

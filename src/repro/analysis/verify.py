@@ -11,7 +11,7 @@ compiled state and fails with a layer-named diagnostic when any is
 violated, so *every* plan (including one rebuilt from a saved artifact)
 can be proven safe before its first inference.
 
-Four rule families (the rule name appears in every diagnostic):
+Five rule families (the rule name appears in every diagnostic):
 
 ``acc-bound``
     Per-layer worst-case ``|Phi|`` recomputed from the actual shifted
@@ -42,6 +42,16 @@ Four rule families (the rule name appears in every diagnostic):
     written last by its predecessor (no stale reads), cover at least the
     bytes read, and differ from the layer's output slot; every per-layer
     slab view must fit its slab (no silent overflow at run time).
+``dw-tiles``
+    Per depthwise layer and geometry, the tile loop's blocking
+    (:meth:`~repro.inference.plan.CompiledConvLayer.tile_blocking`): its
+    channel blocks cover every channel exactly once, and its largest
+    tile — images per tile x widest channel block x one channel's
+    unfold, recomputed here — fits the fixed scratch it unfolds into.
+    Image blocks come from :func:`~repro.inference.arena.balanced_blocks`
+    (a partition of any batch), so the two facts hold at every batch
+    size.  The tile region time-shares that scratch with the
+    requantization: a tile's columns are dead once its GEMM has run.
 
 Structural inconsistencies discovered on the way (shape mismatches,
 non-integral weights, broken metadata cross-checks) are reported under
@@ -170,10 +180,8 @@ def _recover_int_weights(layer, report: VerificationReport) -> Optional[np.ndarr
     """
     if getattr(layer, "kind", "") == "fc":
         w = np.asarray(layer.w_t).T  # stored (K, O)
-    elif getattr(layer, "kind", "") == "dw":
-        w = np.asarray(layer.w_cols)  # (C, kh*kw) flat stencil form
     else:
-        w = np.asarray(layer.w2)
+        w = np.asarray(layer.w2)  # a depthwise layer's may be (C, 1, kh*kw)
     w = w.reshape(w.shape[0], -1)
     if w.dtype.kind == "f":
         rounded = np.rint(w)
@@ -537,13 +545,14 @@ def _conv_slab_needs(layer, h: int, w: int) -> Tuple[Dict[str, int], Tuple[int, 
     out_elems = layer.out_channels * oh * ow
     hp, wp = h + 2 * layer.padding, w + 2 * layer.padding
     pad = layer.in_channels * hp * wp * gemm_isz
-    if layer.kh == 1 and layer.kw == 1 and layer.stride == 1:
-        # A 1x1/s1 unfold is a view and a single-tap stencil needs no
-        # temporary; only a split-K layer uses the slab (its sgemm chunk).
+    if layer.kind == "dw":
+        # Depthwise tiles unfold into the fixed scratch (_check_dw_tiles).
+        cols = 0
+    elif layer.kh == 1 and layer.kw == 1 and layer.stride == 1:
+        # A 1x1/s1 unfold is a view; only a split-K layer uses the slab
+        # (its sgemm chunk).
         cols = out_elems * gemm_isz if getattr(layer, "split_k", None) else 0
     else:
-        # im2col columns; a depthwise stencil's output-sized tap
-        # temporary (C * OH * OW) is never larger.
         cols = layer.in_channels * layer.kh * layer.kw * oh * ow * gemm_isz
     acc = out_elems * gemm_isz
     out = out_elems * np.dtype(layer.out_dtype).itemsize
@@ -554,6 +563,53 @@ def _conv_slab_needs(layer, h: int, w: int) -> Tuple[Dict[str, int], Tuple[int, 
         {"pad": pad, "cols": cols, "acc": acc, "out": out, "requant": requant},
         (oh, ow),
     )
+
+
+def _check_dw_tiles(layer, h: int, w: int, region: int, capacity: int,
+                    report: VerificationReport) -> None:
+    """A depthwise layer's tiles at input ``(h, w)``: a channel partition
+    and a largest tile that fits the ``capacity``-byte fixed scratch."""
+    name = layer.name
+    oh = conv_output_size(h, layer.kh, layer.stride, layer.padding)
+    ow = conv_output_size(w, layer.kw, layer.stride, layer.padding)
+    if layer.kh == 1 and layer.kw == 1 and layer.stride == 1:
+        channel_bytes = 0  # the unfold is a view of the padded input
+    else:
+        channel_bytes = (layer.kh * layer.kw * oh * ow
+                         * np.dtype(layer.gemm_dtype).itemsize)
+    images, blocks = layer.tile_blocking(h, w, region)
+    where = f"at {h}x{w}"
+    if images < 1:
+        report.fail("dw-tiles", name, f"{images} images per tile {where}")
+        return
+    covered = 0
+    for c0, c1 in blocks:
+        if c0 != covered or c1 <= c0:
+            gap = (f"skips channels [{covered}, {c0})" if c0 > covered
+                   else f"overlaps or repeats channels from {c0}")
+            report.fail(
+                "dw-tiles", name,
+                f"channel blocks {list(blocks)} {where}: block [{c0}, {c1}) {gap}",
+            )
+            return
+        covered = c1
+    if covered != layer.in_channels:
+        report.fail(
+            "dw-tiles", name,
+            f"channel blocks {list(blocks)} {where} cover [0, {covered}) of "
+            f"{layer.in_channels} channels",
+        )
+        return
+    widest = max(c1 - c0 for c0, c1 in blocks)
+    largest = images * widest * channel_bytes
+    if largest > capacity:
+        report.fail(
+            "dw-tiles", name,
+            f"largest tile {where} unfolds {largest} B ({images} image(s) x "
+            f"{widest} channel(s)) but the tile region holds {capacity} B",
+        )
+        return
+    report.passed("dw-tiles")
 
 
 def _check_arena(plan, input_hw: Tuple[int, int],
@@ -567,25 +623,17 @@ def _check_arena(plan, input_hw: Tuple[int, int],
     except ValueError as exc:
         report.fail("slab-aliasing", label, f"arena planning failed: {exc}")
         return
-    slot_bytes = arena.code_slot_bytes_per_image
+    # A donor-backed arena executes inside the donor's storage — its
+    # capacity is what the views must fit (checked at adoption, and
+    # re-proved here against the compiled layers).
+    owner = arena.donor if arena.shares_slabs else arena
+    slot_bytes = owner.code_slot_bytes_per_image
     slab_caps = {
-        "pad": arena.pad_bytes_per_image,
-        "cols": arena.cols_bytes_per_image,
-        "acc": arena.acc_bytes_per_image,
-        "requant": arena.requant_scratch_bytes,
+        "pad": owner.pad_bytes_per_image,
+        "cols": owner.cols_bytes_per_image,
+        "acc": owner.acc_bytes_per_image,
+        "requant": owner.requant_scratch_bytes,
     }
-    if arena.shares_slabs:
-        # A donor-backed arena executes inside the donor's storage — its
-        # capacity is what the views must fit (checked at adoption, and
-        # re-proved here against the compiled layers).
-        donor = arena.donor
-        slot_bytes = donor.code_slot_bytes_per_image
-        slab_caps = {
-            "pad": donor.pad_bytes_per_image,
-            "cols": donor.cols_bytes_per_image,
-            "acc": donor.acc_bytes_per_image,
-            "requant": donor.requant_scratch_bytes,
-        }
     if schedule is None:
         schedule = [((i - 1) % 2, i % 2) for i in range(len(layers))]
     if len(schedule) != len(layers):
@@ -621,6 +669,9 @@ def _check_arena(plan, input_hw: Tuple[int, int],
                     f"holds {slab_caps[slab]} B/image",
                 )
                 ok = False
+        if layer.kind == "dw":
+            _check_dw_tiles(layer, h, w, arena.dw_tile_bytes, owner.scratch_bytes,
+                            report)
         if needs["out"] > slot_bytes[out_slot]:
             report.fail(
                 "slab-aliasing", name,

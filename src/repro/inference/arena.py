@@ -14,14 +14,14 @@ This module plans that behaviour statically, at compile time:
 * :func:`plan_activations` cascades the input geometry through the layer
   stack once and records, per layer, the activation shapes plus every
   scratch buffer the compiled kernels need (padded/shifted input, im2col
-  columns — which also hold the depthwise stencil's tap temporary — GEMM
-  accumulator, requantization scratch);
+  columns, GEMM accumulator, requantization scratch, and a depthwise
+  layer's cache-sized unfold tile);
 * :class:`ActivationArena` turns that plan into preallocated slabs: a
   ping-pong pair of *container-width* code slabs (uint8 for every <=8-bit
   activation — the Eq. 7 input/output pair at its true physical width,
   sized per slot), pad/cols/acc scratch sized to the worst layer, and a
-  small fixed requantization scratch; every slab is reused by every
-  subsequent call;
+  small fixed scratch that the requantization and the depthwise tiles
+  take turns in; every slab is reused by every subsequent call;
 * :func:`logical_rw_peak_bytes` evaluates the *paper's* Eq. 7 over the
   same per-layer plan, using the identical packed-tensor formula as
   :mod:`repro.core.memory_model` (imported, not reimplemented), so the
@@ -39,6 +39,7 @@ bounded by.
 
 from __future__ import annotations
 
+import math
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -63,6 +64,18 @@ _INT64_BYTES = np.dtype(np.int64).itemsize
 #: and stores straight into the container-width code slab — instead of
 #: round-tripping the whole layer through an out-sized int64 buffer.
 REQUANT_SCRATCH_BYTES = 512 << 10
+
+#: Most bytes one depthwise im2col tile unfolds.  The compiled plan runs a
+#: depthwise layer as a loop over tiles — blocks of whole images, or
+#: blocks of channels of one image when one image's unfold is larger —
+#: and requantizes each tile before unfolding the next, the host analogue
+#: of the CMSIS-NN kernels' small per-output im2col buffer.  An
+#: interleaved sweep from 128 KiB to 4 MiB on a 2-vCPU host with 2 MiB of
+#: L2 per core was flat from 512 KiB to 2 MiB on MobileNetV1 128_0.5
+#: batch 1 and from 256 KiB to 1 MiB on 224_1.0 batch 8; 1 MiB lies in
+#: both flat ranges (smaller tiles pay more per-tile overhead, larger
+#: ones leave L2).
+DW_TILE_BYTES = 1 << 20
 
 #: Batch sizes whose layer bindings one arena keeps (the least recently
 #: used is dropped first).  A binding set is ~0.3 MB of view objects per
@@ -183,7 +196,9 @@ class LayerActivationPlan:
     logical activation tensors of the paper's Eq. 7.  ``out_itemsize``
     is the container width of the layer's output codes (what the
     ping-pong slab physically stores), ``requant_bytes`` the fixed
-    (batch-independent) int64 requantization scratch this layer needs.
+    (batch-independent) int64 requantization scratch this layer needs,
+    ``tile_bytes`` the fixed unfold-tile bound of a depthwise layer
+    (:func:`depthwise_tile_bound`).
     """
 
     name: str
@@ -198,6 +213,7 @@ class LayerActivationPlan:
     gemm_itemsize: int
     out_itemsize: int = 1
     requant_bytes: int = 0
+    tile_bytes: int = 0
 
     @property
     def in_elems(self) -> int:
@@ -239,6 +255,61 @@ def requant_scratch_bytes(kind: str, requant_kind: str, c_out: int,
                min(out_elems * _INT64_BYTES, REQUANT_SCRATCH_BYTES))
 
 
+def depthwise_channel_bytes(kh: int, kw: int, stride: int, oh: int, ow: int,
+                            itemsize: int) -> int:
+    """Bytes one channel of one image unfolds to in a depthwise layer
+    (0 for a 1x1 stride-1 kernel, whose unfold is a view)."""
+    if kh == 1 and kw == 1 and stride == 1:
+        return 0
+    return kh * kw * oh * ow * itemsize
+
+
+def depthwise_tile_bound(channels: int, channel_bytes: int) -> int:
+    """Fixed bytes a depthwise layer's unfold tiles need.
+
+    One image's unfold when that is smaller, else :data:`DW_TILE_BYTES`
+    (or one channel's unfold, if that alone is larger).  Monotone in the
+    input geometry, so an arena planned for a larger ``(H, W)`` covers
+    every smaller one.
+    """
+    return min(channels * channel_bytes, max(DW_TILE_BYTES, channel_bytes))
+
+
+def balanced_blocks(total: int, most: int) -> Tuple[Tuple[int, int], ...]:
+    """``range(total)`` cut into the fewest contiguous ``(start, stop)``
+    blocks of at most ``most`` items, their sizes differing by at most
+    one (so the last block is never a sliver)."""
+    count = -(-total // max(1, most))
+    blocks = []
+    start = 0
+    for i in range(count):
+        stop = start + total // count + (i < total % count)
+        blocks.append((start, stop))
+        start = stop
+    return tuple(blocks)
+
+
+def depthwise_blocking(channels: int, channel_bytes: int,
+                       region: int) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+    """How a depthwise layer cuts its batch into tiles.
+
+    Returns ``(images per tile, channel blocks)``.  A tile unfolds at
+    most ``min(DW_TILE_BYTES, region)`` bytes — ``region`` is the arena's
+    planned tile region (:attr:`ActivationArena.dw_tile_bytes`) — unless
+    one channel of one image alone is larger:
+
+    * when one image's unfold fits, a tile is a block of whole images,
+      every channel;
+    * otherwise it is a block of channels of one image, the blocks
+      balanced by :func:`balanced_blocks`.
+    """
+    limit = min(DW_TILE_BYTES, region)
+    image_bytes = channels * channel_bytes
+    if image_bytes <= limit:
+        return max(1, limit // max(image_bytes, 1)), ((0, channels),)
+    return 1, balanced_blocks(channels, limit // channel_bytes)
+
+
 def plan_activations(
     geometries: Sequence[LayerGeometry], input_hw: Tuple[int, int]
 ) -> List[LayerActivationPlan]:
@@ -277,14 +348,18 @@ def plan_activations(
             )
         hp, wp = h + 2 * g.padding, w + 2 * g.padding
         out_elems = g.out_channels * oh * ow
-        if g.kh == 1 and g.kw == 1 and g.stride == 1:
+        tile_bytes = 0
+        if g.kind == "dw":
+            # A depthwise layer unfolds tile by tile into the fixed
+            # scratch.
+            cols_elems = 0
+            tile_bytes = depthwise_tile_bound(g.in_channels, depthwise_channel_bytes(
+                g.kh, g.kw, g.stride, oh, ow, g.gemm_itemsize))
+        elif g.kh == 1 and g.kw == 1 and g.stride == 1:
             # im2col of a 1x1/s1 kernel is a pure view; split-K layers
             # repurpose the cols slab as their sgemm chunk buffer.
             cols_elems = out_elems if g.split_k else 0
         else:
-            # im2col columns; a depthwise layer that takes the stencil
-            # uses the same slab for its (smaller) output-sized tap
-            # temporary.
             cols_elems = g.in_channels * g.kh * g.kw * oh * ow
         plans.append(
             LayerActivationPlan(
@@ -302,6 +377,7 @@ def plan_activations(
                 requant_bytes=requant_scratch_bytes(
                     g.kind, g.requant_kind, g.out_channels, out_elems
                 ),
+                tile_bytes=tile_bytes,
             )
         )
         h, w = oh, ow
@@ -340,15 +416,18 @@ class ActivationArena:
         Zero-point-shifted (and zero-padded) input in the layer's GEMM
         dtype.
     ``cols``
-        im2col columns — also the output-sized tap temporary of a
-        depthwise layer that takes the stencil, and the chunk buffer of a
-        split-K layer.
+        im2col columns of the non-depthwise layers (conv0 is the largest)
+        — also the chunk buffer of a split-K layer.
     ``acc``
         The GEMM accumulator (float tier, int32, or int64 depending on
-        the layer's dispatch).
-    ``requant scratch``
-        A small *fixed-size* int64 buffer the chunked requantization
-        tiles the accumulator through (batch-independent).
+        the layer's dispatch); a depthwise tile accumulates into a prefix.
+    ``scratch``
+        A small *fixed-size* (batch-independent) int64 buffer that two
+        users take turns in.  The chunked requantization tiles the
+        accumulator through its first ``requant_scratch_bytes``; a
+        depthwise layer unfolds each tile in its first
+        ``dw_tile_bytes``.  A tile's columns are dead once its GEMM has
+        run, which is before its requantization writes the scratch.
 
     ``ensure`` grows capacity monotonically; views are sliced to the live
     batch, so a smaller batch reuses the same storage.
@@ -359,17 +438,20 @@ class ActivationArena:
     later call, so a steady-state call constructs no views at all.
     Bindings are grouped by batch size, at most
     :data:`MAX_BOUND_BATCHES` of them (least recently used dropped
-    first), and hold no reference to the layer or its weights.  Whenever
+    first), and hold no reference to the layer (a depthwise tile keeps
+    views of its channels' compiled weights and Eq. 5 constants, which
+    die with the plan).  Whenever
     the slab owner reallocates, its bindings and those of every arena
     sharing its slabs are dropped, so no view pins a retired slab.
 
     **Shape polymorphism** (``slabs_from``): an arena may *adopt* the
     slabs of a donor arena planned for a larger (max) geometry instead
-    of allocating its own.  Every per-image slab requirement is monotone
+    of allocating its own.  Every slab requirement is monotone
     non-decreasing in the input ``(H, W)`` (``conv_output_size`` is
-    monotone, and every pad/cols/acc/requant formula scales with the
-    layer element counts), so an arena planned for any geometry at or
-    below the donor's fits inside the donor's slabs; its views slice
+    monotone, every pad/cols/acc/requant formula scales with the layer
+    element counts, and so does :func:`depthwise_tile_bound`), so an
+    arena planned for any geometry at or below the donor's fits inside
+    the donor's slabs; its views slice
     only the prefix they need.  The child keeps its *own* per-layer
     plan list — so Eq. 7 accounting, ``describe`` and the physical-bytes
     checks stay exact for its geometry — while all storage stays with
@@ -400,6 +482,12 @@ class ActivationArena:
         self.requant_scratch_bytes = max(
             (p.requant_bytes for p in conv), default=0
         )
+        #: Unfold-tile region of the depthwise layers: what they cut
+        #: their tiles to (:func:`depthwise_blocking`).
+        self.dw_tile_bytes = max((p.tile_bytes for p in conv), default=0)
+        #: The fixed scratch both of the above take turns in.
+        self.scratch_bytes = max(self.requant_scratch_bytes,
+                                 -(-self.dw_tile_bytes // _INT64_BYTES) * _INT64_BYTES)
         # Slab storage; a slab-sharing arena leaves these unset and reads
         # its donor's.
         self._capacity = 0
@@ -407,7 +495,7 @@ class ActivationArena:
         self._pad: Optional[np.ndarray] = None
         self._cols: Optional[np.ndarray] = None
         self._acc: Optional[np.ndarray] = None
-        self._requant: Optional[np.ndarray] = None
+        self._scratch: Optional[np.ndarray] = None
         self._donor = slabs_from
         #: Arenas executing inside this arena's slabs.
         self._sharers: weakref.WeakSet[ActivationArena] = weakref.WeakSet()
@@ -433,6 +521,7 @@ class ActivationArena:
             ("acc", self.acc_bytes_per_image, donor.acc_bytes_per_image),
             ("requant", self.requant_scratch_bytes,
              donor.requant_scratch_bytes),
+            ("tile", self.dw_tile_bytes, donor.scratch_bytes),
         ]
         for label, need, have in pairs:
             if need > have:
@@ -453,8 +542,8 @@ class ActivationArena:
 
     @property
     def fixed_bytes(self) -> int:
-        """Batch-independent slab bytes (the requantization scratch)."""
-        return self.requant_scratch_bytes
+        """Batch-independent slab bytes (the requant/tile scratch)."""
+        return self.scratch_bytes
 
     def planned_bytes(self, batch_size: int) -> int:
         """Compile-time peak host activation bytes for a given tile size."""
@@ -533,9 +622,9 @@ class ActivationArena:
         self._pad = np.empty(n * self.pad_bytes_per_image, dtype=np.uint8)
         self._cols = np.empty(n * self.cols_bytes_per_image, dtype=np.uint8)
         self._acc = np.empty(n * self.acc_bytes_per_image, dtype=np.uint8)
-        if self._requant is None and self.requant_scratch_bytes:
-            self._requant = np.empty(
-                self.requant_scratch_bytes // _INT64_BYTES, dtype=np.int64
+        if self._scratch is None and self.scratch_bytes:
+            self._scratch = np.empty(
+                self.scratch_bytes // _INT64_BYTES, dtype=np.int64
             )
         self._capacity = n
 
@@ -572,7 +661,7 @@ class ActivationArena:
     # -- views (taken by the layers' bind step) ------------------------
     @staticmethod
     def _view(slab: np.ndarray, dtype, shape: Tuple[int, ...]) -> np.ndarray:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         nbytes = count * np.dtype(dtype).itemsize
         if nbytes > slab.nbytes:
             raise ValueError(
@@ -594,7 +683,14 @@ class ActivationArena:
 
     def requant_scratch(self) -> np.ndarray:
         """The flat int64 requantization scratch (fixed size per arena)."""
-        requant = self._slab_owner._requant
-        if requant is None:
+        owner = self._slab_owner
+        if owner._scratch is None or not owner.requant_scratch_bytes:
             raise ValueError("arena was planned without requantization scratch")
-        return requant
+        return owner._scratch[: owner.requant_scratch_bytes // _INT64_BYTES]
+
+    def tile(self, dtype, shape: Tuple[int, ...]) -> np.ndarray:
+        """A depthwise tile's unfold buffer, in the fixed scratch."""
+        scratch = self._slab_owner._scratch
+        if scratch is None:
+            raise ValueError("arena was planned without a depthwise tile region")
+        return self._view(scratch.view(np.uint8), dtype, shape)

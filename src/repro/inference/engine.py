@@ -211,8 +211,8 @@ class IntegerNetwork:
         network boundary, stores activation codes at container width
         (uint8 for the paper's networks) inside a static activation
         arena (planned eagerly when ``options.input_hw`` is given),
-        routes large depthwise layers through the stencil kernel, and
-        exposes a tiled ``run_batched`` for large sweeps.  Outputs are
+        runs each depthwise layer as a loop over cache-sized unfold
+        tiles, and exposes a tiled ``run_batched`` for large sweeps.  Outputs are
         bit-identical to this interpreted engine.
         """
         from repro.inference.plan import ExecutionPlan

@@ -70,9 +70,11 @@ def _layer_aux_bytes(params) -> int:
 
 def _network_geometries(net: IntegerNetwork) -> List[LayerGeometry]:
     """Activation-planning geometries of the deployment graph, matching
-    what ``net.compile()`` would plan with the a-priori GEMM dispatch
-    (im2col-sized cols scratch, which also holds the depthwise stencil's
-    tap temporary, exactly like ``ExecutionPlan._geometries``)."""
+    what ``net.compile()`` would plan with the a-priori GEMM dispatch,
+    exactly like ``ExecutionPlan._geometries``: im2col-sized cols
+    scratch for the other layers, and for a depthwise layer the tile
+    bound :func:`~repro.inference.arena.plan_activations` derives from
+    its geometry alone."""
     geoms = [
         LayerGeometry.from_weights(
             name=layer.name, kind=layer.kind,

@@ -219,50 +219,10 @@ def int_einsum_gemm(
     return out
 
 
-#: Route a stride-1 depthwise layer through the stencil when
-#: materialising its im2col column tensor would exceed this many bytes.
-#: While the unfold stays near cache-resident the batched BLAS
-#: contraction is the faster path; once the kh*kw-fold copy clearly
-#: exceeds the last-level cache the layer turns memory-bound and the
-#: stencil (which never materialises the columns) wins ~1.5-2x.  Sized at
-#: ~1.5x a typical 32 MB L3 — measured: a ~29 MB unfold still favours
-#: im2col, a ~58 MB unfold favours the stencil.
-DW_IM2COL_BYTES_THRESHOLD = 48 << 20
-
-#: Stride-2 stencil threshold.  A strided stencil reads every other
-#: element of each input row (half of every cache line is wasted), but a
-#: stride-2 im2col pays the same wasteful gather *and* materialises the
-#: kh*kw-fold column tensor on top, so the stencil's crossover sits
-#: lower than stride-1: measured on the MobileNetV1 224_1.0 s2 layers, a
-#: ~43 MB unfold favours the stencil ~1.3x while small unfolds still
-#: favour the batched matmul.
-DW_IM2COL_S2_BYTES_THRESHOLD = 24 << 20
-
 #: Batch-blocking target of the stencil: taps iterate inside blocks whose
 #: out/tmp/window working set stays around this size, so the accumulator
 #: churns in cache instead of streaming from DRAM on every tap.
 DW_STENCIL_BLOCK_BYTES = 2 << 20
-
-
-def depthwise_prefers_stencil(
-    n: int, c: int, kh: int, kw: int, oh: int, ow: int, itemsize: int,
-    stride: int = 1,
-) -> bool:
-    """Whether the stencil beats materialised im2col for this shape (the
-    per-call depthwise dispatch rule of the compiled plan).
-
-    Stride-1 and stride-2 layers dispatch on the size their im2col column
-    tensor would reach, each with its own cache threshold (the strided
-    window reads of a stride-2 stencil are dearer, but so is a stride-2
-    unfold).  Larger strides always take the im2col path.
-    """
-    if stride == 1:
-        threshold = DW_IM2COL_BYTES_THRESHOLD
-    elif stride == 2:
-        threshold = DW_IM2COL_S2_BYTES_THRESHOLD
-    else:
-        return False
-    return n * c * kh * kw * oh * ow * itemsize > threshold
 
 
 # hot
@@ -294,9 +254,15 @@ def depthwise_stencil_accumulate(
     :func:`blas_gemm_dtype`) every float intermediate is an exact
     integer; over int64 it is exact unconditionally.
 
-    ``out`` and ``tmp`` are preallocated ``(N, C, OH, OW)`` buffers
-    (activation-arena slabs); ``out`` must not alias ``x_shift``, and
-    ``tmp`` may be ``None`` only for a single-tap (1x1) kernel.
+    ``out`` and ``tmp`` are preallocated ``(N, C, OH, OW)`` buffers;
+    ``out`` must not alias ``x_shift``, and ``tmp`` may be ``None`` only
+    for a single-tap (1x1) kernel.
+
+    The compiled plan does not call it: it unfolds each depthwise layer
+    in cache-sized tiles (:data:`repro.inference.arena.DW_TILE_BYTES`),
+    and unfold plus matmul over those tiles beat this kernel by 1.3-1.8x
+    on every depthwise layer of MobileNetV1 224_1.0 at batch 8 (2-vCPU
+    Xeon, OpenBLAS).
     """
     n, c, hp, wp = x_shift.shape
     oh = (hp - kh) // stride + 1

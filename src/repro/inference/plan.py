@@ -15,11 +15,11 @@ per-inference path:
   K-tiled int64 einsum as the unbounded reference fallback; forcing
   ``backend="int32"`` runs the narrow MCU-style integer path (int32
   accumulators) wherever the ``2^31`` bound allows;
-* a depthwise layer whose im2col column tensor would blow the cache
-  takes a stencil path that never materialises it (per-tap strided
-  multiply-adds, same exactness dispatch, stride-1 and stride-2 — see
-  :func:`repro.inference.kernels.depthwise_stencil_accumulate`), picked
-  per call from the input size;
+* a depthwise layer runs as a loop over cache-sized tiles — blocks of
+  whole images, or channel blocks of one image — each unfolded into a
+  fixed region of at most ``DW_TILE_BYTES``, contracted and requantized
+  before the next is unfolded, like the CMSIS-NN kernels' small im2col
+  buffer;
 * fixed-point requantization (Eq. 5) is folded into per-channel
   constants for the flat ``(N, C, L)`` accumulator layout and runs as a
   short float64 or int64 epilogue, the tier picked from the layer's
@@ -58,14 +58,19 @@ from repro.core.icn import (
     ICNParams,
     ThresholdParams,
 )
-from repro.inference.arena import ActivationArena, LayerGeometry, plan_activations
+from repro.inference.arena import (
+    ActivationArena,
+    LayerGeometry,
+    balanced_blocks,
+    depthwise_blocking,
+    depthwise_channel_bytes,
+    plan_activations,
+)
 from repro.inference.kernels import (
     FLOAT32_EXACT_BITS,
     FLOAT64_EXACT_BITS,
     INT32_EXACT_BITS,
     check_codes,
-    depthwise_prefers_stencil,
-    depthwise_stencil_accumulate,
     exact_gemm_dtype_for_bound,
     gemm_reduction_length,
     int_avg_pool_global,
@@ -75,6 +80,9 @@ from repro.inference.kernels import (
     refined_max_abs_accumulator,
     shift_weights,
 )
+# Not called by the plan; perfbench wraps this name to count stencil
+# layers, so it stays importable from here.
+from repro.inference.kernels import depthwise_stencil_accumulate  # noqa: F401  # analysis: ignore[unused-import]
 from repro.inference.packing import container_dtype
 from repro.nn.functional import conv_output_size, im2col
 
@@ -205,14 +213,17 @@ class _CompiledFixedPointRequant:
     :mod:`repro.analysis.verify` recomputes every folded constant in
     Python ints and re-proves the tier's bound.
 
-    ``bind(phi, out, scratch)`` cuts the accumulator (float32/float64/
-    int32/int64), the small int64 ``scratch`` (viewed as float64 on the
-    ``f64`` tier) and the container-width ``out`` codes into aligned
-    cache-resident chunks — one per image when an image's accumulator
-    fits; ``run(chunks)`` casts each accumulator chunk into its scratch,
-    requantizes there in place and truncates into its codes.  The casts
-    stay in those two plain copies: a ufunc that casts its operands runs
-    numpy's buffered loop, which measured slower than the extra copy.
+    ``bind(phi, out, scratch, channels)`` takes the constants of output
+    channels ``channels = (c0, c1)`` (a depthwise tile binds its own
+    block, every other layer all of them) and cuts the accumulator
+    (float32/float64/int32/int64), the small int64 ``scratch`` (viewed
+    as float64 on the ``f64`` tier) and the container-width ``out`` codes
+    into aligned cache-resident chunks — one per image when an image's
+    accumulator fits; ``run(bound)`` casts each accumulator chunk into
+    its scratch, requantizes there in place and truncates into its
+    codes.  The casts stay in those two plain copies: a ufunc that casts
+    its operands runs numpy's buffered loop, which measured slower than
+    the extra copy.
     The clip bounds are typed scalars, which ``ndarray.clip`` takes
     without converting Python ints on every call.
     """
@@ -247,10 +258,16 @@ class _CompiledFixedPointRequant:
             self.tier = "i64"
             self.m_f64 = self.c_f64 = None
 
-    def bind(self, phi: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> tuple:
-        """``(accumulator, scratch, codes)`` chunk views for :meth:`run`."""
+    def bind(self, phi: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+             channels: Tuple[int, int]) -> tuple:
+        """The constants of output channels ``[c0, c1)`` and the
+        ``(accumulator, scratch, codes)`` chunk views, for :meth:`run`."""
         if self.tier == "f64":
             scratch = scratch.view(np.float64)
+            consts = (self.m_f64, self.c_f64)
+        else:
+            consts = (self.m_int, self.b_int, self.rshift)
+        consts = tuple(_channel_slice(k, *channels) for k in consts)
         n, c, l = phi.shape
         lc = max(1, min(l, scratch.size // max(c, 1)))
         chunks = []
@@ -260,12 +277,13 @@ class _CompiledFixedPointRequant:
                 chunks.append((phi[b:b + 1, :, l0:l1],
                                scratch[: c * (l1 - l0)].reshape(1, c, l1 - l0),
                                out[b:b + 1, :, l0:l1]))
-        return tuple(chunks)
+        return consts, tuple(chunks)
 
     # hot
-    def run(self, chunks: tuple) -> None:
+    def run(self, bound: tuple) -> None:
+        consts, chunks = bound
         if self.tier == "f64":
-            m, c, (lo, hi) = self.m_f64, self.c_f64, self._clip_f64
+            (m, c), (lo, hi) = consts, self._clip_f64
             for phi, s, out in chunks:
                 np.copyto(s, phi, casting="unsafe")
                 s *= m
@@ -273,8 +291,7 @@ class _CompiledFixedPointRequant:
                 s.clip(lo, hi, out=s)
                 np.copyto(out, s, casting="unsafe")
             return
-        m, b, r, z, (lo, hi) = (self.m_int, self.b_int, self.rshift,
-                                self._z_y_i64, self._clip_i64)
+        (m, b, r), z, (lo, hi) = consts, self._z_y_i64, self._clip_i64
         for phi, s, out in chunks:
             np.copyto(s, phi, casting="unsafe")
             s *= m
@@ -283,6 +300,12 @@ class _CompiledFixedPointRequant:
             s += z
             s.clip(lo, hi, out=s)
             np.copyto(out, s, casting="unsafe")
+
+
+def _channel_slice(const, c0: int, c1: int):
+    """Output channels ``[c0, c1)`` of a per-channel ``(1, C, 1)``
+    constant; a per-layer scalar is every channel's."""
+    return const[:, c0:c1] if const.ndim == 3 else const
 
 
 def _compile_icn_requant(params: ICNParams, acc_bound: int) -> _CompiledFixedPointRequant:
@@ -339,12 +362,16 @@ class _CompiledThresholdRequant:
             y = self.levels - 1 - np.searchsorted(table, vals, side="left")
         return y
 
-    def bind(self, phi: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> tuple:
-        """The image-sized scratch, its per-channel rows, and per image
-        the ``(accumulator, codes)`` views for :meth:`run`."""
+    def bind(self, phi: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+             channels: Tuple[int, int]) -> tuple:
+        """The image-sized scratch, its per-channel rows paired with the
+        tables of output channels ``[c0, c1)``, and per image the
+        ``(accumulator, codes)`` views for :meth:`run`."""
         n, c, l = phi.shape
+        c0, c1 = channels
         s = scratch[: c * l].reshape(c, l)
-        return s, tuple(s), tuple((phi[b], out[b]) for b in range(n))
+        return (s, tuple(zip(s, self.tables[c0:c1])),
+                tuple((phi[b], out[b]) for b in range(n)))
 
     # hot
     def run(self, bound: tuple) -> None:
@@ -352,7 +379,7 @@ class _CompiledThresholdRequant:
         lo, hi = self._clip
         for phi, out in images:
             np.copyto(s, phi, casting="unsafe")
-            for vals, (table, direction) in zip(rows, self.tables):
+            for vals, (table, direction) in rows:
                 y = self._levels_for(vals, table, direction)
                 y.clip(lo, hi, out=y)
                 np.copyto(vals, y)
@@ -380,11 +407,12 @@ class CompiledConvLayer:
     zero per-inference cost (and required for the float exactness bound,
     which assumes codes within [0, 2^Q - 1]).
 
-    A depthwise layer picks its kernel per call: the im2col-free stencil
-    exactly when the batch's im2col column tensor would blow the cache
-    threshold and turn the layer memory-bound
-    (:func:`~repro.inference.kernels.depthwise_prefers_stencil`), the
-    unfold+matmul path otherwise.
+    A depthwise layer runs as a loop over cache-sized tiles
+    (:meth:`tile_blocking`): after the whole layer is shifted and padded
+    once, each tile is unfolded into the arena's fixed tile region,
+    contracted into a prefix of the accumulator slab and requantized at
+    once with its channels' Eq. 5 constants, so no tile's working set
+    leaves the cache.
 
     The layer computes entirely inside preallocated views of an
     :class:`~repro.inference.arena.ActivationArena` and returns a view
@@ -450,22 +478,24 @@ class CompiledConvLayer:
             else [np.ascontiguousarray(w2[:, k0:k1]) for k0, k1 in self.split_k]
         )
         self.gemm_itemsize = self.gemm_dtype.itemsize
-        if self.kind == "dw":
-            self.w_cols = self.w2  # (C, kh*kw) stencil form
-            if self.backend == "blas":
-                # (C, 1, kh*kw) batched-matmul form for the im2col path
-                # (the integer einsum contraction keeps the flat form).
-                self.w2 = np.ascontiguousarray(self.w2[:, None, :])
+        if self.kind == "dw" and self.backend == "blas":
+            # (C, 1, kh*kw) batched-matmul form (the integer einsum
+            # contraction keeps the flat form).
+            self.w2 = np.ascontiguousarray(self.w2[:, None, :])
         self.requant = _compile_requant(p, self.acc_bound)
         self.requant_kind = self.requant.kind
         #: Eq. 5 epilogue tier: "f64", "i64" or "thr" (thresholds).
         self.epilogue = self.requant.tier
 
-    def _accumulate_int(self, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Integer einsum contraction (int64 reference / forced int32)."""
-        if self.kind == "dw":
-            return np.einsum("ck,nckl->ncl", self.w2, cols, optimize=True, out=out)
-        return int_einsum_gemm(self.w2, cols, out=out)
+    def tile_blocking(self, h: int, w: int,
+                      region: int) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+        """``(images per tile, channel blocks)`` of this depthwise layer
+        at input ``(h, w)``, for an arena whose tile region is ``region``
+        bytes (:func:`~repro.inference.arena.depthwise_blocking`)."""
+        oh = conv_output_size(h, self.kh, self.stride, self.padding)
+        ow = conv_output_size(w, self.kw, self.stride, self.padding)
+        return depthwise_blocking(self.in_channels, depthwise_channel_bytes(
+            self.kh, self.kw, self.stride, oh, ow, self.gemm_itemsize), region)
 
     def bind(self, arena: ActivationArena, shape: Tuple[int, ...],
              slot: int) -> "_LayerViews":
@@ -473,8 +503,7 @@ class CompiledConvLayer:
 
         The arena caches the result (:meth:`ActivationArena.bound`), so
         a steady-state call only issues kernels.  A depthwise layer binds
-        both the stencil's and the im2col path's views: which one runs is
-        decided on every call.
+        its tiles.
         """
         n, c, h, w = shape
         oh = conv_output_size(h, self.kh, self.stride, self.padding)
@@ -488,32 +517,65 @@ class CompiledConvLayer:
         p = self.padding
         v.pad = arena.pad(self.gemm_dtype, (n, c, h + 2 * p, w + 2 * p))
         v.pad_in = v.pad[:, :, p:-p, p:-p] if p else v.pad
+        out = arena.codes(slot, out_shape, self.out_dtype)
+        v.out = out.reshape(n, self.out_channels, oh, ow)
+        v.cols = v.split = v.tiles = None
+        if self.kind == "dw":
+            v.tiles = self._bind_tiles(arena, v.pad, out, shape, oh, ow)
+            return v
         # im2col columns: a pure view for 1x1/s1, an arena slab otherwise.
         if self.kh == 1 and self.kw == 1 and self.stride == 1:
-            v.cols = None
             cols = v.pad.reshape(n, c, l_out)
         else:
             v.cols = cols = arena.cols(self.gemm_dtype, (n, c * self.kh * self.kw, l_out))
         v.acc = arena.acc(self.acc_dtype, out_shape)
         v.gemm_in, v.gemm_out = cols, v.acc
-        v.dispatch = v.split = None
-        if self.kind == "dw":
-            v.gemm_in = cols.reshape(n, c, self.k_reduction, l_out)
-            if self.backend == "blas":
-                v.gemm_out = v.acc.reshape(n, c, 1, l_out)
-            v.dispatch = (n, c, self.kh, self.kw, oh, ow, self.gemm_itemsize)
-            # The stencil accumulates into the same accumulator; the
-            # im2col-sized cols slab holds its output-sized tap buffer.
-            v.stencil_out = v.acc.reshape(n, c, oh, ow)
-            v.tap = (arena.cols(self.gemm_dtype, (n, c, oh, ow))
-                     if self.k_reduction > 1 else None)
-        elif self.split_k is not None:
+        if self.split_k is not None:
             v.split = (arena.cols(self.gemm_dtype, out_shape),
                        tuple(cols[:, k0:k1, :] for k0, k1 in self.split_k))
-        out = arena.codes(slot, out_shape, self.out_dtype)
-        v.requant = self.requant.bind(v.acc, out, arena.requant_scratch())
-        v.out = out.reshape(n, self.out_channels, oh, ow)
+        v.requant = self.requant.bind(v.acc, out, arena.requant_scratch(),
+                                      (0, self.out_channels))
         return v
+
+    def _bind_tiles(self, arena: ActivationArena, pad: np.ndarray,
+                    out: np.ndarray, shape: Tuple[int, ...],
+                    oh: int, ow: int) -> Tuple["_Tile", ...]:
+        """One depthwise tile per (image block, channel block).
+
+        Every tile unfolds at the start of the arena's fixed scratch and
+        accumulates into a prefix of the accumulator slab, so tiles of
+        one shape share those views.
+        """
+        n, _, h, w = shape
+        l_out, k = oh * ow, self.k_reduction
+        unfold = not (self.kh == 1 and self.kw == 1 and self.stride == 1)
+        images, channel_blocks = self.tile_blocking(h, w, arena.dw_tile_bytes)
+        scratch = arena.requant_scratch()
+        by_shape = {}
+        tiles = []
+        for b0, b1 in balanced_blocks(n, images):
+            for c0, c1 in channel_blocks:
+                nb, cb = b1 - b0, c1 - c0
+                views = by_shape.get((nb, cb))
+                if views is None:
+                    acc = arena.acc(self.acc_dtype, (nb, cb, l_out))
+                    cols = (arena.tile(self.gemm_dtype, (nb, cb * k, l_out))
+                            if unfold else None)
+                    views = by_shape[(nb, cb)] = (
+                        acc, cols,
+                        cols.reshape(nb, cb, k, l_out) if unfold else None,
+                        (acc.reshape(nb, cb, 1, l_out) if self.backend == "blas"
+                         else acc),
+                    )
+                t = _Tile()
+                acc, t.cols, t.gemm_in, t.gemm_out = views
+                t.src = pad[b0:b1, c0:c1]
+                if not unfold:
+                    t.gemm_in = t.src.reshape(nb, cb, 1, l_out)
+                t.w = self.w2[c0:c1]
+                t.requant = self.requant.bind(acc, out[b0:b1, c0:c1], scratch, (c0, c1))
+                tiles.append(t)
+        return tuple(tiles)
 
     # hot
     def __call__(self, x_codes: np.ndarray, arena: ActivationArena,
@@ -524,28 +586,36 @@ class CompiledConvLayer:
         # The subtraction loop is pinned to the GEMM dtype, so narrow
         # (uint8) input containers are widened on the fly, never wrapped.
         np.subtract(x_codes, self.z_x, out=v.pad_in, dtype=self.gemm_dtype)
-        if v.dispatch is not None and depthwise_prefers_stencil(
-                *v.dispatch, stride=self.stride):
-            depthwise_stencil_accumulate(
-                v.pad, self.w_cols, self.kh, self.kw, self.stride,
-                out=v.stencil_out, tmp=v.tap,
-            )
+        if v.tiles is not None:
+            kh, kw, stride = self.kh, self.kw, self.stride
+            blas, requant = self.backend == "blas", self.requant.run
+            for t in v.tiles:
+                if t.cols is not None:
+                    im2col(t.src, kh, kw, stride, 0, out=t.cols)
+                if blas:
+                    np.matmul(t.w, t.gemm_in, out=t.gemm_out)
+                else:
+                    np.einsum("ck,nckl->ncl", t.w, t.gemm_in, optimize=True,
+                              out=t.gemm_out)
+                # Eq. 5 on this tile while its accumulator is still hot.
+                requant(t.requant)
+            return v.out
+        if v.cols is not None:
+            im2col(v.pad, self.kh, self.kw, self.stride, 0, out=v.cols)
+        if v.split is not None:
+            # Chunked sgemm over the K-partition, each chunk exact in
+            # float32, summed exactly in the float64 accumulator.
+            tmp, chunks = v.split
+            np.matmul(self.w2_chunks[0], chunks[0], out=tmp)
+            np.copyto(v.acc, tmp)
+            for w2c, chunk in zip(self.w2_chunks[1:], chunks[1:]):
+                np.matmul(w2c, chunk, out=tmp)
+                np.add(v.acc, tmp, out=v.acc)
+        elif self.backend == "blas":
+            np.matmul(self.w2, v.gemm_in, out=v.gemm_out)
         else:
-            if v.cols is not None:
-                im2col(v.pad, self.kh, self.kw, self.stride, 0, out=v.cols)
-            if v.split is not None:
-                # Chunked sgemm over the K-partition, each chunk exact in
-                # float32, summed exactly in the float64 accumulator.
-                tmp, chunks = v.split
-                np.matmul(self.w2_chunks[0], chunks[0], out=tmp)
-                np.copyto(v.acc, tmp)
-                for w2c, chunk in zip(self.w2_chunks[1:], chunks[1:]):
-                    np.matmul(w2c, chunk, out=tmp)
-                    np.add(v.acc, tmp, out=v.acc)
-            elif self.backend == "blas":
-                np.matmul(self.w2, v.gemm_in, out=v.gemm_out)
-            else:
-                self._accumulate_int(v.gemm_in, out=v.gemm_out)
+            # Integer einsum contraction (int64 reference / forced int32).
+            int_einsum_gemm(self.w2, v.gemm_in, out=v.gemm_out)
         # Chunked requantization: accumulator -> int64 scratch tiles ->
         # container-width codes.  Exact: every accumulator value is an
         # integer below the refined bound by construction.
@@ -555,10 +625,18 @@ class CompiledConvLayer:
 
 class _LayerViews:
     """The arena views of one :class:`CompiledConvLayer` call at one input
-    shape: only slab views, never the layer or its weights."""
+    shape: slab views (and a depthwise layer's tiles), never the layer."""
 
     __slots__ = ("pad", "pad_in", "cols", "acc", "gemm_in", "gemm_out",
-                 "dispatch", "stencil_out", "tap", "split", "requant", "out")
+                 "split", "tiles", "requant", "out")
+
+
+class _Tile:
+    """One depthwise tile's views: its padded input, unfold, accumulator
+    and codes, plus views of its channels' weights and Eq. 5 constants
+    (small arrays that die with the plan)."""
+
+    __slots__ = ("src", "cols", "gemm_in", "gemm_out", "w", "requant")
 
 
 class CompiledLinear:
@@ -873,7 +951,7 @@ class ExecutionPlan:
         lines = [f"{'layer':<16} {'kind':<5} {'backend':<7} {'acc':<8} "
                  f"{'codes':<6} {'eq5':<4} {'k':>6} {'c_out':>6}  {'path'}"]
         for info in self.layer_info():
-            path = "auto-stencil" if info.kind == "dw" else "im2col"
+            path = "tiles" if info.kind == "dw" else "im2col"
             lines.append(
                 f"{info.name:<16} {info.kind:<5} {info.backend:<7} {info.gemm_dtype:<8} "
                 f"{info.container:<6} {info.epilogue:<4} {info.k_reduction:>6} "
@@ -891,7 +969,7 @@ class ExecutionPlan:
                 f"activation arena (input {h}x{w}):",
                 f"  planned host peak  : {arena.planned_bytes(batch_size)} bytes"
                 f" (batch {batch_size}, {arena.bytes_per_image()} per image"
-                f" + {arena.fixed_bytes} requant scratch)",
+                f" + {arena.fixed_bytes} requant/tile scratch)",
                 f"  physical code pair : {arena.physical_code_bytes(1)} bytes"
                 f" (container-width ping-pong, batch 1)",
                 f"  logical RW peak    : {arena.logical_rw_peak_bytes} bytes"

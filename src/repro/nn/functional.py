@@ -50,14 +50,20 @@ def im2col(
     ow = conv_output_size(w, kw, stride, pad)
     if pad > 0:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
-    # Strided view: (N, C, kh, kw, OH, OW)
+    # Strided view: (N, C, kh, kw, OH, OW).
     s0, s1, s2, s3 = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-        writeable=False,
-    )
+    shape = (n, c, kh, kw, oh, ow)
+    strides = (s0, s1, s2, s3, s2 * stride, s3 * stride)
+    if out is None or not x.flags.c_contiguous:
+        # Read-only: the columns returned below may alias ``x``.
+        view = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides,
+                                               writeable=False)
+    else:
+        # Only ever read, into ``out``: over a C-contiguous input the
+        # ndarray constructor builds it several times faster than
+        # as_strided (which a caller unfolding many small tiles pays per
+        # call).
+        view = np.ndarray(shape, x.dtype, x, 0, strides)
     if out is not None:
         if out.shape != (n, c * kh * kw, oh * ow):
             raise ValueError(

@@ -81,9 +81,9 @@ class TestZooAcceptance:
 class TestViewUnfoldDepthwise:
     @pytest.mark.parametrize("seed", [38, 78])
     def test_1x1_stride1_depthwise_verifies(self, seed):
-        """A 1x1 stride-1 depthwise layer unfolds as a pure view and its
-        single-tap stencil needs no temporary, so the planner gives it no
-        cols slab; the verifier must not charge it one."""
+        """A 1x1 stride-1 depthwise layer unfolds as a pure view, so the
+        planner gives it no cols slab or tile; the verifier must not
+        charge it one."""
         net = random_network(np.random.default_rng(seed), resolution=11)
         assert any(
             l.kind == "dw" and l.stride == 1
@@ -233,6 +233,44 @@ class TestCorruptionRejection:
         assert err.rules == ["requant-shift"]
         assert err.layers == [victim.name]
         assert ">= 2^53" in str(err)
+
+    def test_tile_region_smaller_than_a_tile_rejected(self):
+        plan = _fresh_plan()
+        arena = plan.arena_for(HW)
+        h = w = HW[0]
+        largest = {}
+        for layer in plan.layers:
+            if layer.kind == "dw":
+                images, blocks = layer.tile_blocking(h, w, arena.dw_tile_bytes)
+                widest = max(c1 - c0 for c0, c1 in blocks)
+                oh = (h + 2 * layer.padding - layer.kh) // layer.stride + 1
+                largest[layer.name] = (images * widest * layer.kh * layer.kw
+                                       * oh * oh * layer.gemm_itemsize)
+            h = w = (h + 2 * layer.padding - layer.kh) // layer.stride + 1
+        victim = max(largest, key=largest.get)
+        arena.scratch_bytes = largest[victim] - 1
+        with pytest.raises(PlanVerificationError) as exc_info:
+            verify_plan(plan, HW)
+        err = exc_info.value
+        assert set(err.rules) == {"dw-tiles"}
+        assert victim in err.layers
+        assert "tile region holds" in str(err)
+
+    @pytest.mark.parametrize("blocks,why", [
+        (((0, 3), (4, 8)), "skips channels [3, 4)"),
+        (((0, 4), (3, 8)), "overlaps"),
+        (((0, 4),), "cover [0, 4) of 8"),
+    ])
+    def test_channel_blocks_must_partition(self, blocks, why):
+        plan = _fresh_plan()
+        victim = next(l for l in plan.layers if l.kind == "dw" and l.in_channels == 8)
+        victim.tile_blocking = lambda h, w, region: (1, blocks)
+        with pytest.raises(PlanVerificationError) as exc_info:
+            verify_plan(plan, HW)
+        err = exc_info.value
+        assert err.rules == ["dw-tiles"]
+        assert err.layers == [victim.name]
+        assert why in str(err)
 
     def test_report_collects_every_violation(self):
         plan = _fresh_plan()

@@ -176,11 +176,48 @@ def test_describe_reports_arena_peak_and_fused_dispatch():
     arena = plan.arena_for((32, 32))
     assert f"{arena.planned_bytes(8)} bytes" in text
     assert f"{arena.logical_rw_peak_bytes} bytes" in text
-    # Depthwise layers pick the stencil per call; the rest unfold.
+    # Depthwise layers run a tile loop; the rest unfold whole.
     for line in text.splitlines()[1:len(plan.layers) + 1]:
-        assert line.endswith("auto-stencil" if " dw " in line else "im2col"), line
+        assert line.endswith("tiles" if " dw " in line else "im2col"), line
     # Without a planned geometry the summary simply omits the arena block.
     assert "activation arena" not in net.compile().describe()
+
+
+class TestTiledDepthwiseArena:
+    """Depthwise layers unfold tile by tile into the fixed scratch, so the
+    per-image cols slab only holds the non-depthwise unfolds."""
+
+    @staticmethod
+    def _arena(res, width):
+        spec = mobilenet_v1_spec(res, width, num_classes=10)
+        net = integer_network_from_spec(spec, np.random.default_rng(0))
+        plan = net.compile()
+        return plan, plan.arena_for((res, res))
+
+    def test_224_batch8_arena_is_at_most_75_mib(self):
+        plan, arena = self._arena(224, 1.0)
+        assert arena.planned_bytes(8) <= 75 * 2 ** 20
+        conv0 = arena.plans[0]
+        assert conv0.kind == "conv"
+        assert arena.cols_bytes_per_image == conv0.cols_elems * conv0.gemm_itemsize
+        assert all(p.cols_elems == 0 for p in arena.plans if p.kind == "dw")
+        # Still exact and linear in the batch.
+        assert (arena.planned_bytes(8) - arena.planned_bytes(1)
+                == 7 * arena.bytes_per_image())
+
+    def test_128_batch1_arena_is_at_most_2_7_mib(self):
+        _, arena = self._arena(128, 0.5)
+        assert arena.planned_bytes(1) <= 2.7 * 2 ** 20
+        # The tile region and the requant scratch take turns in one
+        # fixed slab.
+        assert arena.fixed_bytes == max(arena.requant_scratch_bytes, arena.dw_tile_bytes)
+
+    def test_tile_region_is_monotone_in_the_geometry(self):
+        spec = mobilenet_v1_spec(64, 0.5, num_classes=10)
+        net = integer_network_from_spec(spec, np.random.default_rng(0))
+        plan = net.compile()
+        sizes = [plan.arena_for((hw, hw)).dw_tile_bytes for hw in range(32, 97, 8)]
+        assert sizes == sorted(sizes)
 
 
 def _mobilenet(resolution=32):

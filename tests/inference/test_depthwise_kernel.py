@@ -1,17 +1,24 @@
 """Depthwise stencil kernel: bit-identity against the im2col int64
-reference across bit widths, strides, paddings and channel counts, and
-the compiled plan's per-call stencil/im2col dispatch."""
+reference across bit widths, strides, paddings and channel counts; and
+the compiled plan's depthwise tile loop at its tile boundaries."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.inference.arena as arena_mod
+from repro.analysis import verify_plan
+from repro.inference.arena import balanced_blocks, depthwise_channel_bytes
+from repro.inference.engine import IntegerAvgPool, IntegerNetwork
 from repro.inference.kernels import (
     blas_gemm_dtype,
     depthwise_stencil_accumulate,
     int_depthwise_conv2d,
     shift_weights,
 )
+from repro.inference.testing import random_conv_layer, random_linear_layer, random_network
+from repro.nn.functional import conv_output_size
+from repro.runtime import CompileOptions
 
 
 @st.composite
@@ -138,87 +145,144 @@ def test_fused_float_tier_dispatch(bits, expected):
     assert blas_gemm_dtype(9, bits, bits) == expected
 
 
-class TestAutoDispatch:
-    """The compiled plan's per-call stencil/im2col rule and its parity."""
+# ----------------------------------------------------------------------
+# The compiled plan's depthwise tile loop
+# ----------------------------------------------------------------------
+RES = 12
+CHANNELS = 7  # prime: every split into 2..6 blocks is ragged
 
-    def test_prefers_stencil_above_cache_threshold(self):
-        from repro.inference.kernels import (
-            DW_IM2COL_BYTES_THRESHOLD,
-            DW_IM2COL_S2_BYTES_THRESHOLD,
-            depthwise_prefers_stencil,
-        )
-        # 8 x 32ch x 3x3 x 112x112 float32 im2col is ~115 MB: stencil.
-        assert depthwise_prefers_stencil(8, 32, 3, 3, 112, 112, 4)
-        # 1 x 8ch x 3x3 x 16x16 is ~74 kB: stays on the matmul path.
-        assert not depthwise_prefers_stencil(1, 8, 3, 3, 16, 16, 4)
-        # Stride 2 dispatches on its own (lower) threshold: a ~115 MB
-        # unfold takes the stencil, a small one keeps the matmul path.
-        assert depthwise_prefers_stencil(8, 32, 3, 3, 112, 112, 4, stride=2)
-        assert not depthwise_prefers_stencil(1, 8, 3, 3, 16, 16, 4, stride=2)
-        # Strides beyond 2 always fall back to im2col.
-        assert not depthwise_prefers_stencil(8, 32, 3, 3, 112, 112, 4, stride=3)
-        assert 0 < DW_IM2COL_S2_BYTES_THRESHOLD < DW_IM2COL_BYTES_THRESHOLD
 
-    @pytest.mark.parametrize("mode", [True, False, "auto"])
-    def test_all_dispatch_modes_bit_identical(self, mode, monkeypatch):
-        """Stencil on every depthwise layer (thresholds of 0), on none
-        (thresholds past every layer) or by the default rule."""
-        import repro.inference.kernels as k
-        from repro.inference.testing import integer_network_from_spec
-        from repro.models.model_zoo import mobilenet_v1_spec
+def _dw_net(seed, *, kernel=3, stride=1, strategy="icn", bits=8, lead=False,
+            i64_tier=False):
+    """conv0 -> (with ``lead``: a 3x3 dw on the full input, then a
+    stride-2 one) -> the dw layer under test -> pw -> fc."""
+    rng = np.random.default_rng(seed)
+    kw = dict(in_bits=bits, out_bits=bits, w_bits=bits)
+    layers = [random_conv_layer(rng, "conv", 3, CHANNELS, name="conv0", **kw)]
+    if lead:
+        layers += [
+            random_conv_layer(rng, "dw", CHANNELS, CHANNELS, name="lead_s1", **kw),
+            random_conv_layer(rng, "dw", CHANNELS, CHANNELS, stride=2,
+                              name="lead_s2", **kw),
+        ]
+    dw = random_conv_layer(rng, "dw", CHANNELS, CHANNELS, kernel=kernel, stride=stride,
+                           padding=kernel // 2, strategy=strategy, name="dw", **kw)
+    if i64_tier:
+        # One channel's right shift at the 62 clamp: z_y << 62 leaves the
+        # float64 epilogue's 2^53 range, so the layer runs on int64.
+        dw.params.n0[3] = 31 - 62
+    layers += [dw, random_conv_layer(rng, "pw", CHANNELS, 5, kernel=1, padding=0,
+                                     name="pw", **kw)]
+    return IntegerNetwork(
+        conv_layers=layers, pool=IntegerAvgPool(),
+        classifier=random_linear_layer(rng, 5, 4, in_bits=bits, w_bits=bits),
+        input_scale=1.0 / 255.0, input_zero_point=0, input_bits=bits,
+    )
 
-        if mode != "auto":
-            threshold = 0 if mode else 1 << 62
-            monkeypatch.setattr(k, "DW_IM2COL_BYTES_THRESHOLD", threshold)
-            monkeypatch.setattr(k, "DW_IM2COL_S2_BYTES_THRESHOLD", threshold)
-        spec = mobilenet_v1_spec(32, 0.25, num_classes=5)
-        net = integer_network_from_spec(spec, np.random.default_rng(0))
-        x = np.random.default_rng(1).uniform(0, 1, size=(2, 3, 32, 32))
-        ref = net.forward(x)
-        assert np.array_equal(ref, net.compile().run(x))
 
-    def test_auto_engages_stencil_under_lowered_threshold(self, monkeypatch):
-        """Force the auto rule to pick the stencil on a small net and
-        confirm bit-identity (exercises the arena's stencil buffers)."""
-        import repro.inference.kernels as k
-        from repro.inference.testing import integer_network_from_spec
-        from repro.models.model_zoo import mobilenet_v1_spec
+def _dw_input_hw(plan, name):
+    """Input (h, w) of the named layer at the test resolution."""
+    h = RES
+    for layer in plan.layers:
+        if layer.name == name:
+            return h, h
+        h = conv_output_size(h, layer.kh, layer.stride, layer.padding)
+    raise KeyError(name)
 
-        spec = mobilenet_v1_spec(32, 0.25, num_classes=5)
-        net = integer_network_from_spec(spec, np.random.default_rng(0))
-        x = np.random.default_rng(2).uniform(0, 1, size=(2, 3, 32, 32))
-        ref = net.forward(x)
-        monkeypatch.setattr(k, "DW_IM2COL_BYTES_THRESHOLD", 0)
-        assert np.array_equal(ref, net.compile().run(x))
 
-    def test_dispatch_is_read_per_call_after_binding(self, monkeypatch):
-        """One plan, three threshold settings: the views a layer binds on
-        its first call must not freeze the stencil/im2col decision."""
-        import repro.inference.kernels as k
-        import repro.inference.plan as plan_mod
-        from repro.inference.testing import integer_network_from_spec
-        from repro.models.model_zoo import mobilenet_v1_spec
+def _channel_bytes(layer, h, w):
+    oh = conv_output_size(h, layer.kh, layer.stride, layer.padding)
+    ow = conv_output_size(w, layer.kw, layer.stride, layer.padding)
+    return depthwise_channel_bytes(layer.kh, layer.kw, layer.stride, oh, ow,
+                                   layer.gemm_itemsize)
 
-        spec = mobilenet_v1_spec(32, 0.25, num_classes=5)
-        net = integer_network_from_spec(spec, np.random.default_rng(0))
-        plan = net.compile()
-        n_dw = sum(layer.kind == "dw" for layer in plan.layers)
-        stencil = plan_mod.depthwise_stencil_accumulate
-        calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return stencil(*args, **kwargs)
+def _images(batch, seed=1):
+    return np.random.default_rng(seed).uniform(0, 1, size=(batch, 3, RES, RES))
 
-        monkeypatch.setattr(plan_mod, "depthwise_stencil_accumulate", counted)
-        x = np.random.default_rng(3).uniform(0, 1, size=(1, 3, 32, 32))
-        ref = net.forward(x)
-        counts = []
-        for threshold in (None, 0, 1 << 62):
-            if threshold is not None:
-                monkeypatch.setattr(k, "DW_IM2COL_BYTES_THRESHOLD", threshold)
-                monkeypatch.setattr(k, "DW_IM2COL_S2_BYTES_THRESHOLD", threshold)
-            calls.clear()
-            assert np.array_equal(plan.run(x), ref)
-            counts.append(len(calls))
-        assert counts == [0, n_dw, 0]
+
+class TestTileLoop:
+    """Tiles split a depthwise layer at arbitrary channel and image
+    boundaries; every split must stay bit-identical to the reference."""
+
+    @pytest.mark.parametrize("strategy,bits,kernel,stride,backend,batch,i64_tier", [
+        ("icn", 8, 3, 1, "auto", 1, False),
+        ("folded", 8, 3, 2, "auto", 2, False),
+        ("thr", 4, 3, 1, "auto", 3, False),
+        ("icn", 2, 3, 2, "int32", 2, False),
+        ("icn", 4, 5, 1, "int64", 3, False),
+        ("icn", 8, 1, 2, "auto", 2, False),
+        ("thr", 2, 1, 2, "int64", 1, False),
+        ("icn", 8, 3, 1, "auto", 3, True),
+        ("icn", 8, 3, 2, "int32", 1, True),
+    ])
+    def test_ragged_channel_blocks_match_reference(
+            self, monkeypatch, strategy, bits, kernel, stride, backend, batch, i64_tier):
+        net = _dw_net(11, kernel=kernel, stride=stride, strategy=strategy, bits=bits,
+                      i64_tier=i64_tier)
+        plan = net.compile(CompileOptions(backend=backend))
+        dw = next(l for l in plan.layers if l.name == "dw")
+        if i64_tier:
+            assert dw.epilogue == "i64"
+        h, w = _dw_input_hw(plan, "dw")
+        # Two and a half channels' unfold: blocks of two channels, 2/2/2/1.
+        per_channel = _channel_bytes(dw, h, w)
+        monkeypatch.setattr(arena_mod, "DW_TILE_BYTES", 2 * per_channel + per_channel // 2)
+        x = _images(batch)
+        assert np.array_equal(plan.run(x), net.forward(x))
+        images, blocks = dw.tile_blocking(h, w, plan.arena_for((RES, RES)).dw_tile_bytes)
+        assert images == 1 and len(blocks) == 4
+        assert sorted({c1 - c0 for c0, c1 in blocks}) == [1, 2]
+        assert verify_plan(plan, (RES, RES)).ok
+
+    @pytest.mark.parametrize("kernel,stride", [(3, 1), (3, 2), (1, 1), (1, 2)])
+    @pytest.mark.parametrize("backend", ["auto", "int64"])
+    def test_image_blocks_match_reference(self, monkeypatch, kernel, stride, backend):
+        """Batch 3 in tiles of two images, behind a larger layer whose
+        unfold sets the tile region (the last tile holds one image)."""
+        net = _dw_net(12, kernel=kernel, stride=stride, lead=True)
+        plan = net.compile(CompileOptions(backend=backend))
+        dw = next(l for l in plan.layers if l.name == "dw")
+        h, w = _dw_input_hw(plan, "dw")
+        image_bytes = CHANNELS * _channel_bytes(dw, h, w)
+        if image_bytes:
+            monkeypatch.setattr(arena_mod, "DW_TILE_BYTES", 2 * image_bytes + image_bytes // 2)
+        x = _images(3, seed=2)
+        assert np.array_equal(plan.run(x), net.forward(x))
+        images, blocks = dw.tile_blocking(h, w, plan.arena_for((RES, RES)).dw_tile_bytes)
+        assert blocks == ((0, CHANNELS),)
+        tiles = balanced_blocks(3, images)
+        assert tiles == (((0, 2), (2, 3)) if image_bytes else ((0, 3),))
+        assert verify_plan(plan, (RES, RES)).ok
+
+    @given(seed=st.integers(0, 2 ** 16), tile=st.integers(1, 4096),
+           batch=st.integers(1, 3), backend=st.sampled_from(["auto", "int32", "int64"]))
+    @settings(deadline=None, max_examples=30)
+    def test_property_any_tile_size_matches_reference(self, seed, tile, batch, backend):
+        """Random topologies and requant strategies under tile sizes from
+        one byte up: every blocking is exact and verifies."""
+        net = random_network(np.random.default_rng(seed), resolution=11)
+        x = np.random.default_rng(seed + 1).uniform(0, 1, size=(batch, 3, 11, 11))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arena_mod, "DW_TILE_BYTES", tile)
+            try:
+                plan = net.compile(CompileOptions(backend=backend))
+            except ValueError:  # int32 cannot hold this network's accumulators
+                return
+            assert np.array_equal(plan.run(x), net.forward(x))
+            assert verify_plan(plan, (11, 11)).ok
+
+
+def test_balanced_blocks_partition_evenly():
+    assert balanced_blocks(7, 3) == ((0, 3), (3, 5), (5, 7))
+    assert balanced_blocks(8, 3) == ((0, 3), (3, 6), (6, 8))
+    assert balanced_blocks(4, 9) == ((0, 4),)
+    assert balanced_blocks(0, 2) == ()
+    for total in range(1, 30):
+        for most in range(1, 12):
+            blocks = balanced_blocks(total, most)
+            sizes = [b - a for a, b in blocks]
+            assert blocks[0][0] == 0 and blocks[-1][1] == total
+            assert all(blocks[i][1] == blocks[i + 1][0] for i in range(len(blocks) - 1))
+            assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
+            assert len(blocks) == -(-total // most)

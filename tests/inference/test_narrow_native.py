@@ -277,21 +277,16 @@ def test_property_narrow_wide_and_int32_plans_agree(seed, bits):
     assert np.array_equal(narrow.run_codes(codes), wide.run_codes(codes))
 
 
-def test_fused_kernel_accepts_narrow_codes_with_padding(monkeypatch):
+def test_fused_kernel_accepts_narrow_codes_with_padding():
     """Regression: the padded zero-point shift must widen uint8 codes
     below z_x instead of wrapping them (the subtract loop has to be
-    pinned to the GEMM dtype), on the stencil and the im2col path."""
-    import repro.inference.kernels as k
-
+    pinned to the GEMM dtype) ahead of a depthwise layer's tiles."""
     spec = mobilenet_v1_spec(32, 0.25, num_classes=5)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
     dw = next(l for l in net.conv_layers if l.kind == "dw" and l.padding > 0)
     dw.params.z_x = 200  # wraps any uint8 code < 200 if the loop runs in uint8
     x = np.random.default_rng(1).uniform(0, 1, size=(2, 3, 32, 32))
     ref = net.forward(x)
-    assert np.array_equal(ref, net.compile().run(x))
-    monkeypatch.setattr(k, "DW_IM2COL_BYTES_THRESHOLD", 0)
-    monkeypatch.setattr(k, "DW_IM2COL_S2_BYTES_THRESHOLD", 0)
     assert np.array_equal(ref, net.compile().run(x))
 
 
@@ -368,22 +363,6 @@ def test_assert_arena_fits_checks_physical_inflation():
     arena.code_slot_bytes_per_image[0] *= 8
     with pytest.raises(ValueError, match="exceed the Eq. 7 RW peak"):
         assert_arena_fits(plan, device, (32, 32))
-
-
-def test_stride2_stencil_plan_parity(monkeypatch):
-    """Zero thresholds force every depthwise layer — stride 1 and the
-    stride-2 ones that previously always fell back to im2col — through
-    the fused stencil; the plan must stay bit-exact."""
-    import repro.inference.kernels as k
-
-    monkeypatch.setattr(k, "DW_IM2COL_BYTES_THRESHOLD", 0)
-    monkeypatch.setattr(k, "DW_IM2COL_S2_BYTES_THRESHOLD", 0)
-    spec = mobilenet_v1_spec(32, 0.5, num_classes=5)
-    net = integer_network_from_spec(spec, np.random.default_rng(0))
-    assert any(l.kind == "dw" and l.stride == 2 for l in net.conv_layers)
-    x = np.random.default_rng(1).uniform(0, 1, size=(2, 3, 32, 32))
-    ref = net.forward(x)
-    assert np.array_equal(ref, net.compile().run(x))
 
 
 # ----------------------------------------------------------------------

@@ -54,6 +54,24 @@ class TestIm2Col:
         counts = F.col2im(F.im2col(ones, 3, 3, 1, 1), x.shape, 3, 3, 1, 1)
         assert np.allclose(back, x * counts)
 
+    def test_uncopied_columns_are_read_only(self, rng):
+        """A 1x1/s1 unfold without the copy aliases the input, so writing
+        through it must raise instead of corrupting ``x``."""
+        x = rng.normal(size=(1, 4, 5, 5))
+        cols = F.im2col(x, 1, 1, 1, 0, contiguous=False)
+        assert np.shares_memory(cols, x)
+        with pytest.raises(ValueError, match="read-only"):
+            cols[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("contiguous_input", [True, False])
+    def test_out_buffer_matches_returned_columns(self, rng, contiguous_input):
+        x = rng.normal(size=(2, 3, 9, 9))
+        if not contiguous_input:
+            x = x[:, ::-1]
+        out = np.full((2, 3 * 9, 16), np.nan)
+        assert F.im2col(x, 3, 3, 2, 0, out=out) is out
+        assert np.array_equal(out, F.im2col(x, 3, 3, 2, 0))
+
 
 class TestConv2d:
     def test_matches_direct_convolution(self, rng):
