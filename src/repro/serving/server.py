@@ -9,9 +9,10 @@ ignores the request's ``"model"`` field and leaves replies unlabelled.
 One process, three moving parts:
 
 * **connection handlers** (one asyncio task per connection) parse a
-  minimal HTTP/1.1 request, validate the payload at the model's
-  boundary, run admission control (circuit state, bounded queue), and
-  park a :class:`~repro.serving.batcher.Request` future;
+  minimal HTTP/1.1 request and its JSON body (``orjson``), validate the
+  payload at the model's boundary, run admission control (circuit
+  state, bounded queue), and park a
+  :class:`~repro.serving.batcher.Request` future;
 * the **batch loop** (one task) drives the
   :class:`~repro.serving.batcher.FleetBatcher` — one micro-batch lane
   per (model, input shape); expire deadlines *before* batching, flush
@@ -52,6 +53,7 @@ import time
 from typing import List, Optional, Tuple
 
 import numpy as np
+import orjson
 
 from repro.runtime.errors import InvalidInputError
 from repro.runtime.pool import PoolOptions
@@ -80,10 +82,23 @@ _REASONS = {
     503: "Service Unavailable", 504: "Gateway Timeout",
 }
 _MAX_HEADER_BYTES = 16 * 1024
+# orjson.loads recurses once per nesting level and has no depth limit of
+# its own: 3.8.3 overflows a 1 MiB thread stack at 6-8k nested objects
+# (an 8 MiB one at 48-56k) and takes the process down.  A body holding
+# at most this many arrays and objects cannot nest deeper; a CHW image
+# holds C*H + C + 1 arrays (677 at 3x224x224).
+_MAX_JSON_CONTAINERS = 4096
+
+
+def _count_containers(body: bytes) -> int:
+    """``[`` plus ``{`` bytes in ``body``, string contents included — an
+    upper bound on its JSON nesting depth."""
+    raw = np.frombuffer(body, np.uint8)
+    return int(np.count_nonzero(raw == 0x5B) + np.count_nonzero(raw == 0x7B))
 
 
 class ServingServer:
-    """The micro-batching HTTP front end; stdlib asyncio only.
+    """The micro-batching HTTP front end: stdlib asyncio, orjson bodies.
 
     Endpoints: ``POST /v1/predict`` (body ``{"input": CHW-nested-list,
     "deadline_ms": float?, "model": str?}``), ``GET /healthz``,
@@ -511,9 +526,14 @@ class ServingServer:
         Raises a typed ServingError; on success the request is queued."""
         if self._closing:
             raise ServerClosingError("server is shutting down")
+        if _count_containers(body) > _MAX_JSON_CONTAINERS:
+            self.stats.malformed += 1
+            raise MalformedRequestError(
+                f"body holds more than {_MAX_JSON_CONTAINERS} JSON arrays/objects"
+            )
         try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            payload = orjson.loads(body)
+        except orjson.JSONDecodeError as exc:
             self.stats.malformed += 1
             raise MalformedRequestError(f"body is not JSON: {exc}") from exc
         if not isinstance(payload, dict) or "input" not in payload:

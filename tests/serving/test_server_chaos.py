@@ -9,6 +9,7 @@ engine, executor thread, watchdog and breaker all run for real.
 """
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.serving import (
     raw_request,
     request_json,
 )
+from repro.serving.client import _encode
 from repro.serving.policies import BreakerState
 
 BASE = ServerOptions(
@@ -221,6 +223,54 @@ class TestMalformedPayloads:
             assert status == 400
             assert body["error"] in ("MalformedRequestError",)
             assert server.stats.malformed >= 1
+            await alive(host, port, image)
+
+        run_scenario(tiny_session, BASE, None, scenario)
+
+    # Bodies built as bytes: json.dumps itself recurses on the deep ones.
+    @pytest.mark.parametrize("body", [
+        # Past the interpreter's recursion limit in a recursive parser.
+        b'{"input": ' + b"[" * 1000 + b"]" * 1000 + b"}",
+        # An integer beyond float64, which np.asarray cannot convert.
+        b'{"input": [[[1' + b"0" * 400 + b"]]]}",
+        b'{"input": [[[NaN]]]}',
+        b'{"input": [[[0.5]]], "model": "\xff\xfe"}',
+        # Deep enough to overflow orjson's native recursion, which would
+        # take the process down.
+        b'{"input": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+        b'{"input": ' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_000 + b"}",
+    ], ids=["nested-1000", "int-401-digits", "nan-literal", "invalid-utf8",
+            "nested-200k-arrays", "nested-100k-objects"])
+    def test_bad_raw_bodies_get_400(self, tiny_session, image, body):
+        async def scenario(server, host, port):
+            status, _, reply = await raw_request(
+                host, port, _encode("POST", "/v1/predict", body))
+            assert status == 400
+            assert json.loads(reply)["error"] == "MalformedRequestError"
+            assert server.stats.malformed == 1
+            await alive(host, port, image)
+
+        run_scenario(tiny_session, BASE, None, scenario)
+
+    def test_container_cap_is_checked_before_parsing(self, tiny_session, image):
+        from repro.serving.server import _MAX_JSON_CONTAINERS as cap
+
+        def body_with(containers):
+            # The object, three input arrays and the "pad" array, which
+            # holds the rest as empty arrays one level down.
+            pad = b",".join([b"[]"] * (containers - 5))
+            return b'{"input": [[[0.5]]], "pad": [' + pad + b"]}"
+
+        async def scenario(server, host, port):
+            details = []
+            for containers in (cap, cap + 1):
+                _, _, reply = await raw_request(
+                    host, port, _encode("POST", "/v1/predict", body_with(containers)))
+                details.append(json.loads(reply)["detail"])
+            # At the cap the body is parsed (and fails on its shape).
+            assert "channel" in details[0]
+            assert f"more than {cap} JSON arrays/objects" in details[1]
+            assert server.stats.malformed == 2
             await alive(host, port, image)
 
         run_scenario(tiny_session, BASE, None, scenario)
