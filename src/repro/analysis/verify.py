@@ -41,7 +41,9 @@ Five rule families (the rule name appears in every diagnostic):
     producer's live range: each layer's input slot must have been
     written last by its predecessor (no stale reads), cover at least the
     bytes read, and differ from the layer's output slot; every per-layer
-    slab view must fit its slab (no silent overflow at run time).
+    slab view must fit its slab as the geometry's own arena sizes it (no
+    silent overflow at run time; the plan's one slab set grows to at
+    least that sizing before the geometry runs).
 ``dw-tiles``
     Per depthwise layer and geometry, the tile loop's blocking
     (:meth:`~repro.inference.plan.CompiledConvLayer.tile_blocking`): its
@@ -623,16 +625,14 @@ def _check_arena(plan, input_hw: Tuple[int, int],
     except ValueError as exc:
         report.fail("slab-aliasing", label, f"arena planning failed: {exc}")
         return
-    # A donor-backed arena executes inside the donor's storage — its
-    # capacity is what the views must fit (checked at adoption, and
-    # re-proved here against the compiled layers).
-    owner = arena.donor if arena.shares_slabs else arena
-    slot_bytes = owner.code_slot_bytes_per_image
+    # The plan's slab set grows to at least this geometry's sizing
+    # before the geometry runs, so that sizing is what the views must fit.
+    slot_bytes = arena.code_slot_bytes_per_image
     slab_caps = {
-        "pad": owner.pad_bytes_per_image,
-        "cols": owner.cols_bytes_per_image,
-        "acc": owner.acc_bytes_per_image,
-        "requant": owner.requant_scratch_bytes,
+        "pad": arena.pad_bytes_per_image,
+        "cols": arena.cols_bytes_per_image,
+        "acc": arena.acc_bytes_per_image,
+        "requant": arena.requant_scratch_bytes,
     }
     if schedule is None:
         schedule = [((i - 1) % 2, i % 2) for i in range(len(layers))]
@@ -670,7 +670,7 @@ def _check_arena(plan, input_hw: Tuple[int, int],
                 )
                 ok = False
         if layer.kind == "dw":
-            _check_dw_tiles(layer, h, w, arena.dw_tile_bytes, owner.scratch_bytes,
+            _check_dw_tiles(layer, h, w, arena.dw_tile_bytes, arena.scratch_bytes,
                             report)
         if needs["out"] > slot_bytes[out_slot]:
             report.fail(
@@ -731,9 +731,9 @@ def _known_geometries(plan, input_hw) -> List[Tuple[int, int]]:
     for key in plan._arenas:
         if key not in geoms:
             geoms.append(key)
-    for opt in (plan.options.input_hw, plan.options.max_input_hw):
-        if opt is not None and tuple(opt) not in geoms:
-            geoms.append((int(opt[0]), int(opt[1])))
+    opt = plan.options.input_hw
+    if opt is not None and tuple(opt) not in geoms:
+        geoms.append((int(opt[0]), int(opt[1])))
     return geoms
 
 
@@ -795,7 +795,7 @@ def verify_plan(plan, input_hw: Optional[Tuple[int, int]] = None, *,
     Runs every rule family over every layer without executing the plan.
     ``input_hw`` adds (or selects) a geometry for the slab-lifetime walk;
     without it, every geometry the plan already knows about (planned
-    arenas, ``options.input_hw`` / ``options.max_input_hw``) is walked.
+    arenas, ``options.input_hw``) is walked.
     ``schedule`` overrides the ping-pong ``(in_slot, out_slot)`` sequence
     — the hook the corruption tests use to prove the race detector
     actually detects races.
@@ -831,7 +831,9 @@ def verify_artifact(path: Union[str, Path],
     :func:`verify_plan`.  On top of the plan rules, the persisted
     manifest metadata is cross-checked against the recompiled truth:
     per-layer container dtype, reduction length, recorded auto-dispatch
-    backend, and the persisted Eq. 7 arena peak.
+    backend, and the persisted Eq. 7 arena peak.  ``input_hw`` selects
+    the geometry walked (default: the manifest's recorded one); the peak
+    is always compared at the geometry the manifest recorded it for.
     """
     from repro.inference.plan import ExecutionPlan
     from repro.runtime.artifact import load_artifact
@@ -841,8 +843,12 @@ def verify_artifact(path: Union[str, Path],
     hw = input_hw
     net_manifest = manifest.get("network", {})
     arena_info = net_manifest.get("arena")
-    if hw is None and arena_info is not None:
-        hw = (int(arena_info["input_hw"][0]), int(arena_info["input_hw"][1]))
+    recorded_hw = None
+    if arena_info is not None:
+        recorded_hw = (int(arena_info["input_hw"][0]),
+                       int(arena_info["input_hw"][1]))
+    if hw is None:
+        hw = recorded_hw
     if hw is None and session_options.input_hw is not None:
         hw = session_options.input_hw
     report = verify_plan(plan, hw, raise_on_violation=False)
@@ -891,12 +897,12 @@ def verify_artifact(path: Union[str, Path],
             )
         else:
             report.passed("acc-bound")
-    if arena_info is not None and hw is not None:
+    if recorded_hw is not None:
         recorded_peak = int(arena_info.get("rw_peak_bytes", -1))
-        actual_peak = plan.arena_for(hw).logical_rw_peak_bytes
+        actual_peak = plan.arena_for(recorded_hw).logical_rw_peak_bytes
         if recorded_peak != actual_peak:
             report.fail(
-                "slab-aliasing", f"arena {hw[0]}x{hw[1]}",
+                "slab-aliasing", f"arena {recorded_hw[0]}x{recorded_hw[1]}",
                 f"manifest records an Eq. 7 RW peak of {recorded_peak} B "
                 f"but the recompiled plan needs {actual_peak} B",
             )

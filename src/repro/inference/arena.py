@@ -16,12 +16,14 @@ This module plans that behaviour statically, at compile time:
   scratch buffer the compiled kernels need (padded/shifted input, im2col
   columns, GEMM accumulator, requantization scratch, and a depthwise
   layer's cache-sized unfold tile);
-* :class:`ActivationArena` turns that plan into preallocated slabs: a
-  ping-pong pair of *container-width* code slabs (uint8 for every <=8-bit
-  activation — the Eq. 7 input/output pair at its true physical width,
-  sized per slot), pad/cols/acc scratch sized to the worst layer, and a
-  small fixed scratch that the requantization and the depthwise tiles
-  take turns in; every slab is reused by every subsequent call;
+* :class:`ActivationArena` turns that plan into views of preallocated
+  slabs: a ping-pong pair of *container-width* code slabs (uint8 for
+  every <=8-bit activation — the Eq. 7 input/output pair at its true
+  physical width, sized per slot), pad/cols/acc scratch sized to the
+  worst layer, and a small fixed scratch that the requantization and the
+  depthwise tiles take turns in.  The slabs live in a :class:`SlabSet`
+  that every input geometry of one plan runs in, and every slab is
+  reused by every subsequent call;
 * :func:`logical_rw_peak_bytes` evaluates the *paper's* Eq. 7 over the
   same per-layer plan, using the identical packed-tensor formula as
   :mod:`repro.core.memory_model` (imported, not reimplemented), so the
@@ -32,9 +34,10 @@ This module plans that behaviour statically, at compile time:
 
 Buffers are raw ``uint8`` slabs viewed at the per-layer dtype, so a
 float32-tier depthwise layer and a float64 pointwise layer share the same
-storage.  ``ensure(batch)`` grows the slabs monotonically; the planned
-peak for a given tile size is exact and is what ``run_batched`` is
-bounded by.
+storage.  ``ensure(batch)`` grows the slab set to the largest per-image
+need and batch that has run (never shrinks); for one geometry the
+planned peak at a given tile size is exact and is what ``run_batched``
+is bounded by.
 """
 
 from __future__ import annotations
@@ -268,9 +271,7 @@ def depthwise_tile_bound(channels: int, channel_bytes: int) -> int:
     """Fixed bytes a depthwise layer's unfold tiles need.
 
     One image's unfold when that is smaller, else :data:`DW_TILE_BYTES`
-    (or one channel's unfold, if that alone is larger).  Monotone in the
-    input geometry, so an arena planned for a larger ``(H, W)`` covers
-    every smaller one.
+    (or one channel's unfold, if that alone is larger).
     """
     return min(channels * channel_bytes, max(DW_TILE_BYTES, channel_bytes))
 
@@ -397,10 +398,59 @@ def logical_rw_peak_bytes(plans: Sequence[LayerActivationPlan]) -> int:
     return max(p.rw_bytes for p in plans)
 
 
-class ActivationArena:
-    """Preallocated ping-pong + scratch slabs for one input geometry.
+class SlabSet:
+    """The storage every input geometry of one plan runs in.
 
-    Raw ``uint8`` slabs, sized per batch element at plan time:
+    One raw ``uint8`` slab each for the ping-pong code pair, pad, cols
+    and acc, which hold :attr:`capacity` images at the largest per-image
+    need among the arenas that have run in the set, and for the fixed
+    scratch, at the largest fixed need.  :meth:`hold` only ever grows
+    them.  When it reallocates, it first drops the bindings of every
+    arena in the set, so no view pins a retired slab.
+    """
+
+    def __init__(self) -> None:
+        self.capacity = 0
+        self.slabs: Dict[str, Optional[np.ndarray]] = dict.fromkeys(
+            ("code0", "code1", "pad", "cols", "acc", "scratch")
+        )
+        #: Bytes per image of each growing slab, then the fixed scratch
+        #: bytes, as allocated (in the order of :attr:`slabs`).
+        self.sizes: Tuple[int, ...] = (0,) * len(self.slabs)
+        self._arenas: weakref.WeakSet[ActivationArena] = weakref.WeakSet()
+
+    @property
+    def allocated_bytes(self) -> int:
+        """Bytes the slabs hold right now."""
+        if not self.capacity:
+            return 0
+        return sum(self.sizes[:-1]) * self.capacity + self.sizes[-1]
+
+    def hold(self, arena: "ActivationArena", batch_size: int) -> None:
+        """Grow to hold ``batch_size`` images of ``arena``'s geometry."""
+        sizes = tuple(map(max, self.sizes, arena.slab_sizes()))
+        n = max(int(batch_size), self.capacity)
+        if n == self.capacity and sizes == self.sizes:
+            return
+        # Release the old slabs, and every view bound on them, before
+        # allocating: they are freed, not held next to their replacements.
+        for member in self._arenas:
+            member._bindings.clear()
+        nbytes = [size * n for size in sizes[:-1]] + [sizes[-1]]
+        stale = {name: want for (name, slab), want in zip(self.slabs.items(), nbytes)
+                 if slab is None or slab.nbytes != want}
+        self.capacity = 0
+        self.slabs.update(dict.fromkeys(stale))
+        for name, want in stale.items():
+            self.slabs[name] = np.empty(want, dtype=np.uint8)
+        self.sizes, self.capacity = sizes, n
+
+
+class ActivationArena:
+    """One input geometry's activation plan, run in a plan's slabs.
+
+    Sized per batch element at plan time, in raw ``uint8`` slabs of a
+    :class:`SlabSet`:
 
     ``codes`` (x2)
         The ping-pong activation-code pair at *container width*: slot
@@ -429,8 +479,15 @@ class ActivationArena:
         ``dw_tile_bytes``.  A tile's columns are dead once its GEMM has
         run, which is before its requantization writes the scratch.
 
-    ``ensure`` grows capacity monotonically; views are sliced to the live
-    batch, so a smaller batch reuses the same storage.
+    Every geometry of an
+    :class:`~repro.inference.plan.ExecutionPlan` runs in the plan's one
+    slab set; an arena built without one gets a private set.  The arena
+    keeps what is per geometry: its per-layer plan list (so Eq. 7
+    accounting, ``describe`` and the physical-bytes checks stay exact
+    for its geometry), its per-image sizing, its tile region and its
+    bindings.  ``ensure`` grows the set to this geometry's sizes and the
+    batch (never shrinks); views are sliced to the live batch and
+    geometry, so a smaller batch or geometry reuses the same storage.
 
     **Bindings.** A compiled layer runs inside views of these slabs:
     :meth:`bound` builds them once per (layer, input shape, code slot)
@@ -440,30 +497,12 @@ class ActivationArena:
     :data:`MAX_BOUND_BATCHES` of them (least recently used dropped
     first), and hold no reference to the layer (a depthwise tile keeps
     views of its channels' compiled weights and Eq. 5 constants, which
-    die with the plan).  Whenever
-    the slab owner reallocates, its bindings and those of every arena
-    sharing its slabs are dropped, so no view pins a retired slab.
-
-    **Shape polymorphism** (``slabs_from``): an arena may *adopt* the
-    slabs of a donor arena planned for a larger (max) geometry instead
-    of allocating its own.  Every slab requirement is monotone
-    non-decreasing in the input ``(H, W)`` (``conv_output_size`` is
-    monotone, every pad/cols/acc/requant formula scales with the layer
-    element counts, and so does :func:`depthwise_tile_bound`), so an
-    arena planned for any geometry at or below the donor's fits inside
-    the donor's slabs; its views slice
-    only the prefix they need.  The child keeps its *own* per-layer
-    plan list — so Eq. 7 accounting, ``describe`` and the physical-bytes
-    checks stay exact for its geometry — while all storage stays with
-    the donor: ``ensure`` grows the donor and views read the donor's
-    current slabs.  This is what lets one
-    :class:`~repro.inference.plan.ExecutionPlan` serve every input
-    geometry up to a declared maximum without per-resolution slab
-    explosion.
+    die with the plan).  Whenever the slab set reallocates, the bindings
+    of every arena in it are dropped.
     """
 
     def __init__(self, plans: Sequence[LayerActivationPlan],
-                 slabs_from: Optional["ActivationArena"] = None):
+                 slabs: Optional[SlabSet] = None):
         self.plans: List[LayerActivationPlan] = list(plans)
         conv = [p for p in self.plans if p.kind != "fc"]
         self.code_slot_bytes_per_image = [
@@ -488,57 +527,27 @@ class ActivationArena:
         #: The fixed scratch both of the above take turns in.
         self.scratch_bytes = max(self.requant_scratch_bytes,
                                  -(-self.dw_tile_bytes // _INT64_BYTES) * _INT64_BYTES)
-        # Slab storage; a slab-sharing arena leaves these unset and reads
-        # its donor's.
-        self._capacity = 0
-        self._codes: List[Optional[np.ndarray]] = [None, None]
-        self._pad: Optional[np.ndarray] = None
-        self._cols: Optional[np.ndarray] = None
-        self._acc: Optional[np.ndarray] = None
-        self._scratch: Optional[np.ndarray] = None
-        self._donor = slabs_from
-        #: Arenas executing inside this arena's slabs.
-        self._sharers: weakref.WeakSet[ActivationArena] = weakref.WeakSet()
+        self._slabs = SlabSet() if slabs is None else slabs
+        self._slabs._arenas.add(self)
+        #: Whether the slab set has been sized for this geometry (it
+        #: never shrinks, so once is enough).
+        self._fits = False
         #: batch size -> {(id(layer), input shape, slot): (layer ref, views)},
         #: least recently used first.
         self._bindings: OrderedDict[int, Dict[tuple, Tuple[Any, Any]]] = OrderedDict()
-        if slabs_from is not None:
-            self._check_fits_donor(slabs_from)
-            slabs_from._sharers.add(self)
-
-    def _check_fits_donor(self, donor: "ActivationArena") -> None:
-        """Every per-image byte need must fit the donor's slab sizing —
-        guaranteed by monotonicity when the donor was planned for a
-        geometry at least as large, asserted here so a violation fails
-        loudly at plan time rather than corrupting a slab at run time."""
-        pairs = [
-            ("code slot 0", self.code_slot_bytes_per_image[0],
-             donor.code_slot_bytes_per_image[0]),
-            ("code slot 1", self.code_slot_bytes_per_image[1],
-             donor.code_slot_bytes_per_image[1]),
-            ("pad", self.pad_bytes_per_image, donor.pad_bytes_per_image),
-            ("cols", self.cols_bytes_per_image, donor.cols_bytes_per_image),
-            ("acc", self.acc_bytes_per_image, donor.acc_bytes_per_image),
-            ("requant", self.requant_scratch_bytes,
-             donor.requant_scratch_bytes),
-            ("tile", self.dw_tile_bytes, donor.scratch_bytes),
-        ]
-        for label, need, have in pairs:
-            if need > have:
-                raise ValueError(
-                    f"arena cannot share slabs: {label} needs {need} B/image "
-                    f"but the donor arena only provisions {have} B/image"
-                )
 
     # -- sizing --------------------------------------------------------
     def bytes_per_image(self) -> int:
         """Planned host bytes per batch element, all growing slabs."""
-        return (
-            sum(self.code_slot_bytes_per_image)
-            + self.pad_bytes_per_image
-            + self.cols_bytes_per_image
-            + self.acc_bytes_per_image
-        )
+        return sum(self.slab_sizes()[:-1])
+
+    def slab_sizes(self) -> Tuple[int, ...]:
+        """This geometry's need of each slab, in the order of
+        :attr:`SlabSet.slabs`: bytes per image of the growing slabs, then
+        the fixed scratch."""
+        return (*self.code_slot_bytes_per_image, self.pad_bytes_per_image,
+                self.cols_bytes_per_image, self.acc_bytes_per_image,
+                self.scratch_bytes)
 
     @property
     def fixed_bytes(self) -> int:
@@ -561,33 +570,15 @@ class ActivationArena:
 
     @property
     def capacity(self) -> int:
-        """Images the slabs hold right now (the donor's, when shared)."""
-        return self._slab_owner._capacity
-
-    @property
-    def _slab_owner(self) -> "ActivationArena":
-        return self if self._donor is None else self._donor
-
-    @property
-    def shares_slabs(self) -> bool:
-        """Whether this arena executes inside a donor arena's slabs."""
-        return self._donor is not None
-
-    @property
-    def donor(self) -> Optional["ActivationArena"]:
-        """The max-geometry arena whose slabs this one adopts (or None)."""
-        return self._donor
+        """Images the slab set holds right now."""
+        return self._slabs.capacity
 
     @property
     def allocated_bytes(self) -> int:
-        """Bytes actually held right now (== planned at current capacity).
-
-        A slab-sharing arena owns nothing — its storage is accounted to
-        the donor, so summing ``allocated_bytes`` over a plan's arenas
-        never double-counts."""
-        if self._donor is not None:
-            return 0
-        return self.planned_bytes(self._capacity) if self._capacity else 0
+        """Bytes the slab set holds right now, for every geometry that
+        runs in it (``planned_bytes(capacity)`` when this is the only
+        one)."""
+        return self._slabs.allocated_bytes
 
     @property
     def logical_rw_peak_bytes(self) -> int:
@@ -596,37 +587,12 @@ class ActivationArena:
 
     # -- allocation ----------------------------------------------------
     def ensure(self, batch_size: int) -> None:
-        """Grow the slabs to hold ``batch_size`` images (never shrinks).
-
-        A slab-sharing arena grows the *donor* instead (at the donor's
-        larger per-image sizes), whose slabs its views read — the donor's
-        capacity for ``n`` images is sufficient for any smaller geometry
-        by the monotonicity argument checked at construction."""
-        n = int(batch_size)
-        if self._donor is not None:
-            self._donor.ensure(n)
+        """Grow the slab set to hold ``batch_size`` images of this
+        geometry (never shrinks)."""
+        if batch_size <= self._slabs.capacity and self._fits:
             return
-        if n <= self._capacity:
-            return
-        # Release the old slabs, and every view bound on them (ours and
-        # our sharers'), before allocating: they are freed, not held
-        # next to their replacements.
-        self._drop_bindings()
-        self._codes = [None, None]
-        self._pad = self._cols = self._acc = None
-        self._capacity = 0
-        self._codes = [
-            np.empty(n * self.code_slot_bytes_per_image[0], dtype=np.uint8),
-            np.empty(n * self.code_slot_bytes_per_image[1], dtype=np.uint8),
-        ]
-        self._pad = np.empty(n * self.pad_bytes_per_image, dtype=np.uint8)
-        self._cols = np.empty(n * self.cols_bytes_per_image, dtype=np.uint8)
-        self._acc = np.empty(n * self.acc_bytes_per_image, dtype=np.uint8)
-        if self._scratch is None and self.scratch_bytes:
-            self._scratch = np.empty(
-                self.scratch_bytes // _INT64_BYTES, dtype=np.int64
-            )
-        self._capacity = n
+        self._slabs.hold(self, batch_size)
+        self._fits = True
 
     # -- bindings ------------------------------------------------------
     def bound(self, layer, shape: Tuple[int, ...], slot: int):
@@ -653,16 +619,12 @@ class ActivationArena:
             entry = group[key] = (weakref.ref(layer), layer.bind(self, shape, slot))
         return entry[1]
 
-    def _drop_bindings(self) -> None:
-        self._bindings.clear()
-        for sharer in self._sharers:
-            sharer._bindings.clear()
-
     # -- views (taken by the layers' bind step) ------------------------
-    @staticmethod
-    def _view(slab: np.ndarray, dtype, shape: Tuple[int, ...]) -> np.ndarray:
-        count = math.prod(shape)
-        nbytes = count * np.dtype(dtype).itemsize
+    def _view(self, name: str, dtype, shape: Tuple[int, ...]) -> np.ndarray:
+        slab = self._slabs.slabs[name]
+        if slab is None:
+            raise ValueError("arena slabs are not allocated; call ensure() first")
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
         if nbytes > slab.nbytes:
             raise ValueError(
                 f"arena slab overflow: need {nbytes} bytes, slab holds {slab.nbytes}"
@@ -670,27 +632,24 @@ class ActivationArena:
         return slab[:nbytes].view(dtype).reshape(shape)
 
     def codes(self, slot: int, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        return self._view(self._slab_owner._codes[slot % 2], dtype, shape)
+        return self._view(f"code{slot % 2}", dtype, shape)
 
     def pad(self, dtype, shape: Tuple[int, ...]) -> np.ndarray:
-        return self._view(self._slab_owner._pad, dtype, shape)
+        return self._view("pad", dtype, shape)
 
     def cols(self, dtype, shape: Tuple[int, ...]) -> np.ndarray:
-        return self._view(self._slab_owner._cols, dtype, shape)
+        return self._view("cols", dtype, shape)
 
     def acc(self, dtype, shape: Tuple[int, ...]) -> np.ndarray:
-        return self._view(self._slab_owner._acc, dtype, shape)
+        return self._view("acc", dtype, shape)
 
     def requant_scratch(self) -> np.ndarray:
-        """The flat int64 requantization scratch (fixed size per arena)."""
-        owner = self._slab_owner
-        if owner._scratch is None or not owner.requant_scratch_bytes:
+        """The flat int64 requantization scratch (this geometry's size)."""
+        if not self.requant_scratch_bytes:
             raise ValueError("arena was planned without requantization scratch")
-        return owner._scratch[: owner.requant_scratch_bytes // _INT64_BYTES]
+        return self._view("scratch", np.int64,
+                          (self.requant_scratch_bytes // _INT64_BYTES,))
 
     def tile(self, dtype, shape: Tuple[int, ...]) -> np.ndarray:
         """A depthwise tile's unfold buffer, in the fixed scratch."""
-        scratch = self._slab_owner._scratch
-        if scratch is None:
-            raise ValueError("arena was planned without a depthwise tile region")
-        return self._view(scratch.view(np.uint8), dtype, shape)
+        return self._view("scratch", dtype, shape)

@@ -35,7 +35,9 @@ per-inference path:
 * activation and scratch buffers come from a static
   :class:`~repro.inference.arena.ActivationArena` sized at plan time, so
   steady-state inference performs no per-layer allocations and peak host
-  activation memory equals the compile-time plan.
+  activation memory equals the compile-time plan; every input geometry
+  runs in the plan's one slab set, sized to the largest geometry and
+  batch that has run.
 
 The plan executes bit-identically to ``IntegerNetwork.forward`` — the
 tests assert equality against the int64 einsum reference — and
@@ -61,6 +63,7 @@ from repro.core.icn import (
 from repro.inference.arena import (
     ActivationArena,
     LayerGeometry,
+    SlabSet,
     balanced_blocks,
     depthwise_blocking,
     depthwise_channel_bytes,
@@ -89,9 +92,9 @@ from repro.nn.functional import conv_output_size, im2col
 _INT64 = np.dtype(np.int64)
 
 #: Input geometries whose activation arenas one plan keeps.  Past it the
-#: least recently used one is dropped (never the compile-time
-#: ``input_hw`` arena or the ``max_input_hw`` donor); a dropped geometry
-#: is planned again on its next call.
+#: least recently used one is dropped, with its layer plans and bindings
+#: (the slabs stay with the plan); a dropped geometry is planned again on
+#: its next call.
 MAX_ARENA_GEOMETRIES = 8
 
 #: Most K-chunks a split-K sgemm layer may use.  Each chunk is one sgemm
@@ -717,7 +720,9 @@ class ExecutionPlan:
     per-layer scans of the interpreted engine never run inside the plan.
     All activation/scratch traffic goes through a static
     :class:`~repro.inference.arena.ActivationArena`, planned lazily per
-    input geometry, or eagerly when ``options.input_hw`` is given.
+    input geometry, or eagerly when ``options.input_hw`` is given.  Every
+    geometry's arena runs in the plan's one
+    :class:`~repro.inference.arena.SlabSet`.
     """
 
     def __init__(self, network, options=None):
@@ -745,14 +750,8 @@ class ExecutionPlan:
             else CompiledLinear(network.classifier, backend=options.backend,
                                 validate=self.validate)
         )
+        self._slabs = SlabSet()
         self._arenas: OrderedDict[Tuple[int, int], ActivationArena] = OrderedDict()
-        self._pinned = {hw for hw in (options.input_hw, options.max_input_hw)
-                        if hw is not None}
-        # Shape-polymorphic plans size one arena for the declared max
-        # geometry; every smaller geometry adopts its slabs (arena_for).
-        self._max_arena: Optional[ActivationArena] = None
-        if options.max_input_hw is not None:
-            self._max_arena = self.arena_for(options.max_input_hw)
         if options.input_hw is not None:
             self.arena_for(options.input_hw)
 
@@ -790,43 +789,25 @@ class ExecutionPlan:
 
         Planned once per ``(H, W)`` and cached, for at most
         :data:`MAX_ARENA_GEOMETRIES` geometries (least recently used
-        dropped first, except the compile-time ``input_hw`` and
-        ``max_input_hw`` arenas); its slabs grow to the largest batch
-        seen (``planned_bytes(batch)`` is exact for any batch).  This is
-        also the introspection entry point: the arena
-        carries the per-layer :class:`LayerActivationPlan` list, the
-        Eq. 7 ``logical_rw_peak_bytes`` the deploy path checks against a
+        dropped first).  Every geometry runs in the plan's one slab set,
+        which grows to the largest per-image need and batch that has run;
+        ``planned_bytes(batch)`` is exact for this geometry at any batch.
+        This is also the introspection entry point: the arena carries the
+        per-layer :class:`LayerActivationPlan` list, the Eq. 7
+        ``logical_rw_peak_bytes`` the deploy path checks against a
         device's RW budget, and the container-width
         ``physical_code_bytes`` that must equal it for 8-bit networks.
-
-        Under ``options.max_input_hw`` the plan is *shape-polymorphic*:
-        the max-geometry arena owns the slabs, any smaller ``(H, W)``
-        gets a per-geometry plan that adopts them (exact Eq. 7
-        accounting, zero extra slab bytes), and a geometry exceeding the
-        declared max in either dimension raises ``ValueError``.
         """
         key = (int(input_hw[0]), int(input_hw[1]))
         arena = self._arenas.get(key)
         if arena is not None:
             self._arenas.move_to_end(key)
             return arena
-        donor = None
-        max_hw = self.options.max_input_hw
-        if self._max_arena is not None and key != max_hw:
-            if key[0] > max_hw[0] or key[1] > max_hw[1]:
-                raise ValueError(
-                    f"input geometry {key[0]}x{key[1]} exceeds the "
-                    f"plan's declared max geometry "
-                    f"{max_hw[0]}x{max_hw[1]}"
-                )
-            donor = self._max_arena
-        arena = ActivationArena(
-            plan_activations(self._geometries(), key), slabs_from=donor
+        arena = self._arenas[key] = ActivationArena(
+            plan_activations(self._geometries(), key), self._slabs
         )
-        self._arenas[key] = arena
         if len(self._arenas) > MAX_ARENA_GEOMETRIES:
-            stale = next(k for k in self._arenas if k not in self._pinned)
-            del self._arenas[stale]
+            self._arenas.popitem(last=False)
         return arena
 
     # -- execution -----------------------------------------------------

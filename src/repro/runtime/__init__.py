@@ -33,7 +33,8 @@ Vocabulary
 :class:`CompileOptions`
     Frozen dataclass of compilation knobs — ``backend`` (GEMM dispatch
     tier), ``validate`` (boundary/weight range checks), ``input_hw``
-    (eager arena planning), ``max_input_hw`` (shape-polymorphic arena).
+    (eager arena planning).  Every input geometry runs in the plan's one
+    slab set.
     ``IntegerNetwork.compile(options)`` takes nothing else; artifacts
     saved with since-retired options load, and re-saving drops them.
 :class:`SessionOptions`

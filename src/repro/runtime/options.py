@@ -2,9 +2,9 @@
 
 :class:`CompileOptions` is how an ``IntegerNetwork`` is compiled: one
 frozen, validated, hashable value object (``backend``, ``validate``,
-``input_hw``, ``max_input_hw``) — the ONNX-Runtime ``SessionOptions``
-shape.  :class:`SessionOptions` carries the serving-side knobs (batch
-tiling, boundary-validation override, arena geometry) consumed by
+``input_hw``) — the ONNX-Runtime ``SessionOptions`` shape.
+:class:`SessionOptions` carries the serving-side knobs (batch tiling,
+boundary-validation override, arena geometry) consumed by
 :class:`repro.runtime.Session`.
 
 Both classes are plain data: constructing them performs no work beyond
@@ -22,10 +22,12 @@ from typing import Any, Dict, Optional, Tuple
 VALID_BACKENDS = ("auto", "int32", "int64")
 
 #: Compile options that no longer exist.  Each selected an execution
-#: path whose answers are bit-identical to the single compiled plan, so
-#: :meth:`CompileOptions.from_dict` drops them: an artifact saved with
-#: any of them loads as the default plan, and re-saving omits them.
-RETIRED_COMPILE_OPTIONS = ("narrow", "use_arena", "fused_depthwise", "refined_bound")
+#: path or an arena storage mode whose answers are bit-identical to the
+#: single compiled plan, so :meth:`CompileOptions.from_dict` drops them:
+#: an artifact saved with any of them loads as the default plan, and
+#: re-saving omits them.
+RETIRED_COMPILE_OPTIONS = ("narrow", "use_arena", "fused_depthwise", "refined_bound",
+                           "max_input_hw")
 
 
 def _normalize_hw(value: Any) -> Optional[Tuple[int, int]]:
@@ -61,19 +63,11 @@ class CompileOptions:
     ``input_hw``
         Optional ``(H, W)`` to plan the activation arena eagerly at
         compile time instead of lazily on first run.
-    ``max_input_hw``
-        Declared maximum input geometry for a *shape-polymorphic* plan:
-        the activation arena is sized once for this ``(H, W)`` and every
-        smaller geometry executes inside the same slabs (per-geometry
-        plans adopt the max arena's storage instead of allocating their
-        own).  Inputs exceeding either dimension are rejected.  ``None``
-        (the default) keeps the historical per-geometry arenas.
     """
 
     backend: str = "auto"
     validate: bool = True
     input_hw: Optional[Tuple[int, int]] = None
-    max_input_hw: Optional[Tuple[int, int]] = None
 
     def __post_init__(self) -> None:
         if self.backend not in VALID_BACKENDS:
@@ -81,17 +75,6 @@ class CompileOptions:
                 f"backend must be one of {VALID_BACKENDS}, got {self.backend!r}"
             )
         object.__setattr__(self, "input_hw", _normalize_hw(self.input_hw))
-        object.__setattr__(self, "max_input_hw", _normalize_hw(self.max_input_hw))
-        if (
-            self.input_hw is not None
-            and self.max_input_hw is not None
-            and (self.input_hw[0] > self.max_input_hw[0]
-                 or self.input_hw[1] > self.max_input_hw[1])
-        ):
-            raise ValueError(
-                f"input_hw {self.input_hw} exceeds max_input_hw "
-                f"{self.max_input_hw}"
-            )
 
     def replace(self, **changes: Any) -> "CompileOptions":
         """A copy with ``changes`` applied (frozen-dataclass update)."""
@@ -100,14 +83,8 @@ class CompileOptions:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable form (used by the session artifact)."""
         d = dataclasses.asdict(self)
-        for key in ("input_hw", "max_input_hw"):
-            if d[key] is not None:
-                d[key] = list(d[key])
-        # Artifacts written before shape-polymorphic plans existed have
-        # no max_input_hw key; omit the default so those artifacts and
-        # new-default ones serialise identically.
-        if d["max_input_hw"] is None:
-            del d["max_input_hw"]
+        if d["input_hw"] is not None:
+            d["input_hw"] = list(d["input_hw"])
         return d
 
     @classmethod

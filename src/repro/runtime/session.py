@@ -223,12 +223,6 @@ class Session:
                     f"network expects {expected}"
                 )
             h, w = int(arr.shape[2]), int(arr.shape[3])
-            max_hw = self.compile_options.max_input_hw
-            if max_hw is not None and (h > max_hw[0] or w > max_hw[1]):
-                raise InvalidInputError(
-                    f"input geometry {h}x{w} exceeds the session's declared "
-                    f"max geometry {max_hw[0]}x{max_hw[1]}"
-                )
             from repro.nn.functional import conv_output_size
 
             for layer in plan.layers:
@@ -385,8 +379,7 @@ class Session:
         return out
 
     @classmethod
-    def load(cls, path: Union[str, Path], *, mmap: bool = False,
-             max_input_hw: Optional[Tuple[int, int]] = None) -> "Session":
+    def load(cls, path: Union[str, Path], *, mmap: bool = False) -> "Session":
         """Rehydrate a saved artifact into a running session.
 
         Blob CRCs and packed-weight budgets are verified before
@@ -395,20 +388,12 @@ class Session:
         as read-only views of the memory-mapped ``blobs.bin`` (pages
         shared across every process loading the same artifact) instead
         of private heap copies — the :class:`repro.runtime.pool`
-        workers load this way (``close()`` releases the mapping).
-
-        ``max_input_hw`` overrides the artifact's compile options with a
-        shape-polymorphic max geometry — the registry's load path, which
-        sizes one arena per model at the artifact's native resolution
-        and routes every smaller request shape into it.
+        workers and the fleet registry load this way (``close()``
+        releases the mapping).
         """
         network, compile_options, session_options, _ = load_artifact(
             path, mmap=mmap
         )
-        if max_input_hw is not None:
-            compile_options = compile_options.replace(
-                max_input_hw=max_input_hw
-            )
         session = cls(network, compile_options=compile_options,
                       options=session_options)
         session.source_artifact = Path(path)

@@ -14,10 +14,10 @@ deployability are one check, not two parallel accountings.
 
 Residency is managed lazily with LRU eviction:
 
-* a request for a cold model loads it on first use (``mmap=True`` so
-  weight pages are file-backed and shareable, ``max_input_hw`` set to
-  the artifact's native geometry so one shape-polymorphic arena serves
-  every smaller request shape);
+* a request for a cold model loads it on first use
+  (``Session.load(path, mmap=True)``, so weight pages are file-backed
+  and shareable) and plans its arena at the artifact's native geometry;
+  every smaller request geometry runs in the plan's one slab set;
 * when the budget cannot admit the newcomer, least-recently-used idle
   models are evicted — ``Session.close()`` drops the plan and unmaps
   the blobs *now*, not at GC time — until it fits;
@@ -31,6 +31,12 @@ registry never evicts or closes (the caller owns it).  Worker pools are
 configured once for the whole registry (:meth:`ModelRegistry.use_pools`,
 from the server's options and fault injector); each resident model gets
 its own pool on first checkout, torn down at eviction or close.
+
+The registry owns the budget, so it owns the limit the budget was
+sized for: every entry with a manifest rejects an input larger than the
+model's native geometry, or with another channel count than its first
+layer, as :class:`~repro.runtime.errors.InvalidInputError`, resident or
+cold, at admission and in :meth:`ModelRegistry.run`.
 
 All public methods are thread-safe; ``run`` is called from the batch
 engine's executor threads.
@@ -55,6 +61,7 @@ class FleetEntry:
         self.name = name
         self.path = Path(path) if path is not None else None
         self.max_hw = _native_hw(manifest)
+        self.in_channels = _input_channels(manifest)
         #: Read-only cost: the byte length of blobs.bin (what the mmap
         #: pins), from the manifest blob table.
         self.ro_bytes = sum(
@@ -85,6 +92,29 @@ class FleetEntry:
     def cost_bytes(self) -> int:
         return self.ro_bytes + int(self.rw_bytes or 0)
 
+    def check_input(self, x: np.ndarray) -> None:
+        """Reject what the manifest rules out: a batch that is not NCHW,
+        has another channel count than the model's first layer, or
+        exceeds the native geometry the model is budgeted at.  An
+        adopted session has no manifest, so only the rank is checked
+        here; the session validates the rest itself."""
+        if x.ndim != 4:
+            raise InvalidInputError(
+                f"input must be NCHW (4 dims), got shape {x.shape}"
+            )
+        if self.in_channels is not None and x.shape[1] != self.in_channels:
+            raise InvalidInputError(
+                f"input has {x.shape[1]} channel(s), model {self.name!r} "
+                f"expects {self.in_channels}"
+            )
+        if self.max_hw is not None:
+            h, w = int(x.shape[2]), int(x.shape[3])
+            if h > self.max_hw[0] or w > self.max_hw[1]:
+                raise InvalidInputError(
+                    f"input geometry {h}x{w} exceeds model {self.name!r}'s "
+                    f"max geometry {self.max_hw[0]}x{self.max_hw[1]}"
+                )
+
     def to_dict(self) -> dict:
         return {
             "resident": self.resident,
@@ -113,6 +143,15 @@ def _native_hw(manifest: dict) -> Optional[Tuple[int, int]]:
         if hw is not None:
             return (int(hw[0]), int(hw[1]))
     return None
+
+
+def _input_channels(manifest: dict) -> Optional[int]:
+    """The first conv layer's input channel count, from the manifest."""
+    layers = manifest.get("network", {}).get("conv_layers") or []
+    if not layers:
+        return None
+    shape = layers[0]["weight_shape"]
+    return int(shape[0] if layers[0]["kind"] == "dw" else shape[1])
 
 
 class ModelRegistry:
@@ -253,6 +292,7 @@ class ModelRegistry:
     def run(self, name: str, xs: np.ndarray) -> np.ndarray:
         """Execute one tile on ``name``'s session (or worker pool) —
         the batch engine's executor-thread body."""
+        self.entry(name).check_input(np.asarray(xs))
         entry = self.checkout(name)
         try:
             if entry.pool is not None:
@@ -264,34 +304,25 @@ class ModelRegistry:
     def validate_input(self, name: str, x_real) -> None:
         """Boundary validation without forcing a load.
 
-        Resident models delegate to the session's full check; cold
-        models get the checks the manifest can answer — geometry
-        against the declared max and finiteness — so a bad request is a
+        Every entry first gets the checks its manifest can answer
+        (:meth:`FleetEntry.check_input`: rank, channels, native
+        geometry).  Resident models then delegate to the session's full
+        check; cold models get a finiteness scan — so a bad request is a
         400 at admission rather than a load plus a batch failure.
         """
         entry = self.entry(name)
+        x = np.asarray(x_real)
+        entry.check_input(x)
         with self._lock:
             session = entry.session
         if session is not None:
             try:
-                session.validate_input(x_real)
+                session.validate_input(x)
                 return
             except RuntimeError:
                 pass  # evicted between the snapshot and the check
-        x = np.asarray(x_real)
-        if x.ndim != 4:
-            raise InvalidInputError(
-                f"input must be NCHW (4 dims), got shape {x.shape}"
-            )
         if not np.isfinite(x).all():
             raise InvalidInputError("input contains non-finite values")
-        if entry.max_hw is not None:
-            h, w = int(x.shape[2]), int(x.shape[3])
-            if h > entry.max_hw[0] or w > entry.max_hw[1]:
-                raise InvalidInputError(
-                    f"input geometry {h}x{w} exceeds model {name!r}'s "
-                    f"declared max geometry {entry.max_hw[0]}x{entry.max_hw[1]}"
-                )
 
     def _load_locked(self, entry: FleetEntry) -> None:
         """Load ``entry`` under the lock, evicting LRU idle models until
@@ -307,8 +338,7 @@ class ModelRegistry:
                    > self.memory_budget_bytes):
                 if not self._evict_lru_locked():
                     break
-        session = Session.load(entry.path, mmap=True,
-                               max_input_hw=entry.max_hw)
+        session = Session.load(entry.path, mmap=True)
         rejection = None
         try:
             self._admit_locked(entry, session)

@@ -69,12 +69,15 @@ class TestZooAcceptance:
 
     def test_shape_polymorphic_plan_verifies(self):
         net = _network(CONFIGS[0])
-        plan = ExecutionPlan(
-            net, CompileOptions(input_hw=(24, 24), max_input_hw=HW)
-        )
+        plan = ExecutionPlan(net, CompileOptions(input_hw=(24, 24)))
+        rng = np.random.default_rng(4)
+        for hw in (HW, (24, 24)):
+            x = rng.uniform(0, 1, size=(2, 3, *hw))
+            assert np.array_equal(plan.run(x), net.forward(x))
         report = verify_plan(plan)
         assert report.ok
-        # Both the max arena and the adopted smaller geometry were walked.
+        # Both geometries the plan has run were walked, each against its
+        # own sizing, although they share one slab set.
         assert report.count("slab-aliasing") >= 2 * len(plan.layers)
 
 
@@ -337,6 +340,39 @@ class TestArtifactAndSession:
         with pytest.raises(PlanVerificationError) as exc_info:
             verify_artifact(path)
         assert "slab-aliasing" in exc_info.value.rules
+
+    @staticmethod
+    def _native_128_artifact(tmp_path):
+        net = _network(CONFIGS[0])
+        native = (128, 128)
+        session = Session(
+            net, compile_options=CompileOptions(input_hw=native),
+            options=SessionOptions(input_hw=native),
+        )
+        path = session.save(tmp_path / "model.artifact")
+        session.close()
+        return path
+
+    def test_artifact_verifies_at_another_geometry(self, tmp_path):
+        """The manifest's Eq. 7 peak is compared at the geometry it was
+        recorded for; the requested geometry is walked."""
+        path = self._native_128_artifact(tmp_path)
+        report = verify_artifact(path, (96, 96))
+        assert report.ok, [str(v) for v in report.violations]
+        assert report.count("slab-aliasing") > len(CONFIGS[0].layers)
+
+    def test_corrupt_arena_peak_rejected_at_another_geometry(self, tmp_path):
+        import json
+
+        path = self._native_128_artifact(tmp_path)
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["network"]["arena"]["rw_peak_bytes"] //= 2
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(PlanVerificationError) as exc_info:
+            verify_artifact(path, (96, 96))
+        assert exc_info.value.rules == ["slab-aliasing"]
+        assert "arena 128x128" in str(exc_info.value)
 
     def test_session_verify(self):
         net = _network(CONFIGS[0])

@@ -18,6 +18,7 @@ from repro.inference.arena import (
     MAX_BOUND_BATCHES,
     ActivationArena,
     LayerGeometry,
+    SlabSet,
     logical_rw_peak_bytes,
     plan_activations,
 )
@@ -146,6 +147,31 @@ def test_plan_activations_rejects_collapsing_geometry():
         plan_activations([geom], (4, 4))
 
 
+def test_slab_set_holds_the_per_slab_maximum():
+    """Two geometries whose needs peak in different slabs: the shared set
+    holds each slab's maximum, less than one set per geometry."""
+    def geometry(c_in, c_out, kh):
+        return [LayerGeometry(
+            name="conv", kind="conv", in_channels=c_in, out_channels=c_out,
+            kh=kh, kw=kh, stride=1, padding=kh // 2, in_bits=8, out_bits=8,
+            gemm_itemsize=4,
+        )]
+
+    slabs = SlabSet()
+    wide_in = ActivationArena(plan_activations(geometry(16, 2, 5), (8, 8)), slabs)
+    wide_out = ActivationArena(plan_activations(geometry(2, 16, 1), (8, 8)), slabs)
+    assert wide_in.pad_bytes_per_image > wide_out.pad_bytes_per_image
+    assert wide_in.acc_bytes_per_image < wide_out.acc_bytes_per_image
+    wide_in.ensure(3)
+    wide_out.ensure(2)
+    assert slabs.sizes == tuple(map(max, wide_in.slab_sizes(), wide_out.slab_sizes()))
+    assert slabs.capacity == 3
+    assert wide_in.allocated_bytes == wide_out.allocated_bytes == slabs.allocated_bytes
+    assert (max(wide_in.planned_bytes(3), wide_out.planned_bytes(3))
+            < slabs.allocated_bytes
+            < wide_in.planned_bytes(3) + wide_out.planned_bytes(3))
+
+
 def test_empty_plan_list():
     assert logical_rw_peak_bytes([]) == 0
     arena = ActivationArena([])
@@ -238,7 +264,7 @@ class TestBindings:
         plan = net.compile()
         arena = plan.arena_for((32, 32))
         plan.run(_images(1, (32, 32)))
-        old_pad = weakref.ref(arena._pad)
+        old_pad = weakref.ref(arena._slabs.slabs["pad"])
         for n in (4, 1):
             x = _images(n, (32, 32), seed=n)
             assert np.array_equal(plan.run(x), net.forward(x))
@@ -246,25 +272,42 @@ class TestBindings:
         assert old_pad() is None
         assert arena.capacity == 4
 
-    def test_donor_growth_drops_the_sharers_bindings(self):
+    def test_larger_geometry_growth_drops_every_binding(self):
         net = _mobilenet(64)
-        plan = net.compile(CompileOptions(max_input_hw=(64, 64)))
-        donor = plan.arena_for((64, 64))
+        plan = net.compile()
         x = _images(1, (32, 32))
         assert np.array_equal(plan.run(x), net.forward(x))
-        child = plan.arena_for((32, 32))
-        assert child.donor is donor and tuple(child._bindings) == (1,)
-        old_pad = weakref.ref(donor._pad)
+        small = plan.arena_for((32, 32))
+        assert tuple(small._bindings) == (1,)
+        old_pad = weakref.ref(small._slabs.slabs["pad"])
         x = _images(3, (64, 64), seed=1)
         assert np.array_equal(plan.run(x), net.forward(x))
-        # The donor's reallocation dropped the child's views at once.
+        # Growing the plan's slab set for the larger geometry freed the
+        # old slabs and dropped the smaller geometry's views at once.
         gc.collect()
         assert old_pad() is None
-        assert tuple(child._bindings) == ()
+        assert tuple(small._bindings) == ()
+        assert small.allocated_bytes == plan.arena_for((64, 64)).planned_bytes(3)
         x = _images(1, (32, 32), seed=2)
         assert np.array_equal(plan.run(x), net.forward(x))
         gc.collect()
         assert old_pad() is None
+
+    def test_smaller_batch_and_geometry_keep_every_binding(self):
+        """Once the set holds the largest geometry and batch, smaller ones
+        neither reallocate it nor drop anyone's views."""
+        net = _mobilenet(64)
+        plan = net.compile()
+        plan.run(_images(3, (64, 64)))
+        big = plan.arena_for((64, 64))
+        slabs = dict(big._slabs.slabs)
+        for n, hw in ((1, (32, 32)), (2, (64, 32)), (3, (64, 64))):
+            x = _images(n, hw, seed=n)
+            assert np.array_equal(plan.run(x), net.forward(x))
+        assert all(big._slabs.slabs[k] is v for k, v in slabs.items())
+        assert tuple(big._bindings) == (3,)
+        assert tuple(plan.arena_for((32, 32))._bindings) == (1,)
+        assert big.allocated_bytes == big.planned_bytes(3)
 
     def test_batch_sizes_bound_is_kept(self):
         net = _mobilenet()
@@ -297,7 +340,7 @@ class TestBindings:
 
 def test_per_geometry_arenas_are_bounded():
     """Every new input geometry plans an arena; a plan keeps only the most
-    recently used few, plus the compile-time one."""
+    recently used few, and all of them run in one slab set."""
     net = _mobilenet()
     session = Session(net, CompileOptions(input_hw=(32, 32)),
                       SessionOptions(input_hw=(32, 32)))
@@ -320,8 +363,11 @@ def test_per_geometry_arenas_are_bounded():
         retained = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert retained <= MAX_ARENA_GEOMETRIES * largest, (retained, largest)
-    assert (32, 32) in plan._arenas
+    # One slab set (the largest geometry's), plus the last input and the
+    # retained arenas' layer plans and bindings, which together take less
+    # than a second set — not one slab set per retained geometry.
+    assert largest == plan.arena_for(geometries[-1]).planned_bytes(1)
+    assert retained <= 2 * largest, (retained, largest)
     assert geometries[0] not in plan._arenas
     x = _images(1, geometries[0], seed=99)
     assert np.array_equal(session.run(x), net.forward(x))

@@ -1,59 +1,66 @@
-"""Shape-polymorphic arenas: one max-geometry slab set serves every
-smaller input geometry, bit-exactly.
+"""Shape polymorphism: one plan runs every input geometry in one slab set,
+bit-exactly.
 
-The contract under test: a plan compiled with
-``CompileOptions(max_input_hw=(H, W))`` sizes its activation arena once
-for ``(H, W)``; any request geometry ``(h, w) <= (H, W)`` executes
-inside the *same* slabs (the per-geometry arena adopts the max arena's
-storage) and produces outputs bit-identical to a plan compiled natively
-for ``(h, w)``.  Geometries exceeding the declared max are rejected.
+The contract under test: a plain plan fed any sequence of input
+geometries, larger or smaller than the ones before, runs each one in its
+single :class:`~repro.inference.arena.SlabSet` and produces outputs
+bit-identical to a plan that only ever ran that geometry and to the
+interpreted int64 reference (``IntegerNetwork.forward``).  The set grows
+to the largest per-image need and batch that has run, and every
+geometry's arena keeps its own Eq. 7 accounting.
 """
 
 import numpy as np
 import pytest
 
-from repro.inference.arena import ActivationArena
+from repro.analysis import verify_plan
 from repro.models.model_zoo import mobilenet_v1_spec
-from repro.runtime import CompileOptions, Session, SessionOptions, pipeline
-from repro.runtime.errors import InvalidInputError
+from repro.runtime import CompileOptions, SessionOptions, pipeline
 
-MAX_HW = (64, 64)
-#: Every multiple-of-32 geometry inside the max — the full set a
-#: MobileNetV1 pyramid (stride-32 overall) accepts below 64x64.
-GEOMETRIES = [(32, 32), (32, 64), (64, 32), (64, 64)]
+NATIVE_HW = (64, 64)
+#: The native geometry first, then smaller, mixed and larger ones — the
+#: stride-32 geometries a MobileNetV1 pyramid accepts around 64x64.
+GEOMETRIES = [(64, 64), (32, 32), (32, 64), (64, 32), (96, 96)]
 
 
-def _zoo_session(resolution, width, *, max_input_hw=None, seed=3):
+def _zoo_session(resolution, width, *, seed=3):
     spec = mobilenet_v1_spec(resolution, width, num_classes=5)
-    compile_options = CompileOptions(max_input_hw=max_input_hw)
     options = SessionOptions(input_hw=(resolution, resolution))
-    return pipeline(spec, seed=seed, compile_options=compile_options,
-                    options=options)
+    return pipeline(spec, seed=seed, options=options)
 
 
 @pytest.fixture(scope="module")
 def poly_session():
-    return _zoo_session(64, 0.25, max_input_hw=MAX_HW)
+    return _zoo_session(64, 0.25)
 
 
 class TestBitExactParity:
     @pytest.mark.parametrize("hw", GEOMETRIES)
     def test_every_geometry_matches_native_plan(self, poly_session, hw):
-        """The tentpole guarantee: polymorphic execution of (h, w) is
-        bit-identical to a plan compiled natively for (h, w)."""
+        """A geometry run in a slab set other geometries have grown is
+        bit-identical to a plan that only ever ran that geometry."""
         native = _zoo_session(64, 0.25)
         x = np.random.default_rng(11).uniform(0.0, 1.0, (3, 3, *hw))
         np.testing.assert_array_equal(poly_session.run(x), native.run(x))
 
     @pytest.mark.parametrize("width", [0.25, 0.5])
     def test_parity_across_zoo_slice(self, width):
-        """Two zoo widths, every admissible geometry, same slabs."""
-        poly = _zoo_session(64, width, max_input_hw=MAX_HW, seed=5)
-        native = _zoo_session(64, width, seed=5)
+        """Two zoo widths: one plan runs every geometry at batch 1 and 3,
+        each checked against a native plan and the int64 reference, then
+        the verifier walks every geometry the plan has run."""
+        poly = _zoo_session(64, width, seed=5)
         rng = np.random.default_rng(13)
-        for hw in GEOMETRIES:
-            x = rng.uniform(0.0, 1.0, (2, 3, *hw))
-            np.testing.assert_array_equal(poly.run(x), native.run(x))
+        for n in (1, 3):
+            for hw in GEOMETRIES:
+                x = rng.uniform(0.0, 1.0, (n, 3, *hw))
+                out = poly.run(x)
+                native = _zoo_session(64, width, seed=5)
+                np.testing.assert_array_equal(out, native.run(x))
+                np.testing.assert_array_equal(out, poly.network.forward(x))
+        report = verify_plan(poly.plan)
+        assert report.ok
+        layers = len(poly.plan.layers)
+        assert report.count("slab-aliasing") >= len(GEOMETRIES) * layers
 
     def test_ragged_run_batched(self, poly_session):
         """Tiled sweeps through the shared slabs stay exact."""
@@ -66,23 +73,23 @@ class TestBitExactParity:
 
 
 class TestSlabSharing:
-    def test_smaller_geometries_share_the_max_arena(self, poly_session):
-        plan = poly_session.plan
-        donor = plan.arena_for(MAX_HW)
-        assert not donor.shares_slabs
-        for hw in GEOMETRIES[:-1]:
-            poly_session.run(
-                np.random.default_rng(0).uniform(0.0, 1.0, (1, 3, *hw))
-            )
-            child = plan.arena_for(hw)
-            assert child.shares_slabs
-            assert child.donor is donor
-            # No double accounting: shared slabs are charged to the
-            # donor only.
-            assert child.allocated_bytes == 0
+    def test_every_geometry_shares_one_slab_set(self):
+        session = _zoo_session(64, 0.25)
+        plan = session.plan
+        rng = np.random.default_rng(0)
+        session.run(rng.uniform(0.0, 1.0, (1, 3, *NATIVE_HW)))
+        native_bytes = plan.arena_for(NATIVE_HW).planned_bytes(1)
+        assert plan.arena_for(NATIVE_HW).allocated_bytes == native_bytes
+        for hw in GEOMETRIES[1:-1]:
+            session.run(rng.uniform(0.0, 1.0, (1, 3, *hw)))
+            arena = plan.arena_for(hw)
+            assert arena._slabs is plan._slabs
+            # A smaller geometry runs in the native set: nothing grows.
+            assert arena.allocated_bytes == native_bytes
+        assert len(plan._arenas) == len(GEOMETRIES) - 1
 
     def test_child_keeps_its_own_eq7_accounting(self, poly_session):
-        """Sharing storage must not change the Eq. 7 peak the child
+        """Sharing storage must not change the Eq. 7 peak a geometry
         reports — the paper's accounting is per-geometry."""
         plan = poly_session.plan
         poly_session.run(
@@ -92,55 +99,23 @@ class TestSlabSharing:
         native = _zoo_session(64, 0.25).plan.arena_for((32, 32))
         assert child.logical_rw_peak_bytes == native.logical_rw_peak_bytes
         assert (child.logical_rw_peak_bytes
-                < plan.arena_for(MAX_HW).logical_rw_peak_bytes)
+                < plan.arena_for(NATIVE_HW).logical_rw_peak_bytes)
 
-    def test_donor_too_small_is_rejected(self):
-        """The defensive check: an arena cannot adopt slabs from a donor
-        provisioned for a smaller geometry."""
+    def test_larger_geometry_grows_the_set(self):
+        """A geometry above every earlier one grows the set to its own
+        planned bytes; nothing caps a plan at its first geometry."""
         session = _zoo_session(64, 0.25)
         plan = session.plan
-        small = plan.arena_for((32, 32))
-        big_plans = plan.arena_for((64, 64)).plans
-        with pytest.raises(ValueError, match="cannot share slabs"):
-            ActivationArena(big_plans, slabs_from=small)
-
-
-class TestOverMaxRejection:
-    def test_run_rejects_over_max_geometry(self, poly_session):
-        x = np.random.default_rng(0).uniform(0.0, 1.0, (1, 3, 96, 96))
-        with pytest.raises(InvalidInputError, match="max geometry"):
-            poly_session.run(x)
-
-    def test_one_axis_over_is_enough(self, poly_session):
-        x = np.random.default_rng(0).uniform(0.0, 1.0, (1, 3, 32, 96))
-        with pytest.raises(InvalidInputError, match="max geometry"):
-            poly_session.run(x)
-
-    def test_plan_level_rejection(self, poly_session):
-        with pytest.raises(ValueError, match="max geometry"):
-            poly_session.plan.arena_for((96, 96))
+        rng = np.random.default_rng(1)
+        session.run(rng.uniform(0.0, 1.0, (2, 3, *NATIVE_HW)))
+        x = rng.uniform(0.0, 1.0, (2, 3, 96, 96))
+        np.testing.assert_array_equal(session.run(x), session.network.forward(x))
+        big = plan.arena_for((96, 96))
+        assert big.allocated_bytes == big.planned_bytes(2)
+        assert plan.arena_for(NATIVE_HW).allocated_bytes == big.planned_bytes(2)
 
 
 class TestOptionsValidation:
-    def test_input_hw_must_fit_max(self):
-        with pytest.raises(ValueError, match="exceeds max_input_hw"):
-            CompileOptions(input_hw=(96, 96), max_input_hw=(64, 64))
-
-    def test_max_hw_roundtrips_through_dict(self):
-        opts = CompileOptions(max_input_hw=(64, 64))
-        assert CompileOptions.from_dict(opts.to_dict()) == opts
-
     def test_default_serialization_is_backward_compatible(self):
-        """Artifacts written before this option existed must load: the
-        default (None) serialises to *no key at all*."""
+        """The retired max_input_hw is never written."""
         assert "max_input_hw" not in CompileOptions().to_dict()
-
-    def test_load_override(self, tmp_path):
-        session = _zoo_session(32, 0.25)
-        path = session.save(tmp_path / "m")
-        loaded = Session.load(path, max_input_hw=(64, 64))
-        assert loaded.compile_options.max_input_hw == (64, 64)
-        x = np.random.default_rng(1).uniform(0.0, 1.0, (1, 3, 64, 64))
-        np.testing.assert_array_equal(
-            loaded.run(x), _zoo_session(32, 0.25).run(x)
-        )

@@ -93,9 +93,12 @@ def test_artifact_with_retired_options_loads_as_default(tmp_path):
     manifest_path = path / MANIFEST_NAME
     manifest = json.loads(manifest_path.read_text())
     # Wide int64 codes, no arena, always-stencil depthwise, a-priori
-    # bound: every retired option set away from its old default.
+    # bound, a donor arena sized for 64x64: every retired option set away
+    # from its old default.
+    retired = (False, False, True, False, [64, 64])
+    assert len(retired) == len(RETIRED_COMPILE_OPTIONS)
     manifest["compile_options"].update(
-        zip(RETIRED_COMPILE_OPTIONS, (False, False, True, False)), backend="blas"
+        zip(RETIRED_COMPILE_OPTIONS, retired), backend="blas"
     )
     manifest_path.write_text(json.dumps(manifest))
 

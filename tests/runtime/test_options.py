@@ -1,5 +1,7 @@
 """CompileOptions / SessionOptions: validation, normalisation, round trip."""
 
+import dataclasses
+
 import pytest
 
 from repro.runtime import CompileOptions, SessionOptions
@@ -9,7 +11,10 @@ class TestCompileOptions:
     def test_defaults_are_the_production_pipeline(self):
         o = CompileOptions()
         assert o.backend == "auto" and o.validate
-        assert o.input_hw is None and o.max_input_hw is None
+        assert o.input_hw is None
+        assert [f.name for f in dataclasses.fields(o)] == [
+            "backend", "validate", "input_hw"
+        ]
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -35,6 +40,10 @@ class TestCompileOptions:
     def test_from_dict_rejects_unknown_names(self):
         with pytest.raises(TypeError, match="valid options"):
             CompileOptions.from_dict({"narow": True})
+
+    def test_retired_max_input_hw_reads_as_the_default_plan(self):
+        o = CompileOptions.from_dict({"input_hw": [32, 32], "max_input_hw": [64, 64]})
+        assert o == CompileOptions(input_hw=(32, 32))
 
     def test_replace(self):
         o = CompileOptions().replace(backend="int64")

@@ -114,6 +114,19 @@ class TestRegistry:
             with pytest.raises(ModelNotFoundError, match="ghost"):
                 registry.run("ghost", _image("32x0.25")[None])
 
+    def test_run_rejects_what_the_manifest_rules_out_without_a_load(
+            self, fleet_dir):
+        from repro.runtime.errors import InvalidInputError
+
+        with ModelRegistry.from_directory(fleet_dir) as registry:
+            gray = np.zeros((1, 1, 32, 32))
+            with pytest.raises(InvalidInputError, match="channel"):
+                registry.run("32x0.25", gray)
+            with pytest.raises(InvalidInputError, match="max geometry"):
+                registry.run("32x0.25", _image("64x0.25")[None])
+            assert not registry.entry("32x0.25").resident
+            assert registry.entry("32x0.25").in_channels == 3
+
     def test_inflight_models_are_not_evictable(self, fleet_dir, costs):
         budget = _two_of_three_budget(costs)
         with ModelRegistry.from_directory(
@@ -128,18 +141,24 @@ class TestRegistry:
             registry.run("32x0.25", _image("32x0.25")[None])  # now fits
 
     def test_polymorphic_routing_inside_one_model(self, fleet_dir):
-        """A smaller geometry runs inside the model's max arena and
-        matches a dedicated session exactly."""
+        """A smaller geometry runs in the model's one slab set, which the
+        native geometry already sized, and matches a dedicated session
+        exactly."""
         from repro.runtime import Session
 
         with ModelRegistry.from_directory(fleet_dir) as registry:
+            registry.run("96x0.25", _image("96x0.25")[None])
             x = np.random.default_rng(5).uniform(0.0, 1.0, (1, 3, 64, 64))
             out = registry.run("96x0.25", x)
             np.testing.assert_array_equal(
                 out, Session.load(fleet_dir / "96x0.25").run(x)
             )
-            arena = registry.entry("96x0.25").session.plan.arena_for((64, 64))
-            assert arena.shares_slabs
+            plan = registry.entry("96x0.25").session.plan
+            native, small = plan.arena_for((96, 96)), plan.arena_for((64, 64))
+            assert small._slabs is native._slabs
+            assert small.allocated_bytes == native.planned_bytes(1)
+            # A held plan would pin the mmap'd weights at close.
+            del plan, native, small
 
     def test_eviction_unmaps_blobs(self, fleet_dir, costs):
         import pathlib
@@ -258,6 +277,47 @@ class TestFleetServer:
             assert "max geometry" in reply["detail"]
             # Rejected at admission — the model was never loaded.
             assert not registry.entry("32x0.25").resident
+
+        self._scenario(fleet_dir, _two_of_three_budget(costs), body)
+
+    def test_over_max_geometry_of_a_resident_model_is_400(
+            self, fleet_dir, costs):
+        """The registry caps a loaded model at its native geometry too."""
+        from repro.runtime.errors import InvalidInputError
+
+        async def body(server, registry, host, port):
+            status, _ = await predict(host, port, _image("32x0.25"),
+                                      model="32x0.25")
+            assert status == 200
+            assert registry.entry("32x0.25").resident
+            status, reply = await predict(host, port, _image("64x0.25"),
+                                          model="32x0.25")
+            assert status == 400
+            assert "max geometry" in reply["detail"]
+            with pytest.raises(InvalidInputError, match="max geometry"):
+                registry.run("32x0.25", _image("64x0.25")[None])
+
+        self._scenario(fleet_dir, _two_of_three_budget(costs), body)
+
+    def test_wrong_channels_to_a_cold_model_is_400_not_a_load(
+            self, fleet_dir, costs):
+        """A channel count the manifest rules out is a 400 at admission:
+        no load, no engine retry, no breaker failure."""
+        gray = np.random.default_rng(3).uniform(0.0, 1.0, (1, 32, 32))
+
+        async def body(server, registry, host, port):
+            for _ in range(5):
+                status, reply = await predict(host, port, gray,
+                                              model="32x0.25")
+                assert status == 400
+                assert "channel" in reply["detail"]
+            assert not registry.entry("32x0.25").resident
+            assert server.stats.failed == 0
+            status, stats = await request_json(host, port, "GET", "/stats")
+            assert stats["circuits"].get("32x0.25", "closed") == "closed"
+            status, _ = await predict(host, port, _image("32x0.25"),
+                                      model="32x0.25")
+            assert status == 200
 
         self._scenario(fleet_dir, _two_of_three_budget(costs), body)
 
