@@ -54,6 +54,13 @@ Five rule families (the rule name appears in every diagnostic):
     (a partition of any batch), so the two facts hold at every batch
     size.  The tile region time-shares that scratch with the
     requantization: a tile's columns are dead once its GEMM has run.
+    A layer on a wide row grid
+    (:meth:`~repro.inference.plan.CompiledConvLayer.row_grid`) must be
+    stride 1, its pitch must be the padded input width (else tap
+    ``(a, b)`` of an output reads the wrong pixel), its run must cover
+    every output, and its last read — run end plus the last tap's
+    offset — must stay inside the padded plane; the unfold and
+    accumulator bytes above are then counted over that run.
 
 Structural inconsistencies discovered on the way (shape mismatches,
 non-integral weights, broken metadata cross-checks) are reported under
@@ -544,22 +551,28 @@ def _conv_slab_needs(layer, h: int, w: int) -> Tuple[Dict[str, int], Tuple[int, 
         np.dtype(layer.gemm_dtype).itemsize,
         np.dtype(getattr(layer, "acc_dtype", layer.gemm_dtype)).itemsize,
     )
-    out_elems = layer.out_channels * oh * ow
+    out_elems = acc_elems = layer.out_channels * oh * ow
     hp, wp = h + 2 * layer.padding, w + 2 * layer.padding
     pad = layer.in_channels * hp * wp * gemm_isz
+    grid = layer.row_grid(h, w)
     if layer.kind == "dw":
-        # Depthwise tiles unfold into the fixed scratch (_check_dw_tiles).
+        # Depthwise tiles unfold into the fixed scratch (_check_dw_tiles)
+        # and accumulate every column of their unfold.
         cols = 0
+        if grid is not None:
+            acc_elems = layer.out_channels * grid[1]
     elif layer.kh == 1 and layer.kw == 1 and layer.stride == 1:
         # A 1x1/s1 unfold is a view; only a split-K layer uses the slab
         # (its sgemm chunk).
         cols = out_elems * gemm_isz if getattr(layer, "split_k", None) else 0
     else:
         cols = layer.in_channels * layer.kh * layer.kw * oh * ow * gemm_isz
-    acc = out_elems * gemm_isz
+    acc = acc_elems * gemm_isz
     out = out_elems * np.dtype(layer.out_dtype).itemsize
+    # A wide row grid's requant chunks whole (C, OW) rows of its outputs.
     requant = requant_scratch_bytes(
-        layer.kind, layer.requant_kind, layer.out_channels, out_elems
+        layer.kind, layer.requant_kind, layer.out_channels, out_elems,
+        row=1 if grid is None else ow,
     )
     return (
         {"pad": pad, "cols": cols, "acc": acc, "out": out, "requant": requant},
@@ -572,15 +585,38 @@ def _check_dw_tiles(layer, h: int, w: int, region: int, capacity: int,
     """A depthwise layer's tiles at input ``(h, w)``: a channel partition
     and a largest tile that fits the ``capacity``-byte fixed scratch."""
     name = layer.name
+    where = f"at {h}x{w}"
     oh = conv_output_size(h, layer.kh, layer.stride, layer.padding)
     ow = conv_output_size(w, layer.kw, layer.stride, layer.padding)
+    columns = oh * ow
+    grid = layer.row_grid(h, w)
+    if grid is not None:
+        pitch, columns = grid
+        hp, wp = h + 2 * layer.padding, w + 2 * layer.padding
+        # Output q = i*pitch + j reads padded element q + a*pitch + b for
+        # tap (a, b): that is pixel (i + a, j + b) only at pitch Wp.
+        last_read = columns - 1 + (layer.kh - 1) * pitch + layer.kw - 1
+        if layer.stride != 1:
+            problem = f"stride {layer.stride} (a wide row grid needs stride 1)"
+        elif pitch != wp:
+            problem = f"pitch {pitch}, not the padded width {wp}"
+        elif columns < (oh - 1) * pitch + ow:
+            problem = (f"{columns} columns, short of output ({oh - 1}, {ow - 1}) "
+                       f"at column {(oh - 1) * pitch + ow - 1}")
+        elif last_read > hp * wp - 1:
+            problem = (f"{columns} columns, whose last tap reads element "
+                       f"{last_read} past the padded plane's last, {hp * wp - 1}")
+        else:
+            problem = None
+        if problem is not None:
+            report.fail("dw-tiles", name, f"wide row view {where} has {problem}")
+            return
     if layer.kh == 1 and layer.kw == 1 and layer.stride == 1:
         channel_bytes = 0  # the unfold is a view of the padded input
     else:
-        channel_bytes = (layer.kh * layer.kw * oh * ow
+        channel_bytes = (layer.kh * layer.kw * columns
                          * np.dtype(layer.gemm_dtype).itemsize)
     images, blocks = layer.tile_blocking(h, w, region)
-    where = f"at {h}x{w}"
     if images < 1:
         report.fail("dw-tiles", name, f"{images} images per tile {where}")
         return

@@ -242,20 +242,41 @@ class LayerActivationPlan:
 
 
 def requant_scratch_bytes(kind: str, requant_kind: str, c_out: int,
-                           out_elems: int) -> int:
+                           out_elems: int, row: int = 1) -> int:
     """Fixed int64 scratch one layer's chunked requantization needs.
 
     Fixed-point layers tile the accumulator into ~``REQUANT_SCRATCH_BYTES``
-    chunks (never smaller than one (C, 1) column so the per-channel
-    constants broadcast); threshold layers consume one whole image at a
-    time (per-channel ``searchsorted`` wants contiguous rows).
+    chunks of whole rows of ``row`` outputs (``OW`` for a wide-row layer,
+    whose outputs are an ``(OH, OW)`` view; else 1), never smaller than one
+    ``(C, row)`` block so the per-channel constants broadcast; threshold
+    layers consume one whole image at a time (per-channel
+    ``searchsorted`` wants contiguous rows).
     """
     if kind == "fc":
         return 0
     if requant_kind == "thr":
         return out_elems * _INT64_BYTES
-    return max(c_out * _INT64_BYTES,
+    return max(c_out * row * _INT64_BYTES,
                min(out_elems * _INT64_BYTES, REQUANT_SCRATCH_BYTES))
+
+
+def unfolds_rows(kind: str, kh: int, kw: int, stride: int) -> bool:
+    """Whether a layer unfolds on the wide row grid of
+    :func:`~repro.nn.functional.im2col` (``wide=True``): every stride-1
+    depthwise layer with a kernel larger than 1x1.  A strided depthwise
+    layer keeps the ``(OH, OW)`` grid, where a wide one would double its
+    GEMM columns."""
+    return kind == "dw" and stride == 1 and (kh, kw) != (1, 1)
+
+
+def depthwise_columns(kw: int, stride: int, oh: int, ow: int) -> int:
+    """Columns one channel of one image unfolds per tap, and accumulates,
+    in a depthwise layer: ``(OH-1)*Wp + OW`` on a stride-1 layer's wide
+    row grid, whose pitch is the padded width ``Wp = OW + kw - 1``;
+    ``OH*OW`` otherwise (the two agree when ``OH`` is 1 or ``kw`` is 1)."""
+    if stride == 1:
+        return (oh - 1) * (ow + kw - 1) + ow
+    return oh * ow
 
 
 def depthwise_channel_bytes(kh: int, kw: int, stride: int, oh: int, ow: int,
@@ -264,7 +285,7 @@ def depthwise_channel_bytes(kh: int, kw: int, stride: int, oh: int, ow: int,
     (0 for a 1x1 stride-1 kernel, whose unfold is a view)."""
     if kh == 1 and kw == 1 and stride == 1:
         return 0
-    return kh * kw * oh * ow * itemsize
+    return kh * kw * depthwise_columns(kw, stride, oh, ow) * itemsize
 
 
 def depthwise_tile_bound(channels: int, channel_bytes: int) -> int:
@@ -348,12 +369,14 @@ def plan_activations(
                 f"layer {g.name!r}: input {h}x{w} collapses to {oh}x{ow}"
             )
         hp, wp = h + 2 * g.padding, w + 2 * g.padding
-        out_elems = g.out_channels * oh * ow
+        out_elems = acc_elems = g.out_channels * oh * ow
         tile_bytes = 0
         if g.kind == "dw":
             # A depthwise layer unfolds tile by tile into the fixed
-            # scratch.
+            # scratch, and accumulates its unfold's columns (the junk
+            # ones of a wide row grid too).
             cols_elems = 0
+            acc_elems = g.out_channels * depthwise_columns(g.kw, g.stride, oh, ow)
             tile_bytes = depthwise_tile_bound(g.in_channels, depthwise_channel_bytes(
                 g.kh, g.kw, g.stride, oh, ow, g.gemm_itemsize))
         elif g.kh == 1 and g.kw == 1 and g.stride == 1:
@@ -372,11 +395,12 @@ def plan_activations(
                 out_bits=g.out_bits,
                 pad_elems=g.in_channels * hp * wp,
                 cols_elems=cols_elems,
-                acc_elems=out_elems,
+                acc_elems=acc_elems,
                 gemm_itemsize=g.gemm_itemsize,
                 out_itemsize=g.out_itemsize,
                 requant_bytes=requant_scratch_bytes(
-                    g.kind, g.requant_kind, g.out_channels, out_elems
+                    g.kind, g.requant_kind, g.out_channels, out_elems,
+                    row=ow if unfolds_rows(g.kind, g.kh, g.kw, g.stride) else 1,
                 ),
                 tile_bytes=tile_bytes,
             )
@@ -470,7 +494,8 @@ class ActivationArena:
         — also the chunk buffer of a split-K layer.
     ``acc``
         The GEMM accumulator (float tier, int32, or int64 depending on
-        the layer's dispatch); a depthwise tile accumulates into a prefix.
+        the layer's dispatch); a depthwise tile accumulates into a prefix,
+        over its unfold's columns (a wide row grid's junk ones too).
     ``scratch``
         A small *fixed-size* (batch-independent) int64 buffer that two
         users take turns in.  The chunked requantization tiles the

@@ -19,7 +19,8 @@ per-inference path:
   whole images, or channel blocks of one image — each unfolded into a
   fixed region of at most ``DW_TILE_BYTES``, contracted and requantized
   before the next is unfolded, like the CMSIS-NN kernels' small im2col
-  buffer;
+  buffer; a stride-1 layer unfolds on a wide row grid, one contiguous
+  copy per (image, channel, tap);
 * fixed-point requantization (Eq. 5) is folded into per-channel
   constants for the flat ``(N, C, L)`` accumulator layout and runs as a
   short float64 or int64 epilogue, the tier picked from the layer's
@@ -48,6 +49,7 @@ memory stays bounded by one tile regardless of the sweep size.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -67,7 +69,9 @@ from repro.inference.arena import (
     balanced_blocks,
     depthwise_blocking,
     depthwise_channel_bytes,
+    depthwise_columns,
     plan_activations,
+    unfolds_rows,
 )
 from repro.inference.kernels import (
     FLOAT32_EXACT_BITS,
@@ -221,10 +225,13 @@ class _CompiledFixedPointRequant:
     block, every other layer all of them) and cuts the accumulator
     (float32/float64/int32/int64), the small int64 ``scratch`` (viewed
     as float64 on the ``f64`` tier) and the container-width ``out`` codes
-    into aligned cache-resident chunks — one per image when an image's
-    accumulator fits; ``run(bound)`` casts each accumulator chunk into
-    its scratch, requantizes there in place and truncates into its
-    codes.  The casts stay in those two plain copies: a ufunc that casts
+    into aligned cache-resident chunks of whole rows — one per image
+    when an image's accumulator fits.  ``phi`` and ``out`` are
+    ``(N, C, L)``, or ``(N, C, OH, OW)`` where ``phi`` is the strided
+    output view of a wide-row accumulator; ``run(bound)`` casts each
+    accumulator chunk into its scratch (dropping a wide row grid's junk
+    columns on the way), requantizes there in place and truncates into
+    its codes.  The casts stay in those two plain copies: a ufunc that casts
     its operands runs numpy's buffered loop, which measured slower than
     the extra copy.
     The clip bounds are typed scalars, which ``ndarray.clip`` takes
@@ -270,16 +277,18 @@ class _CompiledFixedPointRequant:
             consts = (self.m_f64, self.c_f64)
         else:
             consts = (self.m_int, self.b_int, self.rshift)
-        consts = tuple(_channel_slice(k, *channels) for k in consts)
-        n, c, l = phi.shape
-        lc = max(1, min(l, scratch.size // max(c, 1)))
+        consts = tuple(_channel_slice(k, *channels, phi.ndim) for k in consts)
+        n, c, rows = phi.shape[:3]
+        row = phi.shape[3:]  # () for (N, C, L), (OW,) for (N, C, OH, OW)
+        block = max(c * math.prod(row), 1)  # scratch per row of all channels
+        lc = max(1, min(rows, scratch.size // block))
         chunks = []
         for b in range(n):
-            for l0 in range(0, l, lc):
-                l1 = min(l0 + lc, l)
-                chunks.append((phi[b:b + 1, :, l0:l1],
-                               scratch[: c * (l1 - l0)].reshape(1, c, l1 - l0),
-                               out[b:b + 1, :, l0:l1]))
+            for r0 in range(0, rows, lc):
+                r1 = min(r0 + lc, rows)
+                chunks.append((phi[b:b + 1, :, r0:r1],
+                               scratch[: block * (r1 - r0)].reshape(1, c, r1 - r0, *row),
+                               out[b:b + 1, :, r0:r1]))
         return consts, tuple(chunks)
 
     # hot
@@ -305,10 +314,13 @@ class _CompiledFixedPointRequant:
             np.copyto(out, s, casting="unsafe")
 
 
-def _channel_slice(const, c0: int, c1: int):
+def _channel_slice(const, c0: int, c1: int, ndim: int):
     """Output channels ``[c0, c1)`` of a per-channel ``(1, C, 1)``
-    constant; a per-layer scalar is every channel's."""
-    return const[:, c0:c1] if const.ndim == 3 else const
+    constant, shaped to broadcast over an ``ndim``-D accumulator; a
+    per-layer scalar is every channel's."""
+    if const.ndim != 3:
+        return const
+    return const[:, c0:c1].reshape(1, c1 - c0, *(1,) * (ndim - 2))
 
 
 def _compile_icn_requant(params: ICNParams, acc_bound: int) -> _CompiledFixedPointRequant:
@@ -341,7 +353,9 @@ class _CompiledThresholdRequant:
     ``run`` consumes the accumulator one image at a time through the
     int64 scratch — ``searchsorted`` compares in the integer domain —
     writes each channel's clipped levels back over its scratch row, and
-    copies the image's levels into the container-width code slab.
+    copies the image's levels into the container-width code slab.  Like
+    the fixed-point epilogue it takes ``(N, C, L)`` or ``(N, C, OH, OW)``
+    views, the latter over a wide-row accumulator.
     """
 
     kind = "thr"
@@ -370,10 +384,11 @@ class _CompiledThresholdRequant:
         """The image-sized scratch, its per-channel rows paired with the
         tables of output channels ``[c0, c1)``, and per image the
         ``(accumulator, codes)`` views for :meth:`run`."""
-        n, c, l = phi.shape
+        n, c = phi.shape[:2]
         c0, c1 = channels
-        s = scratch[: c * l].reshape(c, l)
-        return (s, tuple(zip(s, self.tables[c0:c1])),
+        s = scratch[: math.prod(phi.shape[1:])]
+        return (s.reshape(phi.shape[1:]),
+                tuple(zip(s.reshape(c, -1), self.tables[c0:c1])),
                 tuple((phi[b], out[b]) for b in range(n)))
 
     # hot
@@ -415,7 +430,13 @@ class CompiledConvLayer:
     once, each tile is unfolded into the arena's fixed tile region,
     contracted into a prefix of the accumulator slab and requantized at
     once with its channels' Eq. 5 constants, so no tile's working set
-    leaves the cache.
+    leaves the cache.  A stride-1 layer with a kernel larger than 1x1
+    unfolds on the wide row grid (:meth:`row_grid`): one contiguous copy
+    per (image, channel, tap) instead of one per output row; its requant
+    reads the valid outputs through a strided view, which drops the
+    junk columns in the copy it makes anyway.  ``unfold`` names the
+    layer's unfold: ``"rows"`` (wide row grid), ``"tiles"`` (the other
+    depthwise layers' ``(OH, OW)`` tiles) or ``"im2col"``.
 
     The layer computes entirely inside preallocated views of an
     :class:`~repro.inference.arena.ActivationArena` and returns a view
@@ -438,6 +459,8 @@ class CompiledConvLayer:
         self.kh, self.kw = int(w.shape[2]), int(w.shape[3])
         self.out_channels = int(w.shape[0])
         self.in_channels = self.out_channels if self.kind == "dw" else int(w.shape[1])
+        self.unfold = ("rows" if unfolds_rows(self.kind, self.kh, self.kw, self.stride)
+                       else "tiles" if self.kind == "dw" else "im2col")
         self.k_reduction = gemm_reduction_length(self.kind, w.shape)
         self.z_x = int(p.z_x)
         w_shift = shift_weights(w, p.z_w, self.out_channels)
@@ -500,6 +523,18 @@ class CompiledConvLayer:
         return depthwise_blocking(self.in_channels, depthwise_channel_bytes(
             self.kh, self.kw, self.stride, oh, ow, self.gemm_itemsize), region)
 
+    def row_grid(self, h: int, w: int) -> Optional[Tuple[int, int]]:
+        """``(pitch, columns)`` of this layer's wide row grid at input
+        ``(h, w)``: the padded width ``Wp`` and ``(OH-1)*Wp + OW``, the
+        run one (image, channel, tap) unfolds to; None for a layer that
+        does not unfold in rows.  :func:`~repro.analysis.verify_plan`
+        proves every run stays inside its padded plane."""
+        if self.unfold != "rows":
+            return None
+        oh = conv_output_size(h, self.kh, self.stride, self.padding)
+        ow = conv_output_size(w, self.kw, self.stride, self.padding)
+        return w + 2 * self.padding, depthwise_columns(self.kw, self.stride, oh, ow)
+
     def bind(self, arena: ActivationArena, shape: Tuple[int, ...],
              slot: int) -> "_LayerViews":
         """Every arena view one call at input ``shape`` touches.
@@ -547,10 +582,14 @@ class CompiledConvLayer:
 
         Every tile unfolds at the start of the arena's fixed scratch and
         accumulates into a prefix of the accumulator slab, so tiles of
-        one shape share those views.
+        one shape share those views.  On a wide row grid both hold
+        ``(OH-1)*Wp + OW`` columns per channel, and the requant binds
+        the ``(OH, OW)`` outputs among them.
         """
         n, _, h, w = shape
-        l_out, k = oh * ow, self.k_reduction
+        k = self.k_reduction
+        grid = self.row_grid(h, w)
+        l_cols = oh * ow if grid is None else grid[1]
         unfold = not (self.kh == 1 and self.kw == 1 and self.stride == 1)
         images, channel_blocks = self.tile_blocking(h, w, arena.dw_tile_bytes)
         scratch = arena.requant_scratch()
@@ -561,22 +600,24 @@ class CompiledConvLayer:
                 nb, cb = b1 - b0, c1 - c0
                 views = by_shape.get((nb, cb))
                 if views is None:
-                    acc = arena.acc(self.acc_dtype, (nb, cb, l_out))
-                    cols = (arena.tile(self.gemm_dtype, (nb, cb * k, l_out))
+                    acc = arena.acc(self.acc_dtype, (nb, cb, l_cols))
+                    cols = (arena.tile(self.gemm_dtype, (nb, cb * k, l_cols))
                             if unfold else None)
                     views = by_shape[(nb, cb)] = (
-                        acc, cols,
-                        cols.reshape(nb, cb, k, l_out) if unfold else None,
-                        (acc.reshape(nb, cb, 1, l_out) if self.backend == "blas"
+                        acc if grid is None else _row_outputs(acc, grid[0], oh, ow),
+                        cols,
+                        cols.reshape(nb, cb, k, l_cols) if unfold else None,
+                        (acc.reshape(nb, cb, 1, l_cols) if self.backend == "blas"
                          else acc),
                     )
                 t = _Tile()
-                acc, t.cols, t.gemm_in, t.gemm_out = views
+                phi, t.cols, t.gemm_in, t.gemm_out = views
                 t.src = pad[b0:b1, c0:c1]
                 if not unfold:
-                    t.gemm_in = t.src.reshape(nb, cb, 1, l_out)
+                    t.gemm_in = t.src.reshape(nb, cb, 1, l_cols)
                 t.w = self.w2[c0:c1]
-                t.requant = self.requant.bind(acc, out[b0:b1, c0:c1], scratch, (c0, c1))
+                t.requant = self.requant.bind(
+                    phi, out[b0:b1, c0:c1].reshape(phi.shape), scratch, (c0, c1))
                 tiles.append(t)
         return tuple(tiles)
 
@@ -590,11 +631,11 @@ class CompiledConvLayer:
         # (uint8) input containers are widened on the fly, never wrapped.
         np.subtract(x_codes, self.z_x, out=v.pad_in, dtype=self.gemm_dtype)
         if v.tiles is not None:
-            kh, kw, stride = self.kh, self.kw, self.stride
+            kh, kw, stride, wide = self.kh, self.kw, self.stride, self.unfold == "rows"
             blas, requant = self.backend == "blas", self.requant.run
             for t in v.tiles:
                 if t.cols is not None:
-                    im2col(t.src, kh, kw, stride, 0, out=t.cols)
+                    im2col(t.src, kh, kw, stride, 0, out=t.cols, wide=wide)
                 if blas:
                     np.matmul(t.w, t.gemm_in, out=t.gemm_out)
                 else:
@@ -624,6 +665,15 @@ class CompiledConvLayer:
         # integer below the refined bound by construction.
         self.requant.run(v.requant)
         return v.out
+
+
+def _row_outputs(acc: np.ndarray, pitch: int, oh: int, ow: int) -> np.ndarray:
+    """The ``(N, C, OH, OW)`` outputs of a wide-row accumulator
+    ``(N, C, L)``: row ``i`` starts at column ``i * pitch``.  Built over
+    ``acc`` as a buffer, so a view that would run past it raises."""
+    s0, s1, s2 = acc.strides
+    return np.ndarray((*acc.shape[:2], oh, ow), acc.dtype, acc, 0,
+                      (s0, s1, pitch * s2, s2))
 
 
 class _LayerViews:
@@ -708,6 +758,10 @@ class LayerPlanInfo:
     acc_bound: int = 0
     #: Eq. 5 epilogue tier ("f64", "i64", "thr"); "-" for fc logits.
     epilogue: str = "-"
+    #: How the layer unfolds: "rows" (a stride-1 depthwise layer's wide
+    #: row grid), "tiles" (the other depthwise layers), "im2col"; "-"
+    #: for fc.
+    unfold: str = "-"
 
 
 class ExecutionPlan:
@@ -902,7 +956,8 @@ class ExecutionPlan:
         infos = [
             LayerPlanInfo(l.name, l.kind, l.backend, np.dtype(l.gemm_dtype).name,
                           l.k_reduction, l.out_channels, l.in_bits, l.w_bits,
-                          np.dtype(l.out_dtype).name, l.acc_bound, l.epilogue)
+                          np.dtype(l.out_dtype).name, l.acc_bound, l.epilogue,
+                          l.unfold)
             for l in self.layers
         ]
         if self.classifier is not None:
@@ -920,7 +975,9 @@ class ExecutionPlan:
 
         The ``eq5`` column is each layer's requantization epilogue tier:
         ``f64`` (folded float64 constants), ``i64`` (int64 formula) or
-        ``thr`` (threshold tables).
+        ``thr`` (threshold tables).  The ``path`` column is its unfold:
+        ``rows`` (a stride-1 depthwise layer's wide row grid), ``tiles``
+        (the other depthwise layers) or ``im2col``.
 
         With ``input_hw`` (or after the plan has already executed on some
         geometry) the summary ends with the activation-arena plan: the
@@ -932,11 +989,10 @@ class ExecutionPlan:
         lines = [f"{'layer':<16} {'kind':<5} {'backend':<7} {'acc':<8} "
                  f"{'codes':<6} {'eq5':<4} {'k':>6} {'c_out':>6}  {'path'}"]
         for info in self.layer_info():
-            path = "tiles" if info.kind == "dw" else "im2col"
             lines.append(
                 f"{info.name:<16} {info.kind:<5} {info.backend:<7} {info.gemm_dtype:<8} "
                 f"{info.container:<6} {info.epilogue:<4} {info.k_reduction:>6} "
-                f"{info.out_channels:>6}  {path}"
+                f"{info.out_channels:>6}  {info.unfold}"
             )
         arena: Optional[ActivationArena] = None
         if input_hw is not None:

@@ -10,6 +10,7 @@ backward helper needs, so layers can stay stateless beyond a cache dict.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -31,8 +32,10 @@ def im2col(
     pad: int,
     contiguous: bool = True,
     out: np.ndarray | None = None,
+    wide: bool = False,
 ) -> np.ndarray:
-    """Unfold ``x`` (N, C, H, W) into columns of shape (N, C*kh*kw, OH*OW).
+    """Unfold ``x`` (N, C, H, W) into columns of shape (N, C*kh*kw, L),
+    with ``L = OH*OW`` (or the wide row grid's length, below).
 
     With ``contiguous=False`` the result is not forced into a fresh
     C-contiguous buffer: for 1x1 kernels the reshape is a pure view of the
@@ -42,18 +45,43 @@ def im2col(
     reshaped in place), so the flag only elides the redundant second copy.
 
     With ``out`` the unfolded columns are written into the caller's
-    preallocated ``(N, C*kh*kw, OH*OW)`` buffer (an activation-arena
+    preallocated ``(N, C*kh*kw, L)`` buffer (an activation-arena
     slab) instead of a fresh allocation; ``out`` is returned.
+
+    With ``wide=True`` (stride 1 only) the columns follow a wide row grid
+    instead of the ``(OH, OW)`` one: output ``(i, j)`` is column
+    ``q = i*Wp + j``, where ``Wp`` is the padded input width, so tap
+    ``(a, b)`` of column ``q`` is padded element ``q + a*Wp + b``.  Each
+    (image, channel, tap) is then one contiguous run of
+    ``L = (OH-1)*Wp + OW`` elements, which ends exactly on the padded
+    plane's last element; the unfold copies one run per tap where the
+    ``(OH, OW)`` grid copies one per output row.  The ``Wp - OW`` columns
+    after each row's ``OW`` outputs are junk that wraps into the next row:
+    a consumer reads the outputs through an ``(OH, OW)`` view with row
+    stride ``Wp``.
     """
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
     if pad > 0:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
-    # Strided view: (N, C, kh, kw, OH, OW).
     s0, s1, s2, s3 = x.strides
-    shape = (n, c, kh, kw, oh, ow)
-    strides = (s0, s1, s2, s3, s2 * stride, s3 * stride)
+    if wide:
+        if stride != 1:
+            raise ValueError(f"the wide row unfold needs stride 1, got {stride}")
+        wp = x.shape[3]
+        if s2 != wp * s3:
+            # Runs cross row ends, so rows must sit at a pitch of Wp.
+            x = np.ascontiguousarray(x)
+            s0, s1, s2, s3 = x.strides
+        # Strided view: (N, C, kh, kw, L).
+        grid, grid_strides = ((oh - 1) * wp + ow,), (s3,)
+    else:
+        # Strided view: (N, C, kh, kw, OH, OW).
+        grid, grid_strides = (oh, ow), (s2 * stride, s3 * stride)
+    shape = (n, c, kh, kw) + grid
+    strides = (s0, s1, s2, s3) + grid_strides
+    cols_shape = (n, c * kh * kw, math.prod(grid))
     if out is None or not x.flags.c_contiguous:
         # Read-only: the columns returned below may alias ``x``.
         view = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides,
@@ -65,14 +93,13 @@ def im2col(
         # call).
         view = np.ndarray(shape, x.dtype, x, 0, strides)
     if out is not None:
-        if out.shape != (n, c * kh * kw, oh * ow):
+        if out.shape != cols_shape:
             raise ValueError(
-                f"im2col out buffer has shape {out.shape}, "
-                f"expected {(n, c * kh * kw, oh * ow)}"
+                f"im2col out buffer has shape {out.shape}, expected {cols_shape}"
             )
-        np.copyto(out.reshape(n, c, kh, kw, oh, ow), view)
+        np.copyto(out.reshape(shape), view)
         return out
-    cols = view.reshape(n, c * kh * kw, oh * ow)
+    cols = view.reshape(cols_shape)
     if contiguous:
         return np.ascontiguousarray(cols)
     return cols

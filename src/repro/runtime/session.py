@@ -346,7 +346,7 @@ class Session:
         for i, layer in enumerate(plan.layers):
             info = infos[layer.name]
             dispatch = (f"{info.backend}/{info.gemm_dtype}->{info.container}"
-                        f" eq5:{info.epilogue}")
+                        f" eq5:{info.epilogue} {info.unfold}")
             # Layer i reads slot (i-1)%2 and writes slot i%2, so its
             # input survives the repeats; the last output feeds layer i+1.
             t = _best_of(lambda: layer(codes, arena, slot=i % 2), repeats)

@@ -38,6 +38,7 @@ from repro.serving.errors import (
     ModelNotFoundError,
     OverBudgetError,
     QueueFullError,
+    RequestTimeoutError,
     ServerClosingError,
     ServingError,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "ModelNotFoundError",
     "OverBudgetError",
     "DeadlineExceededError",
+    "RequestTimeoutError",
     "QueueFullError",
     "CircuitOpenError",
     "ServerClosingError",

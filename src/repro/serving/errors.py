@@ -29,6 +29,14 @@ class MalformedRequestError(ServingError, ValueError):
     status = 400
 
 
+class RequestTimeoutError(ServingError):
+    """The client did not finish sending its request — request line,
+    headers and body — within the server's read deadline; the handler
+    answers and closes instead of waiting on it forever."""
+
+    status = 408
+
+
 class DeadlineExceededError(ServingError):
     """The request's deadline passed while it waited for a batch slot;
     it was dropped *before* reaching the engine."""

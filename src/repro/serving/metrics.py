@@ -97,6 +97,7 @@ class ServerStats:
         self.latency = LatencyRecorder()
         self.completed = 0
         self.malformed = 0
+        self.read_timeout = 0
         self.shed_queue = 0
         self.shed_circuit = 0
         self.shed_shutdown = 0
@@ -122,6 +123,7 @@ class ServerStats:
             "requests": {
                 "completed": self.completed,
                 "malformed": self.malformed,
+                "read_timeout": self.read_timeout,
                 "shed_queue": self.shed_queue,
                 "shed_circuit": self.shed_circuit,
                 "shed_shutdown": self.shed_shutdown,

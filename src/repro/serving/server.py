@@ -31,6 +31,7 @@ Failure policy (the README table restates this mapping):
 failure                policy                                    status
 ====================  =========================================  ======
 malformed payload      reject at parse/validate, stay live        400
+request read too slow  answer at the read deadline, close         408
 unknown fleet model    reject at admission (permanent)            404
 model over budget      cannot be made resident even after LRU     413
 deadline passed        drop before batching, never infer          504
@@ -67,6 +68,7 @@ from repro.serving.errors import (
     ModelNotFoundError,
     OverBudgetError,
     QueueFullError,
+    RequestTimeoutError,
     ServerClosingError,
     ServingError,
 )
@@ -77,11 +79,16 @@ from repro.serving.registry import ModelRegistry
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 413: "Payload Too Large",
+    405: "Method Not Allowed", 408: "Request Timeout",
+    413: "Payload Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable", 504: "Gateway Timeout",
 }
 _MAX_HEADER_BYTES = 16 * 1024
+# Seconds a client has to send its whole request: request line, headers
+# and body.  A client that stalls mid-request gets a 408 instead of
+# holding its handler task forever.
+_READ_TIMEOUT_S = 10.0
 # orjson.loads recurses once per nesting level and has no depth limit of
 # its own: 3.8.3 overflows a 1 MiB thread stack at 6-8k nested objects
 # (an 8 MiB one at 48-56k) and takes the process down.  A body holding
@@ -403,40 +410,61 @@ class ServingServer:
 
     async def _handle_request(self, reader: asyncio.StreamReader):
         try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1").split()
-            if len(parts) != 3:
-                raise MalformedRequestError("malformed request line")
-            method, path, _ = parts
-            content_length = 0
-            header_bytes = 0
-            while True:
-                line = await reader.readline()
-                header_bytes += len(line)
-                if header_bytes > _MAX_HEADER_BYTES:
-                    raise MalformedRequestError("headers too large")
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    try:
-                        content_length = int(value.strip())
-                    except ValueError:
-                        raise MalformedRequestError("bad Content-Length") from None
-                    if content_length < 0:
-                        # readexactly() raises ValueError on a negative
-                        # count, which would escape as an empty reply.
-                        raise MalformedRequestError("negative Content-Length")
-            if content_length > self.options.max_body_bytes:
-                raise MalformedRequestError(
-                    f"body of {content_length} bytes exceeds the "
-                    f"{self.options.max_body_bytes}-byte cap"
-                )
-            body = await reader.readexactly(content_length) if content_length else b""
+            async with asyncio.timeout(_READ_TIMEOUT_S):
+                method, path, body = await self._read_request(reader)
+        except TimeoutError:
+            self.stats.read_timeout += 1
+            exc = RequestTimeoutError(
+                f"request not received within {_READ_TIMEOUT_S} s")
+            return exc.status, exc.payload(), {}
         except MalformedRequestError as exc:
             self.stats.malformed += 1
             return exc.status, exc.payload(), {}
         return await self._route(method, path, body)
+
+    @staticmethod
+    async def _readline(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:
+            # A line past the stream's limit (64 KiB): readline raises a
+            # bare ValueError, which would escape as an empty reply.
+            raise MalformedRequestError("request or header line too long") from None
+
+    async def _read_request(self, reader: asyncio.StreamReader):
+        """``(method, path, body)`` of one request; raises
+        MalformedRequestError."""
+        request_line = await self._readline(reader)
+        parts = request_line.decode("latin-1").split()
+        if len(parts) != 3:
+            raise MalformedRequestError("malformed request line")
+        method, path, _ = parts
+        content_length = 0
+        header_bytes = 0
+        while True:
+            line = await self._readline(reader)
+            header_bytes += len(line)
+            if header_bytes > _MAX_HEADER_BYTES:
+                raise MalformedRequestError("headers too large")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.strip().lower() == "content-length":
+                try:
+                    content_length = int(value.strip())
+                except ValueError:
+                    raise MalformedRequestError("bad Content-Length") from None
+                if content_length < 0:
+                    # readexactly() raises ValueError on a negative
+                    # count, which would escape as an empty reply.
+                    raise MalformedRequestError("negative Content-Length")
+        if content_length > self.options.max_body_bytes:
+            raise MalformedRequestError(
+                f"body of {content_length} bytes exceeds the "
+                f"{self.options.max_body_bytes}-byte cap"
+            )
+        body = await reader.readexactly(content_length) if content_length else b""
+        return method, path, body
 
     async def _route(self, method: str, path: str, body: bytes):
         if path == "/v1/predict":

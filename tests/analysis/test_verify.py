@@ -259,6 +259,32 @@ class TestCorruptionRejection:
         assert victim in err.layers
         assert "tile region holds" in str(err)
 
+    @pytest.mark.parametrize("tamper,why", [
+        (lambda pitch, columns: (pitch + 1, columns), "not the padded width"),
+        (lambda pitch, columns: (pitch, columns + 1), "past the padded plane"),
+        (lambda pitch, columns: (pitch, columns - 1), "short of output"),
+    ], ids=["pitch+1", "columns+1", "columns-1"])
+    def test_wide_row_view_must_stay_in_its_plane(self, tamper, why):
+        plan = _fresh_plan()
+        victim = next(l for l in plan.layers if l.unfold == "rows")
+        grid = victim.row_grid
+        victim.row_grid = lambda h, w: tamper(*grid(h, w))
+        with pytest.raises(PlanVerificationError) as exc_info:
+            verify_plan(plan, HW)
+        err = exc_info.value
+        assert err.rules == ["dw-tiles"]
+        assert err.layers == [victim.name]
+        assert "wide row view" in str(err) and why in str(err)
+
+    def test_wide_row_grid_needs_stride_one(self):
+        plan = _fresh_plan()
+        victim = next(l for l in plan.layers if l.unfold == "tiles" and l.kh > 1)
+        victim.row_grid = lambda h, w: (w + 2 * victim.padding, 1)
+        with pytest.raises(PlanVerificationError) as exc_info:
+            verify_plan(plan, HW)
+        assert exc_info.value.rules == ["dw-tiles"]
+        assert "stride 2" in str(exc_info.value)
+
     @pytest.mark.parametrize("blocks,why", [
         (((0, 3), (4, 8)), "skips channels [3, 4)"),
         (((0, 4), (3, 8)), "overlaps"),

@@ -202,9 +202,11 @@ def test_describe_reports_arena_peak_and_fused_dispatch():
     arena = plan.arena_for((32, 32))
     assert f"{arena.planned_bytes(8)} bytes" in text
     assert f"{arena.logical_rw_peak_bytes} bytes" in text
-    # Depthwise layers run a tile loop; the rest unfold whole.
-    for line in text.splitlines()[1:len(plan.layers) + 1]:
-        assert line.endswith("tiles" if " dw " in line else "im2col"), line
+    # Depthwise layers run a tile loop, on wide rows at stride 1; the
+    # rest unfold whole.
+    for layer, line in zip(plan.layers, text.splitlines()[1:]):
+        path = "im2col" if layer.kind != "dw" else "rows" if layer.stride == 1 else "tiles"
+        assert line.endswith(path), line
     # Without a planned geometry the summary simply omits the arena block.
     assert "activation arena" not in net.compile().describe()
 
@@ -237,6 +239,29 @@ class TestTiledDepthwiseArena:
         # The tile region and the requant scratch take turns in one
         # fixed slab.
         assert arena.fixed_bytes == max(arena.requant_scratch_bytes, arena.dw_tile_bytes)
+
+    def test_stride1_accumulator_need_counts_the_wide_row_grid(self):
+        """A stride-1 depthwise layer accumulates (OH-1)*Wp + OW columns
+        per channel, from compiled and exported geometry alike; a
+        stride-2 one accumulates OH*OW."""
+        from repro.inference.export import _network_geometries
+
+        spec = mobilenet_v1_spec(32, 0.25, num_classes=10)
+        net = integer_network_from_spec(spec, np.random.default_rng(0))
+        hw = (24, 40)
+        compiled = net.compile().arena_for(hw).plans
+        exported = plan_activations(_network_geometries(net), hw)
+        seen = set()
+        for layer, p, q in zip(net.conv_layers, compiled, exported):
+            if layer.kind != "dw":
+                continue
+            c, h, w = p.in_shape
+            _, oh, ow = p.out_shape
+            wp = w + 2 * layer.padding
+            columns = (oh - 1) * wp + ow if layer.stride == 1 else oh * ow
+            assert p.acc_elems == q.acc_elems == c * columns, layer.name
+            seen.add(layer.stride)
+        assert seen == {1, 2}
 
     def test_tile_region_is_monotone_in_the_geometry(self):
         spec = mobilenet_v1_spec(64, 0.5, num_classes=10)

@@ -256,13 +256,18 @@ class TestTileLoop:
         assert verify_plan(plan, (RES, RES)).ok
 
     @given(seed=st.integers(0, 2 ** 16), tile=st.integers(1, 4096),
-           batch=st.integers(1, 3), backend=st.sampled_from(["auto", "int32", "int64"]))
+           batch=st.integers(1, 3), backend=st.sampled_from(["auto", "int32", "int64"]),
+           h=st.integers(5, 13), w=st.integers(5, 13))
     @settings(deadline=None, max_examples=30)
-    def test_property_any_tile_size_matches_reference(self, seed, tile, batch, backend):
-        """Random topologies and requant strategies under tile sizes from
-        one byte up: every blocking is exact and verifies."""
-        net = random_network(np.random.default_rng(seed), resolution=11)
-        x = np.random.default_rng(seed + 1).uniform(0, 1, size=(batch, 3, 11, 11))
+    def test_property_any_tile_size_matches_reference(self, seed, tile, batch,
+                                                      backend, h, w):
+        """Random topologies and requant strategies on non-square inputs
+        under tile sizes from one byte up: every blocking is exact and
+        verifies.  Width and height are drawn apart, so a wide row view
+        pitched at the padded height instead of the width fails here."""
+        # Built for the smaller side, so neither side collapses.
+        net = random_network(np.random.default_rng(seed), resolution=min(h, w))
+        x = np.random.default_rng(seed + 1).uniform(0, 1, size=(batch, 3, h, w))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(arena_mod, "DW_TILE_BYTES", tile)
             try:
@@ -270,7 +275,7 @@ class TestTileLoop:
             except ValueError:  # int32 cannot hold this network's accumulators
                 return
             assert np.array_equal(plan.run(x), net.forward(x))
-            assert verify_plan(plan, (11, 11)).ok
+            assert verify_plan(plan, (h, w)).ok
 
 
 def test_balanced_blocks_partition_evenly():

@@ -10,7 +10,7 @@ from repro.core.graph_convert import convert_to_integer_network
 from repro.evaluation.experiments import evaluate_integer_network
 from repro.inference.plan import ExecutionPlan
 from repro.inference.testing import integer_network_from_spec
-from repro.runtime import CompileOptions
+from repro.runtime import CompileOptions, Session
 from repro.models.model_zoo import mobilenet_v1_spec
 
 
@@ -95,6 +95,25 @@ class TestPlanStructure:
         text = plan.describe()
         for layer in integer_net.conv_layers:
             assert layer.name in text
+
+    def test_describe_and_profile_name_each_unfold(self):
+        """Stride-1 depthwise layers unfold in wide rows, stride-2 ones in
+        (OH, OW) tiles, the rest through im2col."""
+        spec = mobilenet_v1_spec(32, 0.25, num_classes=10)
+        session = Session(integer_network_from_spec(spec, np.random.default_rng(0)))
+        plan = session.plan
+        expected = {l.name: ("im2col" if l.kind != "dw" else
+                             "rows" if l.stride == 1 else "tiles")
+                    for l in plan.layers}
+        assert {"rows", "tiles", "im2col"} == set(expected.values())
+        lines = plan.describe().splitlines()[1:len(plan.layers) + 1]
+        for line in lines:
+            name, path = line.split()[0], line.split()[-1]
+            assert path == expected[name], line
+        x = np.random.default_rng(1).uniform(0, 1, size=(1, 3, 32, 32))
+        timings = session.profile(x, repeats=1).layers
+        for t in timings[:len(plan.layers)]:
+            assert t.dispatch.split()[-1] == expected[t.name], t.dispatch
 
     def test_weights_are_pre_shifted_gemm_form(self, integer_net):
         plan = integer_net.compile()

@@ -72,6 +72,30 @@ class TestIm2Col:
         assert F.im2col(x, 3, 3, 2, 0, out=out) is out
         assert np.array_equal(out, F.im2col(x, 3, 3, 2, 0))
 
+    @pytest.mark.parametrize("kh,kw,pad", [(3, 3, 1), (3, 3, 0), (5, 3, 2), (1, 3, 0)])
+    @pytest.mark.parametrize("layout", ["contiguous", "channels-reversed",
+                                        "columns-reversed"])
+    def test_wide_rows_hold_every_output_at_pitch_wp(self, rng, kh, kw, pad, layout):
+        """Output (i, j) of the wide row grid is column i*Wp + j, equal to
+        column i*OW + j of the (OH, OW) unfold, on a non-square input
+        whatever its strides."""
+        x = rng.normal(size=(2, 3, 7, 10))
+        if layout == "channels-reversed":
+            x = x[:, ::-1]
+        elif layout == "columns-reversed":
+            x = x[..., ::-1]
+        oh, ow = 7 + 2 * pad - kh + 1, 10 + 2 * pad - kw + 1
+        wp = 10 + 2 * pad
+        out = np.full((2, 3 * kh * kw, (oh - 1) * wp + ow), np.nan)
+        assert F.im2col(x, kh, kw, 1, pad, out=out, wide=True) is out
+        assert np.array_equal(out, F.im2col(x, kh, kw, 1, pad, wide=True))
+        rows = np.stack([out[:, :, i * wp:i * wp + ow] for i in range(oh)], axis=2)
+        assert np.array_equal(rows.reshape(2, -1, oh * ow), F.im2col(x, kh, kw, 1, pad))
+
+    def test_wide_rows_need_stride_one(self, rng):
+        with pytest.raises(ValueError, match="stride 1"):
+            F.im2col(rng.normal(size=(1, 1, 6, 6)), 3, 3, 2, 0, wide=True)
+
 
 class TestConv2d:
     def test_matches_direct_convolution(self, rng):

@@ -275,6 +275,43 @@ class TestMalformedPayloads:
 
         run_scenario(tiny_session, BASE, None, scenario)
 
+    # Past asyncio's 64 KiB stream limit, whose readline raises a bare
+    # ValueError instead of returning the line.
+    @pytest.mark.parametrize("raw", [
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+    ], ids=["long-path", "long-header"])
+    def test_over_long_line_gets_400(self, tiny_session, image, raw):
+        async def scenario(server, host, port):
+            status, _, reply = await raw_request(host, port, raw, timeout=5.0)
+            assert status == 400
+            assert json.loads(reply)["error"] == "MalformedRequestError"
+            assert server.stats.malformed == 1
+            await alive(host, port, image)
+
+        run_scenario(tiny_session, BASE, None, scenario)
+
+    @pytest.mark.parametrize("raw", [
+        b"POST /v1/predict HTTP/1.1\r\nContent-Len",
+        b"POST /v1/predict HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"input\"",
+    ], ids=["mid-header", "mid-body"])
+    def test_stalled_request_gets_408(self, tiny_session, image, monkeypatch, raw):
+        import repro.serving.server as server_mod
+
+        monkeypatch.setattr(server_mod, "_READ_TIMEOUT_S", 0.2)
+
+        async def scenario(server, host, port):
+            # The client keeps its socket open: only the deadline answers.
+            status, _, reply = await raw_request(host, port, raw, timeout=3.0)
+            assert status == 408
+            assert json.loads(reply)["error"] == "RequestTimeoutError"
+            st, stats = await request_json(host, port, "GET", "/stats")
+            assert st == 200 and stats["requests"]["read_timeout"] == 1
+            st, health = await request_json(host, port, "GET", "/healthz")
+            assert st == 200 and health["status"] == "ok"
+
+        run_scenario(tiny_session, BASE, None, scenario)
+
     def test_non_json_body_and_garbage_http(self, tiny_session, image):
         async def scenario(server, host, port):
             status, _, _ = await raw_request(
