@@ -60,7 +60,7 @@ def test_benchmark_engine_throughput(record_report):
     spec = mobilenet_v1_spec(RESOLUTION, WIDTH, num_classes=NUM_CLASSES)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
     x = np.random.default_rng(1).uniform(0, 1, size=(BATCH, 3, RESOLUTION, RESOLUTION))
-    plan = net.compile(CompileOptions(input_hw=(RESOLUTION, RESOLUTION)))
+    plan = net.compile()
 
     # Bit-exactness vs. the int64 reference.
     ref_logits = net.forward(x)
@@ -130,7 +130,7 @@ def test_benchmark_depthwise_tile_loop(record_report):
     spec = mobilenet_v1_spec(res, 1.0, num_classes=NUM_CLASSES)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
     x = np.random.default_rng(1).uniform(0, 1, size=(batch, 3, res, res))
-    plan = net.compile(CompileOptions(input_hw=(res, res)))
+    plan = net.compile()
     assert np.array_equal(plan.run(x), net.forward(x)), "tile loop diverged"
 
     rows = []

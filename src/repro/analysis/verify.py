@@ -77,6 +77,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.icn import MAX_RSHIFT
 from repro.inference.arena import requant_scratch_bytes
 from repro.inference.kernels import (
     FLOAT32_EXACT_BITS,
@@ -97,11 +98,6 @@ __all__ = [
 ]
 
 _INT64 = np.dtype(np.int64)
-
-#: Maximum right-shift the compiled fixed-point requantization applies
-#: (same clamp as ``icn._fixed_point_scale`` / ``_CompiledFixedPointRequant``).
-_MAX_RSHIFT = 62
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -209,7 +205,7 @@ def _x_magnitude(z_x: int, x_bits: int) -> int:
     return max(int(z_x), 2 ** x_bits - 1 - int(z_x))
 
 
-def _check_acc_bound(layer, plan_validate: bool, report: VerificationReport) -> None:
+def _check_acc_bound(layer, report: VerificationReport) -> None:
     """Accumulator-overflow safety of one compiled layer's dispatch."""
     name = layer.name
     w = _recover_int_weights(layer, report)
@@ -238,9 +234,9 @@ def _check_acc_bound(layer, plan_validate: bool, report: VerificationReport) -> 
         if w.size else np.zeros(w.shape[0], dtype=np.int64)
     )
     refined = int(per_channel.max()) if per_channel.size else 0
-    # The refinement is only sound when boundary validation guarantees
-    # in-range codes; mirror the compiler's gating exactly.
-    bound = min(apriori, refined) if plan_validate else apriori
+    # Sound for in-range codes: the weights were just checked, and the
+    # plan's input boundary checks its inputs.
+    bound = min(apriori, refined)
     recorded = int(layer.acc_bound)
     if recorded < bound:
         report.fail(
@@ -417,10 +413,10 @@ def _check_requant(layer, report: VerificationReport) -> None:
         return
     rshift = np.asarray(requant.rshift).reshape(-1)
     lshift = np.asarray(requant.lshift).reshape(-1)
-    if rshift.size and (int(rshift.min()) < 0 or int(rshift.max()) > _MAX_RSHIFT):
+    if rshift.size and (int(rshift.min()) < 0 or int(rshift.max()) > MAX_RSHIFT):
         report.fail(
             "requant-shift", name,
-            f"right shift out of [0, {_MAX_RSHIFT}]: range "
+            f"right shift out of [0, {MAX_RSHIFT}]: range "
             f"[{int(rshift.min())}, {int(rshift.max())}]",
         )
         return
@@ -767,9 +763,6 @@ def _known_geometries(plan, input_hw) -> List[Tuple[int, int]]:
     for key in plan._arenas:
         if key not in geoms:
             geoms.append(key)
-    opt = plan.options.input_hw
-    if opt is not None and tuple(opt) not in geoms:
-        geoms.append((int(opt[0]), int(opt[1])))
     return geoms
 
 
@@ -830,8 +823,8 @@ def verify_plan(plan, input_hw: Optional[Tuple[int, int]] = None, *,
 
     Runs every rule family over every layer without executing the plan.
     ``input_hw`` adds (or selects) a geometry for the slab-lifetime walk;
-    without it, every geometry the plan already knows about (planned
-    arenas, ``options.input_hw``) is walked.
+    without it, every geometry the plan has planned an arena for is
+    walked.
     ``schedule`` overrides the ping-pong ``(in_slot, out_slot)`` sequence
     — the hook the corruption tests use to prove the race detector
     actually detects races.
@@ -842,11 +835,11 @@ def verify_plan(plan, input_hw: Optional[Tuple[int, int]] = None, *,
     """
     report = VerificationReport()
     for layer in plan.layers:
-        _check_acc_bound(layer, plan.validate, report)
+        _check_acc_bound(layer, report)
         _check_container(layer, report)
         _check_requant(layer, report)
     if plan.classifier is not None:
-        _check_acc_bound(plan.classifier, plan.validate, report)
+        _check_acc_bound(plan.classifier, report)
     _check_chain(plan, report)
     for hw in _known_geometries(plan, input_hw):
         _check_arena(plan, hw, schedule, report)
@@ -867,27 +860,25 @@ def verify_artifact(path: Union[str, Path],
     :func:`verify_plan`.  On top of the plan rules, the persisted
     manifest metadata is cross-checked against the recompiled truth:
     per-layer container dtype, reduction length, recorded auto-dispatch
-    backend, and the persisted Eq. 7 arena peak.  ``input_hw`` selects
-    the geometry walked (default: the manifest's recorded one); the peak
-    is always compared at the geometry the manifest recorded it for.
+    backend, and the persisted Eq. 7 arena peak.  The geometry the
+    manifest recorded its peak for is always walked, and the peak
+    compared there; ``input_hw`` (default: the session options') adds
+    another.
     """
     from repro.inference.plan import ExecutionPlan
     from repro.runtime.artifact import load_artifact
 
     network, compile_options, session_options, manifest = load_artifact(path)
     plan = ExecutionPlan(network, compile_options)
-    hw = input_hw
     net_manifest = manifest.get("network", {})
     arena_info = net_manifest.get("arena")
     recorded_hw = None
     if arena_info is not None:
         recorded_hw = (int(arena_info["input_hw"][0]),
                        int(arena_info["input_hw"][1]))
-    if hw is None:
-        hw = recorded_hw
-    if hw is None and session_options.input_hw is not None:
-        hw = session_options.input_hw
-    report = verify_plan(plan, hw, raise_on_violation=False)
+        plan.arena_for(recorded_hw)  # verify_plan walks every planned arena
+    report = verify_plan(plan, input_hw or session_options.input_hw,
+                         raise_on_violation=False)
     entries = list(net_manifest.get("conv_layers", []))
     if len(entries) != len(plan.layers):
         report.fail(

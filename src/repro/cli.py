@@ -168,11 +168,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     faults = None
     if args.inject:
         faults = FaultInjector.parse(args.inject, seed=args.fault_seed)
-    # --workers falls back to the workers count baked into the artifact's
-    # session options, so a deployment can carry its own pool width.
-    workers = args.workers if args.workers is not None else (
-        session.options.workers if session is not None else 1
-    )
     options = ServerOptions(
         host=args.host, port=args.port,
         max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
@@ -183,7 +178,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         circuit_threshold=args.circuit_threshold,
         circuit_reset_s=args.circuit_reset,
         degrade=not args.no_degrade,
-        workers=workers,
+        workers=args.workers,
         worker_retries=args.worker_retries,
     )
     serve(session, options, faults=faults, ttl_s=args.ttl,
@@ -205,7 +200,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         hw = None
         if args.resolution is not None:
             hw = (args.resolution, args.resolution)
-        elif (session.options.input_hw or session.compile_options.input_hw) is None:
+        elif session.options.input_hw is None:
             hw = (32, 32)  # artifact carries no geometry; pick a small default
         x = session.synthetic_batch(args.batch, rng_seed=args.seed, input_hw=hw)
     print(session.describe(input_hw=(x.shape[2], x.shape[3]),
@@ -389,10 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seconds before a half-open probe (default: 2)")
     p_serve.add_argument("--no-degrade", action="store_true",
                          help="disable the batch-of-1 poisoned-tile fallback")
-    p_serve.add_argument("--workers", type=int, default=None,
+    p_serve.add_argument("--workers", type=int, default=1,
                          help="worker processes sharing one mmap'd copy of "
-                              "the weights (default: the artifact's session "
-                              "options, usually 1 = in-process)")
+                              "the weights (default: 1 = in-process)")
     p_serve.add_argument("--worker-retries", type=int, default=1,
                          help="respawn-and-retry budget per task after a "
                               "worker crash (default: 1)")

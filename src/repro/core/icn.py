@@ -36,6 +36,11 @@ import numpy as np
 # Number of fractional bits of the M0 mantissa (signed Q31, stored INT32).
 M0_FRACTIONAL_BITS = 31
 
+#: Largest right shift of Eq. 5's fixed-point scaling (``2^62`` is the
+#: largest power-of-two divisor int64 holds).  Every implementation of
+#: Eq. 5 clamps a longer shift (a multiplier below ``2^-31``) to it.
+MAX_RSHIFT = 62
+
 
 # ----------------------------------------------------------------------
 # Fixed-point decomposition
@@ -299,14 +304,17 @@ def compute_thresholds(icn: ICNParams) -> ThresholdParams:
                 # positive level is unreachable.
                 thresholds[c, j] = int64_max if target > 0 else int64_min
                 continue
-            # Exact integer condition:  Y >= j
-            #   <=> floor(m0 * (Phi+Bq) / 2^(31-n0)) >= target
-            #   <=> m0 * (Phi+Bq) >= target * 2^(31-n0)
+            # Exact integer condition, with the shift split and clamped as
+            # in _fixed_point_scale (r = min(31-n0, MAX_RSHIFT), l = n0-31):
+            #   Y >= j <=> floor(m0 * (Phi+Bq) / 2^r) >= target
+            #          <=> m0 * (Phi+Bq) >= target * 2^r            (n0 <= 31)
+            #   Y >= j <=> m0 * (Phi+Bq) >= ceil(target / 2^l)     (n0 > 31)
             # (arbitrary-precision Python ints avoid any overflow).
             shift = M0_FRACTIONAL_BITS - n0
-            rhs = target * (1 << shift) if shift >= 0 else None
-            if rhs is None:
-                rhs = target // (1 << (-shift))
+            if shift >= 0:
+                rhs = target << min(shift, MAX_RSHIFT)
+            else:
+                rhs = -((-target) >> -shift)
             if m0 > 0:
                 # Phi + Bq >= ceil(rhs / m0)
                 bound = -((-rhs) // m0) - bq
@@ -340,10 +348,11 @@ def _fixed_point_scale(acc: np.ndarray, m0_int: np.ndarray, n0: np.ndarray) -> n
     prod = m0_int.astype(np.int64, copy=False) * acc.astype(np.int64, copy=False)
     shift = M0_FRACTIONAL_BITS - n0.astype(np.int64)
     # shift >= 0 is the practical case (M < 2^31); guard the other branch.
-    # Shifts beyond 62 would overflow the int64 divisor; they correspond to
-    # multipliers below 2^-31, whose scaled output is 0 (or -1 for negative
-    # accumulators under floor), which the clamp below 62 preserves.
-    pos = np.minimum(np.maximum(shift, 0), 62)
+    # Shifts beyond MAX_RSHIFT would overflow the int64 divisor; they
+    # correspond to multipliers below 2^-31, whose scaled output is 0 (or
+    # -1 for negative accumulators under floor) while |m0 * acc| < 2^62;
+    # past that, the clamped shift defines Eq. 5 here.
+    pos = np.minimum(np.maximum(shift, 0), MAX_RSHIFT)
     neg = np.maximum(-shift, 0)
     scaled = np.floor_divide(prod, np.left_shift(np.int64(1), pos))
     return np.left_shift(scaled, neg)

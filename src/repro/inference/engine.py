@@ -203,16 +203,17 @@ class IntegerNetwork:
     def compile(self, options=None):
         """Compile the graph into an :class:`~repro.inference.plan.ExecutionPlan`.
 
-        ``options`` is a :class:`repro.runtime.CompileOptions`; ``None``
-        compiles with the production defaults.  The plan precomputes
-        per-layer GEMM-form weights, requantization constants and
-        backend dispatch (narrowest exact accumulator under the
-        weight-data refined bound), runs range validation only at the
-        network boundary, stores activation codes at container width
-        (uint8 for the paper's networks) inside a static activation
-        arena (planned eagerly when ``options.input_hw`` is given),
-        runs each depthwise layer as a loop over cache-sized unfold
-        tiles, and exposes a tiled ``run_batched`` for large sweeps.  Outputs are
+        ``options`` is a :class:`repro.runtime.CompileOptions` (its one
+        field, ``backend``, picks the accumulators); ``None`` compiles
+        with the production defaults.  The plan range-checks the weight
+        codes once, precomputes per-layer GEMM-form weights,
+        requantization constants and backend dispatch (narrowest exact
+        accumulator under the weight-data refined bound), range-checks
+        input codes only at the network boundary, stores activation
+        codes at container width (uint8 for the paper's networks) inside
+        a static activation arena planned per input geometry, runs each
+        depthwise layer as a loop over cache-sized unfold tiles, and
+        exposes a tiled ``run_batched`` for large sweeps.  Outputs are
         bit-identical to this interpreted engine.
         """
         from repro.inference.plan import ExecutionPlan

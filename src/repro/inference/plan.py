@@ -26,8 +26,9 @@ per-inference path:
   short float64 or int64 epilogue, the tier picked from the layer's
   accumulator bound and re-proved by :mod:`repro.analysis.verify`;
   threshold tables are pre-sliced for ``searchsorted``;
-* range validation runs once at the network boundary (``validate=True``
-  by default there) instead of per layer inside the hot loop;
+* weight codes are range-checked once at compile time, and input codes
+  once at the network boundary (``run_codes(validate=True)`` by
+  default) instead of per layer inside the hot loop;
 * activation codes live at their *container width* end to end: uint8
   slabs for every <=8-bit activation, requantized accumulators streamed
   through a small cache-blocked scratch straight into the code slab —
@@ -58,6 +59,7 @@ import numpy as np
 
 from repro.core.icn import (
     M0_FRACTIONAL_BITS,
+    MAX_RSHIFT,
     FoldedBNParams,
     ICNParams,
     ThresholdParams,
@@ -246,8 +248,8 @@ class _CompiledFixedPointRequant:
         self.m0 = m0
         shift = M0_FRACTIONAL_BITS - n0
         # Same guard as icn._fixed_point_scale: divisor shift clamped to
-        # [0, 62], residual negative shift applied as a left shift.
-        self.rshift = np.minimum(np.maximum(shift, 0), 62)
+        # [0, MAX_RSHIFT], residual negative shift applied as a left shift.
+        self.rshift = np.minimum(np.maximum(shift, 0), MAX_RSHIFT)
         self.lshift = np.maximum(-shift, 0)
         self.z_y = int(z_y)
         self.qmax = 2 ** out_bits - 1
@@ -420,10 +422,10 @@ def _compile_requant(params, acc_bound: int):
 class CompiledConvLayer:
     """One conv/depthwise layer with all static state precomputed.
 
-    ``validate`` range-checks the weight codes once at compile time —
-    the same guard the interpreted engine applies on every forward, at
-    zero per-inference cost (and required for the float exactness bound,
-    which assumes codes within [0, 2^Q - 1]).
+    The weight codes are range-checked once at compile time — the same
+    guard the interpreted engine applies on every forward, at zero
+    per-inference cost, and required by the refined accumulator bound,
+    which assumes codes within [0, 2^Q - 1].
 
     A depthwise layer runs as a loop over cache-sized tiles
     (:meth:`tile_blocking`): after the whole layer is shifted and padded
@@ -444,7 +446,7 @@ class CompiledConvLayer:
     (uint8 for <=8-bit activations).
     """
 
-    def __init__(self, layer, backend: str = "auto", validate: bool = True):
+    def __init__(self, layer, backend: str = "auto"):
         p = layer.params
         self.name = layer.name
         self.kind = layer.kind
@@ -454,8 +456,7 @@ class CompiledConvLayer:
         self.out_bits = int(layer.out_bits)
         self.w_bits = int(p.w_bits)
         w = p.weights_q
-        if validate:
-            check_codes(f"{self.name} weight", w, self.w_bits)
+        check_codes(f"{self.name} weight", w, self.w_bits)
         self.kh, self.kw = int(w.shape[2]), int(w.shape[3])
         self.out_channels = int(w.shape[0])
         self.in_channels = self.out_channels if self.kind == "dw" else int(w.shape[1])
@@ -467,14 +468,11 @@ class CompiledConvLayer:
         # Refined accumulator bound: the actual shifted weights are in
         # hand, so dispatch on max_o sum_k |W'| * max|X - Zx| instead of
         # the a-priori corner case (exact for codes within range, which
-        # compile()/boundary validation guarantees; disabling validation
-        # voids that guarantee and keeps the corner case).
-        self.acc_bound = max_abs_accumulator(self.k_reduction, self.in_bits, self.w_bits)
-        if validate:
-            self.acc_bound = min(
-                self.acc_bound,
-                refined_max_abs_accumulator(w_shift, self.z_x, self.in_bits),
-            )
+        # the weight check above and the input boundary check guarantee).
+        self.acc_bound = min(
+            max_abs_accumulator(self.k_reduction, self.in_bits, self.w_bits),
+            refined_max_abs_accumulator(w_shift, self.z_x, self.in_bits),
+        )
         self.backend, gemm_dtype = _resolve_compiled_backend(
             backend, self.acc_bound, self.k_reduction, self.in_bits, self.w_bits
         )
@@ -486,7 +484,7 @@ class CompiledConvLayer:
         # summed exactly in float64.
         self.split_k = None
         if (
-            self.backend == "blas" and gemm_dtype == np.float64 and validate
+            self.backend == "blas" and gemm_dtype == np.float64
             and self.kind == "pw" and self.kh == 1 and self.kw == 1
             and self.stride == 1 and self.padding == 0
         ):
@@ -698,23 +696,20 @@ class CompiledLinear:
     accumulator dtype uses the same refined weight-data bound as the
     conv layers (sgemm on most classifier widths)."""
 
-    def __init__(self, layer, backend: str = "auto", validate: bool = True):
+    def __init__(self, layer, backend: str = "auto"):
         self.name = layer.name
         self.kind = "fc"
         self.in_bits = int(layer.in_bits)
         self.w_bits = int(layer.w_bits)
-        if validate:
-            check_codes(f"{self.name} weight", layer.weights_q, self.w_bits)
+        check_codes(f"{self.name} weight", layer.weights_q, self.w_bits)
         self.k_reduction = gemm_reduction_length("fc", layer.weights_q.shape)
         self.out_channels = int(layer.weights_q.shape[0])
         self.z_x = int(layer.z_x)
         w_shift = shift_weights(layer.weights_q, layer.z_w, self.out_channels)
-        self.acc_bound = max_abs_accumulator(self.k_reduction, self.in_bits, self.w_bits)
-        if validate:
-            self.acc_bound = min(
-                self.acc_bound,
-                refined_max_abs_accumulator(w_shift, self.z_x, self.in_bits),
-            )
+        self.acc_bound = min(
+            max_abs_accumulator(self.k_reduction, self.in_bits, self.w_bits),
+            refined_max_abs_accumulator(w_shift, self.z_x, self.in_bits),
+        )
         self.backend, self.gemm_dtype = _resolve_compiled_backend(
             backend, self.acc_bound, self.k_reduction, self.in_bits, self.w_bits
         )
@@ -768,13 +763,13 @@ class ExecutionPlan:
     """Compiled form of an :class:`~repro.inference.engine.IntegerNetwork`.
 
     Construction is driven by a single
-    :class:`~repro.runtime.options.CompileOptions` value.
-    ``options.validate`` controls the boundary range check on incoming
-    codes and a one-time weight-code check at compile time; the per-call
-    per-layer scans of the interpreted engine never run inside the plan.
-    All activation/scratch traffic goes through a static
-    :class:`~repro.inference.arena.ActivationArena`, planned lazily per
-    input geometry, or eagerly when ``options.input_hw`` is given.  Every
+    :class:`~repro.runtime.options.CompileOptions` value, whose
+    ``backend`` picks the accumulators.  Weight codes are range-checked
+    once here, and :meth:`run_codes` range-checks incoming codes unless
+    told not to; the per-call per-layer scans of the interpreted engine
+    never run inside the plan.  All activation/scratch traffic goes
+    through a static :class:`~repro.inference.arena.ActivationArena`,
+    planned per input geometry on first use (:meth:`arena_for`).  Every
     geometry's arena runs in the plan's one
     :class:`~repro.inference.arena.SlabSet`.
     """
@@ -790,10 +785,8 @@ class ExecutionPlan:
                 f"{type(options).__name__!r}"
             )
         self.options = options
-        self.validate = bool(options.validate)
         self.layers: List[CompiledConvLayer] = [
-            CompiledConvLayer(l, backend=options.backend, validate=self.validate)
-            for l in network.conv_layers
+            CompiledConvLayer(l, backend=options.backend) for l in network.conv_layers
         ]
         self.input_scale = float(network.input_scale)
         self.input_zero_point = int(network.input_zero_point)
@@ -801,13 +794,10 @@ class ExecutionPlan:
         self.has_pool = network.pool is not None
         self.classifier: Optional[CompiledLinear] = (
             None if network.classifier is None
-            else CompiledLinear(network.classifier, backend=options.backend,
-                                validate=self.validate)
+            else CompiledLinear(network.classifier, backend=options.backend)
         )
         self._slabs = SlabSet()
         self._arenas: OrderedDict[Tuple[int, int], ActivationArena] = OrderedDict()
-        if options.input_hw is not None:
-            self.arena_for(options.input_hw)
 
     # -- input boundary ------------------------------------------------
     def quantize_input(self, x_real: np.ndarray) -> np.ndarray:
@@ -876,10 +866,13 @@ class ExecutionPlan:
             x_codes = layer(x_codes, arena, slot=i % 2)
         return x_codes, True
 
-    def run_codes(self, x_codes: np.ndarray, validate: Optional[bool] = None) -> np.ndarray:
+    def run_codes(self, x_codes: np.ndarray, validate: bool = True) -> np.ndarray:
         """Run the convolutional trunk on integer codes; returns codes
-        the caller owns (never a live view into the arena)."""
-        if self.validate if validate is None else validate:
+        the caller owns (never a live view into the arena).  ``validate``
+        range-checks the codes first; only a caller that guarantees
+        in-range codes may skip it, since every layer's accumulator
+        dispatch assumes them."""
+        if validate:
             check_codes("input activation", x_codes, self.input_bits)
         codes, is_view = self._trunk(x_codes)
         return codes.copy() if is_view else codes

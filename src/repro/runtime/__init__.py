@@ -31,17 +31,17 @@ Quickstart
 Vocabulary
 ----------
 :class:`CompileOptions`
-    Frozen dataclass of compilation knobs — ``backend`` (GEMM dispatch
-    tier), ``validate`` (boundary/weight range checks), ``input_hw``
-    (eager arena planning).  Every input geometry runs in the plan's one
-    slab set.
+    Frozen dataclass with one field, ``backend`` (the accumulator: GEMM
+    dispatch tier).  Weight codes are always range-checked at compile
+    time, and every input geometry runs in the plan's one slab set.
     ``IntegerNetwork.compile(options)`` takes nothing else; artifacts
     saved with since-retired options load, and re-saving drops them.
 :class:`SessionOptions`
     Frozen dataclass of serving knobs — ``batch_size`` (default tile
-    for ``run_batched``/``predict``), ``validate`` (per-session
-    boundary-check override), ``input_hw`` (arena geometry planned at
-    session construction).
+    for ``run_batched``/``predict``), ``validate`` (input boundary
+    checks, on by default), ``input_hw`` (the session's geometry: arena
+    planned at construction, synthetic and health-check batches).
+    Pool width is the serving tier's (``ServerOptions.workers``).
 :class:`Session`
     A compiled, servable network: ``run`` / ``run_batched`` /
     ``predict`` / ``run_codes`` execute, ``describe`` / ``layer_info``

@@ -242,16 +242,14 @@ def save_artifact(
 ) -> Path:
     """Serialise ``network`` (+ options) into an artifact directory.
 
-    ``input_hw`` additionally embeds the activation-arena plan (Eq. 7 RW
-    peak and container-width physical bytes) for that geometry, so a
-    loader can assert device fit without rebuilding the plan.  Returns
-    the artifact directory path.
+    ``input_hw`` (default: ``session_options.input_hw``) additionally
+    embeds the activation-arena plan (Eq. 7 RW peak and container-width
+    physical bytes) for that geometry, so a loader can assert device fit
+    without rebuilding the plan.  Returns the artifact directory path.
     """
     compile_options = compile_options or CompileOptions()
     session_options = session_options or SessionOptions()
-    if input_hw is None:
-        input_hw = session_options.input_hw or compile_options.input_hw
-    exported = export_network(network, input_hw=input_hw)
+    exported = export_network(network, input_hw=input_hw or session_options.input_hw)
     writer = _BlobWriter()
     manifest = {
         "format": ARTIFACT_FORMAT,
@@ -356,6 +354,9 @@ def load_artifact(path: Union[str, Path], *, mmap: bool = False):
     bytes), and because the pages are file-backed and read-only the OS
     shares them between every process that loads the same artifact —
     the memory model behind :class:`repro.runtime.pool.WorkerPool`.
+
+    An older manifest's compile-side ``input_hw`` moves into session
+    options that carry no geometry, so the session still knows it.
     """
     root = Path(path)
     manifest = read_manifest(root)
@@ -378,8 +379,12 @@ def load_artifact(path: Union[str, Path], *, mmap: bool = False):
         )
         validate_export(exported)
         network = import_network(exported)
-        compile_options = CompileOptions.from_dict(manifest.get("compile_options", {}))
-        session_options = SessionOptions.from_dict(manifest.get("session_options", {}))
+        compile_dict = manifest.get("compile_options", {})
+        session_dict = manifest.get("session_options", {})
+        if session_dict.get("input_hw") is None and compile_dict.get("input_hw") is not None:
+            session_dict = {**session_dict, "input_hw": compile_dict["input_hw"]}
+        compile_options = CompileOptions.from_dict(compile_dict)
+        session_options = SessionOptions.from_dict(session_dict)
     except ArtifactError:
         if mmap:
             _close_quietly(blobs)

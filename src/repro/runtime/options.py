@@ -1,11 +1,12 @@
 """Options dataclasses for the :mod:`repro.runtime` front door.
 
 :class:`CompileOptions` is how an ``IntegerNetwork`` is compiled: one
-frozen, validated, hashable value object (``backend``, ``validate``,
-``input_hw``) — the ONNX-Runtime ``SessionOptions`` shape.
+frozen, validated, hashable value object whose one field, ``backend``,
+picks the accumulator — the ONNX-Runtime ``SessionOptions`` shape.
 :class:`SessionOptions` carries the serving-side knobs (batch tiling,
-boundary-validation override, arena geometry) consumed by
-:class:`repro.runtime.Session`.
+the input boundary check, arena geometry) consumed by
+:class:`repro.runtime.Session`.  Pool width belongs to the serving tier
+(``ServerOptions.workers``, CLI ``--workers``).
 
 Both classes are plain data: constructing them performs no work beyond
 validation, and the same instance can configure any number of networks.
@@ -15,19 +16,19 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 #: GEMM backends understood by the compiled plan (see
 #: :func:`repro.inference.plan._resolve_compiled_backend`).
 VALID_BACKENDS = ("auto", "int32", "int64")
 
-#: Compile options that no longer exist.  Each selected an execution
-#: path or an arena storage mode whose answers are bit-identical to the
-#: single compiled plan, so :meth:`CompileOptions.from_dict` drops them:
-#: an artifact saved with any of them loads as the default plan, and
-#: re-saving omits them.
+#: Compile options that no longer exist, so :meth:`CompileOptions.from_dict`
+#: drops them: an artifact saved with any of them loads as the default
+#: plan, and re-saving omits them.  The input check and the geometry now
+#: belong to :class:`SessionOptions` (``load_artifact`` moves an old
+#: compile-side ``input_hw`` there).
 RETIRED_COMPILE_OPTIONS = ("narrow", "use_arena", "fused_depthwise", "refined_bound",
-                           "max_input_hw")
+                           "max_input_hw", "validate", "input_hw")
 
 
 def _normalize_hw(value: Any) -> Optional[Tuple[int, int]]:
@@ -43,38 +44,39 @@ def _normalize_hw(value: Any) -> Optional[Tuple[int, int]]:
     return (h, w)
 
 
+def _check_names(d: Dict[str, Any], valid: Set[str], what: str) -> None:
+    unknown = set(d) - valid
+    if unknown:
+        raise TypeError(
+            f"unknown {what} option(s) {sorted(unknown)}; "
+            f"valid options are {sorted(valid)}"
+        )
+
+
 @dataclass(frozen=True)
 class CompileOptions:
     """How an :class:`~repro.inference.engine.IntegerNetwork` is compiled
     into an :class:`~repro.inference.plan.ExecutionPlan`.
 
-    Fields (all keyword-friendly, all with the production defaults):
-
     ``backend``
-        GEMM dispatch: ``"auto"`` picks the narrowest exact accumulator
-        per layer under the weight-data refined bound; ``"int32"``
-        forces the MCU-style int32 accumulator under the ``2^31`` bound
-        (error if it overflows); ``"int64"`` forces the exact einsum
-        reference.
-    ``validate``
-        Range-check weight codes at compile time and activation codes at
-        the network boundary.  Disabling also voids the refined-bound
-        guarantee (dispatch falls back to the a-priori corner case).
-    ``input_hw``
-        Optional ``(H, W)`` to plan the activation arena eagerly at
-        compile time instead of lazily on first run.
+        GEMM dispatch: ``"auto"`` (the default) picks the narrowest exact
+        accumulator per layer under the weight-data refined bound;
+        ``"int32"`` forces the MCU-style int32 accumulator under the
+        ``2^31`` bound (error if it overflows); ``"int64"`` forces the
+        exact einsum reference.
+
+    Compilation always range-checks the weight codes, once.  Input codes
+    are checked at run time (:class:`SessionOptions` ``validate``), and
+    the arena is planned per input geometry on first use.
     """
 
     backend: str = "auto"
-    validate: bool = True
-    input_hw: Optional[Tuple[int, int]] = None
 
     def __post_init__(self) -> None:
         if self.backend not in VALID_BACKENDS:
             raise ValueError(
                 f"backend must be one of {VALID_BACKENDS}, got {self.backend!r}"
             )
-        object.__setattr__(self, "input_hw", _normalize_hw(self.input_hw))
 
     def replace(self, **changes: Any) -> "CompileOptions":
         """A copy with ``changes`` applied (frozen-dataclass update)."""
@@ -82,10 +84,7 @@ class CompileOptions:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable form (used by the session artifact)."""
-        d = dataclasses.asdict(self)
-        if d["input_hw"] is not None:
-            d["input_hw"] = list(d["input_hw"])
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "CompileOptions":
@@ -99,13 +98,7 @@ class CompileOptions:
         d = {k: v for k, v in d.items() if k not in RETIRED_COMPILE_OPTIONS}
         if d.get("backend") == "blas":
             d["backend"] = "auto"
-        valid = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - valid
-        if unknown:
-            raise TypeError(
-                f"unknown compile option(s) {sorted(unknown)}; "
-                f"valid options are {sorted(valid)}"
-            )
+        _check_names(d, {f.name for f in dataclasses.fields(cls)}, "compile")
         return cls(**d)
 
 
@@ -118,35 +111,30 @@ class SessionOptions:
         large sweeps stream through the activation arena in tiles of
         this many images.
     ``validate``
-        Boundary-validation override for ``run_codes``: ``None`` keeps
-        the compiled plan's setting, ``True``/``False`` force it per
-        session.
+        Check inputs at the network boundary (default ``True``): real
+        batches for rank, channels, geometry and finiteness, integer
+        codes (``run_codes``) for range.  ``False`` skips both scans for
+        trusted in-process callers.
     ``input_hw``
-        Arena geometry: when given, the session plans (and allocates on
-        first use) the activation arena for this ``(H, W)`` at
-        construction, so the first request pays no planning latency.
-    ``workers``
-        Default process-pool width for scale-out serving: ``1`` keeps
-        everything in-process (the degenerate case), ``N > 1`` lets the
-        serving tier stand up a :class:`repro.runtime.pool.WorkerPool`
-        of N artifact-backed workers sharing one mmap'd copy of the
-        weights.  Stored in the artifact like every other session
-        option, and overridable per serve (CLI ``--workers``).
+        The session's input geometry: the session plans the activation
+        arena for this ``(H, W)`` at construction (allocating on first
+        use), so the first request pays no planning latency; synthetic
+        batches, the health check and a saved artifact's embedded arena
+        plan use it too.
     """
 
     batch_size: int = 32
-    validate: Optional[bool] = None
+    validate: bool = True
     input_hw: Optional[Tuple[int, int]] = None
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if int(self.batch_size) < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         object.__setattr__(self, "batch_size", int(self.batch_size))
+        if self.validate not in (True, False):
+            raise ValueError(f"validate must be a bool, got {self.validate!r}")
+        object.__setattr__(self, "validate", bool(self.validate))
         object.__setattr__(self, "input_hw", _normalize_hw(self.input_hw))
-        if int(self.workers) < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        object.__setattr__(self, "workers", int(self.workers))
 
     def replace(self, **changes: Any) -> "SessionOptions":
         """A copy with ``changes`` applied (frozen-dataclass update)."""
@@ -160,11 +148,14 @@ class SessionOptions:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "SessionOptions":
-        valid = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - valid
-        if unknown:
-            raise TypeError(
-                f"unknown session option(s) {sorted(unknown)}; "
-                f"valid options are {sorted(valid)}"
-            )
+        """Options from their :meth:`to_dict` form (an artifact manifest).
+
+        Older artifacts load too: their ``workers`` (pool width, now the
+        serving tier's alone) is dropped and ``validate: null`` (which
+        kept the compiled default) reads as ``True``.
+        """
+        d = {k: v for k, v in d.items() if k != "workers"}
+        if d.get("validate", True) is None:
+            d["validate"] = True
+        _check_names(d, {f.name for f in dataclasses.fields(cls)}, "session")
         return cls(**d)

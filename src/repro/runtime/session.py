@@ -77,10 +77,10 @@ class Session:
 
     ``Session(network)`` compiles with the production defaults;
     ``Session(network, CompileOptions(...), SessionOptions(...))``
-    customises compilation and serving.  The session eagerly plans (and
-    on ``options.input_hw`` geometry, allocates lazily like the plan)
-    the activation arena, so steady-state serving performs no per-layer
-    allocations.
+    customises compilation and serving.  With ``options.input_hw`` the
+    session plans that geometry's activation arena at construction (it
+    allocates lazily, like the plan), so steady-state serving performs no
+    per-layer allocations.
 
     The session is also the unit of deployment: :meth:`save` writes a
     self-contained artifact (JSON manifest + CRC-checked binary blobs)
@@ -239,7 +239,7 @@ class Session:
         return arr
 
     def _checked(self, x_real) -> np.ndarray:
-        if self.options.validate is False:
+        if not self.options.validate:
             return np.asarray(x_real)
         return self.validate_input(x_real)
 
@@ -250,8 +250,8 @@ class Session:
         return self._plan.run(self._checked(x_real))
 
     def run_codes(self, x_codes: np.ndarray) -> np.ndarray:
-        """Run the conv trunk on integer codes (boundary validation per
-        ``options.validate``; ``None`` keeps the compiled default)."""
+        """Run the conv trunk on integer codes, range-checked unless
+        ``options.validate`` is off."""
         self._require_open()
         return self._plan.run_codes(x_codes, validate=self.options.validate)
 
@@ -273,11 +273,10 @@ class Session:
                         input_hw: Optional[Tuple[int, int]] = None) -> np.ndarray:
         """A random real-valued NCHW batch matching the session's input
         geometry: channel count from the first compiled layer, ``(H, W)``
-        from ``input_hw`` falling back to the session's then the
-        compile-time arena geometry.  The single source of the
-        synthetic-input rule shared by :meth:`profile` and the
-        ``repro-mcu run`` CLI."""
-        hw = input_hw or self.options.input_hw or self.compile_options.input_hw
+        from ``input_hw`` falling back to ``options.input_hw``.  The single
+        source of the synthetic-input rule shared by :meth:`profile`,
+        :meth:`healthcheck` and the ``repro-mcu run`` CLI."""
+        hw = input_hw or self.options.input_hw
         if hw is None:
             raise ValueError(
                 "no input geometry known: pass input_hw or set "
@@ -324,10 +323,10 @@ class Session:
                 rng_seed: int = 0) -> SessionProfile:
         """Best-of-``repeats`` per-layer latency breakdown.
 
-        With no input, a synthetic batch is drawn at the session's arena
-        geometry (``options.input_hw`` falling back to the compile-time
-        geometry); layer timings run inside the arena on propagated
-        intermediate codes, exactly like steady-state serving.
+        With no input, a synthetic batch is drawn at the session's
+        geometry (``options.input_hw``); layer timings run inside the
+        arena on propagated intermediate codes, exactly like steady-state
+        serving.
         """
         plan = self._plan
         if x_real is None:

@@ -134,12 +134,11 @@ def _native_hw(manifest: dict) -> Optional[Tuple[int, int]]:
     """The artifact's native (maximum) geometry, from the manifest.
 
     Preference order: the embedded arena plan (authoritative — it is
-    what the export sized), then session options, then compile options.
+    what the export sized), then session options.
     """
     arena = manifest.get("network", {}).get("arena") or {}
     for hw in (arena.get("input_hw"),
-               manifest.get("session_options", {}).get("input_hw"),
-               manifest.get("compile_options", {}).get("input_hw")):
+               manifest.get("session_options", {}).get("input_hw")):
         if hw is not None:
             return (int(hw[0]), int(hw[1]))
     return None

@@ -4,22 +4,22 @@ import numpy as np
 import pytest
 
 from repro.analysis import PlanVerificationError, verify_artifact, verify_plan
+from repro.core.mixed_precision import search_mixed_precision
 from repro.inference.plan import ExecutionPlan
 from repro.inference.testing import integer_network_from_spec, random_network
 from repro.models.model_zoo import all_mobilenet_configs
 from repro.runtime import Session
+from repro.mcu.device import STM32H7, STM32L4
 from repro.runtime.options import CompileOptions, SessionOptions
 
 HW = (32, 32)
 CONFIGS = all_mobilenet_configs(num_classes=5)
 
-#: Every dispatch-relevant compile option: each backend, and validation
-#: off (which voids the refined bound: a-priori dispatch, no split-K).
+#: Every dispatch-relevant compile option: each backend.
 FLAG_COMBOS = [
-    CompileOptions(input_hw=HW),
-    CompileOptions(input_hw=HW, backend="int64"),
-    CompileOptions(input_hw=HW, validate=False),
-    CompileOptions(input_hw=HW, backend="int32"),
+    CompileOptions(),
+    CompileOptions(backend="int64"),
+    CompileOptions(backend="int32"),
 ]
 
 
@@ -48,14 +48,14 @@ class TestZooAcceptance:
     @pytest.mark.parametrize("w_bits", [2, 4, 8])
     def test_bit_mixes_verify(self, act_bits, w_bits):
         net = _network(CONFIGS[0], act_bits=act_bits, w_bits=w_bits)
-        report = verify_plan(ExecutionPlan(net, CompileOptions(input_hw=HW)), HW)
+        report = verify_plan(ExecutionPlan(net), HW)
         assert report.ok
 
     def test_threshold_strategy_verifies(self):
         net = integer_network_from_spec(
             CONFIGS[0], rng=np.random.default_rng(3), strategy="thresholds"
         )
-        report = verify_plan(ExecutionPlan(net, CompileOptions(input_hw=HW)), HW)
+        report = verify_plan(ExecutionPlan(net), HW)
         assert report.ok
 
     def test_split_k_layer_verifies(self):
@@ -63,13 +63,13 @@ class TestZooAcceptance:
         # bound and compiles to split-K sgemm; the verifier re-proves the
         # per-chunk bounds.
         net = _network(CONFIGS[-1])
-        plan = ExecutionPlan(net, CompileOptions(input_hw=HW))
+        plan = ExecutionPlan(net)
         assert any(l.split_k is not None for l in plan.layers)
         assert verify_plan(plan, HW).ok
 
     def test_shape_polymorphic_plan_verifies(self):
         net = _network(CONFIGS[0])
-        plan = ExecutionPlan(net, CompileOptions(input_hw=(24, 24)))
+        plan = ExecutionPlan(net)
         rng = np.random.default_rng(4)
         for hw in (HW, (24, 24)):
             x = rng.uniform(0, 1, size=(2, 3, *hw))
@@ -79,6 +79,31 @@ class TestZooAcceptance:
         # Both geometries the plan has run were walked, each against its
         # own sizing, although they share one slab set.
         assert report.count("slab-aliasing") >= 2 * len(plan.layers)
+
+
+class TestPaperDeployments:
+    """The paper's deployments: every zoo config (1000 classes) with the
+    per-layer bits the memory-driven search picks under a device's flash
+    and RAM budgets, best effort where the budgets cannot be met."""
+
+    @pytest.mark.parametrize("device", [STM32H7, STM32L4], ids=["STM32H7", "STM32L4"])
+    @pytest.mark.parametrize("spec", all_mobilenet_configs(),
+                             ids=[s.name for s in all_mobilenet_configs()])
+    def test_searched_policy_verifies(self, spec, device):
+        policy = search_mixed_precision(spec, device.flash_bytes, device.ram_bytes,
+                                        strict=False)
+        net = integer_network_from_spec(spec, rng=np.random.default_rng(0), policy=policy)
+        plan = ExecutionPlan(net)
+        native = (spec.resolution, spec.resolution)
+        report = verify_plan(plan, native)
+        assert report.ok
+        assert report.tiers == {l.name: l.epilogue for l in plan.layers}
+        low = [l.name for l in plan.layers if min(l.in_bits, l.w_bits, l.out_bits) < 8]
+        if spec.name.endswith("224_1.0"):
+            assert low, "the search left the largest config all 8-bit"
+        if spec.resolution == 128:
+            x = np.random.default_rng(1).uniform(0, 1, size=(2, 3, *native))
+            assert np.array_equal(plan.run(x), net.forward(x))
 
 
 class TestViewUnfoldDepthwise:
@@ -93,8 +118,8 @@ class TestViewUnfoldDepthwise:
             and l.params.weights_q.shape[2:] == (1, 1)
             for l in net.conv_layers
         )
-        plan = ExecutionPlan(net, CompileOptions(input_hw=(11, 11)))
-        report = verify_plan(plan, raise_on_violation=False)
+        plan = ExecutionPlan(net)
+        report = verify_plan(plan, (11, 11), raise_on_violation=False)
         assert report.ok, [str(v) for v in report.violations]
         x = np.random.default_rng(seed + 1).uniform(0, 1, size=(2, 3, 11, 11))
         assert np.array_equal(net.forward(x), plan.run(x))
@@ -102,7 +127,7 @@ class TestViewUnfoldDepthwise:
 
 def _fresh_plan(seed=0):
     net = _network(CONFIGS[0], seed=seed)
-    return ExecutionPlan(net, CompileOptions(input_hw=HW))
+    return ExecutionPlan(net)
 
 
 class TestCorruptionRejection:
@@ -133,7 +158,7 @@ class TestCorruptionRejection:
         # The widest config has a layer whose refined bound exceeds 2^24;
         # forging it onto the float32 tier must fail acc-bound.
         net = _network(CONFIGS[-1])
-        plan = ExecutionPlan(net, CompileOptions(input_hw=HW))
+        plan = ExecutionPlan(net)
         victim = next(l for l in plan.layers if l.acc_bound >= (1 << 24))
         victim.backend = "blas"
         victim.gemm_dtype = np.dtype(np.float32)
@@ -317,10 +342,7 @@ class TestCorruptionRejection:
 class TestArtifactAndSession:
     def test_saved_artifact_verifies(self, tmp_path):
         net = _network(CONFIGS[0])
-        session = Session(
-            net, compile_options=CompileOptions(input_hw=HW),
-            options=SessionOptions(input_hw=HW),
-        )
+        session = Session(net, options=SessionOptions(input_hw=HW))
         path = session.save(tmp_path / "model.artifact")
         session.close()
         report = verify_artifact(path)
@@ -332,10 +354,7 @@ class TestArtifactAndSession:
         import json
 
         net = _network(CONFIGS[0])
-        session = Session(
-            net, compile_options=CompileOptions(input_hw=HW),
-            options=SessionOptions(input_hw=HW),
-        )
+        session = Session(net, options=SessionOptions(input_hw=HW))
         path = session.save(tmp_path / "model.artifact")
         session.close()
         manifest_path = path / "manifest.json"
@@ -353,10 +372,7 @@ class TestArtifactAndSession:
         import json
 
         net = _network(CONFIGS[0])
-        session = Session(
-            net, compile_options=CompileOptions(input_hw=HW),
-            options=SessionOptions(input_hw=HW),
-        )
+        session = Session(net, options=SessionOptions(input_hw=HW))
         path = session.save(tmp_path / "model.artifact")
         session.close()
         manifest_path = path / "manifest.json"
@@ -371,10 +387,7 @@ class TestArtifactAndSession:
     def _native_128_artifact(tmp_path):
         net = _network(CONFIGS[0])
         native = (128, 128)
-        session = Session(
-            net, compile_options=CompileOptions(input_hw=native),
-            options=SessionOptions(input_hw=native),
-        )
+        session = Session(net, options=SessionOptions(input_hw=native))
         path = session.save(tmp_path / "model.artifact")
         session.close()
         return path
@@ -402,10 +415,7 @@ class TestArtifactAndSession:
 
     def test_session_verify(self):
         net = _network(CONFIGS[0])
-        session = Session(
-            net, compile_options=CompileOptions(input_hw=HW),
-            options=SessionOptions(input_hw=HW),
-        )
+        session = Session(net, options=SessionOptions(input_hw=HW))
         report = session.verify()
         assert report.ok
         session.close()

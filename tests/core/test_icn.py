@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.icn import (
+    M0_FRACTIONAL_BITS,
+    ICNParams,
     compute_folded_params,
     compute_icn_params,
     compute_thresholds,
@@ -209,6 +211,48 @@ class TestICNEquivalence:
 # ----------------------------------------------------------------------
 # Thresholds baseline
 # ----------------------------------------------------------------------
+def _one_channel_icn(m0, n0, bq, z_y, out_bits):
+    return ICNParams(
+        weights_q=np.zeros((1, 1, 1, 1), dtype=np.uint8), z_w=np.zeros(1, dtype=np.int64),
+        z_x=0, z_y=z_y, bq=np.array([bq], dtype=np.int64),
+        m0=np.array([m0], dtype=np.int64), n0=np.array([n0], dtype=np.int64),
+        out_bits=out_bits, w_bits=8, per_channel=True,
+    )
+
+
+def _edge_accumulators(icn, thr):
+    """``Phi`` at ``-bq +- 2`` and on both sides of every level edge, of
+    the tables and of the reference itself, inside the window where the
+    int64 reference holds ``m0 * (Phi + bq)`` (shifted left when
+    ``n0 > 31``) without overflow."""
+    m0, n0, bq = int(icn.m0[0]), int(icn.n0[0]), int(icn.bq[0])
+    reach = ((2 ** 63 - 1) >> max(n0 - M0_FRACTIONAL_BITS, 0)) // abs(m0)
+    lo0, hi0 = max(-bq - reach, -(2 ** 63)), min(-bq + reach, 2 ** 63 - 1)
+    phis = {-bq + d for d in range(-2, 3)}
+    for t in thr.thresholds[0, 1:]:
+        phis |= {int(t) - 1, int(t), int(t) + 1}
+    # The reference's own edges, by bisection: the smallest Phi whose
+    # level passes j (whose level falls below j on a decreasing channel).
+    levels = np.arange(1, 2 ** icn.out_bits)
+
+    def passed(phi):
+        y = icn_requantize(np.array(phi, dtype=np.int64).reshape(1, 1, -1), icn)
+        return (y.reshape(-1) >= levels) != (m0 < 0)
+
+    lo, hi = [lo0] * len(levels), [hi0] * len(levels)
+    inside = ~passed(lo) & passed(hi)
+    while any(h - l > 1 for l, h in zip(lo, hi)):
+        mid = [l + (h - l) // 2 for l, h in zip(lo, hi)]
+        up = passed(mid)
+        lo = [l if u else m for l, m, u in zip(lo, mid, up)]
+        hi = [m if u else h for h, m, u in zip(hi, mid, up)]
+    for h, ok in zip(hi, inside):
+        if ok:
+            phis |= {h - 1, h}
+    keep = sorted(p for p in phis if lo0 <= p <= hi0)
+    return np.array(keep, dtype=np.int64).reshape(1, 1, -1)
+
+
 class TestThresholds:
     @pytest.mark.parametrize("out_bits", [2, 4, 8])
     def test_threshold_equals_icn(self, rng, out_bits):
@@ -219,6 +263,37 @@ class TestThresholds:
         phi = int_conv2d(layer["x_codes"], layer["w_codes"], layer["z_x"], layer["z_w"],
                          stride=1, padding=1)
         assert np.array_equal(threshold_requantize(phi, thr), icn_requantize(phi, icn))
+
+    @pytest.mark.parametrize("m0, n0, bq, z_y, out_bits", [
+        # Multipliers >= 1: Eq. 5 shifts left by n0 - 31.
+        (2 ** 30, 32, 0, 8, 4),
+        (2 ** 30, 33, 0, 8, 4),
+        (2 ** 30, 35, 0, 8, 4),
+        (-(2 ** 30), 34, 5, 1, 2),
+        # A right shift of 71, clamped to MAX_RSHIFT.
+        (2 ** 31 - 1, -40, 2 ** 31 - 1, 8, 4),
+    ])
+    def test_threshold_equals_icn_at_extreme_shifts(self, m0, n0, bq, z_y, out_bits):
+        icn = _one_channel_icn(m0, n0, bq, z_y, out_bits)
+        thr = compute_thresholds(icn)
+        phi = _edge_accumulators(icn, thr)
+        assert np.array_equal(threshold_requantize(phi, thr), icn_requantize(phi, icn))
+
+    def test_threshold_equals_icn_random_extreme_shifts(self):
+        """Random channels whose shift leaves [0, 31]: left shifts of 1-8
+        and right shifts of 63-76, with the reference's accumulators
+        around -bq and at every level edge."""
+        rng = np.random.default_rng(21)
+        for _ in range(400):
+            n0 = int(rng.integers(32, 40) if rng.random() < 0.5 else rng.integers(-45, -31))
+            m0 = int(rng.integers(2 ** 30, 2 ** 31)) * int(rng.choice([-1, 1]))
+            bq = int(rng.integers(-(2 ** 31), 2 ** 31))
+            out_bits = int(rng.choice([2, 4, 8]))
+            icn = _one_channel_icn(m0, n0, bq, int(rng.integers(0, 2 ** out_bits)), out_bits)
+            thr = compute_thresholds(icn)
+            phi = _edge_accumulators(icn, thr)
+            assert np.array_equal(threshold_requantize(phi, thr), icn_requantize(phi, icn)), \
+                (m0, n0, bq, icn.z_y, out_bits)
 
     def test_threshold_count(self, rng):
         layer = _random_quantized_layer(rng, out_bits=4)

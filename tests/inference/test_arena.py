@@ -27,7 +27,7 @@ from repro.inference.testing import integer_network_from_spec, random_network
 from repro.mcu.deploy import assert_arena_fits
 from repro.mcu.device import MCUDevice
 from repro.models.model_zoo import mobilenet_v1_spec
-from repro.runtime import CompileOptions, Session, SessionOptions
+from repro.runtime import Session, SessionOptions
 
 
 @given(seed=st.integers(0, 2 ** 16), bits=st.sampled_from([2, 4, 8]))
@@ -82,7 +82,7 @@ def test_logical_rw_peak_matches_memory_model(res, width):
     paper's analytical model agree layer for layer."""
     spec = mobilenet_v1_spec(res, width, num_classes=10)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
-    plan = net.compile(CompileOptions(input_hw=(res, res)))
+    plan = net.compile()
     arena = plan.arena_for((res, res))
     policy = QuantPolicy.uniform(spec, method=QuantMethod.PC_ICN, bits=8)
     model = MemoryModel(spec)
@@ -96,7 +96,7 @@ def test_measured_peak_allocation_within_planned_arena():
     memory than the compile-time planned arena size (tracemalloc peak)."""
     spec = mobilenet_v1_spec(64, 0.25, num_classes=10)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
-    plan = net.compile(CompileOptions(input_hw=(64, 64)))
+    plan = net.compile()
     codes = plan.quantize_input(
         np.random.default_rng(1).uniform(0, 1, size=(4, 3, 64, 64))
     )
@@ -197,8 +197,8 @@ def test_assert_arena_fits_against_device_budget():
 def test_describe_reports_arena_peak_and_fused_dispatch():
     spec = mobilenet_v1_spec(32, 0.25, num_classes=10)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
-    plan = net.compile(CompileOptions(input_hw=(32, 32)))
-    text = plan.describe(batch_size=8)
+    plan = net.compile()
+    text = plan.describe((32, 32), batch_size=8)
     arena = plan.arena_for((32, 32))
     assert f"{arena.planned_bytes(8)} bytes" in text
     assert f"{arena.logical_rw_peak_bytes} bytes" in text
@@ -367,8 +367,7 @@ def test_per_geometry_arenas_are_bounded():
     """Every new input geometry plans an arena; a plan keeps only the most
     recently used few, and all of them run in one slab set."""
     net = _mobilenet()
-    session = Session(net, CompileOptions(input_hw=(32, 32)),
-                      SessionOptions(input_hw=(32, 32)))
+    session = Session(net, options=SessionOptions(input_hw=(32, 32)))
     plan = session.plan
     x = _images(1, (32, 32))
     # Warm the reference engine too: it caches its shifted weights.

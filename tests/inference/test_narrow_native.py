@@ -225,14 +225,8 @@ class TestRefinedBound:
             assert layer.split_k[-1][1] == layer.k_reduction
             for (_, a), (b, _) in zip(layer.split_k, layer.split_k[1:]):
                 assert a == b  # contiguous partition
-        # Disabled with validation, which voids the refined bound the
-        # chunk partition relies on (a-priori dispatch).
-        legacy = net.compile(CompileOptions(validate=False))
-        assert all(l.split_k is None for l in legacy.layers)
         x = np.random.default_rng(4).uniform(0, 1, size=(2, 3, 64, 64))
-        ref = net.forward(x)
-        assert np.array_equal(ref, plan.run(x))
-        assert np.array_equal(ref, legacy.run(x))
+        assert np.array_equal(net.forward(x), plan.run(x))
         # All-corner weights cannot be partitioned into few small chunks.
         corner = np.full((4, 4096), 255, dtype=np.int64)
         assert _split_k_chunks(corner, 0, 8) is None
@@ -308,7 +302,7 @@ def test_zoo_physical_code_bytes_equal_rw_peak(spec):
     of core.memory_model — not 8x it."""
     net = integer_network_from_spec(spec, np.random.default_rng(0))
     res = spec.resolution
-    plan = net.compile(CompileOptions(input_hw=(res, res)))
+    plan = net.compile()
     arena = plan.arena_for((res, res))
     policy = QuantPolicy.uniform(spec, method=QuantMethod.PC_ICN, bits=8)
     rw_peak = MemoryModel(spec).rw_peak_bytes(policy)
@@ -322,7 +316,7 @@ def test_arena_allocation_matches_plan_tracemalloc():
     inflation)."""
     spec = mobilenet_v1_spec(64, 0.25, num_classes=10)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
-    plan = net.compile(CompileOptions(input_hw=(64, 64)))
+    plan = net.compile()
     arena = plan.arena_for((64, 64))
     tracemalloc.start()
     arena.ensure(1)
@@ -343,7 +337,7 @@ def test_subbyte_containers_stay_one_byte():
     net = integer_network_from_spec(
         spec, np.random.default_rng(0), act_bits=4, w_bits=4
     )
-    plan = net.compile(CompileOptions(input_hw=(32, 32)))
+    plan = net.compile()
     arena = plan.arena_for((32, 32))
     assert all(p.out_itemsize == 1 for p in arena.plans if p.kind != "fc")
     assert arena.physical_code_bytes(1) >= arena.logical_rw_peak_bytes
@@ -416,6 +410,6 @@ class TestExportNarrowBlobs:
         spec = mobilenet_v1_spec(64, 0.5, num_classes=5)
         net = integer_network_from_spec(spec, np.random.default_rng(0))
         exported = export_network(net, input_hw=(64, 64))
-        arena = net.compile(CompileOptions(input_hw=(64, 64))).arena_for((64, 64))
+        arena = net.compile().arena_for((64, 64))
         assert exported["arena"]["physical_code_bytes"] == arena.physical_code_bytes(1)
         assert exported["arena"]["rw_peak_bytes"] == arena.logical_rw_peak_bytes

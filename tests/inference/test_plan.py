@@ -10,7 +10,8 @@ from repro.core.graph_convert import convert_to_integer_network
 from repro.evaluation.experiments import evaluate_integer_network
 from repro.inference.plan import ExecutionPlan
 from repro.inference.testing import integer_network_from_spec
-from repro.runtime import CompileOptions, Session
+from repro.runtime import CompileOptions, Session, SessionOptions
+from repro.runtime.options import VALID_BACKENDS
 from repro.models.model_zoo import mobilenet_v1_spec
 
 
@@ -130,16 +131,23 @@ class TestBoundaryValidation:
         with pytest.raises(ValueError, match="out of UINT8 range"):
             plan.run_codes(bad)
 
-    def test_validation_can_be_disabled(self, integer_net, small_dataset):
-        plan = integer_net.compile(CompileOptions(validate=False))
-        codes = integer_net.quantize_input(small_dataset.x_test[:2])
-        assert plan.run_codes(codes).shape[0] == 2
+    def test_validation_can_be_disabled(self, integer_net, small_dataset, monkeypatch):
+        """``run_codes(validate=False)`` and a ``SessionOptions(validate=False)``
+        session skip the input scan; by default both run it."""
+        import repro.inference.plan as plan_mod
 
-    def test_per_call_override(self, integer_net):
-        plan = integer_net.compile(CompileOptions(validate=False))
-        bad = np.full((1, 3, 16, 16), 300, dtype=np.int64)
-        with pytest.raises(ValueError):
-            plan.run_codes(bad, validate=True)
+        plan = integer_net.compile()
+        lax = Session(integer_net, options=SessionOptions(validate=False))
+        strict = Session(integer_net)
+        scans = []
+        monkeypatch.setattr(plan_mod, "check_codes", lambda *a: scans.append(a[0]))
+        codes = integer_net.quantize_input(small_dataset.x_test[:2])
+        assert plan.run_codes(codes, validate=False).shape[0] == 2
+        lax.run_codes(codes)
+        assert scans == []
+        plan.run_codes(codes)
+        strict.run_codes(codes)
+        assert scans == ["input activation"] * 2
 
     def test_out_of_range_weights_rejected_at_compile_time(self, integer_net):
         """The plan enforces the interpreted engine's weight guard once,
@@ -153,9 +161,15 @@ class TestBoundaryValidation:
         params = broken.conv_layers[0].params
         params.weights_q = params.weights_q.astype(np.int64)
         params.weights_q[0, 0, 0, 0] = 700
+        for backend in VALID_BACKENDS:
+            with pytest.raises(ValueError, match="weight codes out of UINT8 range"):
+                broken.compile(CompileOptions(backend=backend))
+        # The classifier's weights too.
+        broken = copy.deepcopy(integer_net)
+        broken.classifier.weights_q = broken.classifier.weights_q.astype(np.int64)
+        broken.classifier.weights_q[0, 0] = -1
         with pytest.raises(ValueError, match="weight codes out of UINT8 range"):
             broken.compile()
-        assert broken.compile(CompileOptions(validate=False)) is not None
 
 
 class TestRunBatched:
@@ -230,6 +244,6 @@ def test_plan_constructor_rejects_non_options(integer_net):
 
 def test_plan_constructor_direct(integer_net, small_dataset):
     """ExecutionPlan can also be built without the compile() sugar."""
-    plan = ExecutionPlan(integer_net, CompileOptions(backend="auto", validate=True))
+    plan = ExecutionPlan(integer_net, CompileOptions(backend="auto"))
     x = small_dataset.x_test[:2]
     assert np.array_equal(plan.run(x), integer_net.forward(x))

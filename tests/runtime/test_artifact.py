@@ -70,7 +70,7 @@ def test_options_survive_the_round_trip(tmp_path):
     net = integer_network_from_spec(_SMALL, np.random.default_rng(0))
     session = Session(
         net,
-        CompileOptions(backend="int64", validate=False),
+        CompileOptions(backend="int64"),
         SessionOptions(batch_size=3, validate=False, input_hw=(32, 32)),
     )
     restored = _roundtrip(tmp_path, session)
@@ -93,9 +93,9 @@ def test_artifact_with_retired_options_loads_as_default(tmp_path):
     manifest_path = path / MANIFEST_NAME
     manifest = json.loads(manifest_path.read_text())
     # Wide int64 codes, no arena, always-stencil depthwise, a-priori
-    # bound, a donor arena sized for 64x64: every retired option set away
-    # from its old default.
-    retired = (False, False, True, False, [64, 64])
+    # bound, a donor arena sized for 64x64, no weight check, a compile-time
+    # geometry: every retired option set away from its old default.
+    retired = (False, False, True, False, [64, 64], False, [32, 32])
     assert len(retired) == len(RETIRED_COMPILE_OPTIONS)
     manifest["compile_options"].update(
         zip(RETIRED_COMPILE_OPTIONS, retired), backend="blas"
@@ -115,6 +115,46 @@ def test_artifact_with_retired_options_loads_as_default(tmp_path):
     session.close()
     with pytest.raises(TypeError, match="narow"):
         CompileOptions.from_dict({"narow": True})
+
+
+@pytest.mark.parametrize("mmap", [False, True], ids=["heap", "mmap"])
+def test_artifact_with_retired_geometry_and_workers_loads(tmp_path, mmap):
+    """An artifact from before ``input_hw`` and ``validate`` were session
+    options alone, and ``workers`` the server's alone: its compile-side
+    geometry moves to the session, ``validate: null`` reads as on (so
+    input codes are range-checked, where compile-side ``validate: false``
+    skipped that), and re-saving drops every retired field."""
+    from repro.analysis import verify_artifact
+
+    net = integer_network_from_spec(_SMALL, np.random.default_rng(0))
+    path = Session(net).save(tmp_path / "old.artifact")
+    manifest_path = path / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    assert "arena" not in manifest["network"]
+    manifest["compile_options"] = {"backend": "int64", "validate": False,
+                                   "input_hw": [32, 32]}
+    manifest["session_options"] = {"batch_size": 3, "validate": None, "workers": 4}
+    manifest_path.write_text(json.dumps(manifest))
+
+    session = Session.load(path, mmap=mmap)
+    assert session.compile_options == CompileOptions(backend="int64")
+    assert session.options == SessionOptions(batch_size=3, input_hw=(32, 32))
+    assert all(i.backend == "int64" for i in session.layer_info())
+    x = np.random.default_rng(1).uniform(0, 1, size=(2, 3, 32, 32))
+    assert np.array_equal(net.forward(x), session.run(x))
+    assert verify_artifact(path).ok
+    health = session.healthcheck()
+    assert health["ok"], health
+    with pytest.raises(ValueError, match="out of UINT8 range"):
+        session.run_codes(np.full((1, 3, 32, 32), 300, dtype=np.int64))
+    resaved = json.loads(
+        (session.save(tmp_path / "new.artifact") / MANIFEST_NAME).read_text()
+    )
+    assert resaved["compile_options"] == {"backend": "int64"}
+    assert resaved["session_options"] == {"batch_size": 3, "validate": True,
+                                          "input_hw": [32, 32]}
+    assert resaved["network"]["arena"]["input_hw"] == [32, 32]
+    session.close()
 
 
 def test_export_import_round_trip_in_memory():
