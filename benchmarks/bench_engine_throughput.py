@@ -22,9 +22,9 @@ Run as a script for the CI smoke lane::
 
     python benchmarks/bench_engine_throughput.py --quick
 
-which sweeps reduced-size parity checks (default / int32 / int64 plans
-vs. the interpreted int64 reference, plus an artifact round trip) and
-exits non-zero on any mismatch.
+which sweeps reduced-size parity checks (the default plan, its
+``run_batched`` and an artifact round trip vs. the interpreted int64
+reference) and exits non-zero on any mismatch.
 """
 
 import argparse
@@ -39,7 +39,7 @@ from repro.inference.arena import depthwise_channel_bytes
 from repro.inference.testing import integer_network_from_spec
 from repro.models.model_zoo import mobilenet_v1_spec
 from repro.nn.functional import conv_output_size
-from repro.runtime import CompileOptions, Session, SessionOptions
+from repro.runtime import Session, SessionOptions
 
 RESOLUTION = 128
 WIDTH = 0.5
@@ -213,7 +213,7 @@ def test_benchmark_batched_sweep_throughput(record_report):
 # CI smoke lane: `python benchmarks/bench_engine_throughput.py --quick`
 # ----------------------------------------------------------------------
 def _quick_parity_sweep() -> None:
-    """Reduced-size bit-exactness sweep across engine flavours.
+    """Reduced-size bit-exactness sweep of the compiled plan.
 
     Runs in seconds; any parity mismatch raises (non-zero exit), so perf
     PRs cannot silently break the bit-exactness contract the benchmarks
@@ -228,19 +228,13 @@ def _quick_parity_sweep() -> None:
         )
         x = np.random.default_rng(1).uniform(0, 1, size=(3, 3, res, res))
         ref = net.forward(x)
-        flavours = {
-            "default": net.compile(),
-            "int32": net.compile(CompileOptions(backend="int32")),
-            "int64": net.compile(CompileOptions(backend="int64")),
-        }
-        outputs = {name: plan.run(x) for name, plan in flavours.items()}
-        for name, got in outputs.items():
-            if not np.array_equal(ref, got):
-                raise AssertionError(
-                    f"{res}_{width} @ {bits}-bit: {name} plan diverged from "
-                    f"the interpreted int64 reference"
-                )
-        batched = flavours["default"].run_batched(x, batch_size=2)
+        plan = net.compile()
+        if not np.array_equal(ref, plan.run(x)):
+            raise AssertionError(
+                f"{res}_{width} @ {bits}-bit: the plan diverged from the "
+                f"interpreted int64 reference"
+            )
+        batched = plan.run_batched(x, batch_size=2)
         if not np.array_equal(ref, batched):
             raise AssertionError(f"{res}_{width} @ {bits}-bit: run_batched diverged")
         # Session-artifact round trip: save -> load -> serve must stay
@@ -254,7 +248,7 @@ def _quick_parity_sweep() -> None:
                     f"{res}_{width} @ {bits}-bit: artifact round trip diverged"
                 )
         print(f"  parity ok: {res}_{width} @ {bits}-bit "
-              f"({len(outputs)} engine flavours + artifact round trip, bit-exact)")
+              f"(plan, run_batched + artifact round trip, bit-exact)")
 
 
 def main(argv=None) -> int:
@@ -265,9 +259,9 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.quick:
-        print("E9 quick parity sweep (default/int32/int64)...")
+        print("E9 quick parity sweep...")
         _quick_parity_sweep()
-        print("OK — all engine flavours bit-exact against the reference")
+        print("OK — the plan is bit-exact against the reference")
         return 0
     # Full benchmark run without pytest: reuse the pytest entry points
     # with a local report writer.

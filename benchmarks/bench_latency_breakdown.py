@@ -53,18 +53,6 @@ def test_benchmark_int_conv_kernel(benchmark, w_bits):
     assert phi.shape == (1, 64, 28, 28)
 
 
-@pytest.mark.parametrize("backend", ["int64"])
-def test_benchmark_int_conv_kernel_backends(benchmark, backend):
-    """The int64 einsum reference on 8x8-bit operands (the compiled
-    plan's float tiers are measured in bench_engine_throughput)."""
-    rng = np.random.default_rng(0)
-    x = rng.integers(0, 256, size=(1, 32, 28, 28))
-    w = rng.integers(0, 256, size=(64, 32, 3, 3))
-    z_w = rng.integers(0, 256, size=64)
-    phi = benchmark(int_conv2d, x, w, 0, z_w, 1, 1, 8, 8, True)
-    assert phi.dtype == np.int64 and phi.shape == (1, 64, 28, 28)
-
-
 def test_benchmark_int_depthwise_kernel(benchmark):
     rng = np.random.default_rng(0)
     x = rng.integers(0, 256, size=(1, 64, 28, 28))

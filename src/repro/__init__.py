@@ -43,7 +43,6 @@ from repro.evaluation.accuracy_model import AccuracyModel
 from repro.runtime import (
     ArtifactError,
     ArtifactNotFoundError,
-    CompileOptions,
     InvalidInputError,
     Session,
     SessionOptions,
@@ -80,7 +79,6 @@ __all__ = [
     "QATTrainer",
     "AccuracyModel",
     # serving front door (repro.runtime)
-    "CompileOptions",
     "SessionOptions",
     "Session",
     "pipeline",

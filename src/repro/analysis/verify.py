@@ -2,7 +2,7 @@
 
 The compiled :class:`~repro.inference.plan.ExecutionPlan` rests on a
 stack of hand-maintained invariants — accumulator-overflow bounds that
-gate the sgemm/int32 dispatch, sub-byte container-dtype rules across
+gate the sgemm/dgemm dispatch, sub-byte container-dtype rules across
 quantizer → packing → arena, requantization shift ranges, and the
 ping-pong slab lifetime discipline of the activation arena.  Runtime
 tests only exercise these on the inputs they happen to run;
@@ -17,7 +17,8 @@ Five rule families (the rule name appears in every diagnostic):
     Per-layer worst-case ``|Phi|`` recomputed from the actual shifted
     weights (a-priori corner case *and* the refined weight-data bound,
     plus split-K per-chunk bounds) must fit the dispatched backend:
-    float32 < 2^24, int32 < 2^31, float64 < 2^53, int64 unconditional.
+    float32 < 2^24, float64 < 2^53, int64 unconditional; any other
+    GEMM dtype is rejected.
 ``container-dtype``
     Output codes must land in exactly the container
     :func:`~repro.inference.packing.container_dtype` prescribes for
@@ -82,8 +83,6 @@ from repro.inference.arena import requant_scratch_bytes
 from repro.inference.kernels import (
     FLOAT32_EXACT_BITS,
     FLOAT64_EXACT_BITS,
-    INT32_EXACT_BITS,
-    a_priori_gemm_backend,
     max_abs_accumulator,
 )
 from repro.inference.packing import container_dtype
@@ -179,7 +178,7 @@ def _recover_int_weights(layer, report: VerificationReport) -> Optional[np.ndarr
     """The layer's shifted weights back in exact int64 ``(O, K)`` form.
 
     The compiled plan stores them at the GEMM dtype (float32/float64/
-    int32/int64); a float-stored weight that is not an exact integer can
+    int64); a float-stored weight that is not an exact integer can
     never have come from integer codes and is reported as a ``structure``
     violation.
     """
@@ -257,11 +256,9 @@ def _check_acc_bound(layer, report: VerificationReport) -> None:
         limit, limit_desc = 1 << FLOAT32_EXACT_BITS, "2^24 (float32 significand)"
     elif backend == "blas" and gemm == np.float64:
         limit, limit_desc = 1 << FLOAT64_EXACT_BITS, "2^53 (float64 significand)"
-    elif backend == "int32" and gemm == np.int32:
-        limit, limit_desc = 1 << INT32_EXACT_BITS, "2^31 (int32 accumulator)"
     elif backend == "int64" and gemm == _INT64:
         report.passed("acc-bound")
-        return  # unbounded reference path
+        return  # exact at any bound: the fallback past 2^53
     else:
         report.fail(
             "acc-bound", name,
@@ -854,22 +851,20 @@ def verify_artifact(path: Union[str, Path],
     """Statically verify a saved artifact without executing it.
 
     Loads the artifact (which already CRC-checks every weight blob),
-    recompiles the plan from the persisted
-    :class:`~repro.runtime.options.CompileOptions` — compilation is
-    static: weights reshape, bounds resolve, nothing runs — and applies
-    :func:`verify_plan`.  On top of the plan rules, the persisted
-    manifest metadata is cross-checked against the recompiled truth:
-    per-layer container dtype, reduction length, recorded auto-dispatch
-    backend, and the persisted Eq. 7 arena peak.  The geometry the
-    manifest recorded its peak for is always walked, and the peak
-    compared there; ``input_hw`` (default: the session options') adds
-    another.
+    recompiles the plan — compilation is static: weights reshape,
+    bounds resolve, nothing runs — and applies :func:`verify_plan`.  On
+    top of the plan rules, the persisted manifest metadata is
+    cross-checked against the recompiled truth: per-layer container
+    dtype and reduction length, and the persisted Eq. 7 arena peak.
+    The geometry the manifest recorded its peak for is always walked,
+    and the peak compared there; ``input_hw`` (default: the session
+    options') adds another.
     """
     from repro.inference.plan import ExecutionPlan
     from repro.runtime.artifact import load_artifact
 
-    network, compile_options, session_options, manifest = load_artifact(path)
-    plan = ExecutionPlan(network, compile_options)
+    network, session_options, manifest = load_artifact(path)
+    plan = ExecutionPlan(network)
     net_manifest = manifest.get("network", {})
     arena_info = net_manifest.get("arena")
     recorded_hw = None
@@ -911,19 +906,6 @@ def verify_artifact(path: Union[str, Path],
                 f"manifest k_reduction {entry.get('k_reduction')} != "
                 f"compiled {layer.k_reduction}",
             )
-        recorded_backend = entry.get("gemm_backend")
-        expected_backend = a_priori_gemm_backend(
-            layer.k_reduction, layer.in_bits, layer.w_bits
-        )
-        if recorded_backend is not None and recorded_backend != expected_backend:
-            report.fail(
-                "acc-bound", name,
-                f"manifest records a-priori backend {recorded_backend!r} "
-                f"but the accumulator contract resolves to "
-                f"{expected_backend!r}",
-            )
-        else:
-            report.passed("acc-bound")
     if recorded_hw is not None:
         recorded_peak = int(arena_info.get("rw_peak_bytes", -1))
         actual_peak = plan.arena_for(recorded_hw).logical_rw_peak_bytes

@@ -340,12 +340,16 @@ def compute_thresholds(icn: ICNParams) -> ThresholdParams:
 def _fixed_point_scale(acc: np.ndarray, m0_int: np.ndarray, n0: np.ndarray) -> np.ndarray:
     """Integer-exact ``floor(m0 * 2^n0 * acc)`` with ``m0 = m0_int / 2^31``.
 
-    The product ``m0_int * acc`` stays within int64 for the accumulator
-    magnitudes produced by the layers considered here (|acc| < 2^31,
-    |m0_int| <= 2^31), and ``floor`` of the scaled value is an exact
-    arithmetic shift: ``floor_divide(m0_int * acc, 2^(31 - n0))``.
+    ``floor`` of the scaled value is an exact arithmetic shift:
+    ``floor_divide(m0_int * acc, 2^(31 - n0))``.  The product
+    ``m0_int * acc`` (shifted left when ``n0 > 31``) is formed in int64,
+    which holds it for every layer of the model zoo (|acc| < 2^32,
+    |m0_int| <= 2^31).  Where some ``|acc|`` exceeds its channel's
+    ``(2^63 - 1 >> lshift) // |m0_int|`` the product would wrap, so this
+    raises ``OverflowError`` instead of returning wrong codes.
     """
-    prod = m0_int.astype(np.int64, copy=False) * acc.astype(np.int64, copy=False)
+    m0_int = m0_int.astype(np.int64, copy=False)
+    acc = acc.astype(np.int64, copy=False)
     shift = M0_FRACTIONAL_BITS - n0.astype(np.int64)
     # shift >= 0 is the practical case (M < 2^31); guard the other branch.
     # Shifts beyond MAX_RSHIFT would overflow the int64 divisor; they
@@ -354,6 +358,18 @@ def _fixed_point_scale(acc: np.ndarray, m0_int: np.ndarray, n0: np.ndarray) -> n
     # past that, the clamped shift defines Eq. 5 here.
     pos = np.minimum(np.maximum(shift, 0), MAX_RSHIFT)
     neg = np.maximum(-shift, 0)
+    # A zero mantissa never overflows: its channel's reach is unbounded.
+    reach = np.where(
+        m0_int == 0, np.iinfo(np.int64).max,
+        np.right_shift(np.int64(2 ** 63 - 1), np.minimum(neg, 63))
+        // np.maximum(np.abs(m0_int), 1),
+    )
+    if np.any((acc > reach) | (acc < -reach)):
+        raise OverflowError(
+            "Eq. 5 fixed-point product m0 * (Phi + Bq) overflows int64: an "
+            "accumulator exceeds its channel's (2^63-1 >> lshift) // |m0|"
+        )
+    prod = m0_int * acc
     scaled = np.floor_divide(prod, np.left_shift(np.int64(1), pos))
     return np.left_shift(scaled, neg)
 

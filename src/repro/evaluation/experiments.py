@@ -214,7 +214,6 @@ def evaluate_integer_network(
     labels: Optional[np.ndarray] = None,
     batch_size: int = 64,
     compiled: bool = True,
-    backend: str = "auto",
 ) -> Dict:
     """Measured (not modeled) inference of an ``IntegerNetwork`` sweep.
 
@@ -229,9 +228,7 @@ def evaluate_integer_network(
     """
     x = np.asarray(x)
     if compiled:
-        from repro.runtime import CompileOptions
-
-        plan = net.compile(CompileOptions(backend=backend))
+        plan = net.compile()
         logits = plan.run_batched(x, batch_size=batch_size)
     elif x.shape[0] <= batch_size:
         logits = net.forward(x)

@@ -2,9 +2,7 @@
 CMSIS-NN kernels the paper deploys on the STM32H7."""
 
 from repro.inference.packing import pack_subbyte, unpack_subbyte, packed_size_bytes
-from repro.inference.int_tensor import QuantizedTensor
 from repro.inference.kernels import (
-    blas_gemm_is_exact,
     depthwise_stencil_accumulate,
     int_conv2d,
     int_depthwise_conv2d,
@@ -36,8 +34,6 @@ __all__ = [
     "pack_subbyte",
     "unpack_subbyte",
     "packed_size_bytes",
-    "QuantizedTensor",
-    "blas_gemm_is_exact",
     "max_abs_accumulator",
     "depthwise_stencil_accumulate",
     "int_conv2d",

@@ -52,9 +52,9 @@ import numpy as np
 
 from repro.core.memory_model import activation_rw_bytes
 from repro.inference.kernels import (
-    blas_gemm_dtype,
-    blas_gemm_is_exact,
+    exact_gemm_dtype_for_bound,
     gemm_reduction_length,
+    max_abs_accumulator,
 )
 from repro.inference.packing import container_dtype
 from repro.nn.functional import conv_output_size
@@ -94,7 +94,7 @@ class LayerGeometry:
     Decoupled from the compiled layer objects so the deployment export
     can plan activations for a serialised network without compiling it.
     ``gemm_itemsize`` is the byte width of the layer's GEMM operands and
-    accumulator (float32/float64/int32/int64 depending on dispatch);
+    accumulator (float32/float64/int64 depending on dispatch);
     ``out_itemsize`` the container width its output codes are stored at
     (1 for every <=8-bit activation); ``requant_kind`` selects the
     requantization scratch requirement (``"fixed"`` fixed-point Eq. 5,
@@ -111,7 +111,7 @@ class LayerGeometry:
     padding: int
     in_bits: int
     out_bits: int
-    gemm_itemsize: int  # bytes per scratch element (float32/float64/int32/int64)
+    gemm_itemsize: int  # bytes per scratch element (float32/float64/int64)
     out_itemsize: int = 1  # container bytes per output code
     requant_kind: str = "fixed"
     #: Split-K sgemm layer: needs an output-sized float32 chunk buffer in
@@ -169,10 +169,8 @@ class LayerGeometry:
             c_out, c_in = int(weight_shape[0]), int(weight_shape[1])
             kh, kw = int(weight_shape[2]), int(weight_shape[3])
         k = gemm_reduction_length(kind, weight_shape)
-        if blas_gemm_is_exact(k, in_bits, w_bits):
-            itemsize = np.dtype(blas_gemm_dtype(k, in_bits, w_bits)).itemsize
-        else:
-            itemsize = _INT64_BYTES
+        dtype = exact_gemm_dtype_for_bound(max_abs_accumulator(k, in_bits, w_bits))
+        itemsize = _INT64_BYTES if dtype is None else np.dtype(dtype).itemsize
         return cls(
             name=name,
             kind=kind,
@@ -493,7 +491,7 @@ class ActivationArena:
         im2col columns of the non-depthwise layers (conv0 is the largest)
         — also the chunk buffer of a split-K layer.
     ``acc``
-        The GEMM accumulator (float tier, int32, or int64 depending on
+        The GEMM accumulator (float tier or int64 depending on
         the layer's dispatch); a depthwise tile accumulates into a prefix,
         over its unfold's columns (a wide row grid's junk ones too).
     ``scratch``

@@ -200,15 +200,13 @@ class IntegerNetwork:
         """Class predictions for a real image batch."""
         return np.argmax(self.forward(x_real), axis=1)
 
-    def compile(self, options=None):
+    def compile(self):
         """Compile the graph into an :class:`~repro.inference.plan.ExecutionPlan`.
 
-        ``options`` is a :class:`repro.runtime.CompileOptions` (its one
-        field, ``backend``, picks the accumulators); ``None`` compiles
-        with the production defaults.  The plan range-checks the weight
-        codes once, precomputes per-layer GEMM-form weights,
-        requantization constants and backend dispatch (narrowest exact
-        accumulator under the weight-data refined bound), range-checks
+        The plan range-checks the weight codes once, precomputes
+        per-layer GEMM-form weights, requantization constants and
+        backend dispatch (narrowest exact accumulator under the
+        weight-data refined bound), range-checks
         input codes only at the network boundary, stores activation
         codes at container width (uint8 for the paper's networks) inside
         a static activation arena planned per input geometry, runs each
@@ -218,7 +216,7 @@ class IntegerNetwork:
         """
         from repro.inference.plan import ExecutionPlan
 
-        return ExecutionPlan(self, options)
+        return ExecutionPlan(self)
 
     def weight_storage_bytes(self) -> int:
         total = sum(l.weight_storage_bytes() for l in self.conv_layers)

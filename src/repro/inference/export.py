@@ -27,7 +27,7 @@ from repro.inference.engine import (
     IntegerLinearLayer,
     IntegerNetwork,
 )
-from repro.inference.kernels import a_priori_gemm_backend, gemm_reduction_length
+from repro.inference.kernels import gemm_reduction_length
 from repro.inference.packing import (
     container_dtype,
     pack_subbyte,
@@ -155,7 +155,6 @@ def export_network(net: IntegerNetwork, input_hw: Optional[Tuple[int, int]] = No
     for layer in net.conv_layers:
         p = layer.params
         w_shape = p.weights_q.shape
-        k_reduction = gemm_reduction_length(layer.kind, w_shape)
         entry = {
             "name": layer.name,
             "kind": layer.kind,
@@ -176,10 +175,7 @@ def export_network(net: IntegerNetwork, input_hw: Optional[Tuple[int, int]] = No
             "aux_bytes": _layer_aux_bytes(p),
             "strategy": type(p).__name__,
             "requant": _requant_state(p),
-            # Host-emulation dispatch decision (recorded so a firmware
-            # image and the emulator agree on the accumulator contract).
-            "k_reduction": int(k_reduction),
-            "gemm_backend": a_priori_gemm_backend(k_reduction, layer.in_bits, p.w_bits),
+            "k_reduction": gemm_reduction_length(layer.kind, w_shape),
         }
         layers.append(entry)
     out = {"conv_layers": layers}
@@ -190,9 +186,6 @@ def export_network(net: IntegerNetwork, input_hw: Optional[Tuple[int, int]] = No
             "w_bits": cl.w_bits,
             "in_bits": cl.in_bits,
             "k_reduction": gemm_reduction_length("fc", cl.weights_q.shape),
-            "gemm_backend": a_priori_gemm_backend(
-                gemm_reduction_length("fc", cl.weights_q.shape), cl.in_bits, cl.w_bits
-            ),
             "weight_shape": list(cl.weights_q.shape),
             "weights_packed": pack_subbyte(cl.weights_q, cl.w_bits),
             "weight_bytes": packed_size_bytes(int(cl.weights_q.size), cl.w_bits),

@@ -20,10 +20,10 @@ small integer and every partial sum is bounded by
 ``k * (2^Qx - 1) * (2^Qw - 1)``; below ``2^24`` (float32) or ``2^53``
 (float64) every intermediate of a float BLAS GEMM is exactly
 representable, so the result equals the integer accumulator bit for bit
-regardless of the summation order BLAS picks (the ``"blas"`` tier).
-Below ``2^31`` the MCU-style int32 accumulator is exact (``"int32"``).
-Range validation of the operand codes is opt-in via ``validate`` so the
-plan can hoist it to the network boundary.
+regardless of the summation order BLAS picks (the ``"blas"`` tier,
+:func:`exact_gemm_dtype_for_bound`).  Past ``2^53`` the plan runs the
+int64 einsum.  Range validation of the operand codes is opt-in via
+``validate`` so the plan can hoist it to the network boundary.
 
 The a-priori bound ``k * (2^Qx - 1) * (2^Qw - 1)`` assumes every weight
 sits at the corner of its code range.  At compile time the actual shifted
@@ -49,10 +49,6 @@ FLOAT64_EXACT_BITS = 53
 #: (k = kh*kw) and narrow pointwise layers fit it even at 8x8 bits, and
 #: sgemm doubles the throughput / halves the traffic of dgemm.
 FLOAT32_EXACT_BITS = 24
-
-#: Same bound for the int32 accumulator of the MCU kernels: exact while
-#: ``bits_w + bits_a + log2(k)`` stays below 31 (signed).
-INT32_EXACT_BITS = 31
 
 
 def max_abs_accumulator(k_reduction: int, x_bits: int, w_bits: int) -> int:
@@ -92,40 +88,6 @@ def exact_gemm_dtype_for_bound(bound: int):
     if bound < (1 << FLOAT64_EXACT_BITS):
         return np.float64
     return None
-
-
-def blas_gemm_is_exact(k_reduction: int, x_bits: int, w_bits: int) -> bool:
-    """Whether a float64 BLAS GEMM reproduces the integer accumulator exactly."""
-    return max_abs_accumulator(k_reduction, x_bits, w_bits) < (1 << FLOAT64_EXACT_BITS)
-
-
-def int32_gemm_is_exact(k_reduction: int, x_bits: int, w_bits: int) -> bool:
-    """Whether an int32-accumulator contraction is overflow-free: the
-    ``bits_w + bits_a + log2(k) < 31`` bound of the CMSIS-NN MAC loop."""
-    return max_abs_accumulator(k_reduction, x_bits, w_bits) < (1 << INT32_EXACT_BITS)
-
-
-def blas_gemm_dtype(k_reduction: int, x_bits: int, w_bits: int):
-    """Narrowest float dtype whose significand holds every partial sum.
-
-    float32 whenever the worst-case accumulator fits 24 bits (sgemm is
-    ~2x dgemm), float64 otherwise; the caller must already have checked
-    :func:`blas_gemm_is_exact`.
-    """
-    if max_abs_accumulator(k_reduction, x_bits, w_bits) < (1 << FLOAT32_EXACT_BITS):
-        return np.float32
-    return np.float64
-
-
-def a_priori_gemm_backend(k_reduction: int, x_bits: int, w_bits: int) -> str:
-    """The a-priori accumulator contract of one layer: ``"blas"`` when a
-    float64 GEMM is exact for the corner-case bound, ``"int64"`` otherwise.
-
-    This is the label a deployment manifest records per layer (and the
-    verifier re-derives); the compiled plan refines it from the actual
-    weights, so the layer may still run a narrower tier.
-    """
-    return "blas" if blas_gemm_is_exact(k_reduction, x_bits, w_bits) else "int64"
 
 
 def check_codes(name: str, arr: np.ndarray, bits: int) -> None:
@@ -193,16 +155,15 @@ def int_einsum_gemm(
 ) -> np.ndarray:
     """Exact integer GEMM ``(O, K) @ (N, K, L) -> (N, O, L)``, K-tiled.
 
-    The contraction dtype is the operands' (int64 for the reference
-    backend, int32 for the narrow MCU-accumulator backend).  Reductions
-    with ``K <= k_block`` run as one einsum; larger K accumulates
-    per-tile partials so the exact-reference path stops thrashing on the
-    wide pointwise layers (K = c_in up to 1024 in the model zoo).
+    The contraction dtype is the operands' (int64).  Reductions with
+    ``K <= k_block`` run as one einsum; larger K accumulates per-tile
+    partials so the exact-reference path stops thrashing on the wide
+    pointwise layers (K = c_in up to 1024 in the model zoo).
 
     The tiled path allocates one output-sized partial per call — the
     zero-steady-state-allocation contract of the activation arena covers
-    the default (auto/BLAS) plan; forced integer backends over wide
-    reductions trade that guarantee for the tiling win.  ``out=None``
+    the float (BLAS) layers; a compiled layer past ``2^53`` over a wide
+    reduction trades that guarantee for the tiling win.  ``out=None``
     (a fresh result) serves the interpreted reference engine.
     """
     n, k, l = cols.shape
@@ -251,7 +212,7 @@ def depthwise_stencil_accumulate(
     ``(2^Qx - 1) * (2^Qw - 1)`` and every partial sum by
     ``k * (2^Qx - 1) * (2^Qw - 1)``, so whenever that bound fits the
     float significand (the same 2^24 / 2^53 dispatch as
-    :func:`blas_gemm_dtype`) every float intermediate is an exact
+    :func:`exact_gemm_dtype_for_bound`) every float intermediate is an exact
     integer; over int64 it is exact unconditionally.
 
     ``out`` and ``tmp`` are preallocated ``(N, C, OH, OW)`` buffers;

@@ -8,11 +8,8 @@ loop.  The functions here are used both by the deployment-size accounting
 and by tests that round-trip tensors through the packed representation.
 
 On the host, codes are held in the smallest numpy integer dtype that can
-represent them — the tensor's *container dtype* — rather than int64:
-
-* unpacked UINT-Q codes (Q <= 8) live in ``uint8`` (:func:`container_dtype`);
-* zero-point-shifted operands ``x - Z`` span ``[-(2^Q - 1), 2^Q - 1]`` and
-  live in ``int8``/``int16`` (:func:`shifted_container_dtype`).
+represent them — the tensor's *container dtype* (:func:`container_dtype`)
+— rather than int64: unpacked UINT-Q codes (Q <= 8) live in ``uint8``.
 
 Sub-byte tensors stay bit-packed at rest and are unpacked once (at compile
 or load time) into their container, never into int64.
@@ -43,21 +40,6 @@ def container_dtype(bits: int, signed: bool = False) -> np.dtype:
                 return np.dtype(dt)
     for dt in (np.uint8, np.uint16, np.uint32):
         if bits <= np.iinfo(dt).bits:
-            return np.dtype(dt)
-    return np.dtype(np.int64)
-
-
-def shifted_container_dtype(bits: int) -> np.dtype:
-    """Smallest signed dtype holding zero-point-shifted ``bits``-bit codes.
-
-    A shifted operand ``x - Z`` with codes and zero point both in
-    ``[0, 2^Q - 1]`` spans ``[-(2^Q - 1), 2^Q - 1]``, which needs one bit
-    more than the code itself: int8 through Q=7, int16 through Q=15, ...
-    """
-    if bits < 1 or bits > 63:
-        raise ValueError(f"unsupported bit width {bits}")
-    for dt in (np.int8, np.int16, np.int32):
-        if bits < np.iinfo(dt).bits:
             return np.dtype(dt)
     return np.dtype(np.int64)
 

@@ -6,15 +6,14 @@ per-inference path:
 
 * weight tensors are zero-point-shifted and reshaped to GEMM form once
   (the interpreted engine re-shifts and re-reshapes them on every call);
-* each layer's GEMM backend is fixed up front using the *weight-data
-  refined* accumulator bound ``max_o sum_k |W_ok - Z_w| * max|X - Z_x|``
-  (:func:`repro.inference.kernels.refined_max_abs_accumulator`): float32
-  BLAS when that bound fits the 24-bit significand (2x the throughput of
-  float64 — most wide pointwise layers clear it even though the a-priori
-  corner-case bound does not), float64 BLAS below ``2^53``, and the
-  K-tiled int64 einsum as the unbounded reference fallback; forcing
-  ``backend="int32"`` runs the narrow MCU-style integer path (int32
-  accumulators) wherever the ``2^31`` bound allows;
+* each layer's GEMM backend follows from its *weight-data refined*
+  accumulator bound ``max_o sum_k |W_ok - Z_w| * max|X - Z_x|``
+  (:func:`repro.inference.kernels.refined_max_abs_accumulator`) alone:
+  float32 BLAS when that bound fits the 24-bit significand (2x the
+  throughput of float64 — most wide pointwise layers clear it even
+  though the a-priori corner-case bound does not), float64 BLAS below
+  ``2^53`` (split into a few float32 GEMMs where each K-chunk fits),
+  and the K-tiled int64 einsum only past ``2^53``;
 * a depthwise layer runs as a loop over cache-sized tiles — blocks of
   whole images, or channel blocks of one image — each unfolded into a
   fixed region of at most ``DW_TILE_BYTES``, contracted and requantized
@@ -78,7 +77,6 @@ from repro.inference.arena import (
 from repro.inference.kernels import (
     FLOAT32_EXACT_BITS,
     FLOAT64_EXACT_BITS,
-    INT32_EXACT_BITS,
     check_codes,
     exact_gemm_dtype_for_bound,
     gemm_reduction_length,
@@ -147,33 +145,19 @@ def _split_k_chunks(w_shift: np.ndarray, z_x: int, x_bits: int):
     return chunks
 
 
-def _resolve_compiled_backend(backend: str, bound: int, k: int,
-                              x_bits: int, w_bits: int) -> Tuple[str, np.dtype]:
+def _resolve_compiled_backend(bound: int) -> Tuple[str, np.dtype]:
     """Backend + accumulator dtype for one compiled layer.
 
     ``bound`` is the refined (weight-data) worst-case ``|Phi|``; it is
     never larger than the a-priori ``k * (2^Qx-1) * (2^Qw-1)`` corner
     case, so layers whose corner case overflows float32 often still get
-    the exact sgemm tier here.
+    the exact sgemm tier here.  Past ``2^53`` no float dtype is exact and
+    the layer runs the int64 einsum.
     """
     float_dtype = exact_gemm_dtype_for_bound(bound)
-    if backend == "auto":
-        if float_dtype is not None:
-            return "blas", np.dtype(float_dtype)
-        return "int64", _INT64
-    if backend == "int32":
-        if bound >= (1 << INT32_EXACT_BITS):
-            raise ValueError(
-                f"int32 accumulation overflows: refined worst-case |Phi| = "
-                f"{bound} >= 2^{INT32_EXACT_BITS} (k={k}, Qx={x_bits}, Qw={w_bits})"
-            )
-        return "int32", np.dtype(np.int32)
-    if backend == "int64":
-        return "int64", _INT64
-    raise ValueError(
-        f"unknown GEMM backend {backend!r}; expected one of "
-        "('auto', 'int32', 'int64')"
-    )
+    if float_dtype is not None:
+        return "blas", np.dtype(float_dtype)
+    return "int64", _INT64
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +209,7 @@ class _CompiledFixedPointRequant:
     ``bind(phi, out, scratch, channels)`` takes the constants of output
     channels ``channels = (c0, c1)`` (a depthwise tile binds its own
     block, every other layer all of them) and cuts the accumulator
-    (float32/float64/int32/int64), the small int64 ``scratch`` (viewed
+    (float32/float64/int64), the small int64 ``scratch`` (viewed
     as float64 on the ``f64`` tier) and the container-width ``out`` codes
     into aligned cache-resident chunks of whole rows — one per image
     when an image's accumulator fits.  ``phi`` and ``out`` are
@@ -446,7 +430,7 @@ class CompiledConvLayer:
     (uint8 for <=8-bit activations).
     """
 
-    def __init__(self, layer, backend: str = "auto"):
+    def __init__(self, layer):
         p = layer.params
         self.name = layer.name
         self.kind = layer.kind
@@ -473,9 +457,7 @@ class CompiledConvLayer:
             max_abs_accumulator(self.k_reduction, self.in_bits, self.w_bits),
             refined_max_abs_accumulator(w_shift, self.z_x, self.in_bits),
         )
-        self.backend, gemm_dtype = _resolve_compiled_backend(
-            backend, self.acc_bound, self.k_reduction, self.in_bits, self.w_bits
-        )
+        self.backend, gemm_dtype = _resolve_compiled_backend(self.acc_bound)
         self.gemm_dtype = gemm_dtype
         self.acc_dtype = gemm_dtype
         # Split-K sgemm: a float64-tier pointwise layer whose reduction
@@ -656,7 +638,7 @@ class CompiledConvLayer:
         elif self.backend == "blas":
             np.matmul(self.w2, v.gemm_in, out=v.gemm_out)
         else:
-            # Integer einsum contraction (int64 reference / forced int32).
+            # Integer einsum contraction: no float dtype is exact here.
             int_einsum_gemm(self.w2, v.gemm_in, out=v.gemm_out)
         # Chunked requantization: accumulator -> int64 scratch tiles ->
         # container-width codes.  Exact: every accumulator value is an
@@ -696,7 +678,7 @@ class CompiledLinear:
     accumulator dtype uses the same refined weight-data bound as the
     conv layers (sgemm on most classifier widths)."""
 
-    def __init__(self, layer, backend: str = "auto"):
+    def __init__(self, layer):
         self.name = layer.name
         self.kind = "fc"
         self.in_bits = int(layer.in_bits)
@@ -710,9 +692,7 @@ class CompiledLinear:
             max_abs_accumulator(self.k_reduction, self.in_bits, self.w_bits),
             refined_max_abs_accumulator(w_shift, self.z_x, self.in_bits),
         )
-        self.backend, self.gemm_dtype = _resolve_compiled_backend(
-            backend, self.acc_bound, self.k_reduction, self.in_bits, self.w_bits
-        )
+        self.backend, self.gemm_dtype = _resolve_compiled_backend(self.acc_bound)
         self.w_t = np.ascontiguousarray(w_shift.T.astype(self.gemm_dtype))
         s_w = np.asarray(layer.s_w, dtype=np.float64).reshape(-1)
         # Match IntegerLinearLayer.forward exactly: s_in * s_w is evaluated
@@ -762,9 +742,8 @@ class LayerPlanInfo:
 class ExecutionPlan:
     """Compiled form of an :class:`~repro.inference.engine.IntegerNetwork`.
 
-    Construction is driven by a single
-    :class:`~repro.runtime.options.CompileOptions` value, whose
-    ``backend`` picks the accumulators.  Weight codes are range-checked
+    Construction takes no options: each layer's accumulator follows from
+    its refined bound.  Weight codes are range-checked
     once here, and :meth:`run_codes` range-checks incoming codes unless
     told not to; the per-call per-layer scans of the interpreted engine
     never run inside the plan.  All activation/scratch traffic goes
@@ -774,19 +753,9 @@ class ExecutionPlan:
     :class:`~repro.inference.arena.SlabSet`.
     """
 
-    def __init__(self, network, options=None):
-        from repro.runtime.options import CompileOptions
-
-        if options is None:
-            options = CompileOptions()
-        elif not isinstance(options, CompileOptions):
-            raise TypeError(
-                f"options must be a repro.runtime.CompileOptions, got "
-                f"{type(options).__name__!r}"
-            )
-        self.options = options
+    def __init__(self, network):
         self.layers: List[CompiledConvLayer] = [
-            CompiledConvLayer(l, backend=options.backend) for l in network.conv_layers
+            CompiledConvLayer(l) for l in network.conv_layers
         ]
         self.input_scale = float(network.input_scale)
         self.input_zero_point = int(network.input_zero_point)
@@ -794,7 +763,7 @@ class ExecutionPlan:
         self.has_pool = network.pool is not None
         self.classifier: Optional[CompiledLinear] = (
             None if network.classifier is None
-            else CompiledLinear(network.classifier, backend=options.backend)
+            else CompiledLinear(network.classifier)
         )
         self._slabs = SlabSet()
         self._arenas: OrderedDict[Tuple[int, int], ActivationArena] = OrderedDict()

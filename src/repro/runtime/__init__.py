@@ -2,16 +2,16 @@
 
 This package is the single front door onto the integer inference stack:
 everything an application needs to quantize, compile, serve, save and
-reload a network lives behind four names::
+reload a network lives behind three names::
 
-    from repro.runtime import CompileOptions, Session, SessionOptions, pipeline
+    from repro.runtime import Session, SessionOptions, pipeline
 
 Quickstart
 ----------
 ::
 
     import repro
-    from repro.runtime import CompileOptions, Session, SessionOptions, pipeline
+    from repro.runtime import Session, SessionOptions, pipeline
 
     # spec + policy + device -> a running session (search included):
     spec = repro.mobilenet_v1_spec(192, 0.5)
@@ -21,8 +21,7 @@ Quickstart
     print(session.describe())                  # per-layer dispatch + arena plan
 
     # Or wrap a QAT-converted network directly:
-    session = Session(net, CompileOptions(backend="int32"),
-                      SessionOptions(batch_size=16, input_hw=(32, 32)))
+    session = Session(net, SessionOptions(batch_size=16, input_hw=(32, 32)))
 
     # Round-trippable deployment artifact (JSON manifest + CRC'd blobs):
     session.save("model.artifact")
@@ -30,18 +29,17 @@ Quickstart
 
 Vocabulary
 ----------
-:class:`CompileOptions`
-    Frozen dataclass with one field, ``backend`` (the accumulator: GEMM
-    dispatch tier).  Weight codes are always range-checked at compile
-    time, and every input geometry runs in the plan's one slab set.
-    ``IntegerNetwork.compile(options)`` takes nothing else; artifacts
-    saved with since-retired options load, and re-saving drops them.
 :class:`SessionOptions`
     Frozen dataclass of serving knobs — ``batch_size`` (default tile
     for ``run_batched``/``predict``), ``validate`` (input boundary
     checks, on by default), ``input_hw`` (the session's geometry: arena
     planned at construction, synthetic and health-check batches).
     Pool width is the serving tier's (``ServerOptions.workers``).
+    Compilation takes no options: each layer's accumulator follows from
+    its refined bound, weight codes are always range-checked at compile
+    time, and every input geometry runs in the plan's one slab set.
+    Artifacts saved with a ``compile_options`` manifest section load
+    (only its legacy ``input_hw`` is read), and re-saving drops it.
 :class:`Session`
     A compiled, servable network: ``run`` / ``run_batched`` /
     ``predict`` / ``run_codes`` execute, ``describe`` / ``layer_info``
@@ -60,7 +58,7 @@ Vocabulary
     mmap'd copy of the weights behind a work-stealing dispatcher with
     crash detection and respawn-and-retry (``repro.runtime.pool``).
 
-All four core names are re-exported at the top level (``repro.Session``
+All three core names are re-exported at the top level (``repro.Session``
 …) and the ``repro-mcu run <artifact>`` CLI subcommand serves a saved
 artifact from the shell (``serve --workers N`` for the pool).
 """
@@ -75,12 +73,11 @@ from repro.runtime.errors import (
     WorkerCrashedError,
     WorkerTaskError,
 )
-from repro.runtime.options import CompileOptions, SessionOptions
+from repro.runtime.options import SessionOptions
 from repro.runtime.pool import PoolOptions, WorkerPool
 from repro.runtime.session import LayerTiming, Session, SessionProfile, pipeline
 
 __all__ = [
-    "CompileOptions",
     "SessionOptions",
     "Session",
     "SessionProfile",

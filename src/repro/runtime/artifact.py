@@ -3,7 +3,7 @@
 A saved artifact is a directory with exactly two files::
 
     <artifact>/
-        manifest.json   # structure, options, scalar parameters, blob table
+        manifest.json   # structure, session options, scalar parameters, blob table
         blobs.bin       # concatenated binary tensors (weights + requant arrays)
 
 The manifest is the :func:`repro.inference.export.export_network` dict
@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.inference.export import export_network, import_network, validate_export
 from repro.runtime.errors import ArtifactError, ArtifactNotFoundError
-from repro.runtime.options import CompileOptions, SessionOptions
+from repro.runtime.options import SessionOptions
 
 ARTIFACT_FORMAT = "repro/session-artifact"
 ARTIFACT_VERSION = 1
@@ -236,25 +236,22 @@ def _internalize(node, blobs, table: Dict[str, Dict], path: Path,
 def save_artifact(
     path: Union[str, Path],
     network,
-    compile_options: Optional[CompileOptions] = None,
     session_options: Optional[SessionOptions] = None,
     input_hw: Optional[Tuple[int, int]] = None,
 ) -> Path:
-    """Serialise ``network`` (+ options) into an artifact directory.
+    """Serialise ``network`` (+ session options) into an artifact directory.
 
     ``input_hw`` (default: ``session_options.input_hw``) additionally
     embeds the activation-arena plan (Eq. 7 RW peak and container-width
     physical bytes) for that geometry, so a loader can assert device fit
     without rebuilding the plan.  Returns the artifact directory path.
     """
-    compile_options = compile_options or CompileOptions()
     session_options = session_options or SessionOptions()
     exported = export_network(network, input_hw=input_hw or session_options.input_hw)
     writer = _BlobWriter()
     manifest = {
         "format": ARTIFACT_FORMAT,
         "version": ARTIFACT_VERSION,
-        "compile_options": compile_options.to_dict(),
         "session_options": session_options.to_dict(),
         "network": _jsonable(_externalize(exported, writer, "net")),
     }
@@ -335,11 +332,17 @@ def read_manifest(path: Union[str, Path]) -> Dict:
             f"{manifest_path}: artifact version {manifest.get('version')} is "
             f"newer than this runtime understands ({ARTIFACT_VERSION})"
         )
+    # Readers look keys up in these sections (the legacy one included).
+    for section in ("session_options", "compile_options"):
+        if not isinstance(manifest.get(section, {}), dict):
+            raise ArtifactError(
+                f"{manifest_path}: {section!r} is not a JSON object"
+            )
     return manifest
 
 
 def load_artifact(path: Union[str, Path], *, mmap: bool = False):
-    """Load an artifact back into ``(network, compile_opts, session_opts, manifest)``.
+    """Load an artifact back into ``(network, session_options, manifest)``.
 
     Every blob is CRC-verified against the manifest table, the
     reassembled export dict passes the deployment-side
@@ -355,8 +358,11 @@ def load_artifact(path: Union[str, Path], *, mmap: bool = False):
     shares them between every process that loads the same artifact —
     the memory model behind :class:`repro.runtime.pool.WorkerPool`.
 
-    An older manifest's compile-side ``input_hw`` moves into session
-    options that carry no geometry, so the session still knows it.
+    An older manifest may carry a ``compile_options`` section.  Only its
+    legacy ``input_hw`` is read: it moves into session options that
+    carry no geometry, so the session still knows it.  Every other key
+    there selected a plan with bit-identical answers, so it is ignored,
+    as are per-layer ``gemm_backend`` labels.
     """
     root = Path(path)
     manifest = read_manifest(root)
@@ -379,11 +385,10 @@ def load_artifact(path: Union[str, Path], *, mmap: bool = False):
         )
         validate_export(exported)
         network = import_network(exported)
-        compile_dict = manifest.get("compile_options", {})
+        legacy_hw = manifest.get("compile_options", {}).get("input_hw")
         session_dict = manifest.get("session_options", {})
-        if session_dict.get("input_hw") is None and compile_dict.get("input_hw") is not None:
-            session_dict = {**session_dict, "input_hw": compile_dict["input_hw"]}
-        compile_options = CompileOptions.from_dict(compile_dict)
+        if session_dict.get("input_hw") is None and legacy_hw is not None:
+            session_dict = {**session_dict, "input_hw": legacy_hw}
         session_options = SessionOptions.from_dict(session_dict)
     except ArtifactError:
         if mmap:
@@ -401,7 +406,7 @@ def load_artifact(path: Union[str, Path], *, mmap: bool = False):
         # up so Session.close() can unmap deterministically (the fleet
         # registry's eviction path) instead of waiting for GC.
         network.mapped_blobs = blobs
-    return network, compile_options, session_options, manifest
+    return network, session_options, manifest
 
 
 def _close_quietly(blobs) -> None:

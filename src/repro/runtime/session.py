@@ -21,7 +21,7 @@ import numpy as np
 from repro.inference.plan import ExecutionPlan
 from repro.runtime.artifact import load_artifact, save_artifact
 from repro.runtime.errors import InvalidInputError
-from repro.runtime.options import CompileOptions, SessionOptions
+from repro.runtime.options import SessionOptions
 
 
 @dataclass
@@ -75,9 +75,9 @@ def _best_of(fn, reps: int) -> float:
 class Session:
     """A compiled, servable integer network.
 
-    ``Session(network)`` compiles with the production defaults;
-    ``Session(network, CompileOptions(...), SessionOptions(...))``
-    customises compilation and serving.  With ``options.input_hw`` the
+    ``Session(network)`` serves with the default options;
+    ``Session(network, SessionOptions(...))`` customises serving
+    (compilation takes no options).  With ``options.input_hw`` the
     session plans that geometry's activation arena at construction (it
     allocates lazily, like the plan), so steady-state serving performs no
     per-layer allocations.
@@ -88,14 +88,8 @@ class Session:
     with no reference to the originating network object.
     """
 
-    def __init__(
-        self,
-        network,
-        compile_options: Optional[CompileOptions] = None,
-        options: Optional[SessionOptions] = None,
-    ):
+    def __init__(self, network, options: Optional[SessionOptions] = None):
         self.network = network
-        self.compile_options = compile_options or CompileOptions()
         self.options = options or SessionOptions()
         # Artifact directory this session is known to round-trip with
         # (set by load/save) — lets WorkerPool.from_session reuse it
@@ -105,7 +99,7 @@ class Session:
         # Session.close() can release the mapping (registry eviction).
         self.mapped_blobs = getattr(network, "mapped_blobs", None)
         self._closed = False
-        self._plan = ExecutionPlan(network, self.compile_options)
+        self._plan = ExecutionPlan(network)
         if self.options.input_hw is not None:
             self._plan.arena_for(self.options.input_hw)
 
@@ -368,12 +362,7 @@ class Session:
     def save(self, path: Union[str, Path]) -> Path:
         """Write the session as a loadable artifact directory
         (manifest.json + CRC-checked blobs.bin); returns the path."""
-        out = save_artifact(
-            path,
-            self.network,
-            compile_options=self.compile_options,
-            session_options=self.options,
-        )
+        out = save_artifact(path, self.network, session_options=self.options)
         self.source_artifact = out
         return out
 
@@ -390,11 +379,8 @@ class Session:
         workers and the fleet registry load this way (``close()``
         releases the mapping).
         """
-        network, compile_options, session_options, _ = load_artifact(
-            path, mmap=mmap
-        )
-        session = cls(network, compile_options=compile_options,
-                      options=session_options)
+        network, session_options, _ = load_artifact(path, mmap=mmap)
+        session = cls(network, options=session_options)
         session.source_artifact = Path(path)
         return session
 
@@ -407,7 +393,6 @@ def pipeline(
     method=None,
     network=None,
     seed: int = 0,
-    compile_options: Optional[CompileOptions] = None,
     options: Optional[SessionOptions] = None,
     strict: bool = False,
 ) -> Session:
@@ -455,7 +440,7 @@ def pipeline(
         )
     if options is None:
         options = SessionOptions(input_hw=(spec.resolution, spec.resolution))
-    session = Session(network, compile_options=compile_options, options=options)
+    session = Session(network, options=options)
     if (
         device is not None
         and policy.feasible

@@ -289,9 +289,9 @@ class TestUnusedImportAndMutableDefault:
         violations = _lint_snippet(
             tmp_path,
             """\
-            from repro.runtime.options import CompileOptions
+            from repro.runtime.options import SessionOptions
 
-            __all__ = ["CompileOptions"]
+            __all__ = ["SessionOptions"]
             """,
             rel="repro/runtime/mod.py",
         )
@@ -301,7 +301,7 @@ class TestUnusedImportAndMutableDefault:
         violations = _lint_snippet(
             tmp_path,
             """\
-            from repro.runtime.options import CompileOptions
+            from repro.runtime.options import SessionOptions
             """,
             rel="repro/runtime/__init__.py",
         )

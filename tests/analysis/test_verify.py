@@ -10,17 +10,10 @@ from repro.inference.testing import integer_network_from_spec, random_network
 from repro.models.model_zoo import all_mobilenet_configs
 from repro.runtime import Session
 from repro.mcu.device import STM32H7, STM32L4
-from repro.runtime.options import CompileOptions, SessionOptions
+from repro.runtime.options import SessionOptions
 
 HW = (32, 32)
 CONFIGS = all_mobilenet_configs(num_classes=5)
-
-#: Every dispatch-relevant compile option: each backend.
-FLAG_COMBOS = [
-    CompileOptions(),
-    CompileOptions(backend="int64"),
-    CompileOptions(backend="int32"),
-]
 
 
 def _network(spec, act_bits=8, w_bits=8, seed=0):
@@ -31,18 +24,16 @@ def _network(spec, act_bits=8, w_bits=8, seed=0):
 
 class TestZooAcceptance:
     @pytest.mark.parametrize("spec", CONFIGS, ids=[s.name for s in CONFIGS])
-    def test_all_zoo_configs_verify_under_every_flag_combo(self, spec):
-        net = _network(spec)
-        for options in FLAG_COMBOS:
-            plan = ExecutionPlan(net, options)
-            report = verify_plan(plan, HW)
-            assert report.ok
-            # Every rule family actually ran.
-            for rule in ("acc-bound", "container-dtype", "requant-shift",
-                         "slab-aliasing", "structure"):
-                assert report.count(rule) > 0, rule
-            # Every layer's Eq. 5 epilogue tier was proven.
-            assert report.tiers == {l.name: l.epilogue for l in plan.layers}
+    def test_all_zoo_configs_verify(self, spec):
+        plan = ExecutionPlan(_network(spec))
+        report = verify_plan(plan, HW)
+        assert report.ok
+        # Every rule family actually ran.
+        for rule in ("acc-bound", "container-dtype", "requant-shift",
+                     "slab-aliasing", "structure"):
+            assert report.count(rule) > 0, rule
+        # Every layer's Eq. 5 epilogue tier was proven.
+        assert report.tiers == {l.name: l.epilogue for l in plan.layers}
 
     @pytest.mark.parametrize("act_bits", [2, 4, 8])
     @pytest.mark.parametrize("w_bits", [2, 4, 8])
@@ -160,7 +151,6 @@ class TestCorruptionRejection:
         net = _network(CONFIGS[-1])
         plan = ExecutionPlan(net)
         victim = next(l for l in plan.layers if l.acc_bound >= (1 << 24))
-        victim.backend = "blas"
         victim.gemm_dtype = np.dtype(np.float32)
         victim.acc_dtype = np.dtype(np.float32)
         victim.split_k = None
@@ -170,6 +160,35 @@ class TestCorruptionRejection:
         err = exc_info.value
         assert "acc-bound" in err.rules
         assert victim.name in err.layers
+
+    def test_forged_int32_accumulator_rejected(self):
+        """An integer GEMM runs only on int64; an int32 accumulator is
+        rejected even where its bound would fit 2^31."""
+        plan = _fresh_plan()
+        victim = plan.layers[1]
+        assert victim.acc_bound < (1 << 31)
+        victim.backend = "int32"
+        victim.gemm_dtype = victim.acc_dtype = np.dtype(np.int32)
+        with pytest.raises(PlanVerificationError, match="unknown backend") as exc_info:
+            verify_plan(plan, HW)
+        assert set(exc_info.value.rules) == {"acc-bound"}
+        assert set(exc_info.value.layers) == {victim.name}
+
+    @pytest.mark.parametrize("backend,dtype", [
+        ("blas", np.float16), ("blas", np.int64), ("int64", np.float64),
+    ])
+    def test_forged_gemm_dtype_rejected(self, backend, dtype):
+        """BLAS runs only float32 or float64 and the integer fallback only
+        int64: any other pairing is rejected, whatever the bound."""
+        plan = _fresh_plan()
+        victim = plan.layers[1]
+        victim.backend = backend
+        victim.gemm_dtype = victim.acc_dtype = np.dtype(dtype)
+        with pytest.raises(PlanVerificationError,
+                           match="unknown backend/dtype combination") as exc_info:
+            verify_plan(plan, HW)
+        assert "acc-bound" in exc_info.value.rules
+        assert victim.name in exc_info.value.layers
 
     def test_understated_acc_bound_rejected(self):
         plan = _fresh_plan()
@@ -347,26 +366,11 @@ class TestArtifactAndSession:
         session.close()
         report = verify_artifact(path)
         assert report.ok
-        # The manifest cross-checks ran on top of the plan rules.
-        assert report.count("acc-bound") > len(CONFIGS[0].layers) - 1
-
-    def test_corrupt_manifest_backend_rejected(self, tmp_path):
-        import json
-
-        net = _network(CONFIGS[0])
-        session = Session(net, options=SessionOptions(input_hw=HW))
-        path = session.save(tmp_path / "model.artifact")
-        session.close()
-        manifest_path = path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        victim = manifest["network"]["conv_layers"][2]
-        victim["gemm_backend"] = "int64" if victim["gemm_backend"] != "int64" else "blas"
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(PlanVerificationError) as exc_info:
-            verify_artifact(path)
-        err = exc_info.value
-        assert "acc-bound" in err.rules
-        assert victim["name"] in err.layers
+        # The manifest cross-checks ran on top of the plan rules: one
+        # container-dtype check per conv layer more than the plan's.
+        plan_report = verify_plan(ExecutionPlan(net), HW)
+        assert (report.count("container-dtype")
+                == plan_report.count("container-dtype") + len(CONFIGS[0].layers) - 1)
 
     def test_corrupt_arena_peak_rejected(self, tmp_path):
         import json

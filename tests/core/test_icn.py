@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.icn import (
     M0_FRACTIONAL_BITS,
+    FoldedBNParams,
     ICNParams,
     compute_folded_params,
     compute_icn_params,
@@ -317,6 +318,47 @@ class TestThresholds:
         layer["gamma"] = -np.abs(layer["gamma"])
         thr = compute_thresholds(_icn_from_layer(layer))
         assert np.all(thr.direction == -1)
+
+
+class TestInt64Window:
+    """The reference forms ``m0 * (Phi + Bq)``, shifted left when
+    ``n0 > 31``, in int64.  Past its channel's reach
+    ``(2^63 - 1 >> lshift) // |m0|`` that product would wrap into wrong
+    codes, so Eq. 5 raises instead."""
+
+    @staticmethod
+    def _run(icn, phi):
+        return icn_requantize(np.array(phi, dtype=np.int64).reshape(1, 1, -1), icn)
+
+    @pytest.mark.parametrize("m0,n0,bq,phi", [
+        (2 ** 30, 35, 0, 2 ** 29),  # left shift 4: reach 2^29 - 1
+        (2 ** 30, 35, 0, 2 ** 30),
+        (2 ** 30, 35, 0, -(2 ** 29)),
+        # Right shift 71, clamped to 62: reach ~2^32 - bq.
+        (2 ** 31 - 1, -40, 2 ** 31 - 1, 2 ** 33),
+    ])
+    def test_past_the_reach_raises(self, m0, n0, bq, phi):
+        with pytest.raises(OverflowError, match="overflows int64"):
+            self._run(_one_channel_icn(m0, n0, bq, 8, 4), [phi])
+
+    def test_at_the_reach_is_exact(self):
+        icn = _one_channel_icn(2 ** 30, 35, 0, 8, 4)
+        reach = 2 ** 29 - 1
+        assert self._run(icn, [2 ** 20, reach, -reach]).ravel().tolist() == [15, 15, 0]
+
+    def test_folded_requantize_shares_the_check(self):
+        folded = FoldedBNParams(
+            weights_q=np.zeros((1, 1, 1, 1), dtype=np.uint8), z_w=0, z_x=0, z_y=8,
+            bq=np.zeros(1, dtype=np.int64), m0=2 ** 30, n0=35, out_bits=4, w_bits=8,
+        )
+        phi = np.array([2 ** 29 - 1, 2 ** 29], dtype=np.int64).reshape(1, 1, -1)
+        assert folded_requantize(phi[:, :, :1], folded).ravel().tolist() == [15]
+        with pytest.raises(OverflowError):
+            folded_requantize(phi, folded)
+
+    def test_zero_mantissa_never_overflows(self):
+        icn = _one_channel_icn(0, 40, 0, 3, 4)
+        assert self._run(icn, [2 ** 62]).ravel().tolist() == [3]
 
 
 # ----------------------------------------------------------------------

@@ -11,14 +11,14 @@ from repro.analysis import verify_plan
 from repro.inference.arena import balanced_blocks, depthwise_channel_bytes
 from repro.inference.engine import IntegerAvgPool, IntegerNetwork
 from repro.inference.kernels import (
-    blas_gemm_dtype,
     depthwise_stencil_accumulate,
+    exact_gemm_dtype_for_bound,
     int_depthwise_conv2d,
+    max_abs_accumulator,
     shift_weights,
 )
 from repro.inference.testing import random_conv_layer, random_linear_layer, random_network
 from repro.nn.functional import conv_output_size
-from repro.runtime import CompileOptions
 
 
 @st.composite
@@ -37,6 +37,12 @@ def dw_cases(draw):
     w = draw(st.integers(min_hw, min_hw + 6))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     return x_bits, w_bits, n, c, kernel, stride, padding, h, w, seed
+
+
+def _float_tier(k, kwargs):
+    """The float dtype a depthwise reduction of ``k`` taps dispatches to."""
+    return exact_gemm_dtype_for_bound(
+        max_abs_accumulator(k, kwargs["x_bits"], kwargs["w_bits"]))
 
 
 def _random_problem(case):
@@ -79,8 +85,7 @@ def test_property_fused_matches_im2col_int64_reference(case):
     and on the float tier the plan dispatches to."""
     x, wq, z_x, z_w, kwargs = _random_problem(case)
     ref = int_depthwise_conv2d(x, wq, z_x, z_w, **kwargs)
-    k = wq.shape[2] * wq.shape[3]
-    float_dtype = blas_gemm_dtype(k, kwargs["x_bits"], kwargs["w_bits"])
+    float_dtype = _float_tier(wq.shape[2] * wq.shape[3], kwargs)
     assert np.array_equal(ref, _stencil(x, wq, z_x, z_w, kwargs, np.int64))
     assert np.array_equal(ref, _stencil(x, wq, z_x, z_w, kwargs, float_dtype))
 
@@ -91,7 +96,7 @@ def test_property_stencil_out_tmp_buffers_reused(case):
     """Caller-provided out/tmp slab views produce the identical result
     (the contract the activation arena relies on)."""
     x, wq, z_x, z_w, kwargs = _random_problem(case)
-    dtype = blas_gemm_dtype(wq.shape[2] * wq.shape[3], kwargs["x_bits"], kwargs["w_bits"])
+    dtype = _float_tier(wq.shape[2] * wq.shape[3], kwargs)
     fresh = _stencil(x, wq, z_x, z_w, kwargs, dtype)
     # Poisoned preallocated buffers must be fully overwritten.
     out = np.full_like(fresh, 123456)
@@ -142,7 +147,7 @@ def test_fused_rejects_bad_per_channel_z_w():
 def test_fused_float_tier_dispatch(bits, expected):
     """3x3 depthwise reductions fit the float32 significand at any paper
     bit width (k=9, worst case 9*(2^8-1)^2 < 2^24)."""
-    assert blas_gemm_dtype(9, bits, bits) == expected
+    assert _float_tier(9, dict(x_bits=bits, w_bits=bits)) == expected
 
 
 # ----------------------------------------------------------------------
@@ -205,22 +210,22 @@ class TestTileLoop:
     """Tiles split a depthwise layer at arbitrary channel and image
     boundaries; every split must stay bit-identical to the reference."""
 
-    @pytest.mark.parametrize("strategy,bits,kernel,stride,backend,batch,i64_tier", [
-        ("icn", 8, 3, 1, "auto", 1, False),
-        ("folded", 8, 3, 2, "auto", 2, False),
-        ("thr", 4, 3, 1, "auto", 3, False),
-        ("icn", 2, 3, 2, "int32", 2, False),
-        ("icn", 4, 5, 1, "int64", 3, False),
-        ("icn", 8, 1, 2, "auto", 2, False),
-        ("thr", 2, 1, 2, "int64", 1, False),
-        ("icn", 8, 3, 1, "auto", 3, True),
-        ("icn", 8, 3, 2, "int32", 1, True),
+    @pytest.mark.parametrize("strategy,bits,kernel,stride,batch,i64_tier", [
+        ("icn", 8, 3, 1, 1, False),
+        ("folded", 8, 3, 2, 2, False),
+        ("thr", 4, 3, 1, 3, False),
+        ("icn", 2, 3, 2, 2, False),
+        ("icn", 4, 5, 1, 3, False),
+        ("icn", 8, 1, 2, 2, False),
+        ("thr", 2, 1, 2, 1, False),
+        ("icn", 8, 3, 1, 3, True),
+        ("icn", 8, 3, 2, 1, True),
     ])
     def test_ragged_channel_blocks_match_reference(
-            self, monkeypatch, strategy, bits, kernel, stride, backend, batch, i64_tier):
+            self, monkeypatch, strategy, bits, kernel, stride, batch, i64_tier):
         net = _dw_net(11, kernel=kernel, stride=stride, strategy=strategy, bits=bits,
                       i64_tier=i64_tier)
-        plan = net.compile(CompileOptions(backend=backend))
+        plan = net.compile()
         dw = next(l for l in plan.layers if l.name == "dw")
         if i64_tier:
             assert dw.epilogue == "i64"
@@ -236,12 +241,11 @@ class TestTileLoop:
         assert verify_plan(plan, (RES, RES)).ok
 
     @pytest.mark.parametrize("kernel,stride", [(3, 1), (3, 2), (1, 1), (1, 2)])
-    @pytest.mark.parametrize("backend", ["auto", "int64"])
-    def test_image_blocks_match_reference(self, monkeypatch, kernel, stride, backend):
+    def test_image_blocks_match_reference(self, monkeypatch, kernel, stride):
         """Batch 3 in tiles of two images, behind a larger layer whose
         unfold sets the tile region (the last tile holds one image)."""
         net = _dw_net(12, kernel=kernel, stride=stride, lead=True)
-        plan = net.compile(CompileOptions(backend=backend))
+        plan = net.compile()
         dw = next(l for l in plan.layers if l.name == "dw")
         h, w = _dw_input_hw(plan, "dw")
         image_bytes = CHANNELS * _channel_bytes(dw, h, w)
@@ -256,11 +260,9 @@ class TestTileLoop:
         assert verify_plan(plan, (RES, RES)).ok
 
     @given(seed=st.integers(0, 2 ** 16), tile=st.integers(1, 4096),
-           batch=st.integers(1, 3), backend=st.sampled_from(["auto", "int32", "int64"]),
-           h=st.integers(5, 13), w=st.integers(5, 13))
+           batch=st.integers(1, 3), h=st.integers(5, 13), w=st.integers(5, 13))
     @settings(deadline=None, max_examples=30)
-    def test_property_any_tile_size_matches_reference(self, seed, tile, batch,
-                                                      backend, h, w):
+    def test_property_any_tile_size_matches_reference(self, seed, tile, batch, h, w):
         """Random topologies and requant strategies on non-square inputs
         under tile sizes from one byte up: every blocking is exact and
         verifies.  Width and height are drawn apart, so a wide row view
@@ -270,10 +272,7 @@ class TestTileLoop:
         x = np.random.default_rng(seed + 1).uniform(0, 1, size=(batch, 3, h, w))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(arena_mod, "DW_TILE_BYTES", tile)
-            try:
-                plan = net.compile(CompileOptions(backend=backend))
-            except ValueError:  # int32 cannot hold this network's accumulators
-                return
+            plan = net.compile()
             assert np.array_equal(plan.run(x), net.forward(x))
             assert verify_plan(plan, (h, w)).ok
 

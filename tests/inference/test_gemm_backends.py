@@ -12,13 +12,16 @@ import pytest
 from repro.inference.kernels import (
     FLOAT32_EXACT_BITS,
     FLOAT64_EXACT_BITS,
-    a_priori_gemm_backend,
-    blas_gemm_dtype,
-    blas_gemm_is_exact,
+    exact_gemm_dtype_for_bound,
     int_conv2d,
     max_abs_accumulator,
 )
 from repro.nn.functional import im2col
+
+
+def _tier(k_reduction, x_bits, w_bits):
+    """The float dtype an a-priori corner-case bound dispatches to."""
+    return exact_gemm_dtype_for_bound(max_abs_accumulator(k_reduction, x_bits, w_bits))
 
 
 class TestExactnessBound:
@@ -28,19 +31,18 @@ class TestExactnessBound:
     @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_paper_regimes_are_exact(self, bits):
         # Largest reduction in MobileNetV1_224_1.0 is the fc layer (k=1024).
-        assert blas_gemm_is_exact(1024, bits, bits)
+        assert _tier(1024, bits, bits) is not None
 
     def test_bound_rejects_wide_operands(self):
         # 32-bit operands overflow the float64 significand even at k=10.
-        assert not blas_gemm_is_exact(10, 32, 32)
-        assert a_priori_gemm_backend(10, 32, 32) == "int64"
-        assert a_priori_gemm_backend(10, 8, 8) == "blas"
+        assert _tier(10, 32, 32) is None
+        assert _tier(10, 8, 8) is not None
 
     def test_kernel_falls_back_when_bound_exceeded(self):
-        """32-bit operands take the int64 label, and the int64
+        """32-bit operands have no exact float tier, and the int64
         reference stays exact where no float significand would."""
         rng = np.random.default_rng(0)
-        assert a_priori_gemm_backend(2 * 9, 32, 32) == "int64"
+        assert _tier(2 * 9, 32, 32) is None
         # 2^29 codes: 18 products stay below 2^63 but far above 2^53.
         x = rng.integers(0, 2 ** 29, size=(1, 2, 4, 4))
         w = rng.integers(0, 2 ** 29, size=(2, 2, 3, 3))
@@ -53,8 +55,8 @@ class TestExactnessBound:
 
     def test_dtype_tiering(self):
         # Depthwise 8x8 (k=9) fits float32; a 1024-wide 8x8 reduction needs float64.
-        assert blas_gemm_dtype(9, 8, 8) == np.float32
-        assert blas_gemm_dtype(1024, 8, 8) == np.float64
+        assert _tier(9, 8, 8) == np.float32
+        assert _tier(1024, 8, 8) == np.float64
         assert max_abs_accumulator(9, 8, 8) < 2 ** FLOAT32_EXACT_BITS
         assert max_abs_accumulator(1024, 8, 8) < 2 ** FLOAT64_EXACT_BITS
 
@@ -63,7 +65,7 @@ class TestExactnessBound:
         operands still matches the int64 reference."""
         # k = 256 channels of 1x1: 256 * 255 * 255 < 2^24, the largest
         # 8x8-bit reduction the float32 tier accepts.
-        assert blas_gemm_dtype(256, 8, 8) == np.float32
+        assert _tier(256, 8, 8) == np.float32
         x = np.full((1, 256, 3, 3), 255, dtype=np.int64)
         w = np.full((4, 256, 1, 1), 255, dtype=np.int64)
         cols = im2col(x.astype(np.float32), 1, 1, 1, 0)

@@ -1,10 +1,9 @@
 """Narrow-dtype-native execution: container dtypes end to end.
 
-Covers the container-dtype plumbing (quantizer -> QuantizedTensor ->
-packing -> arena -> plan -> export), the weight-data refined accumulator
-bound, the forced int32 MCU-accumulator backend (including max-magnitude
-codes at the int32 boundary), parity of every backend with the int64
-reference, and the headline memory contract: for a pure 8-bit network
+Covers the container-dtype plumbing (quantizer -> packing -> arena ->
+plan -> export), the weight-data refined accumulator bound, parity of the
+plan with the int64 reference on random topologies, and the headline
+memory contract: for a pure 8-bit network
 the arena's physical (container-width) code bytes equal
 ``core.memory_model.rw_peak_bytes`` exactly — no int64 inflation.
 """
@@ -19,27 +18,20 @@ from repro.core.memory_model import MemoryModel
 from repro.core.policy import QuantMethod, QuantPolicy
 from repro.core.quantizer import QuantSpec, quantize_affine
 from repro.inference.export import export_network, validate_export
-from repro.inference.int_tensor import QuantizedTensor
+from repro.inference.engine import IntegerLinearLayer, IntegerNetwork
 from repro.inference.kernels import (
-    INT32_EXACT_BITS,
-    blas_gemm_dtype,
-    int32_gemm_is_exact,
+    FLOAT32_EXACT_BITS,
+    exact_gemm_dtype_for_bound,
     int_einsum_gemm,
     int_linear,
     max_abs_accumulator,
     refined_max_abs_accumulator,
 )
-from repro.inference.packing import (
-    container_dtype,
-    pack_subbyte,
-    shifted_container_dtype,
-    unpack_subbyte,
-)
+from repro.inference.packing import container_dtype, pack_subbyte, unpack_subbyte
 from repro.inference.testing import integer_network_from_spec, random_network
 from repro.mcu.deploy import assert_arena_fits
 from repro.mcu.device import MCUDevice
 from repro.models.model_zoo import all_mobilenet_configs, mobilenet_v1_spec
-from repro.runtime import CompileOptions
 
 _ZOO = all_mobilenet_configs(num_classes=5)
 
@@ -55,18 +47,9 @@ class TestContainerDtypes:
         assert container_dtype(16) == np.uint16
         assert container_dtype(8, signed=True) == np.int8
 
-    def test_shifted_containers(self):
-        # x - Z spans +-(2^Q - 1): one bit more than the code itself.
-        assert shifted_container_dtype(4) == np.int8
-        assert shifted_container_dtype(7) == np.int8
-        assert shifted_container_dtype(8) == np.int16
-        assert shifted_container_dtype(16) == np.int32
-
     def test_invalid_bits_rejected(self):
         with pytest.raises(ValueError):
             container_dtype(0)
-        with pytest.raises(ValueError):
-            shifted_container_dtype(0)
 
     def test_quantize_affine_emits_container(self):
         spec = QuantSpec(bits=4)
@@ -74,18 +57,6 @@ class TestContainerDtypes:
         assert q.dtype == np.uint8
         signed = quantize_affine(np.linspace(-1, 1, 7), 0.1, 0, QuantSpec(bits=8, signed=True))
         assert signed.dtype == np.int8
-
-    @pytest.mark.parametrize("bits", [2, 4, 8])
-    def test_quantized_tensor_holds_container(self, rng, bits):
-        data = rng.integers(0, 2 ** bits, size=(3, 5))
-        qt = QuantizedTensor(data, scale=0.1, zero_point=1, bits=bits)
-        assert qt.data.dtype == container_dtype(bits)
-        assert qt.container_bytes() == data.size
-        restored = QuantizedTensor.from_packed(
-            qt.packed_bytes(), data.shape, 0.1, 1, bits
-        )
-        assert restored.data.dtype == container_dtype(bits)
-        assert np.array_equal(restored.data, qt.data)
 
 
 @settings(max_examples=80, deadline=None)
@@ -111,64 +82,64 @@ def test_property_pack_unpack_roundtrip_container(data, bits, n):
 
 
 # ----------------------------------------------------------------------
-# Accumulator bounds: int32 boundary and the refined weight-data bound
+# Accumulator bounds: the MCU's int32 MAC, the float32 tier's edge and
+# the refined weight-data bound
 # ----------------------------------------------------------------------
 class TestInt32Boundary:
-    # Largest k for which an 8x8-bit reduction of max-magnitude codes
-    # still fits the int32 accumulator: k * 255 * 255 < 2^31.
-    K_MAX = (1 << INT32_EXACT_BITS) // (255 * 255)
-
-    @staticmethod
-    def _corner_classifier(k):
-        """A k-wide classifier whose shifted weights all sit at -255."""
-        from repro.inference.engine import IntegerLinearLayer, IntegerNetwork
-
-        layer = IntegerLinearLayer(
-            name="fc", weights_q=np.zeros((2, k), dtype=np.int64),
-            z_w=np.array(255), s_w=np.array([1.0]), z_x=0, s_in=1.0,
-            bias=None, in_bits=8, w_bits=8,
-        )
-        return IntegerNetwork(classifier=layer)
-
-    def test_bound_flips_exactly_at_k_max(self):
-        from repro.runtime import CompileOptions
-
-        assert int32_gemm_is_exact(self.K_MAX, 8, 8)
-        assert not int32_gemm_is_exact(self.K_MAX + 1, 8, 8)
-        int32 = CompileOptions(backend="int32")
-        plan = self._corner_classifier(self.K_MAX).compile(int32)
-        assert plan.classifier.backend == "int32"
-        with pytest.raises(ValueError, match="int32 accumulation overflows"):
-            self._corner_classifier(self.K_MAX + 1).compile(int32)
-
-    def test_max_magnitude_codes_at_the_boundary_are_exact(self):
-        """All-corner codes at the largest admissible k: the compiled
-        int32 path must reproduce the int64 reference at |Phi| within one
-        product of the int32 limit."""
-        from repro.inference.engine import IntegerLinearLayer
-        from repro.inference.plan import CompiledLinear
-
-        k = self.K_MAX
-        x = np.full((1, k), 255, dtype=np.int64)
-        w = np.zeros((2, k), dtype=np.int64)  # z_w = 255 -> shifted -255
-        layer = IntegerLinearLayer(
-            name="fc", weights_q=w, z_w=np.array(255), s_w=np.array([1.0]),
-            z_x=0, s_in=1.0, bias=None, in_bits=8, w_bits=8,
-        )
-        mcu = CompiledLinear(layer, backend="int32")
-        assert mcu.gemm_dtype == np.int32
-        phi64 = int_linear(x, w, 0, 255)
-        assert np.array_equal(mcu(x), phi64.astype(np.float64))
-        assert np.array_equal(mcu(x), layer.forward(x))
-        assert phi64[0, 0] == -k * 255 * 255
-        assert abs(phi64[0, 0]) < 2 ** 31
-        assert abs(phi64[0, 0]) + 255 * 255 >= 2 ** 31  # truly at the edge
-
     @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_paper_reductions_fit_int32(self, bits):
-        # The deepest model-zoo reduction (fc, k=1024) fits int32 at any
-        # paper bit width, so the whole zoo can run the MCU-style backend.
-        assert int32_gemm_is_exact(1024, bits, bits)
+        # The deepest model-zoo reduction (fc, k=1024) fits the MCU
+        # kernels' int32 accumulator at any paper bit width.
+        assert max_abs_accumulator(1024, bits, bits) < 2 ** 31
+
+
+class TestFloat32Boundary:
+    """The sgemm tier ends where the refined bound reaches 2^24: at the
+    largest admissible reduction all-corner codes run on float32, and one
+    more column moves the layer to float64, both exact."""
+
+    @staticmethod
+    def _k_max(bits):
+        # Largest k whose all-corner reduction k * (2^b - 1)^2 is < 2^24.
+        return ((1 << FLOAT32_EXACT_BITS) - 1) // (2 ** bits - 1) ** 2
+
+    @staticmethod
+    def _corner_classifier(k, bits):
+        """A k-wide classifier whose shifted weights all sit at -(2^b - 1),
+        and its compiled form."""
+        layer = IntegerLinearLayer(
+            name="fc", weights_q=np.zeros((2, k), dtype=np.int64),
+            z_w=np.array(2 ** bits - 1), s_w=np.array([1.0]), z_x=0, s_in=1.0,
+            bias=None, in_bits=bits, w_bits=bits,
+        )
+        return layer, IntegerNetwork(classifier=layer).compile().classifier
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_bound_flips_exactly_at_k_max(self, bits):
+        k = self._k_max(bits)
+        assert (max_abs_accumulator(k, bits, bits) < 2 ** FLOAT32_EXACT_BITS
+                <= max_abs_accumulator(k + 1, bits, bits))
+        for width, dtype in ((k, np.float32), (k + 1, np.float64)):
+            _, fc = self._corner_classifier(width, bits)
+            assert fc.acc_bound == max_abs_accumulator(width, bits, bits)
+            assert fc.backend == "blas" and fc.gemm_dtype == dtype
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_max_magnitude_codes_at_the_boundary_are_exact(self, bits):
+        """All-corner codes on either side of the edge: the compiled
+        classifier reproduces the int64 reference at |Phi| within one
+        product of 2^24 (at 8 bits, past it |Phi| is odd, which float32
+        cannot hold)."""
+        qmax = 2 ** bits - 1
+        k = self._k_max(bits)
+        for width in (k, k + 1):
+            layer, fc = self._corner_classifier(width, bits)
+            x = np.full((1, width), qmax, dtype=np.int64)
+            phi = int_linear(x, layer.weights_q, 0, qmax, x_bits=bits, w_bits=bits)
+            assert phi[0, 0] == -width * qmax * qmax
+            assert np.array_equal(fc(x), phi.astype(np.float64))
+            assert np.array_equal(fc(x), layer.forward(x))
+        assert abs(phi[0, 0]) - qmax * qmax < 2 ** FLOAT32_EXACT_BITS <= abs(phi[0, 0])
 
 
 class TestRefinedBound:
@@ -195,7 +166,8 @@ class TestRefinedBound:
         promoted = [i for _, i in wide_pw if i.gemm_dtype == "float32"]
         assert promoted, "refined bound promoted no wide layer to float32"
         for layer, info in wide_pw:
-            assert blas_gemm_dtype(layer.k_reduction, 8, 8) == np.float64
+            a_priori = max_abs_accumulator(layer.k_reduction, 8, 8)
+            assert exact_gemm_dtype_for_bound(a_priori) == np.float64
             assert info.acc_bound == layer.acc_bound
         # Worst-case (all-corner) weights must NOT be promoted.
         corner = np.full((4, 512), 255, dtype=np.int64)
@@ -250,25 +222,18 @@ def test_int_einsum_gemm_k_tiling_bit_exact(rng):
 # ----------------------------------------------------------------------
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), bits=st.sampled_from([2, 4, 8]))
-def test_property_narrow_wide_and_int32_plans_agree(seed, bits):
-    """Random topologies: the default (narrowest exact accumulator) plan,
-    the forced wide int64-accumulator plan, the forced-int32 MCU plan and
-    the interpreted reference all produce identical results, every plan
-    storing container-width codes."""
+def test_property_random_topology_plan_matches_reference(seed, bits):
+    """Random topologies: the plan (narrowest exact accumulator per
+    layer, container-width codes) and the interpreted reference produce
+    identical logits and trunk codes."""
     net = random_network(
         np.random.default_rng(seed), resolution=11, act_bits=bits, w_bits=bits
     )
     x = np.random.default_rng(seed + 1).uniform(0, 1, size=(2, 3, 11, 11))
-    ref = net.forward(x)
-    narrow = net.compile()
-    wide = net.compile(CompileOptions(backend="int64"))
-    mcu = net.compile(CompileOptions(backend="int32"))
-    assert np.array_equal(ref, narrow.run(x))
-    assert np.array_equal(ref, wide.run(x))
-    assert np.array_equal(ref, mcu.run(x))
+    plan = net.compile()
+    assert np.array_equal(net.forward(x), plan.run(x))
     codes = net.quantize_input(x)
-    assert np.array_equal(narrow.run_codes(codes), net.forward_codes(codes))
-    assert np.array_equal(narrow.run_codes(codes), wide.run_codes(codes))
+    assert np.array_equal(plan.run_codes(codes), net.forward_codes(codes))
 
 
 def test_fused_kernel_accepts_narrow_codes_with_padding():

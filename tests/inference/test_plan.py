@@ -5,14 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.inference.arena as arena_mod
+from repro.analysis import verify_plan
 from repro.core.policy import QuantMethod
 from repro.core.graph_convert import convert_to_integer_network
 from repro.evaluation.experiments import evaluate_integer_network
+from repro.inference.arena import balanced_blocks, depthwise_channel_bytes
+from repro.inference.engine import IntegerNetwork
+from repro.inference.kernels import int_conv2d, int_depthwise_conv2d
 from repro.inference.plan import ExecutionPlan
-from repro.inference.testing import integer_network_from_spec
-from repro.runtime import CompileOptions, Session, SessionOptions
-from repro.runtime.options import VALID_BACKENDS
+from repro.inference.testing import integer_network_from_spec, random_conv_layer
+from repro.runtime import Session, SessionOptions
 from repro.models.model_zoo import mobilenet_v1_spec
+from repro.nn.functional import conv_output_size
 
 
 @pytest.fixture(scope="module")
@@ -57,13 +62,6 @@ class TestPlanBitExactness:
         plan = integer_net.compile()
         assert np.array_equal(integer_net.predict(x), plan.predict(x))
 
-    def test_forced_int64_plan_matches_blas_plan(self, integer_net, small_dataset):
-        x = small_dataset.x_test[:4]
-        blas = integer_net.compile()
-        assert all(info.backend == "blas" for info in blas.layer_info())
-        ref = integer_net.compile(CompileOptions(backend="int64"))
-        assert np.array_equal(blas.run(x), ref.run(x))
-
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), bits=st.sampled_from([2, 4, 8]))
@@ -81,10 +79,6 @@ class TestPlanStructure:
     def test_all_uint8_layers_use_blas(self, integer_net):
         plan = integer_net.compile()
         assert all(info.backend == "blas" for info in plan.layer_info())
-
-    def test_forced_int64_backend(self, integer_net):
-        plan = integer_net.compile(CompileOptions(backend="int64"))
-        assert all(info.backend == "int64" for info in plan.layer_info())
 
     def test_depthwise_uses_float32_tier(self, integer_net):
         plan = integer_net.compile()
@@ -161,9 +155,8 @@ class TestBoundaryValidation:
         params = broken.conv_layers[0].params
         params.weights_q = params.weights_q.astype(np.int64)
         params.weights_q[0, 0, 0, 0] = 700
-        for backend in VALID_BACKENDS:
-            with pytest.raises(ValueError, match="weight codes out of UINT8 range"):
-                broken.compile(CompileOptions(backend=backend))
+        with pytest.raises(ValueError, match="weight codes out of UINT8 range"):
+            broken.compile()
         # The classifier's weights too.
         broken = copy.deepcopy(integer_net)
         broken.classifier.weights_q = broken.classifier.weights_q.astype(np.int64)
@@ -237,13 +230,138 @@ class TestEvaluateIntegerNetwork:
             assert r["num_images"] == 0
 
 
-def test_plan_constructor_rejects_non_options(integer_net):
-    with pytest.raises(TypeError, match="CompileOptions"):
-        ExecutionPlan(integer_net, {"backend": "auto"})
-
-
 def test_plan_constructor_direct(integer_net, small_dataset):
     """ExecutionPlan can also be built without the compile() sugar."""
-    plan = ExecutionPlan(integer_net, CompileOptions(backend="auto"))
+    plan = ExecutionPlan(integer_net)
     x = small_dataset.x_test[:2]
     assert np.array_equal(plan.run(x), integer_net.forward(x))
+
+
+class TestInt64Fallback:
+    """A layer whose refined accumulator bound passes 2^53 has no exact
+    float GEMM, so the plan runs it on the int64 einsum: the plan's only
+    integer GEMM branches, reached here through real input."""
+
+    CHANNELS = 5  # at most two per block: 2/2/1, ragged
+    HW = (7, 6)
+
+    def _net(self, kind, strategy, x, kernel=3, stride=1, bits=26, trail=False):
+        """One ``bits``-bit layer (26 by default, for a 3x3 reduction).
+        All-positive shifted inputs and weights, the weights in
+        ``[2^(bits-1), 2^bits)``, put its accumulators around ``2^53`` and
+        past it.  Threshold tables are cut at the quantiles of the
+        accumulators ``x`` produces, so the codes spread over all 16
+        levels.  ``trail`` appends a 4-bit pointwise layer widening to 32
+        channels and a 3x3 depthwise one over them, whose unfold is the
+        larger."""
+        rng = np.random.default_rng(5)
+        layer = random_conv_layer(rng, kind, self.CHANNELS, self.CHANNELS,
+                                  kernel=kernel, stride=stride, padding=kernel // 2,
+                                  in_bits=bits, w_bits=bits, out_bits=4,
+                                  strategy=strategy, name=kind)
+        p = layer.params
+        p.z_x, p.z_w = 0, np.zeros_like(p.z_w)
+        p.weights_q |= np.uint32(1 << (bits - 1))
+        layers = [layer]
+        if trail:
+            kw = dict(in_bits=4, out_bits=4, w_bits=4)
+            layers += [
+                random_conv_layer(rng, "pw", self.CHANNELS, 32, kernel=1, padding=0,
+                                  name="trail_pw", **kw),
+                random_conv_layer(rng, "dw", 32, 32, name="trail_dw", **kw),
+            ]
+        net = IntegerNetwork(conv_layers=layers, input_scale=2.0 ** -bits,
+                             input_bits=bits)
+        if strategy == "thr":
+            conv = int_depthwise_conv2d if kind == "dw" else int_conv2d
+            phi = conv(net.quantize_input(x), p.weights_q, 0, p.z_w, stride=stride,
+                       padding=kernel // 2, x_bits=bits, w_bits=bits)
+            for c in range(self.CHANNELS):
+                ranked = np.sort(phi[:, c].ravel())
+                p.thresholds[c, 1:] = ranked[np.arange(1, 16) * ranked.size // 16]
+            p.direction[:] = 1
+        return net
+
+    @pytest.mark.parametrize("kind", ["conv", "dw"])
+    def test_threshold_layer_past_2_53_matches_reference(self, monkeypatch, kind):
+        x = np.random.default_rng(6).uniform(0, 1, size=(2, self.CHANNELS, *self.HW))
+        net = self._net(kind, "thr", x)
+        plan = net.compile()
+        layer = plan.layers[0]
+        assert layer.backend == "int64" and layer.acc_bound >= 2 ** 53
+        if kind == "dw":
+            oh, ow = self.HW
+            grid = layer.row_grid(*self.HW)
+            per_channel = depthwise_channel_bytes(3, 3, 1, oh, ow, layer.gemm_itemsize)
+            assert grid is not None and per_channel == 9 * grid[1] * 8
+            monkeypatch.setattr(arena_mod, "DW_TILE_BYTES",
+                                2 * per_channel + per_channel // 2)
+            region = plan.arena_for(self.HW).dw_tile_bytes
+            images, blocks = layer.tile_blocking(*self.HW, region)
+            assert images == 1 and blocks == ((0, 2), (2, 4), (4, 5))
+        out = plan.run(x)
+        ref = net.forward(x)
+        assert np.array_equal(out, ref)
+        # Every channel has accumulators past 2^53, where float64 cannot
+        # hold them, and its top level starts among them.
+        assert net.conv_layers[0].params.thresholds[:, 15].min() > 2 ** 53
+        assert len(np.unique(out)) == 16
+        assert verify_plan(plan, self.HW).ok
+
+    @pytest.mark.parametrize("kernel,stride", [(3, 1), (3, 2), (1, 1), (1, 2)])
+    def test_image_blocks_match_reference(self, monkeypatch, kernel, stride):
+        """Batch 3 in tiles of two images, behind a wider depthwise layer
+        whose unfold sets the tile region (the last tile holds one
+        image).  27-bit codes put even a 1x1 reduction past 2^53."""
+        x = np.random.default_rng(7).uniform(0, 1, size=(3, self.CHANNELS, *self.HW))
+        net = self._net("dw", "thr", x, kernel=kernel, stride=stride, bits=27,
+                        trail=True)
+        plan = net.compile()
+        layer = plan.layers[0]
+        assert layer.backend == "int64" and layer.acc_bound >= 2 ** 53
+        oh, ow = (conv_output_size(d, kernel, stride, kernel // 2) for d in self.HW)
+        image_bytes = self.CHANNELS * depthwise_channel_bytes(
+            kernel, kernel, stride, oh, ow, layer.gemm_itemsize)
+        if image_bytes:
+            monkeypatch.setattr(arena_mod, "DW_TILE_BYTES",
+                                2 * image_bytes + image_bytes // 2)
+        arena = plan.arena_for(self.HW)
+        images, blocks = layer.tile_blocking(*self.HW, arena.dw_tile_bytes)
+        assert blocks == ((0, self.CHANNELS),)
+        assert balanced_blocks(3, images) == (((0, 2), (2, 3)) if image_bytes
+                                              else ((0, 3),))
+        assert np.array_equal(plan.run(x), net.forward(x))
+        # The int64 layer's own codes, as its tiles wrote them.
+        codes = plan.quantize_input(x)
+        ref = net.conv_layers[0].forward(codes)
+        assert np.array_equal(layer(codes, arena), ref)
+        assert len(np.unique(ref)) == 16
+        assert net.conv_layers[0].params.thresholds[:, 15].max() > 2 ** 53
+        assert verify_plan(plan, self.HW).ok
+
+    @pytest.mark.parametrize("kind", ["conv", "dw"])
+    def test_session_serves_the_fallback(self, kind):
+        """The front door compiles the same fallback: a Session answers
+        like the reference in one call and in ragged tiles, and its
+        profile names the int64 dispatch."""
+        x = np.random.default_rng(6).uniform(0, 1, size=(3, self.CHANNELS, *self.HW))
+        net = self._net(kind, "thr", x)
+        with Session(net, SessionOptions(batch_size=2, input_hw=self.HW)) as session:
+            assert session.layer_info()[0].backend == "int64"
+            ref = net.forward(x)
+            assert np.array_equal(session.run(x), ref)
+            assert np.array_equal(session.run_batched(x), ref)
+            assert "int64/int64->uint8" in session.profile(x, repeats=1).table()
+            assert session.healthcheck()["ok"]
+
+    def test_icn_layer_past_2_53_is_rejected(self):
+        """Eq. 5 of such a layer overflows int64: the reference raises,
+        and the verifier rejects the plan's int64 epilogue."""
+        x = np.random.default_rng(6).uniform(0, 1, size=(2, self.CHANNELS, *self.HW))
+        net = self._net("conv", "icn", x)
+        with pytest.raises(OverflowError):
+            net.forward(x)
+        plan = net.compile()
+        assert plan.layers[0].backend == "int64" and plan.layers[0].epilogue == "i64"
+        report = verify_plan(plan, self.HW, raise_on_violation=False)
+        assert "requant-shift" in [v.rule for v in report.violations]

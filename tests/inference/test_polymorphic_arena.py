@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis import verify_plan
 from repro.models.model_zoo import mobilenet_v1_spec
-from repro.runtime import CompileOptions, SessionOptions, pipeline
+from repro.runtime import SessionOptions, pipeline
 
 NATIVE_HW = (64, 64)
 #: The native geometry first, then smaller, mixed and larger ones — the
@@ -113,9 +113,3 @@ class TestSlabSharing:
         big = plan.arena_for((96, 96))
         assert big.allocated_bytes == big.planned_bytes(2)
         assert plan.arena_for(NATIVE_HW).allocated_bytes == big.planned_bytes(2)
-
-
-class TestOptionsValidation:
-    def test_default_serialization_is_backward_compatible(self):
-        """The retired max_input_hw is never written."""
-        assert "max_input_hw" not in CompileOptions().to_dict()

@@ -10,9 +10,8 @@ import pytest
 from repro.inference.export import export_network, import_network
 from repro.inference.testing import integer_network_from_spec, random_network
 from repro.models.model_zoo import all_mobilenet_configs, mobilenet_v1_spec
-from repro.runtime import CompileOptions, Session, SessionOptions
-from repro.runtime.artifact import BLOBS_NAME, MANIFEST_NAME, load_artifact
-from repro.runtime.options import RETIRED_COMPILE_OPTIONS
+from repro.runtime import ArtifactError, Session, SessionOptions
+from repro.runtime.artifact import BLOBS_NAME, MANIFEST_NAME, load_artifact, read_manifest
 
 _CONFIGS = all_mobilenet_configs(num_classes=5)
 _SMALL = mobilenet_v1_spec(32, 0.25, num_classes=5)
@@ -69,21 +68,27 @@ def test_every_requant_strategy_round_trips(idx, strategy, tmp_path):
 def test_options_survive_the_round_trip(tmp_path):
     net = integer_network_from_spec(_SMALL, np.random.default_rng(0))
     session = Session(
-        net,
-        CompileOptions(backend="int64"),
-        SessionOptions(batch_size=3, validate=False, input_hw=(32, 32)),
+        net, SessionOptions(batch_size=3, validate=False, input_hw=(32, 32))
     )
     restored = _roundtrip(tmp_path, session)
-    assert restored.compile_options == session.compile_options
     assert restored.options == session.options
-    assert all(i.backend == "int64" for i in restored.layer_info())
 
 
-def test_artifact_with_retired_options_loads_as_default(tmp_path):
-    """An artifact saved while the plan still had A/B compile options may
-    carry them (and ``backend: "blas"``).  Each selected a path whose
-    answers are bit-identical to the one plan, so the artifact loads as
-    the default plan, verifies, and re-saves without them."""
+#: Compile options retired before compilation lost its last one, each set
+#: away from its old default: wide int64 codes, no arena, always-stencil
+#: depthwise, the a-priori bound, a donor arena sized for 64x64 and no
+#: weight check.
+_RETIRED_COMPILE_OPTIONS = {"narrow": False, "use_arena": False,
+                            "fused_depthwise": True, "refined_bound": False,
+                            "max_input_hw": [64, 64], "validate": False}
+
+
+@pytest.mark.parametrize("backend", ["auto", "int32", "int64", "blas"])
+def test_artifact_with_retired_options_loads_as_default(tmp_path, backend):
+    """A manifest may carry any ``backend`` an older runtime wrote beside
+    the options retired before it.  Each selected answers bit-identical
+    to the one plan, so the artifact loads as the default plan, verifies,
+    and re-saves without them."""
     from repro.analysis import verify_artifact
 
     net = integer_network_from_spec(_SMALL, np.random.default_rng(0))
@@ -92,38 +97,33 @@ def test_artifact_with_retired_options_loads_as_default(tmp_path):
     )
     manifest_path = path / MANIFEST_NAME
     manifest = json.loads(manifest_path.read_text())
-    # Wide int64 codes, no arena, always-stencil depthwise, a-priori
-    # bound, a donor arena sized for 64x64, no weight check, a compile-time
-    # geometry: every retired option set away from its old default.
-    retired = (False, False, True, False, [64, 64], False, [32, 32])
-    assert len(retired) == len(RETIRED_COMPILE_OPTIONS)
-    manifest["compile_options"].update(
-        zip(RETIRED_COMPILE_OPTIONS, retired), backend="blas"
-    )
+    manifest["compile_options"] = {"backend": backend, **_RETIRED_COMPILE_OPTIONS}
     manifest_path.write_text(json.dumps(manifest))
 
     session = Session.load(path)
-    assert session.compile_options == CompileOptions()
+    assert session.options == SessionOptions(input_hw=(32, 32))
+    assert session.layer_info() == net.compile().layer_info()
     x = np.random.default_rng(1).uniform(0, 1, size=(2, 3, 32, 32))
     assert np.array_equal(net.forward(x), session.run(x))
     assert verify_artifact(path).ok
     resaved = json.loads(
         (session.save(tmp_path / "new.artifact") / MANIFEST_NAME).read_text()
-    )["compile_options"]
-    assert not set(RETIRED_COMPILE_OPTIONS) & set(resaved)
-    assert resaved["backend"] == "auto"
+    )
+    assert "compile_options" not in resaved
     session.close()
-    with pytest.raises(TypeError, match="narow"):
-        CompileOptions.from_dict({"narow": True})
 
 
 @pytest.mark.parametrize("mmap", [False, True], ids=["heap", "mmap"])
 def test_artifact_with_retired_geometry_and_workers_loads(tmp_path, mmap):
-    """An artifact from before ``input_hw`` and ``validate`` were session
-    options alone, and ``workers`` the server's alone: its compile-side
-    geometry moves to the session, ``validate: null`` reads as on (so
-    input codes are range-checked, where compile-side ``validate: false``
-    skipped that), and re-saving drops every retired field."""
+    """An artifact from before compilation lost its options, ``input_hw``
+    and ``validate`` became session options alone, and ``workers`` the
+    server's alone.  Its compile-side geometry moves to the session and
+    every other compile option is ignored (each selected a plan with
+    bit-identical answers; forced int32 only added a raise past 2^31),
+    as are its per-layer ``gemm_backend`` labels; ``validate: null``
+    reads as on (so input codes are range-checked, where compile-side
+    ``validate: false`` skipped that), and re-saving drops every retired
+    field."""
     from repro.analysis import verify_artifact
 
     net = integer_network_from_spec(_SMALL, np.random.default_rng(0))
@@ -131,26 +131,30 @@ def test_artifact_with_retired_geometry_and_workers_loads(tmp_path, mmap):
     manifest_path = path / MANIFEST_NAME
     manifest = json.loads(manifest_path.read_text())
     assert "arena" not in manifest["network"]
-    manifest["compile_options"] = {"backend": "int64", "validate": False,
-                                   "input_hw": [32, 32]}
+    manifest["compile_options"] = {"backend": "int32", "validate": False,
+                                   "input_hw": [32, 32], "narrow": True}
     manifest["session_options"] = {"batch_size": 3, "validate": None, "workers": 4}
+    for entry in manifest["network"]["conv_layers"] + [manifest["network"]["classifier"]]:
+        entry["gemm_backend"] = "blas"
     manifest_path.write_text(json.dumps(manifest))
 
     session = Session.load(path, mmap=mmap)
-    assert session.compile_options == CompileOptions(backend="int64")
     assert session.options == SessionOptions(batch_size=3, input_hw=(32, 32))
-    assert all(i.backend == "int64" for i in session.layer_info())
+    assert session.layer_info() == net.compile().layer_info()
     x = np.random.default_rng(1).uniform(0, 1, size=(2, 3, 32, 32))
     assert np.array_equal(net.forward(x), session.run(x))
     assert verify_artifact(path).ok
     health = session.healthcheck()
     assert health["ok"], health
+    assert health["output_shape"] == [1, 5]
     with pytest.raises(ValueError, match="out of UINT8 range"):
         session.run_codes(np.full((1, 3, 32, 32), 300, dtype=np.int64))
     resaved = json.loads(
         (session.save(tmp_path / "new.artifact") / MANIFEST_NAME).read_text()
     )
-    assert resaved["compile_options"] == {"backend": "int64"}
+    assert "compile_options" not in resaved
+    assert not any("gemm_backend" in e for e in resaved["network"]["conv_layers"])
+    assert "gemm_backend" not in resaved["network"]["classifier"]
     assert resaved["session_options"] == {"batch_size": 3, "validate": True,
                                           "input_hw": [32, 32]}
     assert resaved["network"]["arena"]["input_hw"] == [32, 32]
@@ -214,7 +218,22 @@ class TestCorruption:
         with pytest.raises(ValueError, match="version"):
             Session.load(saved)
 
+    @pytest.mark.parametrize("section", ["session_options", "compile_options"])
+    @pytest.mark.parametrize("value", [[1, 2], "int64"], ids=["list", "string"])
+    def test_options_section_that_is_not_an_object_rejected(self, saved, section,
+                                                              value):
+        """Readers look keys up in both sections, so a section of another
+        JSON type is corruption: the typed error, from the loader and
+        from the manifest probe the fleet registry uses."""
+        manifest = json.loads((saved / MANIFEST_NAME).read_text())
+        manifest[section] = value
+        (saved / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactError, match=f"'{section}' is not a JSON object"):
+            Session.load(saved)
+        with pytest.raises(ArtifactError, match=f"'{section}' is not a JSON object"):
+            read_manifest(saved)
+
     def test_load_artifact_returns_manifest(self, saved):
-        network, copts, sopts, manifest = load_artifact(saved)
+        network, sopts, manifest = load_artifact(saved)
         assert manifest["format"] == "repro/session-artifact"
-        assert network.conv_layers and copts == CompileOptions()
+        assert network.conv_layers and sopts == SessionOptions()

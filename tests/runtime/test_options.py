@@ -1,54 +1,10 @@
-"""CompileOptions / SessionOptions: validation, normalisation, round trip."""
+"""SessionOptions: validation, normalisation, round trip."""
 
 import dataclasses
 
 import pytest
 
-from repro.runtime import CompileOptions, SessionOptions
-
-
-class TestCompileOptions:
-    def test_defaults_are_the_production_pipeline(self):
-        o = CompileOptions()
-        assert o.backend == "auto"
-        assert [f.name for f in dataclasses.fields(o)] == ["backend"]
-
-    def test_frozen(self):
-        with pytest.raises(AttributeError):
-            CompileOptions().backend = "int64"
-
-    def test_hashable_and_equal_by_value(self):
-        assert CompileOptions(backend="int32") == CompileOptions(backend="int32")
-        assert len({CompileOptions(), CompileOptions()}) == 1
-
-    @pytest.mark.parametrize("bad", [{"backend": "sgemm"},
-                                     {"backend": "blas"}])
-    def test_invalid_values_rejected(self, bad):
-        with pytest.raises(ValueError):
-            CompileOptions(**bad)
-
-    @pytest.mark.parametrize("retired", [{"validate": False}, {"input_hw": (32, 32)}])
-    def test_retired_fields_rejected(self, retired):
-        with pytest.raises(TypeError):
-            CompileOptions(**retired)
-
-    def test_from_dict_rejects_unknown_names(self):
-        with pytest.raises(TypeError, match="valid options"):
-            CompileOptions.from_dict({"narow": True})
-
-    def test_retired_options_read_as_the_default_plan(self):
-        o = CompileOptions.from_dict({"backend": "int64", "validate": False,
-                                      "input_hw": [32, 32], "max_input_hw": [64, 64]})
-        assert o == CompileOptions(backend="int64")
-        assert o.to_dict() == {"backend": "int64"}
-
-    def test_replace(self):
-        o = CompileOptions().replace(backend="int64")
-        assert o.backend == "int64"
-
-    def test_dict_round_trip(self):
-        o = CompileOptions(backend="int32")
-        assert CompileOptions.from_dict(o.to_dict()) == o
+from repro.runtime import SessionOptions
 
 
 class TestSessionOptions:
@@ -58,6 +14,30 @@ class TestSessionOptions:
         assert [f.name for f in dataclasses.fields(o)] == [
             "batch_size", "validate", "input_hw"
         ]
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            SessionOptions().batch_size = 4
+
+    def test_hashable_and_equal_by_value(self):
+        assert SessionOptions(input_hw=[16, 8]) == SessionOptions(input_hw=(16, 8))
+        assert len({SessionOptions(), SessionOptions(batch_size=32)}) == 1
+
+    def test_replace(self):
+        """A replaced copy is validated and normalised like a new one."""
+        o = SessionOptions().replace(batch_size="4", input_hw=[8.0, 8])
+        assert o == SessionOptions(batch_size=4, input_hw=(8, 8))
+        with pytest.raises(ValueError):
+            o.replace(batch_size=0)
+
+    @pytest.mark.parametrize("retired", [{"workers": 4}, {"backend": "auto"}],
+                             ids=["workers", "backend"])
+    def test_retired_fields_rejected(self, retired):
+        """Pool width is the server's and compilation takes no options:
+        neither is a session option (only an old manifest's ``workers``
+        is dropped, by :meth:`SessionOptions.from_dict`)."""
+        with pytest.raises(TypeError):
+            SessionOptions(**retired)
 
     def test_input_hw_normalised_to_int_tuple(self):
         o = SessionOptions(input_hw=[64.0, 32])

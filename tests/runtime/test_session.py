@@ -8,7 +8,7 @@ from repro.core.policy import QuantMethod, QuantPolicy
 from repro.inference.testing import integer_network_from_spec
 from repro.mcu.deploy import assert_arena_fits
 from repro.models.model_zoo import mobilenet_v1_spec
-from repro.runtime import CompileOptions, Session, SessionOptions, pipeline
+from repro.runtime import Session, SessionOptions, pipeline
 
 SPEC = mobilenet_v1_spec(32, 0.25, num_classes=5)
 
@@ -32,11 +32,6 @@ class TestSession:
         session = Session(net, options=SessionOptions(batch_size=2))
         assert np.array_equal(session.run_batched(x), session.run(x))
         assert np.array_equal(session.predict(x), net.predict(x))
-
-    def test_compile_options_flow_through(self, net, x):
-        session = Session(net, CompileOptions(backend="int64"))
-        assert all(i.backend == "int64" for i in session.layer_info())
-        assert np.array_equal(session.run(x), net.forward(x))
 
     def test_input_hw_plans_arena_eagerly(self, net):
         session = Session(net, options=SessionOptions(input_hw=(32, 32)))
