@@ -198,7 +198,7 @@ async def _run_workers_point(session, artifact_path, workers, quick):
             point["pool"] = {
                 key: pool_stats[key]
                 for key in ("alive", "restarts", "kills", "served",
-                            "stolen", "inline_fallbacks")
+                            "inline_fallbacks")
             }
         point["pending_at_stop"] = len(server.batcher)
     finally:

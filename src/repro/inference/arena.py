@@ -51,12 +51,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.memory_model import activation_rw_bytes
-from repro.inference.kernels import (
-    exact_gemm_dtype_for_bound,
-    gemm_reduction_length,
-    max_abs_accumulator,
-)
-from repro.inference.packing import container_dtype
 from repro.nn.functional import conv_output_size
 
 _INT64_BYTES = np.dtype(np.int64).itemsize
@@ -91,8 +85,6 @@ MAX_BOUND_BATCHES = 8
 class LayerGeometry:
     """Static geometry of one layer, as needed for activation planning.
 
-    Decoupled from the compiled layer objects so the deployment export
-    can plan activations for a serialised network without compiling it.
     ``gemm_itemsize`` is the byte width of the layer's GEMM operands and
     accumulator (float32/float64/int64 depending on dispatch);
     ``out_itemsize`` the container width its output codes are stored at
@@ -141,50 +133,6 @@ class LayerGeometry:
             out_itemsize=np.dtype(layer.out_dtype).itemsize,
             requant_kind=getattr(layer, "requant_kind", "fixed"),
             split_k=getattr(layer, "split_k", None) is not None,
-        )
-
-    @classmethod
-    def from_weights(
-        cls,
-        name: str,
-        kind: str,
-        weight_shape: Sequence[int],
-        stride: int,
-        padding: int,
-        in_bits: int,
-        w_bits: int,
-        out_bits: int,
-        requant_kind: str = "fixed",
-    ) -> "LayerGeometry":
-        """Geometry from a raw weight shape, using the a-priori GEMM
-        dispatch (what a fresh ``compile()`` of the network would pick
-        before the weight-data bound refinement, which needs the codes)."""
-        if kind == "fc":
-            c_in, c_out = int(weight_shape[1]), int(weight_shape[0])
-            kh = kw = 1
-        elif kind == "dw":
-            c_in = c_out = int(weight_shape[0])
-            kh, kw = int(weight_shape[2]), int(weight_shape[3])
-        else:
-            c_out, c_in = int(weight_shape[0]), int(weight_shape[1])
-            kh, kw = int(weight_shape[2]), int(weight_shape[3])
-        k = gemm_reduction_length(kind, weight_shape)
-        dtype = exact_gemm_dtype_for_bound(max_abs_accumulator(k, in_bits, w_bits))
-        itemsize = _INT64_BYTES if dtype is None else np.dtype(dtype).itemsize
-        return cls(
-            name=name,
-            kind=kind,
-            in_channels=c_in,
-            out_channels=c_out,
-            kh=kh,
-            kw=kw,
-            stride=int(stride),
-            padding=int(padding),
-            in_bits=int(in_bits),
-            out_bits=int(out_bits),
-            gemm_itemsize=itemsize,
-            out_itemsize=container_dtype(int(out_bits)).itemsize,
-            requant_kind=requant_kind,
         )
 
 

@@ -10,17 +10,11 @@ matches the analytical memory model.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.icn import FoldedBNParams, ICNParams, ThresholdParams
-from repro.inference.arena import (
-    ActivationArena,
-    LayerGeometry,
-    logical_rw_peak_bytes,
-    plan_activations,
-)
 from repro.inference.engine import (
     IntegerAvgPool,
     IntegerConvLayer,
@@ -66,38 +60,6 @@ def _layer_aux_bytes(params) -> int:
             + params.thresholds.size * _BYTES["thr"]
         )
     raise TypeError(f"unsupported params type {type(params)!r}")
-
-
-def _network_geometries(net: IntegerNetwork) -> List[LayerGeometry]:
-    """Activation-planning geometries of the deployment graph, matching
-    what ``net.compile()`` would plan with the a-priori GEMM dispatch,
-    exactly like ``ExecutionPlan._geometries``: im2col-sized cols
-    scratch for the other layers, and for a depthwise layer the tile
-    bound :func:`~repro.inference.arena.plan_activations` derives from
-    its geometry alone."""
-    geoms = [
-        LayerGeometry.from_weights(
-            name=layer.name, kind=layer.kind,
-            weight_shape=layer.params.weights_q.shape,
-            stride=layer.stride, padding=layer.padding,
-            in_bits=layer.in_bits, w_bits=layer.params.w_bits,
-            out_bits=layer.out_bits,
-            requant_kind=(
-                "thr" if isinstance(layer.params, ThresholdParams) else "fixed"
-            ),
-        )
-        for layer in net.conv_layers
-    ]
-    if net.classifier is not None:
-        cl = net.classifier
-        geoms.append(
-            LayerGeometry.from_weights(
-                name=cl.name, kind="fc", weight_shape=cl.weights_q.shape,
-                stride=1, padding=0, in_bits=cl.in_bits, w_bits=cl.w_bits,
-                out_bits=cl.in_bits,
-            )
-        )
-    return geoms
 
 
 def _requant_state(params) -> Dict:
@@ -147,9 +109,10 @@ def export_network(net: IntegerNetwork, input_hw: Optional[Tuple[int, int]] = No
     built on.
 
     With ``input_hw`` the export also carries the runtime activation
-    plan: per-layer activation element counts plus the Eq. 7 RW peak, so
-    a deployment can assert ``arena["rw_peak_bytes"] <= device RAM``
-    without re-deriving the geometry cascade.
+    plan, read from ``net.compile().arena_for(input_hw)``: per-layer
+    activation element counts plus the Eq. 7 RW peak, so a deployment
+    can assert ``arena["rw_peak_bytes"] <= device RAM`` without
+    re-deriving the geometry cascade.
     """
     layers = []
     for layer in net.conv_layers:
@@ -207,8 +170,13 @@ def export_network(net: IntegerNetwork, input_hw: Optional[Tuple[int, int]] = No
         "bits": net.input_bits,
     }
     if input_hw is not None:
-        plans = plan_activations(_network_geometries(net), input_hw)
-        conv_plans = [p for p in plans if p.kind != "fc"]
+        # The compiled plan's own arena for this geometry (planning
+        # allocates nothing), so the runtime's sizing rules are the
+        # single source of truth.  Its physical code bytes are the
+        # container-width ping-pong pair (equal to the Eq. 7 peak for
+        # pure 8-bit networks, >= it for sub-byte).
+        arena = net.compile().arena_for(input_hw)
+        conv_plans = [p for p in arena.plans if p.kind != "fc"]
         for entry, p in zip(layers, conv_plans):
             entry["activations"] = {
                 "in_shape": list(p.in_shape),
@@ -216,17 +184,11 @@ def export_network(net: IntegerNetwork, input_hw: Optional[Tuple[int, int]] = No
                 "rw_bytes": p.rw_bytes,
                 "physical_out_bytes": p.physical_out_bytes,
             }
-        # Physical bytes of the container-width ping-pong pair the
-        # runtime allocates for this geometry (equals the Eq. 7 peak for
-        # pure 8-bit networks, >= it for sub-byte).
-        # ActivationArena.__init__ only sizes slabs (no allocation), so
-        # the runtime's own slot-sizing rule is the single source of truth.
-        physical = ActivationArena(plans).physical_code_bytes(1)
         out["arena"] = {
             "input_hw": [int(input_hw[0]), int(input_hw[1])],
-            "rw_peak_bytes": logical_rw_peak_bytes(plans),
-            "physical_code_bytes": physical,
-            "per_layer_rw_bytes": [p.rw_bytes for p in plans],
+            "rw_peak_bytes": arena.logical_rw_peak_bytes,
+            "physical_code_bytes": arena.physical_code_bytes(1),
+            "per_layer_rw_bytes": [p.rw_bytes for p in arena.plans],
         }
     return out
 

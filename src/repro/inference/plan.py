@@ -23,7 +23,8 @@ per-inference path:
 * fixed-point requantization (Eq. 5) is folded into per-channel
   constants for the flat ``(N, C, L)`` accumulator layout and runs as a
   short float64 or int64 epilogue, the tier picked from the layer's
-  accumulator bound and re-proved by :mod:`repro.analysis.verify`;
+  accumulator bound and re-proved by :mod:`repro.analysis.verify` (a
+  layer that would overflow the int64 tier does not compile);
   threshold tables are pre-sliced for ``searchsorted``;
 * weight codes are range-checked once at compile time, and input codes
   once at the network boundary (``run_codes(validate=True)`` by
@@ -180,6 +181,24 @@ def _float64_tier_fits(acc_bound: int, m_int: np.ndarray, b_int: np.ndarray,
     return est < 2.0 ** FLOAT64_EXACT_BITS - 2.0 ** 11
 
 
+def _int64_tier_fits(acc_bound: int, m0: np.ndarray, bq: np.ndarray,
+                     lshift: np.ndarray, z_y: int) -> bool:
+    """Whether ``max_c acc_bound*|M_c| + |B_c|``, then ``>> rshift`` and
+    ``+ z_y``, stays below ``2^63`` (the verifier's ``requant-shift``
+    bound), conservatively, without a per-channel Python loop.
+
+    Estimated in float64 from ``m0``, ``bq`` and ``lshift``, so a folded
+    ``M`` or ``B`` that wrapped int64 cannot hide: with ``|M| = |m0|
+    2^lshift`` and ``|B| = |bq| |M|`` the sum is
+    ``(acc_bound + |bq|) |m0| 2^lshift``, and ``>> rshift`` only shrinks
+    it.  The estimate is off by a few ulps, under ``2^13`` near
+    ``2^63``, so it must stay ``2^14`` below.
+    """
+    m = np.ldexp(np.abs(np.asarray(m0, dtype=np.float64)), lshift)
+    est = (float(acc_bound) + np.abs(np.asarray(bq, dtype=np.float64))) * m
+    return float(np.max(est)) + z_y < 2.0 ** 63 - 2.0 ** 14
+
+
 class _CompiledFixedPointRequant:
     """Eq. 5 folded into per-channel constants for the (N, C, L) accumulator.
 
@@ -194,7 +213,9 @@ class _CompiledFixedPointRequant:
     ``"i64"``
         That formula over int64: ``*M``, ``+B``, ``>>rshift``, ``+z_y``,
         clip.  ``z_y << rshift`` is never formed, so large shifts cannot
-        overflow it.  Sound while ``acc_bound * |M| + |B| < 2^63``.
+        overflow it.  Sound while ``acc_bound * |M| + |B| < 2^63``; a
+        layer past that bound is refused with ``OverflowError`` naming
+        it, as the interpreted reference refuses its input.
     ``"f64"``
         With ``C = B + (z_y << rshift)``, ``M' = M * 2^-rshift`` and
         ``C' = C * 2^-rshift``: when ``acc_bound * |M| + |C| < 2^53``
@@ -227,7 +248,7 @@ class _CompiledFixedPointRequant:
     kind = "fixed"
 
     def __init__(self, bq: np.ndarray, m0, n0, z_y: int, out_bits: int,
-                 acc_bound: int):
+                 acc_bound: int, name: str):
         self.bq = bq
         self.m0 = m0
         shift = M0_FRACTIONAL_BITS - n0
@@ -250,9 +271,15 @@ class _CompiledFixedPointRequant:
             c_int = self.b_int + np.left_shift(np.int64(self.z_y), self.rshift)
             self.m_f64 = np.ldexp(np.asarray(self.m_int, dtype=np.float64), -self.rshift)
             self.c_f64 = np.ldexp(c_int.astype(np.float64), -self.rshift)
-        else:
+        elif _int64_tier_fits(acc_bound, m0, bq, self.lshift, self.z_y):
             self.tier = "i64"
             self.m_f64 = self.c_f64 = None
+        else:
+            raise OverflowError(
+                f"{name}: the Eq. 5 epilogue overflows int64 at accumulator "
+                f"bound {int(acc_bound)}: acc_bound * |M| + |B| (then "
+                f">> rshift, + z_y) reaches 2^63"
+            )
 
     def bind(self, phi: np.ndarray, out: np.ndarray, scratch: np.ndarray,
              channels: Tuple[int, int]) -> tuple:
@@ -309,7 +336,8 @@ def _channel_slice(const, c0: int, c1: int, ndim: int):
     return const[:, c0:c1].reshape(1, c1 - c0, *(1,) * (ndim - 2))
 
 
-def _compile_icn_requant(params: ICNParams, acc_bound: int) -> _CompiledFixedPointRequant:
+def _compile_icn_requant(params: ICNParams, acc_bound: int,
+                         name: str) -> _CompiledFixedPointRequant:
     c_o = params.out_channels
     return _CompiledFixedPointRequant(
         bq=params.bq.reshape(1, c_o, 1),
@@ -318,11 +346,12 @@ def _compile_icn_requant(params: ICNParams, acc_bound: int) -> _CompiledFixedPoi
         z_y=params.z_y,
         out_bits=params.out_bits,
         acc_bound=acc_bound,
+        name=name,
     )
 
 
-def _compile_folded_requant(params: FoldedBNParams,
-                            acc_bound: int) -> _CompiledFixedPointRequant:
+def _compile_folded_requant(params: FoldedBNParams, acc_bound: int,
+                            name: str) -> _CompiledFixedPointRequant:
     return _CompiledFixedPointRequant(
         bq=params.bq.reshape(1, -1, 1),
         m0=np.int64(params.m0),
@@ -330,6 +359,7 @@ def _compile_folded_requant(params: FoldedBNParams,
         z_y=params.z_y,
         out_bits=params.out_bits,
         acc_bound=acc_bound,
+        name=name,
     )
 
 
@@ -390,11 +420,11 @@ class _CompiledThresholdRequant:
             np.copyto(out, s, casting="unsafe")
 
 
-def _compile_requant(params, acc_bound: int):
+def _compile_requant(params, acc_bound: int, name: str):
     if isinstance(params, ICNParams):
-        return _compile_icn_requant(params, acc_bound)
+        return _compile_icn_requant(params, acc_bound, name)
     if isinstance(params, FoldedBNParams):
-        return _compile_folded_requant(params, acc_bound)
+        return _compile_folded_requant(params, acc_bound, name)
     if isinstance(params, ThresholdParams):
         return _CompiledThresholdRequant(params)
     raise TypeError(f"unsupported requantization parameters {type(params)!r}")
@@ -488,7 +518,7 @@ class CompiledConvLayer:
             # (C, 1, kh*kw) batched-matmul form (the integer einsum
             # contraction keeps the flat form).
             self.w2 = np.ascontiguousarray(self.w2[:, None, :])
-        self.requant = _compile_requant(p, self.acc_bound)
+        self.requant = _compile_requant(p, self.acc_bound, self.name)
         self.requant_kind = self.requant.kind
         #: Eq. 5 epilogue tier: "f64", "i64" or "thr" (thresholds).
         self.epilogue = self.requant.tier

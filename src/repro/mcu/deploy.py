@@ -46,8 +46,7 @@ def check_fit(spec: NetworkSpec, policy: QuantPolicy, device: MCUDevice) -> bool
     return MemoryModel(spec).fits(policy, device.flash_bytes, device.ram_bytes)
 
 
-def assert_arena_fits(plan, device: MCUDevice, input_hw,
-                      check_physical: bool = True) -> int:
+def assert_arena_fits(plan, device: MCUDevice, input_hw) -> int:
     """Assert a *compiled* plan's activation peak fits the device RAM.
 
     ``plan`` is an :class:`~repro.inference.plan.ExecutionPlan` (a
@@ -57,16 +56,13 @@ def assert_arena_fits(plan, device: MCUDevice, input_hw,
     from the actual compiled layer stack instead of a
     :class:`NetworkSpec`.
 
-    With ``check_physical`` (default), a pure 8-bit plan must
-    additionally allocate its container-width ping-pong code pair
-    within the Eq. 7 peak — the runtime's physical activation bytes are
-    asserted not to exceed the paper's accounting (they agree *exactly*
-    on every model-zoo pyramid, which the tests pin down), so a
-    regression back to inflated (e.g. int64) containers cannot pass the
-    deployment gate.  Sub-byte activations keep the one-byte container
-    (physical >= logical by design) and are not checked.  Disable for
-    exotic topologies where the ping-pong schedule is legitimately
-    looser than the per-layer pair bound.
+    A pure 8-bit plan must also allocate its container-width ping-pong
+    code pair within the Eq. 7 peak — the runtime's physical activation
+    bytes are asserted not to exceed the paper's accounting (they agree
+    *exactly* on every model-zoo pyramid, which the tests pin down), so
+    a regression back to inflated (e.g. int64) containers cannot pass
+    the deployment gate.  Sub-byte activations keep the one-byte
+    container (physical >= logical by design) and are not checked.
 
     Returns the logical peak in bytes; raises ``ValueError`` when it
     exceeds the device's RW budget or the physical check fails.
@@ -88,7 +84,7 @@ def assert_arena_fits(plan, device: MCUDevice, input_hw,
         p.in_bits == 8 and p.out_bits == 8 and p.out_itemsize == 1
         for p in conv
     )
-    if check_physical and pure_8bit:
+    if pure_8bit:
         physical = arena.physical_code_bytes(1)
         if physical > peak:
             raise ValueError(

@@ -55,8 +55,9 @@ Vocabulary
     wants the raw manifest.
 :class:`WorkerPool` / :class:`PoolOptions`
     Process-pool scale-out over a saved artifact: N workers share one
-    mmap'd copy of the weights behind a work-stealing dispatcher with
-    crash detection and respawn-and-retry (``repro.runtime.pool``).
+    mmap'd copy of the weights, and each call borrows an idle worker and
+    runs its round trip on the caller's thread, with crash detection
+    and respawn-and-retry (``repro.runtime.pool``).
 
 All three core names are re-exported at the top level (``repro.Session``
 …) and the ``repro-mcu run <artifact>`` CLI subcommand serves a saved

@@ -55,9 +55,9 @@ class PoolError(RuntimeError):
 
 class WorkerCrashedError(PoolError):
     """A worker process died (or wedged past the task watchdog) while a
-    task was in flight.  The dispatcher respawns the worker; the task is
-    retried up to the pool's retry budget before this error reaches the
-    caller."""
+    task was in flight.  The caller that borrowed the worker respawns it
+    and retries the task up to the pool's retry budget; this error
+    reaches the caller only after the last respawn."""
 
 
 class WorkerTaskError(PoolError):
@@ -71,5 +71,5 @@ class WorkerTaskError(PoolError):
 
 
 class PoolClosedError(PoolError):
-    """The pool was closed; no further tasks are accepted and tasks
-    still queued at close time are failed with this error."""
+    """The pool was closed; no further tasks are accepted, and callers
+    still waiting for a worker at close time fail with this error."""

@@ -12,25 +12,28 @@ model copies.  Every worker compiles the identical
 results are bit-identical to a single in-process session by
 construction, and the parity suite asserts it.
 
-Dispatch is work-stealing: the pool keeps one task deque per worker
-plus one parent-side dispatcher thread per worker.  ``submit`` enqueues
-onto the shortest deque; an idle dispatcher first drains its own deque,
-then steals the *oldest* task from the longest peer deque (FIFO steal —
-the task that has waited longest moves first).  Tensors travel through
-per-worker :class:`~repro.runtime.shm.SharedSlab` segments (zero-copy
-IPC; oversize payloads fall back to the control pipe, counted).
+Dispatch is lending: :meth:`WorkerPool.run` borrows an idle worker
+under the pool lock (the one idle longest; it waits while every worker
+is out on loan), runs the round trip on the calling thread and gives
+the worker back.  The pool starts no threads of its own.  Tensors
+travel through per-worker :class:`~repro.runtime.shm.SharedSlab`
+segments (zero-copy IPC; oversize payloads fall back to the control
+pipe, counted).
 
 Failure contract:
 
 * a worker that dies mid-task (crash, OOM-kill, injected SIGKILL) is
-  detected by its dispatcher thread, **respawned**, and the task is
+  **respawned** in place by the caller that borrowed it, and the task is
   retried up to ``PoolOptions.retries`` times before the caller sees a
   :class:`~repro.runtime.errors.WorkerCrashedError`;
 * a worker wedged past :data:`TASK_TIMEOUT_S` is SIGKILL'd and handled
   the same way (the pool-side analogue of the engine's hung-batch watchdog);
 * an exception *inside* the task (bad input reaching a kernel) comes
   back as :class:`~repro.runtime.errors.WorkerTaskError` without a
-  respawn — task failures are not worker failures.
+  respawn — task failures are not worker failures;
+* ``close`` fails every caller still waiting for a worker with
+  :class:`~repro.runtime.errors.PoolClosedError`, and a ``start`` that
+  fails closes every worker and segment it made before it re-raises.
 
 The ``worker-kill`` chaos fault lives here: the pool accepts any object
 with a ``fire(kind) -> spec|None`` method (duck-typed so this module
@@ -47,9 +50,10 @@ import tempfile
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Union
+from typing import Any, Deque, List, Optional, Union
 
 import numpy as np
 
@@ -65,8 +69,8 @@ _FALLBACK_SLAB_BYTES = 16 * 1024 * 1024
 
 #: ``multiprocessing`` start method.  ``spawn`` gives every worker a
 #: clean interpreter with no locks inherited from a threaded parent —
-#: crash-respawn from a dispatcher thread is only safe with clean
-#: children.
+#: a caller's thread respawns crashed workers, which is only safe with
+#: clean children.
 START_METHOD = "spawn"
 #: How long to wait for a worker to report ready (plan compiled, arena
 #: warm), and the per-task wedge watchdog: a worker silent past it is
@@ -106,8 +110,8 @@ class PoolOptions:
 def _worker_main(worker_id: int, artifact_path: str, req_name: str,
                  resp_name: str, conn) -> None:  # pragma: no cover
     """Worker-process body: load the artifact (mmap), warm the plan,
-    then serve run/batched requests off the control pipe until told to
-    close.  Runs in a child process — everything it needs arrives via
+    then serve ``run`` requests off the control pipe until told to
+    ``close``.  Runs in a child process — everything it needs arrives via
     arguments, nothing is inherited (and coverage cannot trace it:
     it is exercised end to end by the pool suites, not line-counted)."""
     # The parent owns lifecycle; a Ctrl-C on the process group must not
@@ -134,11 +138,7 @@ def _worker_main(worker_id: int, artifact_path: str, req_name: str,
             if op == "close":
                 conn.send({"op": "closed", "pid": os.getpid()})
                 break
-            if op == "ping":
-                conn.send({"op": "pong", "pid": os.getpid(),
-                           "seq": msg.get("seq")})
-                continue
-            if op not in ("run", "batched"):
+            if op != "run":
                 conn.send({"op": "error", "seq": msg.get("seq"),
                            "etype": "ValueError",
                            "message": f"unknown op {op!r}"})
@@ -152,12 +152,7 @@ def _worker_main(worker_id: int, artifact_path: str, req_name: str,
                     xs = np.asarray(msg["inline"])
                 else:
                     xs = req.view(msg["shape"], msg["dtype"])
-                if op == "batched":
-                    out = session.run_batched(
-                        xs, batch_size=msg.get("batch_size")
-                    )
-                else:
-                    out = session.run(xs)
+                out = session.run(xs)
             except Exception as exc:
                 conn.send({"op": "error", "seq": msg.get("seq"),
                            "etype": type(exc).__name__, "message": str(exc)})
@@ -179,25 +174,10 @@ def _worker_main(worker_id: int, artifact_path: str, req_name: str,
             pass  # already torn down by the parent
 
 
-class _Task:
-    """One unit of dispatch: a tile plus its completion future."""
-
-    __slots__ = ("op", "xs", "batch_size", "future", "attempts")
-
-    def __init__(self, op: str, xs: np.ndarray,
-                 batch_size: Optional[int] = None):
-        import concurrent.futures
-
-        self.op = op
-        self.xs = xs
-        self.batch_size = batch_size
-        self.future: "concurrent.futures.Future" = concurrent.futures.Future()
-        self.attempts = 0
-
-
 class _WorkerHandle:
     """Parent-side record of one worker slot (process + pipe + slabs).
-    Only the slot's dispatcher thread mutates it after start()."""
+    After start(), only the caller that has borrowed the slot touches
+    its process, pipe and slabs; counters change under the pool lock."""
 
     def __init__(self, worker_id: int, req: SharedSlab, resp: SharedSlab):
         self.worker_id = worker_id
@@ -206,11 +186,10 @@ class _WorkerHandle:
         self.proc = None
         self.conn = None
         self.pid: Optional[int] = None
-        self.ready = False
+        self.seq = 0
         self.state = "starting"
         self.served = 0
         self.restarts = 0
-        self.stolen = 0
 
     @property
     def alive(self) -> bool:
@@ -218,8 +197,8 @@ class _WorkerHandle:
 
 
 class WorkerPool:
-    """N artifact-backed worker processes behind a work-stealing
-    dispatcher.  See the module docstring for the full contract."""
+    """N artifact-backed worker processes, each lent to one caller at a
+    time.  See the module docstring for the full contract."""
 
     def __init__(self, artifact_path: Union[str, Path],
                  options: Optional[PoolOptions] = None,
@@ -228,15 +207,14 @@ class WorkerPool:
         self.options = options or PoolOptions()
         self.faults = faults  # duck-typed: .fire("worker-kill") -> spec|None
         self._ctx = None
-        self._seq = 0
         self._closed = False
         self._started = False
         self._owned_tmp: Optional[str] = None
         self._lock = threading.Condition()
-        n = self.options.workers
-        self._queues: List[Deque[_Task]] = [deque() for _ in range(n)]
+        self._start_lock = threading.Lock()  # one start spawns; the rest wait
         self._workers: List[_WorkerHandle] = []
-        self._threads: List[threading.Thread] = []
+        self._idle: Deque[_WorkerHandle] = deque()  # longest idle first
+        self._lent = 0
         self.kills = 0
         self.inline_fallbacks = 0
         self._total_restarts = 0
@@ -271,36 +249,44 @@ class WorkerPool:
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "WorkerPool":
-        """Spawn the workers, wait for every one to report ready (plan
-        compiled, arena warm), then start the dispatcher threads.
-        Idempotent."""
-        if self._started:
+        """Spawn the workers and wait for every one to report ready
+        (plan compiled, arena warm).  Starts no thread.  Idempotent, also
+        across threads: the first caller spawns, the others wait for it.
+
+        A closed pool raises :class:`PoolClosedError` before it spawns
+        anything; a start that fails closes the pool (every worker and
+        segment it made) before it re-raises."""
+        with self._start_lock:
+            if self._started:
+                return self
+            if self._closed:
+                raise PoolClosedError("pool is closed")
+            import multiprocessing as mp
+
+            from repro.runtime.artifact import read_manifest
+
+            manifest = read_manifest(self.artifact_path)  # fail fast + sizing
+            slab_bytes = self._slab_bytes(manifest)
+            self._ctx = mp.get_context(START_METHOD)
+            try:
+                for wid in range(self.options.workers):
+                    handle = _WorkerHandle(
+                        wid, SharedSlab(slab_bytes), SharedSlab(slab_bytes)
+                    )
+                    self._workers.append(handle)
+                    self._spawn(handle)
+                deadline = time.monotonic() + SPAWN_TIMEOUT_S
+                for handle in self._workers:
+                    self._await_ready(handle, deadline)
+            except BaseException:
+                self.close()
+                raise
+            with self._lock:
+                for handle in self._workers:
+                    handle.state = "idle"
+                self._idle.extend(self._workers)
+                self._started = True
             return self
-        import multiprocessing as mp
-
-        from repro.runtime.artifact import read_manifest
-
-        manifest = read_manifest(self.artifact_path)  # fail fast + sizing
-        slab_bytes = self._slab_bytes(manifest)
-        self._ctx = mp.get_context(START_METHOD)
-        for wid in range(self.options.workers):
-            handle = _WorkerHandle(
-                wid, SharedSlab(slab_bytes), SharedSlab(slab_bytes)
-            )
-            self._workers.append(handle)
-            self._spawn(handle)
-        deadline = time.monotonic() + SPAWN_TIMEOUT_S
-        for handle in self._workers:
-            self._await_ready(handle, deadline)
-        self._started = True
-        for handle in self._workers:
-            t = threading.Thread(
-                target=self._dispatch_loop, args=(handle,),
-                name=f"repro-pool-dispatch-{handle.worker_id}", daemon=True,
-            )
-            self._threads.append(t)
-            t.start()
-        return self
 
     def _spawn(self, handle: _WorkerHandle) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
@@ -316,8 +302,6 @@ class WorkerPool:
         handle.proc = proc
         handle.conn = parent_conn
         handle.pid = proc.pid
-        handle.ready = False
-        handle.state = "starting"
 
     def _await_ready(self, handle: _WorkerHandle, deadline: float) -> None:
         while True:
@@ -335,8 +319,6 @@ class WorkerPool:
                         f"worker {handle.worker_id} died during startup"
                     ) from None
                 if msg.get("op") == "ready":
-                    handle.ready = True
-                    handle.state = "idle"
                     return
             elif not handle.proc.is_alive():
                 raise WorkerCrashedError(
@@ -345,7 +327,12 @@ class WorkerPool:
                 )
 
     def _respawn(self, handle: _WorkerHandle) -> None:
-        """Replace a dead worker in place (same slot, same slabs)."""
+        """Replace a dead worker in place (same slot, same slabs), on the
+        thread of the caller that borrowed it."""
+        with self._lock:
+            handle.state = "respawning"
+            handle.restarts += 1
+            self._total_restarts += 1
         try:
             handle.conn.close()
         except OSError:
@@ -354,30 +341,23 @@ class WorkerPool:
             handle.proc.kill()
         if handle.proc is not None:
             handle.proc.join(timeout=5.0)
-        handle.restarts += 1
-        with self._lock:
-            self._total_restarts += 1
         self._spawn(handle)
         self._await_ready(handle, time.monotonic() + SPAWN_TIMEOUT_S)
+        with self._lock:
+            handle.state = "busy"
 
     def close(self) -> None:
-        """Stop dispatchers, shut workers down, release every shared
-        segment, and fail tasks still queued.  Idempotent."""
+        """Fail every caller still waiting for a worker, wait up to
+        ``TASK_TIMEOUT_S + 10`` s for borrowed workers to come back,
+        then shut the workers down and release every shared segment.
+        Idempotent."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            leftovers = [t for q in self._queues for t in q]
-            for q in self._queues:
-                q.clear()
             self._lock.notify_all()
-        for task in leftovers:
-            if not task.future.done():
-                task.future.set_exception(
-                    PoolClosedError("pool closed with tasks still queued")
-                )
-        for t in self._threads:
-            t.join(timeout=TASK_TIMEOUT_S + 10.0)
+            self._lock.wait_for(lambda: not self._lent,
+                                timeout=TASK_TIMEOUT_S + 10.0)
         for handle in self._workers:
             try:
                 if handle.alive:
@@ -390,10 +370,11 @@ class WorkerPool:
                 if handle.proc.is_alive():
                     handle.proc.kill()
                     handle.proc.join(timeout=2.0)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass  # double-close after a crashed worker
+            if handle.conn is not None:
+                try:
+                    handle.conn.close()
+                except OSError:
+                    pass  # double-close after a crashed worker
             handle.req.close()
             handle.resp.close()
         if self._owned_tmp:
@@ -408,105 +389,36 @@ class WorkerPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- dispatch ------------------------------------------------------
-    def submit(self, xs: np.ndarray, op: str = "run",
-               batch_size: Optional[int] = None):
-        """Enqueue one tile; returns a ``concurrent.futures.Future``
-        resolving to the tile's logits.  Thread-safe."""
-        if not self._started:
-            self.start()
-        task = _Task(op, np.ascontiguousarray(np.asarray(xs)), batch_size)
+    # -- lending -------------------------------------------------------
+    def _borrow(self) -> _WorkerHandle:
+        """The worker idle longest; waits while every worker is borrowed."""
         with self._lock:
+            while not self._closed and not self._idle:
+                self._lock.wait()
             if self._closed:
                 raise PoolClosedError("pool is closed")
-            target = min(
-                range(len(self._queues)), key=lambda i: len(self._queues[i])
-            )
-            self._queues[target].append(task)
-            self._lock.notify_all()
-        return task.future
-
-    def _take_task(self, handle: _WorkerHandle) -> Optional[_Task]:
-        """Own queue first; else steal the oldest task from the longest
-        peer queue; else block until work arrives or the pool closes."""
-        wid = handle.worker_id
-        with self._lock:
-            while True:
-                if self._closed:
-                    return None
-                if self._queues[wid]:
-                    return self._queues[wid].popleft()
-                victim = max(
-                    range(len(self._queues)),
-                    key=lambda i: len(self._queues[i]),
-                )
-                if self._queues[victim]:
-                    handle.stolen += 1
-                    return self._queues[victim].popleft()
-                handle.state = "idle"
-                self._lock.wait()
-
-    def _requeue_front(self, handle: _WorkerHandle, task: _Task) -> None:
-        with self._lock:
-            if self._closed:
-                if not task.future.done():
-                    task.future.set_exception(
-                        PoolClosedError("pool closed during retry")
-                    )
-                return
-            self._queues[handle.worker_id].appendleft(task)
-            self._lock.notify_all()
-
-    def _dispatch_loop(self, handle: _WorkerHandle) -> None:
-        while True:
-            task = self._take_task(handle)
-            if task is None:
-                return
-            if task.future.cancelled():
-                continue
+            handle = self._idle.popleft()
             handle.state = "busy"
-            try:
-                result = self._roundtrip(handle, task)
-            except WorkerCrashedError as exc:
-                handle.state = "respawning"
-                try:
-                    self._respawn(handle)
-                except WorkerCrashedError as respawn_exc:
-                    # Could not bring the slot back: fail the task and
-                    # keep trying to serve the queue with a fresh spawn
-                    # on the next task.
-                    exc = respawn_exc
-                task.attempts += 1
-                if task.attempts <= self.options.retries:
-                    self._requeue_front(handle, task)
-                elif not task.future.done():
-                    task.future.set_exception(exc)
-                handle.state = "idle"
-                continue
-            except Exception as exc:
-                if not task.future.done():
-                    task.future.set_exception(exc)
-                handle.state = "idle"
-                continue
-            handle.served += 1
-            handle.state = "idle"
-            if not task.future.done():
-                task.future.set_result(result)
+            self._lent += 1
+            return handle
 
-    def _roundtrip(self, handle: _WorkerHandle, task: _Task) -> np.ndarray:
-        """Ship one task to ``handle``'s worker and wait for its reply.
+    def _give_back(self, handle: _WorkerHandle, served: bool) -> None:
+        with self._lock:
+            handle.served += served
+            handle.state = "idle"
+            self._idle.append(handle)
+            self._lent -= 1
+            self._lock.notify_all()
+
+    def _roundtrip(self, handle: _WorkerHandle, xs: np.ndarray) -> np.ndarray:
+        """Ship one tile to ``handle``'s worker and wait for its reply.
         Raises :class:`WorkerCrashedError` if the process dies or wedges
         past the task watchdog, :class:`WorkerTaskError` if the task
         itself failed remotely."""
-        with self._lock:
-            self._seq += 1
-            seq = self._seq
-        xs = task.xs
-        msg: Dict[str, Any] = {
-            "op": task.op, "seq": seq,
-            "shape": xs.shape, "dtype": xs.dtype.str,
-            "batch_size": task.batch_size,
-        }
+        handle.seq += 1
+        seq = handle.seq
+        msg = {"op": "run", "seq": seq, "shape": xs.shape,
+               "dtype": xs.dtype.str}
         if xs.size and handle.req.fits(xs.nbytes):
             handle.req.write(xs)
         elif xs.size:
@@ -515,7 +427,7 @@ class WorkerPool:
                 self.inline_fallbacks += 1
         # Chaos hook: the task carries the kill, and the worker SIGKILLs
         # itself on reading it — a deterministic mid-batch crash the
-        # dispatcher must absorb.
+        # borrowing caller must absorb.
         if self.faults is not None and self.faults.fire("worker-kill") is not None:
             msg["kill"] = True
             with self._lock:
@@ -538,7 +450,7 @@ class WorkerPool:
                         f"mid-task"
                     ) from None
                 if reply.get("seq") != seq:
-                    continue  # stale pre-crash chatter; keep draining
+                    continue  # stale chatter from an abandoned task; keep draining
                 break
             if not handle.proc.is_alive():
                 # One final poll: the reply may have been in flight when
@@ -572,31 +484,59 @@ class WorkerPool:
 
     # -- serving surface ----------------------------------------------
     def run(self, xs: np.ndarray) -> np.ndarray:
-        """One tile, synchronously: real NCHW batch -> real logits
-        (bit-identical to ``Session.run`` on any worker's session)."""
-        return self.submit(xs, op="run").result()
+        """One tile, synchronously, on the calling thread: real NCHW
+        batch -> real logits (bit-identical to ``Session.run`` on any
+        worker's session).  Borrows an idle worker, respawns and retries
+        it here if it crashes, and gives it back.  Thread-safe."""
+        if not self._started:
+            self.start()
+        xs = np.ascontiguousarray(np.asarray(xs))
+        handle = self._borrow()
+        served = False
+        crash: Optional[WorkerCrashedError] = None
+        try:
+            for _ in range(self.options.retries + 1):
+                if crash is not None and self._closed:
+                    raise PoolClosedError("pool closed during retry") from crash
+                try:
+                    out = self._roundtrip(handle, xs)
+                except WorkerCrashedError as exc:
+                    crash = exc
+                    try:
+                        self._respawn(handle)
+                    except WorkerCrashedError as respawn_exc:
+                        # The slot did not come back: the next attempt
+                        # (or the next borrower) spawns it afresh.
+                        crash = respawn_exc
+                    continue
+                served = True
+                return out
+            raise crash
+        finally:
+            self._give_back(handle, served)
 
     def run_batched(self, x_real: np.ndarray,
                     batch_size: Optional[int] = None) -> np.ndarray:
         """A sweep, tiled *across* workers: split into contiguous tiles
-        of ``batch_size`` (default ``PoolOptions.max_tile``), dispatch
-        them all, and reassemble in submission order.  Because every
-        kernel in the stack is exact, per-tile execution is
-        bit-identical to ``Session.run_batched`` of the whole sweep no
-        matter how the tiles land on workers."""
+        of ``batch_size`` (default ``PoolOptions.max_tile``), run them on
+        up to ``workers`` threads of an executor that lives only for this
+        call, and reassemble them in order.  Because every kernel in the
+        stack is exact, per-tile execution is bit-identical to
+        ``Session.run_batched`` of the whole sweep no matter how the
+        tiles land on workers.  A sweep of one tile (or none: the empty
+        sweep keeps the plan's output shape) runs on the calling thread."""
         x = np.asarray(x_real)
         tile = int(batch_size or self.options.max_tile)
         if tile < 1:
             raise ValueError(f"batch_size must be >= 1, got {tile}")
         n = x.shape[0] if x.ndim else 0
-        if n == 0:
-            # Shape-preserving empty sweep: one worker answers with the
-            # plan's output spec applied to zero images.
-            return self.submit(x, op="batched",
-                               batch_size=tile).result()
-        futures = [self.submit(x[i:i + tile], op="run")
-                   for i in range(0, n, tile)]
-        return np.concatenate([f.result() for f in futures], axis=0)
+        if n <= tile:
+            return self.run(x)
+        tiles = [x[i:i + tile] for i in range(0, n, tile)]
+        width = min(len(tiles), self.options.workers)
+        with ThreadPoolExecutor(max_workers=width,
+                                thread_name_prefix="repro-pool-sweep") as sweep:
+            return np.concatenate(list(sweep.map(self.run, tiles)), axis=0)
 
     def predict(self, x_real: np.ndarray,
                 batch_size: Optional[int] = None) -> np.ndarray:
@@ -615,18 +555,13 @@ class WorkerPool:
     def alive_workers(self) -> int:
         return sum(1 for h in self._workers if h.alive)
 
-    def queue_depths(self) -> List[int]:
-        with self._lock:
-            return [len(q) for q in self._queues]
-
     def stats(self) -> dict:
         """Health + accounting snapshot (the ``/stats`` pool section).
 
-        Taken under the pool lock so the counters, queue depths and
-        per-worker rows all describe one instant — an unlocked snapshot
-        can sum ``served`` mid-restart and report a batch both in a
-        queue and in a worker's tally.  (``queue_depths`` re-enters the
-        lock; the Condition's default lock is reentrant.)
+        Taken under the pool lock, which every counter change also
+        takes, so the counters and per-worker rows all describe one
+        instant — an unlocked snapshot can sum ``served`` mid-restart
+        or see a handle half given back.
         """
         with self._lock:
             return {
@@ -635,9 +570,7 @@ class WorkerPool:
                 "restarts": self._total_restarts,
                 "kills": self.kills,
                 "served": sum(h.served for h in self._workers),
-                "stolen": sum(h.stolen for h in self._workers),
                 "inline_fallbacks": self.inline_fallbacks,
-                "queue_depths": self.queue_depths(),
                 "per_worker": [
                     {
                         "worker": h.worker_id,
@@ -646,7 +579,6 @@ class WorkerPool:
                         "state": h.state,
                         "served": h.served,
                         "restarts": h.restarts,
-                        "stolen": h.stolen,
                     }
                     for h in self._workers
                 ],

@@ -1,13 +1,14 @@
 """Shared-memory tensor transport for the worker pool.
 
 One :class:`SharedSlab` is a fixed-size ``multiprocessing.shared_memory``
-segment the dispatcher and exactly one worker agree on: the parent
-writes a request batch into the worker's request slab, sends a tiny
-control message (shape + dtype + sequence number) over the worker's
-pipe, and the worker maps the same bytes as a numpy view — the batch
-never crosses the pipe, and neither does the response.  The protocol is
-strictly request/response per worker, so a slab is never written while
-the peer might still be reading it and no locks are needed.
+segment the parent and exactly one worker agree on: the caller that has
+borrowed the worker writes a request batch into its request slab, sends
+a tiny control message (shape + dtype + sequence number) over the
+worker's pipe, and the worker maps the same bytes as a numpy view — the
+batch never crosses the pipe, and neither does the response.  The
+protocol is strictly request/response per worker, and a worker is lent
+to one caller at a time, so a slab is never written while the peer
+might still be reading it and the slab itself needs no lock.
 
 Payloads that do not fit the slab (a caller submitting a tile larger
 than the pool was sized for, or an unusually large trunk output) fall

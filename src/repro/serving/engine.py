@@ -20,8 +20,9 @@ arena is not concurrency-safe, so one in-process thread is the
 correctness contract, not a limitation.  At ``workers=N`` the registry
 gives every resident model a :class:`repro.runtime.pool.WorkerPool` of
 N artifact-backed processes and the executor widens to N threads, each
-of which only *waits* on a pool — the arena-safety contract moves into
-the per-worker processes and N tiles really execute concurrently.
+of which borrows an idle worker and runs its tile's round trip to that
+process itself — the arena-safety contract moves into the per-worker
+processes and N tiles really execute concurrently.
 
 The engine reports terminal failures as
 :class:`~repro.serving.errors.BatchExecutionError`; the server layered

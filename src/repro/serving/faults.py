@@ -24,8 +24,8 @@ event counts, not on luck:
 ``worker-kill``
     Consumed by :class:`repro.runtime.pool.WorkerPool`: the task goes
     out marked, and the worker SIGKILLs itself on reading it, before it
-    computes or replies — a deterministic mid-batch crash the
-    dispatcher must absorb via respawn-and-retry
+    computes or replies — a deterministic mid-batch crash the caller
+    that borrowed the worker must absorb via respawn-and-retry
     (``serve --workers N --inject worker-kill:every=7``).
 ``malformed``
     Consumed by the *load generator*: emit a garbage payload instead of

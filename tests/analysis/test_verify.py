@@ -281,6 +281,20 @@ class TestCorruptionRejection:
         assert err.layers == [victim.name]
         assert ">= 2^53" in str(err)
 
+    def test_int64_tier_past_2_63_rejected(self):
+        """The compiler refuses such a layer, so only a tampered bound
+        reaches the verifier's int64 rule."""
+        plan = _fresh_plan()
+        victim = next(l for l in plan.layers if l.epilogue == "i64")
+        m_max = int(np.abs(np.asarray(victim.requant.m_int)).max())
+        victim.acc_bound = (1 << 63) // m_max + 1
+        with pytest.raises(PlanVerificationError) as exc_info:
+            verify_plan(plan, HW)
+        err = exc_info.value
+        assert "requant-shift" in err.rules
+        assert victim.name in err.layers
+        assert "the int64 epilogue overflows" in str(err)
+
     def test_tile_region_smaller_than_a_tile_rejected(self):
         plan = _fresh_plan()
         arena = plan.arena_for(HW)

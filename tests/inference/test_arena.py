@@ -242,24 +242,20 @@ class TestTiledDepthwiseArena:
 
     def test_stride1_accumulator_need_counts_the_wide_row_grid(self):
         """A stride-1 depthwise layer accumulates (OH-1)*Wp + OW columns
-        per channel, from compiled and exported geometry alike; a
-        stride-2 one accumulates OH*OW."""
-        from repro.inference.export import _network_geometries
-
+        per channel; a stride-2 one accumulates OH*OW."""
         spec = mobilenet_v1_spec(32, 0.25, num_classes=10)
         net = integer_network_from_spec(spec, np.random.default_rng(0))
         hw = (24, 40)
         compiled = net.compile().arena_for(hw).plans
-        exported = plan_activations(_network_geometries(net), hw)
         seen = set()
-        for layer, p, q in zip(net.conv_layers, compiled, exported):
+        for layer, p in zip(net.conv_layers, compiled):
             if layer.kind != "dw":
                 continue
             c, h, w = p.in_shape
             _, oh, ow = p.out_shape
             wp = w + 2 * layer.padding
             columns = (oh - 1) * wp + ow if layer.stride == 1 else oh * ow
-            assert p.acc_elems == q.acc_elems == c * columns, layer.name
+            assert p.acc_elems == c * columns, layer.name
             seen.add(layer.stride)
         assert seen == {1, 2}
 

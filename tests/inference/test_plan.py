@@ -354,14 +354,16 @@ class TestInt64Fallback:
             assert "int64/int64->uint8" in session.profile(x, repeats=1).table()
             assert session.healthcheck()["ok"]
 
-    def test_icn_layer_past_2_53_is_rejected(self):
-        """Eq. 5 of such a layer overflows int64: the reference raises,
-        and the verifier rejects the plan's int64 epilogue."""
+    @pytest.mark.parametrize("kind", ["conv", "dw"])
+    def test_icn_layer_past_2_53_is_rejected(self, kind):
+        """Eq. 5 of such a layer overflows int64: the reference raises on
+        its input, and the compiler refuses the layer, by name, before
+        any input arrives."""
         x = np.random.default_rng(6).uniform(0, 1, size=(2, self.CHANNELS, *self.HW))
-        net = self._net("conv", "icn", x)
+        net = self._net(kind, "icn", x)
         with pytest.raises(OverflowError):
             net.forward(x)
-        plan = net.compile()
-        assert plan.layers[0].backend == "int64" and plan.layers[0].epilogue == "i64"
-        report = verify_plan(plan, self.HW, raise_on_violation=False)
-        assert "requant-shift" in [v.rule for v in report.violations]
+        with pytest.raises(OverflowError, match=f"^{kind}: .*int64"):
+            net.compile()
+        with pytest.raises(OverflowError, match=f"^{kind}: "):
+            Session(net)

@@ -104,13 +104,13 @@ def _compile(case):
             bq=case.bq, m0=case.m0, n0=case.n0, out_bits=case.out_bits,
             w_bits=8, per_channel=True,
         )
-        return params, _compile_icn_requant(params, case.acc_bound)
+        return params, _compile_icn_requant(params, case.acc_bound, "eq5")
     params = FoldedBNParams(
         weights_q=np.zeros((case.c, 1, 1, 1), dtype=np.uint8), z_w=0, z_x=0,
         z_y=case.z_y, bq=case.bq, m0=int(case.m0[0]), n0=int(case.n0[0]),
         out_bits=case.out_bits, w_bits=8,
     )
-    return params, _compile_folded_requant(params, case.acc_bound)
+    return params, _compile_folded_requant(params, case.acc_bound, "eq5")
 
 
 def _reference(case, params, phi):

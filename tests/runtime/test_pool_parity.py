@@ -12,7 +12,9 @@ reassembly out of order), which is why the assertions are
 ``array_equal``, never ``allclose``.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,9 +26,12 @@ from repro.runtime import (
     PoolOptions,
     Session,
     SessionOptions,
+    WorkerCrashedError,
     WorkerPool,
     WorkerTaskError,
 )
+from repro.runtime.artifact import BLOBS_NAME
+from repro.runtime.shm import SharedSlab
 
 # A sampled slice of the 16-config zoo: the extremes plus two interior
 # points.  Structure (depth/width) comes from the spec; inputs run at
@@ -167,16 +172,180 @@ def test_closed_pool_rejects_new_work(tmp_path):
     pool.close()
     pool.close()  # idempotent
     with pytest.raises(PoolClosedError):
-        pool.submit(np.zeros((1, 3, 32, 32)))
+        pool.run(np.zeros((1, 3, 32, 32)))
 
 
-def test_work_stealing_spreads_a_burst(small_setup):
-    """A burst of tiles submitted at once ends up executed by both
-    workers (the stealing path, not just round-robin luck)."""
+def test_a_burst_of_callers_spreads_over_every_worker(small_setup):
+    """Twelve callers at once, switching threads as often as the
+    interpreter allows: every worker serves some of them (an idle worker
+    is lent before a busy one is waited for), every caller gets its own
+    bit-exact answer, and no lent or given-back worker is lost from the
+    tally."""
     session, pool = small_setup
-    x = np.random.default_rng(51).uniform(0, 1, size=(2, 3, 32, 32))
-    futures = [pool.submit(x) for _ in range(12)]
-    for f in futures:
-        assert np.array_equal(session.run(x), f.result(timeout=120))
-    per_worker = pool.stats()["per_worker"]
-    assert all(w["served"] > 0 for w in per_worker)
+    xs = [np.random.default_rng(51 + i).uniform(0, 1, size=(2, 3, 32, 32))
+          for i in range(12)]
+    before = [w["served"] for w in pool.stats()["per_worker"]]
+    results = [None] * len(xs)
+
+    def caller(i):
+        results[i] = pool.run(xs[i])
+
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(xs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for x, got in zip(xs, results):
+        assert got is not None and np.array_equal(session.run(x), got)
+    after = [w["served"] for w in pool.stats()["per_worker"]]
+    assert sum(after) - sum(before) == len(xs)
+    assert all(a > b for a, b in zip(after, before))
+
+
+def test_concurrent_first_calls_start_the_pool_once(tmp_path):
+    """Callers racing into an unstarted pool: one of them starts it,
+    the others wait, and every one is answered by the configured
+    number of workers."""
+    session = _session_for(_SMALL, seed=65)
+    path = session.save(tmp_path / "r.artifact")
+    x = np.random.default_rng(66).uniform(0, 1, size=(2, 3, 32, 32))
+    with WorkerPool(path, PoolOptions(workers=2)) as probe:
+        expected = probe.run(x)
+    pool = WorkerPool(path, PoolOptions(workers=2))
+    results = [None] * 3
+
+    def caller(i):
+        try:
+            results[i] = pool.run(x)
+        except Exception as exc:  # pragma: no cover - failure path
+            results[i] = exc
+
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(3)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert all(isinstance(r, np.ndarray) and np.array_equal(expected, r)
+                   for r in results), results
+        assert len(pool.worker_pids()) == 2
+    finally:
+        pool.close()
+
+
+def test_pool_runs_no_thread_of_its_own(tmp_path):
+    """Callers run their own round trips: starting a pool adds no thread,
+    and a sweep's executor is gone by the time ``run_batched`` returns."""
+    session = _session_for(_SMALL, seed=61)
+    path = session.save(tmp_path / "t.artifact")
+    before = set(threading.enumerate())
+    with WorkerPool(path, PoolOptions(workers=3, max_tile=2)) as pool:
+        assert not set(threading.enumerate()) - before
+        x = np.random.default_rng(62).uniform(0, 1, size=(7, 3, 32, 32))
+        assert np.array_equal(session.run_batched(x), pool.run_batched(x))
+        assert not set(threading.enumerate()) - before
+
+
+class _HoldingFaults:
+    """A duck-typed fault hook that holds its caller's round trip (and
+    so its borrowed worker) until released; it never fires."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def fire(self, kind):
+        self.entered.set()
+        self.release.wait(60)
+        return None
+
+
+def test_close_fails_a_caller_waiting_for_a_worker(tmp_path):
+    """With the only worker on loan, a second caller waits; ``close``
+    fails it with PoolClosedError at once, then waits for the borrowed
+    worker to come back before it shuts the pool down."""
+    session = _session_for(_SMALL, seed=71)
+    path = session.save(tmp_path / "w.artifact")
+    hold = _HoldingFaults()
+    pool = WorkerPool(path, PoolOptions(workers=1), faults=hold).start()
+    x = np.random.default_rng(72).uniform(0, 1, size=(2, 3, 32, 32))
+    outcomes = {}
+
+    def call(name):
+        try:
+            outcomes[name] = pool.run(x)
+        except Exception as exc:
+            outcomes[name] = exc
+
+    holder = threading.Thread(target=call, args=("holder",))
+    holder.start()
+    assert hold.entered.wait(30)
+    waiter = threading.Thread(target=call, args=("waiter",))
+    waiter.start()
+    deadline = time.monotonic() + 10
+    while not pool._lock._waiters and time.monotonic() < deadline:
+        time.sleep(0.01)  # until the waiter blocks for a worker
+    closer = threading.Thread(target=pool.close)
+    closer.start()
+    waiter.join(timeout=30)
+    assert not waiter.is_alive()
+    assert isinstance(outcomes["waiter"], PoolClosedError)
+    assert closer.is_alive()  # still waiting for the borrowed worker
+    hold.release.set()
+    holder.join(timeout=30)
+    closer.join(timeout=30)
+    assert not closer.is_alive()
+    assert np.array_equal(session.run(x), outcomes["holder"])
+    assert pool.alive_workers() == 0
+
+
+def _leftovers(pool):
+    """(worker pids still alive, shared segments still linked)."""
+    alive = [h.pid for h in pool._workers if h.alive]
+    linked = []
+    for h in pool._workers:
+        for slab in (h.req, h.resp):
+            try:
+                SharedSlab.attach(slab.name).close()
+            except FileNotFoundError:
+                continue
+            linked.append(slab.name)
+    return alive, linked
+
+
+def test_pool_closed_before_start_spawns_nothing(tmp_path):
+    session = _session_for(_SMALL, seed=81)
+    path = session.save(tmp_path / "n.artifact")
+    pool = WorkerPool(path, PoolOptions(workers=2))
+    pool.close()
+    with pytest.raises(PoolClosedError):
+        pool.run(np.zeros((1, 3, 32, 32)))
+    with pytest.raises(PoolClosedError):
+        pool.start()
+    assert pool.worker_pids() == []
+    assert _leftovers(pool) == ([], [])
+
+
+def test_failed_start_leaves_no_worker_or_segment(tmp_path):
+    """One flipped blob byte: the first worker to fail its CRC check
+    fails ``start``, which then closes the workers still loading and
+    every segment it made."""
+    session = _session_for(_SMALL, seed=91)
+    path = session.save(tmp_path / "bad.artifact")
+    blob = path / BLOBS_NAME
+    raw = bytearray(blob.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF
+    blob.write_bytes(bytes(raw))
+    pool = WorkerPool(path, PoolOptions(workers=3))
+    with pytest.raises(WorkerCrashedError):
+        pool.start()
+    assert len(pool.worker_pids()) >= 1
+    assert _leftovers(pool) == ([], [])
+    assert pool.closed

@@ -438,9 +438,10 @@ class TestWorkerCrash:
     These scenarios boot a real 2-worker process pool over the saved
     tiny artifact; the ``worker-kill`` fault SIGKILLs a worker right
     after a batch is handed to it, mid-flight.  What must hold: the
-    dispatcher respawns the dead worker, the batch retries (or fails,
-    when every retry budget is zero) per policy, and the restart is
-    visible through ``/healthz`` and ``/stats``.
+    executor thread that borrowed the worker respawns it before the
+    batch retries (or fails, when every retry budget is zero) per
+    policy, and the restart is visible through ``/healthz`` and
+    ``/stats``.
     """
 
     def run_pooled(self, tiny_session, tiny_artifact, options, faults,
