@@ -78,11 +78,11 @@ def test_benchmark_engine_throughput(record_report):
     rows = []
     codes = plan.quantize_input(x)
     arena = plan.arena_for((RESOLUTION, RESOLUTION))
-    arena.ensure(BATCH)
     infos = {i.name: i for i in plan.layer_info()}
-    for i, (layer, ref_layer) in enumerate(zip(plan.layers, net.conv_layers)):
+    trunk = zip(plan.layers, net.conv_layers, plan.bound(codes.shape))
+    for layer, ref_layer, views in trunk:
         t_l_seed = _best_of(lambda: ref_layer.forward(codes))
-        t_l_plan = _best_of(lambda: layer(codes, arena, slot=i % 2))
+        t_l_plan = _best_of(lambda: layer(codes, views))
         info = infos[layer.name]
         rows.append([
             layer.name,
@@ -92,7 +92,7 @@ def test_benchmark_engine_throughput(record_report):
             round(t_l_plan * 1e3, 2),
             round(t_l_seed / t_l_plan, 1),
         ])
-        codes = layer(codes, arena, slot=i % 2)
+        codes = layer(codes, views)
     rows.append([
         "TOTAL", "", "", round(t_seed * 1e3, 2), round(t_plan * 1e3, 2),
         round(speedup, 1),
@@ -136,9 +136,8 @@ def test_benchmark_depthwise_tile_loop(record_report):
     rows = []
     codes = plan.quantize_input(x)
     arena = plan.arena_for((res, res))
-    arena.ensure(batch)
     total = 0.0
-    for i, layer in enumerate(plan.layers):
+    for layer, views in zip(plan.layers, plan.bound(codes.shape)):
         if layer.kind == "dw":
             n, c, h, w = codes.shape
             images, blocks = layer.tile_blocking(h, w, arena.dw_tile_bytes)
@@ -147,7 +146,7 @@ def test_benchmark_depthwise_tile_loop(record_report):
             channel_bytes = depthwise_channel_bytes(
                 layer.kh, layer.kw, layer.stride, oh, ow, layer.gemm_itemsize)
             widest = max(c1 - c0 for c0, c1 in blocks)
-            t_tiles = _best_of(lambda: layer(codes, arena, slot=i % 2))
+            t_tiles = _best_of(lambda: layer(codes, views))
             total += t_tiles
             rows.append([
                 layer.name, f"s{layer.stride}", -(-n // images) * len(blocks),
@@ -155,7 +154,7 @@ def test_benchmark_depthwise_tile_loop(record_report):
                 round(n * c * channel_bytes / 2 ** 20, 1),
                 round(t_tiles * 1e3, 2),
             ])
-        codes = layer(codes, arena, slot=i % 2)
+        codes = layer(codes, views)
     planned = arena.planned_bytes(batch)
 
     report = render_table(
@@ -191,7 +190,7 @@ def test_benchmark_batched_sweep_throughput(record_report):
     # not allocate more new memory on top of them than that plan.
     arena = plan.arena_for((res, res))
     planned = arena.planned_bytes(8)
-    assert arena.allocated_bytes == planned, "arena slabs diverged from the plan"
+    assert plan._slabs.allocated_bytes == planned, "arena slabs diverged from the plan"
     tracemalloc.start()
     session.run_batched(sweep)
     _, measured_peak = tracemalloc.get_traced_memory()

@@ -175,15 +175,16 @@ async def _run_profile(session, faults_spec, quick):
     return out
 
 
-async def _run_workers_point(session, artifact_path, workers, quick):
-    """Closed-loop drive against a pooled server of the given width."""
+async def _run_workers_point(session, workers, quick):
+    """Closed-loop drive against a pooled server of the given width (its
+    pool mmaps the artifact the session was saved to)."""
     options = ServerOptions(
         port=0, max_batch=8, max_wait_ms=2.0, queue_depth=256,
         default_deadline_ms=0.0,
         retry=RetryPolicy(attempts=2, base_delay_s=0.005),
         workers=workers,
     )
-    server = ServingServer(session, options, artifact_path=artifact_path)
+    server = ServingServer(session, options)
     host, port = await server.start()
     image = _image()
     try:
@@ -307,7 +308,7 @@ def _run_workers_axis(session, workers_list, quick):
         points = []
         for workers in workers_list:
             points.append(asyncio.run(
-                _run_workers_point(session, artifact, workers, quick)))
+                _run_workers_point(session, workers, quick)))
     return points
 
 

@@ -564,7 +564,7 @@ def _conv_slab_needs(layer, h: int, w: int) -> Tuple[Dict[str, int], Tuple[int, 
     out = out_elems * np.dtype(layer.out_dtype).itemsize
     # A wide row grid's requant chunks whole (C, OW) rows of its outputs.
     requant = requant_scratch_bytes(
-        layer.kind, layer.requant_kind, layer.out_channels, out_elems,
+        layer.requant_kind, layer.out_channels, out_elems,
         row=1 if grid is None else ow,
     )
     return (
@@ -753,16 +753,6 @@ def _check_arena(plan, input_hw: Tuple[int, int],
         report.passed("slab-aliasing", max(1, len(layers)))
 
 
-def _known_geometries(plan, input_hw) -> List[Tuple[int, int]]:
-    geoms: List[Tuple[int, int]] = []
-    if input_hw is not None:
-        geoms.append((int(input_hw[0]), int(input_hw[1])))
-    for key in plan._arenas:
-        if key not in geoms:
-            geoms.append(key)
-    return geoms
-
-
 def _check_chain(plan, report: VerificationReport) -> None:
     """Bit-width and channel chaining across the layer stack."""
     layers = plan.layers
@@ -819,9 +809,8 @@ def verify_plan(plan, input_hw: Optional[Tuple[int, int]] = None, *,
     """Statically verify a compiled :class:`ExecutionPlan`.
 
     Runs every rule family over every layer without executing the plan.
-    ``input_hw`` adds (or selects) a geometry for the slab-lifetime walk;
-    without it, every geometry the plan has planned an arena for is
-    walked.
+    The slab-lifetime walk covers ``input_hw`` and the geometry of every
+    input shape the plan keeps bound (:meth:`ExecutionPlan.bound`).
     ``schedule`` overrides the ping-pong ``(in_slot, out_slot)`` sequence
     — the hook the corruption tests use to prove the race detector
     actually detects races.
@@ -838,7 +827,8 @@ def verify_plan(plan, input_hw: Optional[Tuple[int, int]] = None, *,
     if plan.classifier is not None:
         _check_acc_bound(plan.classifier, report)
     _check_chain(plan, report)
-    for hw in _known_geometries(plan, input_hw):
+    walk = [] if input_hw is None else [(int(input_hw[0]), int(input_hw[1]))]
+    for hw in dict.fromkeys(walk + [shape[2:] for shape in plan._bound]):
         _check_arena(plan, hw, schedule, report)
     if raise_on_violation:
         report.raise_if_failed()
@@ -867,13 +857,15 @@ def verify_artifact(path: Union[str, Path],
     plan = ExecutionPlan(network)
     net_manifest = manifest.get("network", {})
     arena_info = net_manifest.get("arena")
+    input_hw = input_hw or session_options.input_hw
+    report = verify_plan(plan, input_hw, raise_on_violation=False)
     recorded_hw = None
     if arena_info is not None:
         recorded_hw = (int(arena_info["input_hw"][0]),
                        int(arena_info["input_hw"][1]))
-        plan.arena_for(recorded_hw)  # verify_plan walks every planned arena
-    report = verify_plan(plan, input_hw or session_options.input_hw,
-                         raise_on_violation=False)
+        # A fresh plan has nothing bound: verify_plan walked input_hw only.
+        if input_hw is None or recorded_hw != (int(input_hw[0]), int(input_hw[1])):
+            _check_arena(plan, recorded_hw, None, report)
     entries = list(net_manifest.get("conv_layers", []))
     if len(entries) != len(plan.layers):
         report.fail(

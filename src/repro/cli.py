@@ -182,8 +182,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         worker_retries=args.worker_retries,
     )
     serve(session, options, faults=faults, ttl_s=args.ttl,
-          artifact_path=args.artifact, registry=registry,
-          default_model=default_model)
+          registry=registry, default_model=default_model)
     return 0
 
 

@@ -18,7 +18,6 @@ from repro.inference.engine import (
 from repro.inference.arena import (
     ActivationArena,
     LayerActivationPlan,
-    LayerGeometry,
     logical_rw_peak_bytes,
     plan_activations,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "IntegerNetwork",
     "ActivationArena",
     "LayerActivationPlan",
-    "LayerGeometry",
     "logical_rw_peak_bytes",
     "plan_activations",
     "ExecutionPlan",

@@ -34,7 +34,7 @@ This module plans that behaviour statically, at compile time:
 
 Buffers are raw ``uint8`` slabs viewed at the per-layer dtype, so a
 float32-tier depthwise layer and a float64 pointwise layer share the same
-storage.  ``ensure(batch)`` grows the slab set to the largest per-image
+storage.  ``SlabSet.hold`` grows the slab set to the largest per-image
 need and batch that has run (never shrinks); for one geometry the
 planned peak at a given tile size is exact and is what ``run_batched``
 is bounded by.
@@ -43,14 +43,13 @@ is bounded by.
 from __future__ import annotations
 
 import math
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.memory_model import activation_rw_bytes
+from repro.inference.packing import container_dtype
 from repro.nn.functional import conv_output_size
 
 _INT64_BYTES = np.dtype(np.int64).itemsize
@@ -73,68 +72,6 @@ REQUANT_SCRATCH_BYTES = 512 << 10
 #: both flat ranges (smaller tiles pay more per-tile overhead, larger
 #: ones leave L2).
 DW_TILE_BYTES = 1 << 20
-
-#: Batch sizes whose layer bindings one arena keeps (the least recently
-#: used is dropped first).  A binding set is ~0.3 MB of view objects per
-#: batch size on MobileNetV1 128_0.5; 8 covers the serving default
-#: ``max_batch``, and an evicted batch size just rebinds on its next call.
-MAX_BOUND_BATCHES = 8
-
-
-@dataclass(frozen=True)
-class LayerGeometry:
-    """Static geometry of one layer, as needed for activation planning.
-
-    ``gemm_itemsize`` is the byte width of the layer's GEMM operands and
-    accumulator (float32/float64/int64 depending on dispatch);
-    ``out_itemsize`` the container width its output codes are stored at
-    (1 for every <=8-bit activation); ``requant_kind`` selects the
-    requantization scratch requirement (``"fixed"`` fixed-point Eq. 5,
-    ``"thr"`` thresholds, ``""`` for fc).
-    """
-
-    name: str
-    kind: str  # "conv" | "pw" | "dw" | "fc"
-    in_channels: int
-    out_channels: int
-    kh: int
-    kw: int
-    stride: int
-    padding: int
-    in_bits: int
-    out_bits: int
-    gemm_itemsize: int  # bytes per scratch element (float32/float64/int64)
-    out_itemsize: int = 1  # container bytes per output code
-    requant_kind: str = "fixed"
-    #: Split-K sgemm layer: needs an output-sized float32 chunk buffer in
-    #: the cols slab (its 1x1 unfold is otherwise a pure view).
-    split_k: bool = False
-
-    @classmethod
-    def from_compiled(cls, layer) -> "LayerGeometry":
-        """Geometry of a compiled conv/dw/pw layer (plan.CompiledConvLayer)."""
-        return cls(
-            name=layer.name,
-            kind=layer.kind,
-            in_channels=layer.in_channels,
-            out_channels=layer.out_channels,
-            kh=layer.kh,
-            kw=layer.kw,
-            stride=layer.stride,
-            padding=layer.padding,
-            in_bits=layer.in_bits,
-            out_bits=layer.out_bits,
-            # Slabs are sized at the wider of the operand and accumulator
-            # dtypes (they differ only for split-K sgemm layers).
-            gemm_itemsize=max(
-                np.dtype(layer.gemm_dtype).itemsize,
-                np.dtype(getattr(layer, "acc_dtype", layer.gemm_dtype)).itemsize,
-            ),
-            out_itemsize=np.dtype(layer.out_dtype).itemsize,
-            requant_kind=getattr(layer, "requant_kind", "fixed"),
-            split_k=getattr(layer, "split_k", None) is not None,
-        )
-
 
 @dataclass(frozen=True)
 class LayerActivationPlan:
@@ -187,8 +124,8 @@ class LayerActivationPlan:
         return self.out_elems * self.out_itemsize
 
 
-def requant_scratch_bytes(kind: str, requant_kind: str, c_out: int,
-                           out_elems: int, row: int = 1) -> int:
+def requant_scratch_bytes(requant_kind: str, c_out: int, out_elems: int,
+                          row: int = 1) -> int:
     """Fixed int64 scratch one layer's chunked requantization needs.
 
     Fixed-point layers tile the accumulator into ~``REQUANT_SCRATCH_BYTES``
@@ -198,8 +135,6 @@ def requant_scratch_bytes(kind: str, requant_kind: str, c_out: int,
     layers consume one whole image at a time (per-channel
     ``searchsorted`` wants contiguous rows).
     """
-    if kind == "fc":
-        return 0
     if requant_kind == "thr":
         return out_elems * _INT64_BYTES
     return max(c_out * row * _INT64_BYTES,
@@ -278,42 +213,29 @@ def depthwise_blocking(channels: int, channel_bytes: int,
     return 1, balanced_blocks(channels, limit // channel_bytes)
 
 
-def plan_activations(
-    geometries: Sequence[LayerGeometry], input_hw: Tuple[int, int]
-) -> List[LayerActivationPlan]:
-    """Cascade ``input_hw`` through the layer stack and size every buffer.
+def plan_activations(layers: Sequence[Any], input_hw: Tuple[int, int],
+                     classifier: Any = None) -> List[LayerActivationPlan]:
+    """Cascade ``input_hw`` through compiled layers and size every buffer.
 
-    The trailing ``"fc"`` geometry (if any) is planned after an implicit
-    global average pool, i.e. at spatial size 1x1 — matching both the
-    deployment graph and the model-zoo :class:`LayerSpec` convention.
+    ``layers`` are a plan's
+    :class:`~repro.inference.plan.CompiledConvLayer` trunk; their slabs
+    are sized at the wider of the operand and accumulator dtypes (they
+    differ only for split-K sgemm layers).  A ``classifier``
+    (:class:`~repro.inference.plan.CompiledLinear`) is planned after an
+    implicit global average pool, i.e. at spatial size 1x1 — matching
+    both the deployment graph and the model-zoo :class:`LayerSpec`
+    convention.
     """
     h, w = int(input_hw[0]), int(input_hw[1])
     plans: List[LayerActivationPlan] = []
-    for g in geometries:
-        if g.kind == "fc":
-            plans.append(
-                LayerActivationPlan(
-                    name=g.name,
-                    kind="fc",
-                    in_shape=(g.in_channels, 1, 1),
-                    out_shape=(g.out_channels, 1, 1),
-                    in_bits=g.in_bits,
-                    out_bits=g.out_bits,
-                    pad_elems=0,
-                    cols_elems=0,
-                    acc_elems=0,
-                    gemm_itemsize=g.gemm_itemsize,
-                    out_itemsize=g.out_itemsize,
-                    requant_bytes=0,
-                )
-            )
-            continue
+    for g in layers:
         oh = conv_output_size(h, g.kh, g.stride, g.padding)
         ow = conv_output_size(w, g.kw, g.stride, g.padding)
         if oh < 1 or ow < 1:
             raise ValueError(
                 f"layer {g.name!r}: input {h}x{w} collapses to {oh}x{ow}"
             )
+        itemsize = max(np.dtype(g.gemm_dtype).itemsize, np.dtype(g.acc_dtype).itemsize)
         hp, wp = h + 2 * g.padding, w + 2 * g.padding
         out_elems = acc_elems = g.out_channels * oh * ow
         tile_bytes = 0
@@ -324,11 +246,11 @@ def plan_activations(
             cols_elems = 0
             acc_elems = g.out_channels * depthwise_columns(g.kw, g.stride, oh, ow)
             tile_bytes = depthwise_tile_bound(g.in_channels, depthwise_channel_bytes(
-                g.kh, g.kw, g.stride, oh, ow, g.gemm_itemsize))
+                g.kh, g.kw, g.stride, oh, ow, itemsize))
         elif g.kh == 1 and g.kw == 1 and g.stride == 1:
             # im2col of a 1x1/s1 kernel is a pure view; split-K layers
             # repurpose the cols slab as their sgemm chunk buffer.
-            cols_elems = out_elems if g.split_k else 0
+            cols_elems = 0 if g.split_k is None else out_elems
         else:
             cols_elems = g.in_channels * g.kh * g.kw * oh * ow
         plans.append(
@@ -342,16 +264,28 @@ def plan_activations(
                 pad_elems=g.in_channels * hp * wp,
                 cols_elems=cols_elems,
                 acc_elems=acc_elems,
-                gemm_itemsize=g.gemm_itemsize,
-                out_itemsize=g.out_itemsize,
+                gemm_itemsize=itemsize,
+                out_itemsize=np.dtype(g.out_dtype).itemsize,
                 requant_bytes=requant_scratch_bytes(
-                    g.kind, g.requant_kind, g.out_channels, out_elems,
-                    row=ow if unfolds_rows(g.kind, g.kh, g.kw, g.stride) else 1,
+                    g.requant_kind, g.out_channels, out_elems,
+                    row=ow if g.unfold == "rows" else 1,
                 ),
                 tile_bytes=tile_bytes,
             )
         )
         h, w = oh, ow
+    if classifier is not None:
+        c = classifier
+        # Logits leave the integer domain; for the Eq. 7 model the
+        # classifier output is accounted at the activation width.
+        plans.append(LayerActivationPlan(
+            name=c.name, kind="fc",
+            in_shape=(c.k_reduction, 1, 1), out_shape=(c.out_channels, 1, 1),
+            in_bits=c.in_bits, out_bits=c.in_bits,
+            pad_elems=0, cols_elems=0, acc_elems=0,
+            gemm_itemsize=np.dtype(c.gemm_dtype).itemsize,
+            out_itemsize=container_dtype(c.in_bits).itemsize,
+        ))
     return plans
 
 
@@ -373,10 +307,8 @@ class SlabSet:
 
     One raw ``uint8`` slab each for the ping-pong code pair, pad, cols
     and acc, which hold :attr:`capacity` images at the largest per-image
-    need among the arenas that have run in the set, and for the fixed
-    scratch, at the largest fixed need.  :meth:`hold` only ever grows
-    them.  When it reallocates, it first drops the bindings of every
-    arena in the set, so no view pins a retired slab.
+    need among the arenas it has held, and for the fixed scratch, at the
+    largest fixed need.  :meth:`hold` only ever grows them.
     """
 
     def __init__(self) -> None:
@@ -387,7 +319,6 @@ class SlabSet:
         #: Bytes per image of each growing slab, then the fixed scratch
         #: bytes, as allocated (in the order of :attr:`slabs`).
         self.sizes: Tuple[int, ...] = (0,) * len(self.slabs)
-        self._arenas: weakref.WeakSet[ActivationArena] = weakref.WeakSet()
 
     @property
     def allocated_bytes(self) -> int:
@@ -396,16 +327,19 @@ class SlabSet:
             return 0
         return sum(self.sizes[:-1]) * self.capacity + self.sizes[-1]
 
-    def hold(self, arena: "ActivationArena", batch_size: int) -> None:
-        """Grow to hold ``batch_size`` images of ``arena``'s geometry."""
+    def hold(self, arena: "ActivationArena", batch_size: int,
+             release: Callable[[], None]) -> None:
+        """Grow to hold ``batch_size`` images of ``arena``'s geometry.
+
+        Before it reallocates it calls ``release``, which must drop every
+        view of the slabs, so the old slabs are freed, not held next to
+        their replacements.
+        """
         sizes = tuple(map(max, self.sizes, arena.slab_sizes()))
         n = max(int(batch_size), self.capacity)
         if n == self.capacity and sizes == self.sizes:
             return
-        # Release the old slabs, and every view bound on them, before
-        # allocating: they are freed, not held next to their replacements.
-        for member in self._arenas:
-            member._bindings.clear()
+        release()
         nbytes = [size * n for size in sizes[:-1]] + [sizes[-1]]
         stale = {name: want for (name, slab), want in zip(self.slabs.items(), nbytes)
                  if slab is None or slab.nbytes != want}
@@ -450,30 +384,19 @@ class ActivationArena:
         ``dw_tile_bytes``.  A tile's columns are dead once its GEMM has
         run, which is before its requantization writes the scratch.
 
-    Every geometry of an
-    :class:`~repro.inference.plan.ExecutionPlan` runs in the plan's one
-    slab set; an arena built without one gets a private set.  The arena
-    keeps what is per geometry: its per-layer plan list (so Eq. 7
+    The arena is a size plan: its per-layer plan list (so Eq. 7
     accounting, ``describe`` and the physical-bytes checks stay exact
-    for its geometry), its per-image sizing, its tile region and its
-    bindings.  ``ensure`` grows the set to this geometry's sizes and the
-    batch (never shrinks); views are sliced to the live batch and
-    geometry, so a smaller batch or geometry reuses the same storage.
-
-    **Bindings.** A compiled layer runs inside views of these slabs:
-    :meth:`bound` builds them once per (layer, input shape, code slot)
-    through the layer's ``bind`` and hands the same views back on every
-    later call, so a steady-state call constructs no views at all.
-    Bindings are grouped by batch size, at most
-    :data:`MAX_BOUND_BATCHES` of them (least recently used dropped
-    first), and hold no reference to the layer (a depthwise tile keeps
-    views of its channels' compiled weights and Eq. 5 constants, which
-    die with the plan).  Whenever the slab set reallocates, the bindings
-    of every arena in it are dropped.
+    for its geometry), its per-image sizing and its tile region.  It
+    holds no storage of its own: every geometry of an
+    :class:`~repro.inference.plan.ExecutionPlan` runs in the plan's one
+    slab set, which
+    :meth:`SlabSet.hold` grows to this geometry's sizes and a batch
+    (never shrinks).  A compiled layer's ``bind`` takes its views from
+    the arena, sliced to the live batch and geometry, so a smaller
+    batch or geometry reuses the same storage.
     """
 
-    def __init__(self, plans: Sequence[LayerActivationPlan],
-                 slabs: Optional[SlabSet] = None):
+    def __init__(self, plans: Sequence[LayerActivationPlan], slabs: SlabSet):
         self.plans: List[LayerActivationPlan] = list(plans)
         conv = [p for p in self.plans if p.kind != "fc"]
         self.code_slot_bytes_per_image = [
@@ -498,14 +421,7 @@ class ActivationArena:
         #: The fixed scratch both of the above take turns in.
         self.scratch_bytes = max(self.requant_scratch_bytes,
                                  -(-self.dw_tile_bytes // _INT64_BYTES) * _INT64_BYTES)
-        self._slabs = SlabSet() if slabs is None else slabs
-        self._slabs._arenas.add(self)
-        #: Whether the slab set has been sized for this geometry (it
-        #: never shrinks, so once is enough).
-        self._fits = False
-        #: batch size -> {(id(layer), input shape, slot): (layer ref, views)},
-        #: least recently used first.
-        self._bindings: OrderedDict[int, Dict[tuple, Tuple[Any, Any]]] = OrderedDict()
+        self._slabs = slabs
 
     # -- sizing --------------------------------------------------------
     def bytes_per_image(self) -> int:
@@ -540,61 +456,15 @@ class ActivationArena:
         return sum(self.code_slot_bytes_per_image) * int(batch_size)
 
     @property
-    def capacity(self) -> int:
-        """Images the slab set holds right now."""
-        return self._slabs.capacity
-
-    @property
-    def allocated_bytes(self) -> int:
-        """Bytes the slab set holds right now, for every geometry that
-        runs in it (``planned_bytes(capacity)`` when this is the only
-        one)."""
-        return self._slabs.allocated_bytes
-
-    @property
     def logical_rw_peak_bytes(self) -> int:
         """Paper Eq. 7 peak for this geometry (batch-1, packed codes)."""
         return logical_rw_peak_bytes(self.plans)
-
-    # -- allocation ----------------------------------------------------
-    def ensure(self, batch_size: int) -> None:
-        """Grow the slab set to hold ``batch_size`` images of this
-        geometry (never shrinks)."""
-        if batch_size <= self._slabs.capacity and self._fits:
-            return
-        self._slabs.hold(self, batch_size)
-        self._fits = True
-
-    # -- bindings ------------------------------------------------------
-    def bound(self, layer, shape: Tuple[int, ...], slot: int):
-        """The views ``layer`` runs one call in, for input ``shape`` and
-        output code slot ``slot``.
-
-        Built by ``layer.bind(self, shape, slot)`` on first use and
-        returned as is until the slabs are reallocated or the batch size
-        falls out of the :data:`MAX_BOUND_BATCHES` most recently used.
-        Keyed by ``id(layer)`` with a weak reference to tell a recycled
-        id apart, so the cache never keeps a layer (or the weights it
-        may map from disk) alive.
-        """
-        group = self._bindings.get(shape[0])
-        if group is None:
-            group = self._bindings[shape[0]] = {}
-            if len(self._bindings) > MAX_BOUND_BATCHES:
-                self._bindings.popitem(last=False)
-        else:
-            self._bindings.move_to_end(shape[0])
-        key = (id(layer), shape, slot)
-        entry = group.get(key)
-        if entry is None or entry[0]() is not layer:
-            entry = group[key] = (weakref.ref(layer), layer.bind(self, shape, slot))
-        return entry[1]
 
     # -- views (taken by the layers' bind step) ------------------------
     def _view(self, name: str, dtype, shape: Tuple[int, ...]) -> np.ndarray:
         slab = self._slabs.slabs[name]
         if slab is None:
-            raise ValueError("arena slabs are not allocated; call ensure() first")
+            raise ValueError("arena slabs are not allocated; hold the arena first")
         nbytes = math.prod(shape) * np.dtype(dtype).itemsize
         if nbytes > slab.nbytes:
             raise ValueError(

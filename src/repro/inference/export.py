@@ -98,7 +98,8 @@ def _requant_state(params) -> Dict:
     raise TypeError(f"unsupported params type {type(params)!r}")
 
 
-def export_network(net: IntegerNetwork, input_hw: Optional[Tuple[int, int]] = None) -> Dict:
+def export_network(net: IntegerNetwork, input_hw: Optional[Tuple[int, int]] = None,
+                   plan=None) -> Dict:
     """Serialise the network into a nested dict of plain arrays/ints.
 
     The export is *complete*: besides the packed weight blobs and the
@@ -109,15 +110,18 @@ def export_network(net: IntegerNetwork, input_hw: Optional[Tuple[int, int]] = No
     built on.
 
     With ``input_hw`` the export also carries the runtime activation
-    plan, read from ``net.compile().arena_for(input_hw)``: per-layer
-    activation element counts plus the Eq. 7 RW peak, so a deployment
-    can assert ``arena["rw_peak_bytes"] <= device RAM`` without
-    re-deriving the geometry cascade.
+    plan, read from ``plan.arena_for(input_hw)``: per-layer activation
+    element counts plus the Eq. 7 RW peak, so a deployment can assert
+    ``arena["rw_peak_bytes"] <= device RAM`` without re-deriving the
+    geometry cascade.  ``plan`` is ``net``'s compiled
+    :class:`~repro.inference.plan.ExecutionPlan`; without one, ``net``
+    is compiled here.
     """
     layers = []
     for layer in net.conv_layers:
         p = layer.params
         w_shape = p.weights_q.shape
+        packed = pack_subbyte(p.weights_q, p.w_bits)
         entry = {
             "name": layer.name,
             "kind": layer.kind,
@@ -129,12 +133,12 @@ def export_network(net: IntegerNetwork, input_hw: Optional[Tuple[int, int]] = No
             "in_scale": float(layer.in_scale),
             "out_scale": float(layer.out_scale),
             "weight_shape": list(w_shape),
-            "weights_packed": pack_subbyte(p.weights_q, p.w_bits),
+            "weights_packed": packed,
             "weight_bytes": packed_size_bytes(int(p.weights_q.size), p.w_bits),
             # Narrow container the packed blob unpacks into on the host
             # (uint8 for every paper width — never int64).
             "container_dtype": container_dtype(p.w_bits).name,
-            "weights_crc32": zlib.crc32(pack_subbyte(p.weights_q, p.w_bits).tobytes()),
+            "weights_crc32": zlib.crc32(packed.data),
             "aux_bytes": _layer_aux_bytes(p),
             "strategy": type(p).__name__,
             "requant": _requant_state(p),
@@ -144,16 +148,17 @@ def export_network(net: IntegerNetwork, input_hw: Optional[Tuple[int, int]] = No
     out = {"conv_layers": layers}
     if net.classifier is not None:
         cl = net.classifier
+        packed = pack_subbyte(cl.weights_q, cl.w_bits)
         out["classifier"] = {
             "name": cl.name,
             "w_bits": cl.w_bits,
             "in_bits": cl.in_bits,
             "k_reduction": gemm_reduction_length("fc", cl.weights_q.shape),
             "weight_shape": list(cl.weights_q.shape),
-            "weights_packed": pack_subbyte(cl.weights_q, cl.w_bits),
+            "weights_packed": packed,
             "weight_bytes": packed_size_bytes(int(cl.weights_q.size), cl.w_bits),
             "container_dtype": container_dtype(cl.w_bits).name,
-            "weights_crc32": zlib.crc32(pack_subbyte(cl.weights_q, cl.w_bits).tobytes()),
+            "weights_crc32": zlib.crc32(packed.data),
             "aux_bytes": int(np.asarray(cl.s_w).size) * (_BYTES["bq"] + _BYTES["z_pc"])
             + (0 if cl.bias is None else cl.bias.size * 4),
             "strategy": "linear",
@@ -175,7 +180,7 @@ def export_network(net: IntegerNetwork, input_hw: Optional[Tuple[int, int]] = No
         # single source of truth.  Its physical code bytes are the
         # container-width ping-pong pair (equal to the Eq. 7 peak for
         # pure 8-bit networks, >= it for sub-byte).
-        arena = net.compile().arena_for(input_hw)
+        arena = (plan or net.compile()).arena_for(input_hw)
         conv_plans = [p for p in arena.plans if p.kind != "fc"]
         for entry, p in zip(layers, conv_plans):
             entry["activations"] = {

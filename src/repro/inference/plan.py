@@ -34,12 +34,12 @@ per-inference path:
   through a small cache-blocked scratch straight into the code slab —
   the arena's physical code bytes match the paper's Eq. 7 accounting
   for 8-bit networks;
-* activation and scratch buffers come from a static
-  :class:`~repro.inference.arena.ActivationArena` sized at plan time, so
-  steady-state inference performs no per-layer allocations and peak host
-  activation memory equals the compile-time plan; every input geometry
-  runs in the plan's one slab set, sized to the largest geometry and
-  batch that has run.
+* activation and scratch buffers are views of the plan's one slab set,
+  sized by a static :class:`~repro.inference.arena.ActivationArena` per
+  input geometry to the largest geometry and batch that has run, and
+  bound once per input shape, so steady-state inference performs no
+  per-layer allocations and peak host activation memory equals the
+  compile-time plan.
 
 The plan executes bit-identically to ``IntegerNetwork.forward`` — the
 tests assert equality against the int64 einsum reference — and
@@ -66,7 +66,6 @@ from repro.core.icn import (
 )
 from repro.inference.arena import (
     ActivationArena,
-    LayerGeometry,
     SlabSet,
     balanced_blocks,
     depthwise_blocking,
@@ -96,11 +95,14 @@ from repro.nn.functional import conv_output_size, im2col
 
 _INT64 = np.dtype(np.int64)
 
-#: Input geometries whose activation arenas one plan keeps.  Past it the
-#: least recently used one is dropped, with its layer plans and bindings
-#: (the slabs stay with the plan); a dropped geometry is planned again on
-#: its next call.
-MAX_ARENA_GEOMETRIES = 8
+#: Input shapes ``(N, C, H, W)`` whose bound views one plan keeps (the
+#: least recently used is dropped first): every batch size up to the
+#: serving default ``max_batch`` (8) of eight geometries, so a fleet that
+#: rotates a few smaller geometries through one plan stays bound.  One
+#: bound trunk is ~70 KiB of view objects on MobileNetV1 128_0.5 at
+#: batch 1 (~290 KiB at batch 8); an evicted shape just binds again
+#: (~0.5 ms at 128_0.5 batch 1) on its next call.
+MAX_BOUND_SHAPES = 64
 
 #: Most K-chunks a split-K sgemm layer may use.  Each chunk is one sgemm
 #: call plus one accumulate pass; past a few chunks the float64 GEMM is
@@ -454,10 +456,10 @@ class CompiledConvLayer:
     layer's unfold: ``"rows"`` (wide row grid), ``"tiles"`` (the other
     depthwise layers' ``(OH, OW)`` tiles) or ``"im2col"``.
 
-    The layer computes entirely inside preallocated views of an
-    :class:`~repro.inference.arena.ActivationArena` and returns a view
-    into the arena's code slot ``slot``, at the output's container width
-    (uint8 for <=8-bit activations).
+    A call computes entirely inside the views :meth:`bind` took from an
+    :class:`~repro.inference.arena.ActivationArena` for its input shape
+    and returns a view into the code slot they were bound to, at the
+    output's container width (uint8 for <=8-bit activations).
     """
 
     def __init__(self, layer):
@@ -549,8 +551,8 @@ class CompiledConvLayer:
              slot: int) -> "_LayerViews":
         """Every arena view one call at input ``shape`` touches.
 
-        The arena caches the result (:meth:`ActivationArena.bound`), so
-        a steady-state call only issues kernels.  A depthwise layer binds
+        The plan caches the result (:meth:`ExecutionPlan.bound`), so a
+        steady-state call only issues kernels.  A depthwise layer binds
         its tiles.
         """
         n, c, h, w = shape
@@ -632,9 +634,7 @@ class CompiledConvLayer:
         return tuple(tiles)
 
     # hot
-    def __call__(self, x_codes: np.ndarray, arena: ActivationArena,
-                 slot: int = 0) -> np.ndarray:
-        v = arena.bound(self, x_codes.shape, slot)
+    def __call__(self, x_codes: np.ndarray, v: "_LayerViews") -> np.ndarray:
         if self.padding:
             v.pad.fill(0)
         # The subtraction loop is pinned to the GEMM dtype, so narrow
@@ -777,10 +777,9 @@ class ExecutionPlan:
     once here, and :meth:`run_codes` range-checks incoming codes unless
     told not to; the per-call per-layer scans of the interpreted engine
     never run inside the plan.  All activation/scratch traffic goes
-    through a static :class:`~repro.inference.arena.ActivationArena`,
-    planned per input geometry on first use (:meth:`arena_for`).  Every
-    geometry's arena runs in the plan's one
-    :class:`~repro.inference.arena.SlabSet`.
+    through views of the plan's one
+    :class:`~repro.inference.arena.SlabSet`, bound once per input shape
+    (:meth:`bound`) from the geometry's size plan (:meth:`arena_for`).
     """
 
     def __init__(self, network):
@@ -796,7 +795,8 @@ class ExecutionPlan:
             else CompiledLinear(network.classifier)
         )
         self._slabs = SlabSet()
-        self._arenas: OrderedDict[Tuple[int, int], ActivationArena] = OrderedDict()
+        #: Input shape -> every layer's views, least recently used first.
+        self._bound: OrderedDict[Tuple[int, ...], Tuple[_LayerViews, ...]] = OrderedDict()
 
     # -- input boundary ------------------------------------------------
     def quantize_input(self, x_real: np.ndarray) -> np.ndarray:
@@ -809,30 +809,12 @@ class ExecutionPlan:
         )
 
     # -- activation memory planning ------------------------------------
-    def _geometries(self) -> List[LayerGeometry]:
-        geoms = [LayerGeometry.from_compiled(l) for l in self.layers]
-        if self.classifier is not None:
-            c = self.classifier
-            geoms.append(LayerGeometry(
-                name=c.name, kind="fc",
-                in_channels=c.k_reduction, out_channels=c.out_channels,
-                kh=1, kw=1, stride=1, padding=0,
-                in_bits=c.in_bits,
-                # Logits leave the integer domain; for the Eq. 7 model the
-                # classifier output is accounted at the activation width.
-                out_bits=c.in_bits,
-                gemm_itemsize=np.dtype(c.gemm_dtype).itemsize,
-                out_itemsize=container_dtype(c.in_bits).itemsize,
-                requant_kind="",
-            ))
-        return geoms
-
     def arena_for(self, input_hw: Tuple[int, int]) -> ActivationArena:
         """The static activation arena planned for one input geometry.
 
-        Planned once per ``(H, W)`` and cached, for at most
-        :data:`MAX_ARENA_GEOMETRIES` geometries (least recently used
-        dropped first).  Every geometry runs in the plan's one slab set,
+        A pure size plan, built afresh on every call (it allocates
+        nothing): :meth:`bound` plans a geometry when it first binds a
+        shape of it.  Every geometry runs in the plan's one slab set,
         which grows to the largest per-image need and batch that has run;
         ``planned_bytes(batch)`` is exact for this geometry at any batch.
         This is also the introspection entry point: the arena carries the
@@ -841,28 +823,46 @@ class ExecutionPlan:
         device's RW budget, and the container-width
         ``physical_code_bytes`` that must equal it for 8-bit networks.
         """
-        key = (int(input_hw[0]), int(input_hw[1]))
-        arena = self._arenas.get(key)
-        if arena is not None:
-            self._arenas.move_to_end(key)
-            return arena
-        arena = self._arenas[key] = ActivationArena(
-            plan_activations(self._geometries(), key), self._slabs
+        return ActivationArena(
+            plan_activations(self.layers, input_hw, self.classifier), self._slabs
         )
-        if len(self._arenas) > MAX_ARENA_GEOMETRIES:
-            self._arenas.popitem(last=False)
-        return arena
+
+    def bound(self, shape: Tuple[int, ...]) -> Tuple[_LayerViews, ...]:
+        """Every layer's views for one trunk call at input ``shape``
+        ``(N, C, H, W)``: layer ``i`` reads code slot ``(i-1) % 2`` and
+        writes slot ``i % 2``.
+
+        Bound through each layer's ``bind`` on first use and handed back
+        as is on every later call, so a steady-state call constructs no
+        views at all.  The plan keeps the :data:`MAX_BOUND_SHAPES` most
+        recently used shapes.  Growing the slab set drops every bound
+        shape first.  The views hold no reference to a layer (a
+        depthwise tile keeps views of its channels' compiled weights and
+        Eq. 5 constants, which die with the plan).
+        """
+        views = self._bound.get(shape)
+        if views is not None:
+            self._bound.move_to_end(shape)
+            return views
+        arena = self.arena_for(shape[2:])
+        # An empty batch runs on zero-size views of a one-image slab.
+        self._slabs.hold(arena, max(1, shape[0]), release=self._bound.clear)
+        trunk, s = [], shape
+        for i, layer in enumerate(self.layers):
+            trunk.append(layer.bind(arena, s, i % 2))
+            s = trunk[-1].out.shape
+        views = self._bound[shape] = tuple(trunk)
+        if len(self._bound) > MAX_BOUND_SHAPES:
+            self._bound.popitem(last=False)
+        return views
 
     # -- execution -----------------------------------------------------
     def _trunk(self, x_codes: np.ndarray) -> Tuple[np.ndarray, bool]:
         """Run the conv trunk; returns (codes, codes_are_an_arena_view)."""
         if not self.layers:
             return x_codes, False
-        arena = self.arena_for((x_codes.shape[2], x_codes.shape[3]))
-        # An empty batch runs on zero-size views of a one-image slab.
-        arena.ensure(max(1, x_codes.shape[0]))
-        for i, layer in enumerate(self.layers):
-            x_codes = layer(x_codes, arena, slot=i % 2)
+        for layer, views in zip(self.layers, self.bound(x_codes.shape)):
+            x_codes = layer(x_codes, views)
         return x_codes, True
 
     def run_codes(self, x_codes: np.ndarray, validate: bool = True) -> np.ndarray:
@@ -971,9 +971,9 @@ class ExecutionPlan:
         ``rows`` (a stride-1 depthwise layer's wide row grid), ``tiles``
         (the other depthwise layers) or ``im2col``.
 
-        With ``input_hw`` (or after the plan has already executed on some
-        geometry) the summary ends with the activation-arena plan: the
-        host slab bytes for ``batch_size`` images, the physical
+        With ``input_hw`` (else at the geometry the plan bound most
+        recently, if any) the summary ends with the activation-arena
+        plan: the host slab bytes for ``batch_size`` images, the physical
         (container-width) bytes of the ping-pong code pair, and the
         paper-model (Eq. 7) logical RW peak for packed codes — physical
         and logical agree exactly for pure 8-bit networks.
@@ -986,12 +986,10 @@ class ExecutionPlan:
                 f"{info.container:<6} {info.epilogue:<4} {info.k_reduction:>6} "
                 f"{info.out_channels:>6}  {info.unfold}"
             )
-        arena: Optional[ActivationArena] = None
+        if input_hw is None and self._bound:
+            input_hw = next(reversed(self._bound))[2:]
         if input_hw is not None:
             arena = self.arena_for(input_hw)
-        elif self._arenas:
-            (input_hw, arena), = list(self._arenas.items())[:1]
-        if arena is not None:
             h, w = input_hw
             lines += [
                 "",

@@ -32,8 +32,9 @@ Vocabulary
 :class:`SessionOptions`
     Frozen dataclass of serving knobs — ``batch_size`` (default tile
     for ``run_batched``/``predict``), ``validate`` (input boundary
-    checks, on by default), ``input_hw`` (the session's geometry: arena
-    planned at construction, synthetic and health-check batches).
+    checks, on by default), ``input_hw`` (the session's geometry:
+    synthetic and health-check batches, ``describe``/``verify`` and a
+    saved artifact's arena section; construction plans nothing).
     Pool width is the serving tier's (``ServerOptions.workers``).
     Compilation takes no options: each layer's accumulator follows from
     its refined bound, weight codes are always range-checked at compile

@@ -238,16 +238,20 @@ def save_artifact(
     network,
     session_options: Optional[SessionOptions] = None,
     input_hw: Optional[Tuple[int, int]] = None,
+    plan=None,
 ) -> Path:
     """Serialise ``network`` (+ session options) into an artifact directory.
 
     ``input_hw`` (default: ``session_options.input_hw``) additionally
     embeds the activation-arena plan (Eq. 7 RW peak and container-width
     physical bytes) for that geometry, so a loader can assert device fit
-    without rebuilding the plan.  Returns the artifact directory path.
+    without rebuilding the plan; ``plan`` is ``network``'s compiled plan
+    to read it from (compiled here when absent).  Returns the artifact
+    directory path.
     """
     session_options = session_options or SessionOptions()
-    exported = export_network(network, input_hw=input_hw or session_options.input_hw)
+    exported = export_network(network, input_hw=input_hw or session_options.input_hw,
+                              plan=plan)
     writer = _BlobWriter()
     manifest = {
         "format": ARTIFACT_FORMAT,

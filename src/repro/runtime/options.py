@@ -44,11 +44,10 @@ class SessionOptions:
         codes (``run_codes``) for range.  ``False`` skips both scans for
         trusted in-process callers.
     ``input_hw``
-        The session's input geometry: the session plans the activation
-        arena for this ``(H, W)`` at construction (allocating on first
-        use), so the first request pays no planning latency; synthetic
-        batches, the health check and a saved artifact's embedded arena
-        plan use it too.
+        The session's input geometry ``(H, W)``: synthetic batches, the
+        health check, ``describe``/``verify`` and a saved artifact's
+        embedded arena plan use it.  Construction plans and allocates
+        nothing; the plan binds each input shape on its first call.
     """
 
     batch_size: int = 32

@@ -232,6 +232,8 @@ class WorkerPool:
         tmp = tempfile.mkdtemp(prefix="repro-pool-")
         path = Path(tmp) / "model.artifact"
         session.save(path)
+        # The staged copy is the pool's (removed on close), not the session's.
+        session.source_artifact = source
         pool = cls(path, options=options, faults=faults)
         pool._owned_tmp = tmp
         return pool

@@ -77,10 +77,9 @@ class Session:
 
     ``Session(network)`` serves with the default options;
     ``Session(network, SessionOptions(...))`` customises serving
-    (compilation takes no options).  With ``options.input_hw`` the
-    session plans that geometry's activation arena at construction (it
-    allocates lazily, like the plan), so steady-state serving performs no
-    per-layer allocations.
+    (compilation takes no options).  The plan binds each input shape on
+    its first call, so steady-state serving performs no per-layer
+    allocations.
 
     The session is also the unit of deployment: :meth:`save` writes a
     self-contained artifact (JSON manifest + CRC-checked binary blobs)
@@ -100,8 +99,6 @@ class Session:
         self.mapped_blobs = getattr(network, "mapped_blobs", None)
         self._closed = False
         self._plan = ExecutionPlan(network)
-        if self.options.input_hw is not None:
-            self._plan.arena_for(self.options.input_hw)
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -332,19 +329,16 @@ class Session:
         prof = SessionProfile(batch_size=n, input_hw=(h, w))
         prof.total_seconds = _best_of(lambda: plan.run(x_real), repeats)
         codes = plan.quantize_input(x_real)
-        if plan.layers:
-            arena = plan.arena_for((h, w))
-            arena.ensure(max(1, n))
         infos = {i.name: i for i in plan.layer_info()}
-        for i, layer in enumerate(plan.layers):
+        for layer, views in zip(plan.layers, plan.bound(codes.shape)):
             info = infos[layer.name]
             dispatch = (f"{info.backend}/{info.gemm_dtype}->{info.container}"
                         f" eq5:{info.epilogue} {info.unfold}")
             # Layer i reads slot (i-1)%2 and writes slot i%2, so its
             # input survives the repeats; the last output feeds layer i+1.
-            t = _best_of(lambda: layer(codes, arena, slot=i % 2), repeats)
+            t = _best_of(lambda: layer(codes, views), repeats)
             prof.layers.append(LayerTiming(layer.name, layer.kind, dispatch, t))
-            codes = layer(codes, arena, slot=i % 2)
+            codes = layer(codes, views)
         if plan.has_pool:
             from repro.inference.kernels import int_avg_pool_global
 
@@ -362,7 +356,8 @@ class Session:
     def save(self, path: Union[str, Path]) -> Path:
         """Write the session as a loadable artifact directory
         (manifest.json + CRC-checked blobs.bin); returns the path."""
-        out = save_artifact(path, self.network, session_options=self.options)
+        out = save_artifact(path, self.network, session_options=self.options,
+                            plan=self._plan)
         self.source_artifact = out
         return out
 

@@ -209,14 +209,14 @@ class ModelRegistry:
             manifest = read_manifest(path)
         return self._register(FleetEntry(name, Path(path), manifest))
 
-    def adopt(self, name: str, session, path=None) -> FleetEntry:
+    def adopt(self, name: str, session) -> FleetEntry:
         """Register a live session the caller owns, resident from the
         start.  The registry never evicts or closes it (it does close
         any pool it starts for it) and charges it nothing: it validates
-        its own inputs at any geometry the session accepts.  ``path``
-        is the artifact a pool mmaps; without one, a pool stages the
-        session's own (:meth:`WorkerPool.from_session`)."""
-        entry = FleetEntry(name, path, {})
+        its own inputs at any geometry the session accepts.  A pool over
+        it mmaps the session's artifact, or stages one
+        (:meth:`WorkerPool.from_session`)."""
+        entry = FleetEntry(name, None, {})
         entry.session = session
         entry.borrowed = True
         return self._register(entry)

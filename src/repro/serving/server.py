@@ -112,14 +112,14 @@ class ServingServer:
     ``GET /stats``.  ``model`` routes between fleet artifacts when the
     server was built over a
     :class:`~repro.serving.registry.ModelRegistry`; a server built over
-    a session ignores it.  ``artifact_path`` is the session's artifact
-    on disk, which ``--workers N`` pools mmap instead of staging a copy.
+    a session ignores it.  A ``--workers N`` pool over a session mmaps
+    the artifact the session was loaded from or saved to
+    (``Session.source_artifact``) instead of staging a copy.
     """
 
     def __init__(self, session=None, options: Optional[ServerOptions] = None,
                  faults: Optional[FaultInjector] = None,
-                 artifact_path=None, registry=None,
-                 default_model: Optional[str] = None):
+                 registry=None, default_model: Optional[str] = None):
         if (session is None) == (registry is None):
             raise ValueError(
                 "ServingServer needs exactly one of a session or a registry"
@@ -130,8 +130,7 @@ class ServingServer:
         self._routed = registry is not None
         if session is not None:
             registry = ModelRegistry()
-            default_model = registry.adopt("default", session,
-                                           artifact_path).name
+            default_model = registry.adopt("default", session).name
         if self.options.workers > 1:
             registry.use_pools(PoolOptions(
                 workers=self.options.workers,
@@ -650,19 +649,16 @@ class ServingServer:
 def serve(session=None, options: Optional[ServerOptions] = None,
           faults: Optional[FaultInjector] = None,
           ttl_s: Optional[float] = None,
-          announce=print, artifact_path=None, registry=None,
+          announce=print, registry=None,
           default_model: Optional[str] = None) -> None:
     """Blocking convenience entry point (the ``repro-mcu serve`` body):
     start, announce the bound address, serve until Ctrl-C or ``ttl_s``,
     shut down cleanly.  Takes exactly one of ``session`` (served as a
-    fleet of one; ``artifact_path`` lets a ``--workers N`` pool mmap the
-    artifact already on disk instead of staging a copy) or ``registry``
-    (``repro-mcu serve --fleet``: requests route by their ``"model"``
-    field)."""
+    fleet of one) or ``registry`` (``repro-mcu serve --fleet``: requests
+    route by their ``"model"`` field)."""
 
     async def _main():
         server = ServingServer(session, options=options, faults=faults,
-                               artifact_path=artifact_path,
                                registry=registry,
                                default_model=default_model)
         host, port = await server.start()

@@ -295,7 +295,7 @@ class TestCorruptionRejection:
         assert victim.name in err.layers
         assert "the int64 epilogue overflows" in str(err)
 
-    def test_tile_region_smaller_than_a_tile_rejected(self):
+    def test_tile_region_smaller_than_a_tile_rejected(self, monkeypatch):
         plan = _fresh_plan()
         arena = plan.arena_for(HW)
         h = w = HW[0]
@@ -310,6 +310,7 @@ class TestCorruptionRejection:
             h = w = (h + 2 * layer.padding - layer.kh) // layer.stride + 1
         victim = max(largest, key=largest.get)
         arena.scratch_bytes = largest[victim] - 1
+        monkeypatch.setattr(plan, "arena_for", lambda hw: arena)
         with pytest.raises(PlanVerificationError) as exc_info:
             verify_plan(plan, HW)
         err = exc_info.value

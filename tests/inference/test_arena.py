@@ -1,8 +1,7 @@
 """Activation-arena safety: arena plan vs. interpreted reference
 bit-identity on random networks, planned-peak bounds on measured
 allocations, the Eq. 7 cross-check against the analytical memory
-model, and the lifetime of the views layers bind to the slabs and of
-the per-geometry arenas."""
+model, and the lifetime of the views a plan binds per input shape."""
 
 import gc
 import tracemalloc
@@ -15,15 +14,17 @@ from hypothesis import given, settings, strategies as st
 from repro.core.memory_model import MemoryModel
 from repro.core.policy import QuantMethod, QuantPolicy
 from repro.inference.arena import (
-    MAX_BOUND_BATCHES,
     ActivationArena,
-    LayerGeometry,
     SlabSet,
     logical_rw_peak_bytes,
     plan_activations,
 )
-from repro.inference.plan import MAX_ARENA_GEOMETRIES
-from repro.inference.testing import integer_network_from_spec, random_network
+from repro.inference.plan import MAX_BOUND_SHAPES, CompiledConvLayer
+from repro.inference.testing import (
+    integer_network_from_spec,
+    random_conv_layer,
+    random_network,
+)
 from repro.mcu.deploy import assert_arena_fits
 from repro.mcu.device import MCUDevice
 from repro.models.model_zoo import mobilenet_v1_spec
@@ -116,12 +117,12 @@ def test_arena_grows_monotonically_and_planned_bytes_exact():
     x_large = np.random.default_rng(10).uniform(0, 1, (6, 3, 12, 12))
     plan.run(x_small)
     arena = plan.arena_for((12, 12))
-    assert arena.capacity == 2
-    assert arena.allocated_bytes == arena.planned_bytes(2)
+    assert plan._slabs.capacity == 2
+    assert plan._slabs.allocated_bytes == arena.planned_bytes(2)
     plan.run(x_large)
-    assert arena.capacity == 6
+    assert plan._slabs.capacity == 6
     plan.run(x_small)  # shrink-free reuse
-    assert arena.capacity == 6
+    assert plan._slabs.capacity == 6
     # Growing slabs scale linearly with the batch on top of the fixed
     # (batch-independent) requantization scratch.
     fixed = arena.fixed_bytes
@@ -137,36 +138,29 @@ def test_arena_slab_overflow_rejected():
         arena.codes(0, (10 ** 6,), np.uint8)
 
 
+def _compiled_conv(c_in, c_out, kernel, padding):
+    return CompiledConvLayer(random_conv_layer(
+        np.random.default_rng(c_in * c_out + kernel), "conv", c_in, c_out,
+        kernel=kernel, padding=padding))
+
+
 def test_plan_activations_rejects_collapsing_geometry():
-    geom = LayerGeometry(
-        name="conv", kind="conv", in_channels=3, out_channels=4,
-        kh=7, kw=7, stride=1, padding=0, in_bits=8, out_bits=8,
-        gemm_itemsize=4,
-    )
     with pytest.raises(ValueError, match="collapses"):
-        plan_activations([geom], (4, 4))
+        plan_activations([_compiled_conv(3, 4, 7, 0)], (4, 4))
 
 
 def test_slab_set_holds_the_per_slab_maximum():
     """Two geometries whose needs peak in different slabs: the shared set
     holds each slab's maximum, less than one set per geometry."""
-    def geometry(c_in, c_out, kh):
-        return [LayerGeometry(
-            name="conv", kind="conv", in_channels=c_in, out_channels=c_out,
-            kh=kh, kw=kh, stride=1, padding=kh // 2, in_bits=8, out_bits=8,
-            gemm_itemsize=4,
-        )]
-
     slabs = SlabSet()
-    wide_in = ActivationArena(plan_activations(geometry(16, 2, 5), (8, 8)), slabs)
-    wide_out = ActivationArena(plan_activations(geometry(2, 16, 1), (8, 8)), slabs)
+    wide_in = ActivationArena(plan_activations([_compiled_conv(16, 2, 5, 2)], (8, 8)), slabs)
+    wide_out = ActivationArena(plan_activations([_compiled_conv(2, 16, 1, 0)], (8, 8)), slabs)
     assert wide_in.pad_bytes_per_image > wide_out.pad_bytes_per_image
     assert wide_in.acc_bytes_per_image < wide_out.acc_bytes_per_image
-    wide_in.ensure(3)
-    wide_out.ensure(2)
+    slabs.hold(wide_in, 3, lambda: None)
+    slabs.hold(wide_out, 2, lambda: None)
     assert slabs.sizes == tuple(map(max, wide_in.slab_sizes(), wide_out.slab_sizes()))
     assert slabs.capacity == 3
-    assert wide_in.allocated_bytes == wide_out.allocated_bytes == slabs.allocated_bytes
     assert (max(wide_in.planned_bytes(3), wide_out.planned_bytes(3))
             < slabs.allocated_bytes
             < wide_in.planned_bytes(3) + wide_out.planned_bytes(3))
@@ -174,10 +168,21 @@ def test_slab_set_holds_the_per_slab_maximum():
 
 def test_empty_plan_list():
     assert logical_rw_peak_bytes([]) == 0
-    arena = ActivationArena([])
+    slabs = SlabSet()
+    arena = ActivationArena([], slabs)
     assert arena.bytes_per_image() == 0
-    arena.ensure(4)
-    assert arena.allocated_bytes == 0
+    slabs.hold(arena, 4, lambda: None)
+    assert slabs.allocated_bytes == 0
+
+
+def test_arena_for_is_a_pure_size_plan():
+    """Planning a geometry allocates and binds nothing, and is not cached."""
+    plan = _mobilenet().compile()
+    arena = plan.arena_for((32, 32))
+    assert arena is not plan.arena_for((32, 32))
+    assert arena.planned_bytes(1) > 0
+    assert plan._slabs.allocated_bytes == 0
+    assert not plan._bound
 
 
 def test_assert_arena_fits_against_device_budget():
@@ -207,8 +212,13 @@ def test_describe_reports_arena_peak_and_fused_dispatch():
     for layer, line in zip(plan.layers, text.splitlines()[1:]):
         path = "im2col" if layer.kind != "dw" else "rows" if layer.stride == 1 else "tiles"
         assert line.endswith(path), line
-    # Without a planned geometry the summary simply omits the arena block.
-    assert "activation arena" not in net.compile().describe()
+    # Without a bound geometry the summary simply omits the arena block;
+    # with some, it describes the one bound most recently.
+    fresh = net.compile()
+    assert "activation arena" not in fresh.describe()
+    fresh.run(np.zeros((1, 3, 32, 32)))
+    fresh.run(np.zeros((1, 3, 64, 48)))
+    assert "activation arena (input 64x48)" in fresh.describe()
 
 
 class TestTiledDepthwiseArena:
@@ -276,92 +286,92 @@ def _images(n, hw, seed=0):
     return np.random.default_rng(seed).uniform(0, 1, (n, 3, *hw))
 
 
-class TestBindings:
-    """Layers bind their views once per input shape; a binding must never
+class TestBoundShapes:
+    """The plan binds each input shape once; a bound trunk must never
     outlive the slabs it views, and the cache stays bounded."""
 
     def test_growth_frees_the_old_slabs(self):
         net = _mobilenet()
         plan = net.compile()
-        arena = plan.arena_for((32, 32))
         plan.run(_images(1, (32, 32)))
-        old_pad = weakref.ref(arena._slabs.slabs["pad"])
+        old_pad = weakref.ref(plan._slabs.slabs["pad"])
         for n in (4, 1):
             x = _images(n, (32, 32), seed=n)
             assert np.array_equal(plan.run(x), net.forward(x))
         gc.collect()
         assert old_pad() is None
-        assert arena.capacity == 4
+        assert plan._slabs.capacity == 4
+        assert list(plan._bound) == [(4, 3, 32, 32), (1, 3, 32, 32)]
 
-    def test_larger_geometry_growth_drops_every_binding(self):
+    def test_larger_geometry_drops_every_bound_trunk(self):
         net = _mobilenet(64)
         plan = net.compile()
         x = _images(1, (32, 32))
         assert np.array_equal(plan.run(x), net.forward(x))
-        small = plan.arena_for((32, 32))
-        assert tuple(small._bindings) == (1,)
-        old_pad = weakref.ref(small._slabs.slabs["pad"])
+        assert list(plan._bound) == [(1, 3, 32, 32)]
+        old_pad = weakref.ref(plan._slabs.slabs["pad"])
         x = _images(3, (64, 64), seed=1)
         assert np.array_equal(plan.run(x), net.forward(x))
         # Growing the plan's slab set for the larger geometry freed the
         # old slabs and dropped the smaller geometry's views at once.
         gc.collect()
         assert old_pad() is None
-        assert tuple(small._bindings) == ()
-        assert small.allocated_bytes == plan.arena_for((64, 64)).planned_bytes(3)
+        assert list(plan._bound) == [(3, 3, 64, 64)]
+        assert plan._slabs.allocated_bytes == plan.arena_for((64, 64)).planned_bytes(3)
         x = _images(1, (32, 32), seed=2)
         assert np.array_equal(plan.run(x), net.forward(x))
         gc.collect()
         assert old_pad() is None
 
-    def test_smaller_batch_and_geometry_keep_every_binding(self):
+    def test_smaller_batches_and_geometries_keep_every_bound_trunk(self):
         """Once the set holds the largest geometry and batch, smaller ones
         neither reallocate it nor drop anyone's views."""
         net = _mobilenet(64)
         plan = net.compile()
         plan.run(_images(3, (64, 64)))
-        big = plan.arena_for((64, 64))
-        slabs = dict(big._slabs.slabs)
+        slabs = dict(plan._slabs.slabs)
+        big = plan._bound[(3, 3, 64, 64)]
         for n, hw in ((1, (32, 32)), (2, (64, 32)), (3, (64, 64))):
             x = _images(n, hw, seed=n)
             assert np.array_equal(plan.run(x), net.forward(x))
-        assert all(big._slabs.slabs[k] is v for k, v in slabs.items())
-        assert tuple(big._bindings) == (3,)
-        assert tuple(plan.arena_for((32, 32))._bindings) == (1,)
-        assert big.allocated_bytes == big.planned_bytes(3)
+        assert all(plan._slabs.slabs[k] is v for k, v in slabs.items())
+        assert list(plan._bound) == [(1, 3, 32, 32), (2, 3, 64, 32), (3, 3, 64, 64)]
+        assert plan._bound[(3, 3, 64, 64)] is big
+        assert plan._slabs.allocated_bytes == plan.arena_for((64, 64)).planned_bytes(3)
 
-    def test_batch_sizes_bound_is_kept(self):
+    def test_bound_shapes_are_kept_to_the_limit(self):
         net = _mobilenet()
         plan = net.compile()
-        arena = plan.arena_for((32, 32))
-        x = _images(64, (32, 32))
+        largest = MAX_BOUND_SHAPES + 8
+        x = _images(largest, (32, 32))
         ref = net.forward(x)
         # Largest batch first: the slabs never grow again, so every batch
         # size binds on the same slabs and only the LRU bound evicts.
-        for n in range(64, 0, -1):
+        for n in range(largest, 0, -1):
             out = plan.run(x[:n])
-            assert len(arena._bindings) <= MAX_BOUND_BATCHES
+            assert len(plan._bound) <= MAX_BOUND_SHAPES
         assert np.array_equal(out, ref[:1])
-        assert tuple(arena._bindings)[-1] == 1
-        # An evicted batch size rebinds and stays exact.
-        assert 64 not in arena._bindings
+        assert list(plan._bound) == [(n, 3, 32, 32)
+                                     for n in range(MAX_BOUND_SHAPES, 0, -1)]
+        # An evicted shape binds again and stays exact.
+        assert (largest, 3, 32, 32) not in plan._bound
         assert np.array_equal(plan.run(x), ref)
+        assert next(reversed(plan._bound)) == (largest, 3, 32, 32)
 
-    def test_binding_keeps_no_layer_alive(self):
+    def test_bound_views_keep_no_layer_alive(self):
         net = _mobilenet()
         plan = net.compile()
-        arena = plan.arena_for((32, 32))
         plan.run(_images(1, (32, 32)))
         layer = weakref.ref(plan.layers[0])
         plan.layers = []
         gc.collect()
         assert layer() is None
-        assert tuple(arena._bindings) == (1,)
+        assert list(plan._bound) == [(1, 3, 32, 32)]
 
 
-def test_per_geometry_arenas_are_bounded():
-    """Every new input geometry plans an arena; a plan keeps only the most
-    recently used few, and all of them run in one slab set."""
+def test_many_geometries_stay_bounded():
+    """Every new input shape binds a trunk; a plan keeps only the most
+    recently used shapes, and all of them run in one slab set."""
     net = _mobilenet()
     session = Session(net, options=SessionOptions(input_hw=(32, 32)))
     plan = session.plan
@@ -370,24 +380,45 @@ def test_per_geometry_arenas_are_bounded():
     assert np.array_equal(session.run(x), net.forward(x))
     geometries = [(hw, hw) for hw in range(33, 96, 2)]
     assert len(geometries) == 32
+    # Growing geometries at batch 1, then every geometry again at
+    # batches 3..1 in the set grown for the largest: more shapes than
+    # the plan keeps, so only the LRU bound evicts.
+    feed = ([(1, hw) for hw in geometries]
+            + [(n, hw) for hw in geometries[::-1] for n in (3, 2, 1)])
+    assert len(set(feed[len(geometries):])) > MAX_BOUND_SHAPES
     largest = 0
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        for i, hw in enumerate(geometries):
-            x = _images(1, hw, seed=i)
-            assert np.array_equal(session.run(x), net.forward(x)), hw
-            largest = max(largest, plan.arena_for(hw).allocated_bytes)
-            assert len(plan._arenas) <= MAX_ARENA_GEOMETRIES
+        for i, (n, hw) in enumerate(feed):
+            x = _images(n, hw, seed=i)
+            assert np.array_equal(session.run(x), net.forward(x)), (n, hw)
+            largest = max(largest, plan._slabs.allocated_bytes)
+            assert len(plan._bound) <= MAX_BOUND_SHAPES
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - base
+        bound = list(plan._bound)
+        plan._bound.clear()
+        gc.collect()
+        views = retained - (tracemalloc.get_traced_memory()[0] - base)
+        # The largest trunk: the largest geometry at the largest batch,
+        # bound into the grown set (nothing evicted, nothing allocated).
+        evicted = (3, 3, *geometries[-1])
+        assert evicted not in bound
+        before, _ = tracemalloc.get_traced_memory()
+        plan.bound(evicted)
+        trunk = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # One slab set (the largest geometry's), plus the last input and the
-    # retained arenas' layer plans and bindings, which together take less
-    # than a second set — not one slab set per retained geometry.
-    assert largest == plan.arena_for(geometries[-1]).planned_bytes(1)
-    assert retained <= 2 * largest, (retained, largest)
-    assert geometries[0] not in plan._arenas
-    x = _images(1, geometries[0], seed=99)
+    assert bound == [(n, 3, *hw) for n, hw in feed[-MAX_BOUND_SHAPES:]]
+    # What stays is one slab set (the largest geometry's at the largest
+    # batch), the last input and the bound trunks' views — not one slab
+    # set per bound shape.  The views go with the cache and take at most
+    # MAX_BOUND_SHAPES trunks (on this small network a full cache's
+    # views outweigh its slab set, so they are bounded apart).
+    assert largest == plan.arena_for(geometries[-1]).planned_bytes(3)
+    assert retained - views <= 2 * largest, (retained, views, largest)
+    assert 0 < views <= MAX_BOUND_SHAPES * trunk, (views, trunk)
+    # An evicted shape binds again and stays exact.
+    x = _images(3, geometries[-1], seed=99)
     assert np.array_equal(session.run(x), net.forward(x))

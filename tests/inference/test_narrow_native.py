@@ -284,7 +284,7 @@ def test_arena_allocation_matches_plan_tracemalloc():
     plan = net.compile()
     arena = plan.arena_for((64, 64))
     tracemalloc.start()
-    arena.ensure(1)
+    plan._slabs.hold(arena, 1, lambda: None)
     allocated, _ = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     planned = arena.planned_bytes(1)
@@ -309,7 +309,7 @@ def test_subbyte_containers_stay_one_byte():
     assert arena.physical_code_bytes(1) == 2 * arena.logical_rw_peak_bytes
 
 
-def test_assert_arena_fits_checks_physical_inflation():
+def test_assert_arena_fits_checks_physical_inflation(monkeypatch):
     spec = mobilenet_v1_spec(32, 0.25, num_classes=10)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
     device = MCUDevice(name="big", flash_bytes=2 * 1024 ** 2,
@@ -320,6 +320,7 @@ def test_assert_arena_fits_checks_physical_inflation():
     assert arena.physical_code_bytes(1) == peak
     # An artificially inflated code slab must trip the deployment gate.
     arena.code_slot_bytes_per_image[0] *= 8
+    monkeypatch.setattr(plan, "arena_for", lambda hw: arena)
     with pytest.raises(ValueError, match="exceed the Eq. 7 RW peak"):
         assert_arena_fits(plan, device, (32, 32))
 

@@ -334,7 +334,7 @@ class TestInt64Fallback:
         # The int64 layer's own codes, as its tiles wrote them.
         codes = plan.quantize_input(x)
         ref = net.conv_layers[0].forward(codes)
-        assert np.array_equal(layer(codes, arena), ref)
+        assert np.array_equal(layer(codes, plan.bound(codes.shape)[0]), ref)
         assert len(np.unique(ref)) == 16
         assert net.conv_layers[0].params.thresholds[:, 15].max() > 2 ** 53
         assert verify_plan(plan, self.HW).ok

@@ -79,14 +79,14 @@ class TestSlabSharing:
         rng = np.random.default_rng(0)
         session.run(rng.uniform(0.0, 1.0, (1, 3, *NATIVE_HW)))
         native_bytes = plan.arena_for(NATIVE_HW).planned_bytes(1)
-        assert plan.arena_for(NATIVE_HW).allocated_bytes == native_bytes
+        assert plan._slabs.allocated_bytes == native_bytes
         for hw in GEOMETRIES[1:-1]:
             session.run(rng.uniform(0.0, 1.0, (1, 3, *hw)))
-            arena = plan.arena_for(hw)
-            assert arena._slabs is plan._slabs
-            # A smaller geometry runs in the native set: nothing grows.
-            assert arena.allocated_bytes == native_bytes
-        assert len(plan._arenas) == len(GEOMETRIES) - 1
+            assert plan.arena_for(hw)._slabs is plan._slabs
+            # A smaller geometry runs in the native set: nothing grows,
+            # so no geometry's bound views were dropped.
+            assert plan._slabs.allocated_bytes == native_bytes
+        assert [s[2:] for s in plan._bound] == GEOMETRIES[:-1]
 
     def test_child_keeps_its_own_eq7_accounting(self, poly_session):
         """Sharing storage must not change the Eq. 7 peak a geometry
@@ -110,6 +110,4 @@ class TestSlabSharing:
         session.run(rng.uniform(0.0, 1.0, (2, 3, *NATIVE_HW)))
         x = rng.uniform(0.0, 1.0, (2, 3, 96, 96))
         np.testing.assert_array_equal(session.run(x), session.network.forward(x))
-        big = plan.arena_for((96, 96))
-        assert big.allocated_bytes == big.planned_bytes(2)
-        assert plan.arena_for(NATIVE_HW).allocated_bytes == big.planned_bytes(2)
+        assert plan._slabs.allocated_bytes == plan.arena_for((96, 96)).planned_bytes(2)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.inference.export import export_network, import_network
+from repro.inference.plan import ExecutionPlan
 from repro.inference.testing import integer_network_from_spec, random_network
 from repro.models.model_zoo import all_mobilenet_configs, mobilenet_v1_spec
 from repro.runtime import ArtifactError, Session, SessionOptions
@@ -178,6 +179,26 @@ def test_manifest_carries_arena_plan(tmp_path):
     assert arena["input_hw"] == [32, 32]
     assert arena["rw_peak_bytes"] == \
         session.plan.arena_for((32, 32)).logical_rw_peak_bytes
+
+
+def test_save_compiles_nothing(tmp_path, monkeypatch):
+    """Saving reads the arena section from the plan the session holds;
+    a bare export still compiles its own."""
+    net = integer_network_from_spec(_SMALL, np.random.default_rng(0))
+    session = Session(net, options=SessionOptions(input_hw=(32, 32)))
+    compiled = []
+    original = ExecutionPlan.__init__
+
+    def counting_init(plan, network):
+        compiled.append(network)
+        original(plan, network)
+
+    monkeypatch.setattr(ExecutionPlan, "__init__", counting_init)
+    path = session.save(tmp_path / "artifact")
+    assert compiled == []
+    manifest = json.loads((path / MANIFEST_NAME).read_text())
+    assert manifest["network"]["arena"] == export_network(net, (32, 32))["arena"]
+    assert compiled == [net]
 
 
 class TestCorruption:

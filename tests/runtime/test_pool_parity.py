@@ -153,11 +153,12 @@ def test_worker_task_error_is_typed_and_nonfatal(small_setup):
 
 def test_from_session_stages_and_cleans_up(tmp_path):
     """A pool over an unsaved in-memory session stages its own artifact
-    and removes it on close."""
+    and removes it on close; the session never names the staged copy."""
     session = _session_for(_SMALL, seed=31)
     assert session.source_artifact is None
     pool = WorkerPool.from_session(session, PoolOptions(workers=1))
     staged = pool.artifact_path
+    assert session.source_artifact is None
     with pool:
         x = np.random.default_rng(6).uniform(0, 1, size=(3, 3, 32, 32))
         assert np.array_equal(session.run_batched(x), pool.run_batched(x))

@@ -33,10 +33,13 @@ class TestSession:
         assert np.array_equal(session.run_batched(x), session.run(x))
         assert np.array_equal(session.predict(x), net.predict(x))
 
-    def test_input_hw_plans_arena_eagerly(self, net):
+    def test_input_hw_sizes_describe_and_construction_binds_nothing(self, net):
         session = Session(net, options=SessionOptions(input_hw=(32, 32)))
-        assert (32, 32) in session.plan._arenas
-        assert "activation arena" in session.describe()
+        assert not session.plan._bound
+        assert session.plan._slabs.allocated_bytes == 0
+        assert "activation arena (input 32x32)" in session.describe()
+        session.run(np.zeros((2, 3, 32, 32)))
+        assert list(session.plan._bound) == [(2, 3, 32, 32)]
 
     def test_run_codes_validate_override(self, net):
         bad = np.full((1, 3, 8, 8), 300, dtype=np.int64)  # out of 8-bit range
@@ -75,8 +78,10 @@ class TestPipeline:
             session.run(np.zeros((1, 3, 32, 32))),
             session.network.forward(np.zeros((1, 3, 32, 32))),
         )
-        # arena planned at the spec resolution by default
-        assert (32, 32) in session.plan._arenas
+        # the session's geometry is the spec resolution by default, and
+        # the run bound that shape
+        assert session.options.input_hw == (32, 32)
+        assert (1, 3, 32, 32) in session.plan._bound
 
     def test_policy_bits_are_materialised(self):
         policy = QuantPolicy.uniform(SPEC, method=QuantMethod.PC_ICN, bits=4)

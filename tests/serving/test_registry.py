@@ -156,7 +156,7 @@ class TestRegistry:
             plan = registry.entry("96x0.25").session.plan
             native, small = plan.arena_for((96, 96)), plan.arena_for((64, 64))
             assert small._slabs is native._slabs
-            assert small.allocated_bytes == native.planned_bytes(1)
+            assert plan._slabs.allocated_bytes == native.planned_bytes(1)
             # A held plan would pin the mmap'd weights at close.
             del plan, native, small
 

@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.runtime import Session
 from repro.serving import (
     FaultInjector,
     FaultSpec,
@@ -447,10 +448,11 @@ class TestWorkerCrash:
     def run_pooled(self, tiny_session, tiny_artifact, options, faults,
                    scenario):
         async def _main():
-            server = ServingServer(tiny_session, options, faults=faults,
-                                   artifact_path=tiny_artifact)
+            server = ServingServer(tiny_session, options, faults=faults)
             host, port = await server.start()
             assert server.engine.pool is not None
+            # The pool mmaps the artifact the session was saved to.
+            assert server.engine.pool.artifact_path == tiny_session.source_artifact
             assert server.engine.concurrency == options.workers
             try:
                 await scenario(server, host, port)
@@ -534,3 +536,20 @@ class TestWorkerCrash:
             assert stats["pool"]["alive"] == 2
 
         self.run_pooled(tiny_session, tiny_artifact, options, None, scenario)
+
+    def test_pooled_server_over_a_loaded_session_maps_its_artifact(
+            self, tiny_artifact, image):
+        """The pool mmaps the artifact the session was loaded from; it
+        stages no copy of its own."""
+        session = Session.load(tiny_artifact)
+
+        async def scenario(server, host, port):
+            assert server.engine.pool.artifact_path == session.source_artifact
+            assert server.engine.pool._owned_tmp is None
+            status, body = await predict(host, port, image, deadline_ms=0,
+                                         timeout=60.0)
+            expected = int(np.argmax(session.run(image[None]), axis=1)[0])
+            assert (status, body["prediction"]) == (200, expected)
+
+        self.run_pooled(session, tiny_artifact, BASE.replace(workers=2), None,
+                        scenario)
