@@ -39,7 +39,7 @@ from repro.inference.arena import depthwise_channel_bytes
 from repro.inference.testing import integer_network_from_spec
 from repro.models.model_zoo import mobilenet_v1_spec
 from repro.nn.functional import conv_output_size
-from repro.runtime import Session, SessionOptions
+from repro.runtime import Session
 
 RESOLUTION = 128
 WIDTH = 0.5
@@ -177,11 +177,11 @@ def test_benchmark_batched_sweep_throughput(record_report):
     res = 96
     spec = mobilenet_v1_spec(res, 0.25, num_classes=NUM_CLASSES)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
-    session = Session(net, options=SessionOptions(batch_size=8, input_hw=(res, res)))
+    session = Session(net, input_hw=(res, res))
     plan = session.plan
     sweep = np.random.default_rng(2).uniform(0, 1, size=(64, 3, res, res))
 
-    t_sweep = _best_of(lambda: session.run_batched(sweep), reps=2)
+    t_sweep = _best_of(lambda: session.run_batched(sweep, batch_size=8), reps=2)
     rate = sweep.shape[0] / t_sweep
 
     # Two-part bound (the whole point of the ping-pong scheme: batch >>
@@ -192,7 +192,7 @@ def test_benchmark_batched_sweep_throughput(record_report):
     planned = arena.planned_bytes(8)
     assert plan._slabs.allocated_bytes == planned, "arena slabs diverged from the plan"
     tracemalloc.start()
-    session.run_batched(sweep)
+    session.run_batched(sweep, batch_size=8)
     _, measured_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert measured_peak <= planned, (

@@ -52,7 +52,7 @@ import numpy as np
 
 from repro.inference.testing import integer_network_from_spec
 from repro.models.model_zoo import mobilenet_v1_spec
-from repro.runtime import Session, SessionOptions
+from repro.runtime import Session
 from repro.serving import (
     FaultInjector,
     RetryPolicy,
@@ -74,7 +74,7 @@ FAULT_MIX = "kernel:every=20;slow:every=15,delay=0.01"
 def _make_session() -> Session:
     spec = mobilenet_v1_spec(RESOLUTION, WIDTH, num_classes=5)
     net = integer_network_from_spec(spec, np.random.default_rng(0))
-    return Session(net, options=SessionOptions(input_hw=(RESOLUTION, RESOLUTION)))
+    return Session(net, input_hw=(RESOLUTION, RESOLUTION))
 
 
 def _image() -> np.ndarray:

@@ -29,7 +29,7 @@ from repro.core.memory_model import MemoryModel
 from repro.core.policy import QuantMethod, QuantPolicy
 from repro.data import make_synthetic_classification
 from repro.inference.export import deployment_size_bytes
-from repro.runtime import Session, SessionOptions
+from repro.runtime import Session
 from repro.training import (
     QATConfig,
     QATTrainer,
@@ -100,8 +100,9 @@ def main() -> None:
     # the deployment artifact round-trips from disk bit-identically.
     # ------------------------------------------------------------------
     print("\n5. compile + serve through repro.runtime.Session")
-    session = Session(net, options=SessionOptions(batch_size=64, input_hw=(16, 16)))
-    int_acc = float((session.predict(dataset.x_test) == dataset.y_test).mean())
+    session = Session(net, input_hw=(16, 16))
+    int_acc = float(
+        (session.predict(dataset.x_test, batch_size=64) == dataset.y_test).mean())
     print(f"   integer-only accuracy : {int_acc * 100:.1f} % "
           f"(ICN conversion loss {100 * (fq_acc - int_acc):+.2f} points)")
     print(f"   deployed Flash size   : {sizes['total'] / 1024:.1f} kB "

@@ -29,7 +29,7 @@ from repro.core.policy import QuantMethod
 from repro.data import make_synthetic_classification
 from repro.inference.export import deployment_size_bytes
 from repro.mcu.latency import network_cycles
-from repro.runtime import Session, SessionOptions
+from repro.runtime import Session
 from repro.training import QATConfig, QATTrainer, TrainConfig, Trainer, evaluate_model, prepare_qat
 
 #: Ten keyword classes ("yes", "no", ... plus silence/unknown), as in [25].
@@ -85,9 +85,9 @@ def main() -> None:
     net = convert_to_integer_network(model, method=QuantMethod.PC_ICN)
     # Serve through the runtime front door: the Session compiles the
     # integer graph once and streams the test sweep through the arena.
-    session = Session(net, options=SessionOptions(
-        batch_size=64, input_hw=(PATCH_SIZE, PATCH_SIZE)))
-    int_acc = float((session.predict(dataset.x_test) == dataset.y_test).mean())
+    session = Session(net, input_hw=(PATCH_SIZE, PATCH_SIZE))
+    int_acc = float(
+        (session.predict(dataset.x_test, batch_size=64) == dataset.y_test).mean())
     sizes = deployment_size_bytes(net)
 
     # The deployable unit is the saved artifact: reload it from disk (no

@@ -45,7 +45,6 @@ from repro.runtime import (
     ArtifactNotFoundError,
     InvalidInputError,
     Session,
-    SessionOptions,
     pipeline,
 )
 
@@ -79,7 +78,6 @@ __all__ = [
     "QATTrainer",
     "AccuracyModel",
     # serving front door (repro.runtime)
-    "SessionOptions",
     "Session",
     "pipeline",
     "ArtifactError",

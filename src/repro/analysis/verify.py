@@ -847,17 +847,17 @@ def verify_artifact(path: Union[str, Path],
     cross-checked against the recompiled truth: per-layer container
     dtype and reduction length, and the persisted Eq. 7 arena peak.
     The geometry the manifest recorded its peak for is always walked,
-    and the peak compared there; ``input_hw`` (default: the session
-    options') adds another.
+    and the peak compared there; ``input_hw`` (default: the session's
+    recorded geometry) adds another.
     """
     from repro.inference.plan import ExecutionPlan
     from repro.runtime.artifact import load_artifact
 
-    network, session_options, manifest = load_artifact(path)
+    network, session_hw, manifest = load_artifact(path)
     plan = ExecutionPlan(network)
     net_manifest = manifest.get("network", {})
     arena_info = net_manifest.get("arena")
-    input_hw = input_hw or session_options.input_hw
+    input_hw = input_hw or session_hw
     report = verify_plan(plan, input_hw, raise_on_violation=False)
     recorded_hw = None
     if arena_info is not None:

@@ -199,7 +199,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         hw = None
         if args.resolution is not None:
             hw = (args.resolution, args.resolution)
-        elif session.options.input_hw is None:
+        elif session.input_hw is None:
             hw = (32, 32)  # artifact carries no geometry; pick a small default
         x = session.synthetic_batch(args.batch, rng_seed=args.seed, input_hw=hw)
     print(session.describe(input_hw=(x.shape[2], x.shape[3]),

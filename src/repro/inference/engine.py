@@ -79,7 +79,7 @@ class IntegerConvLayer:
         self._w_shift_cache = _cached_shift(self._w_shift_cache, p.weights_q, p.z_w)
         return self._w_shift_cache[1]
 
-    def forward(self, x_codes: np.ndarray, validate: bool = True) -> np.ndarray:
+    def forward(self, x_codes: np.ndarray) -> np.ndarray:
         """Interpreted (reference) forward over the int64 einsum kernels —
         the ground truth the compiled
         :class:`~repro.inference.plan.ExecutionPlan` is verified against."""
@@ -89,7 +89,7 @@ class IntegerConvLayer:
             x_codes, p.weights_q, p.z_x, p.z_w,
             stride=self.stride, padding=self.padding,
             x_bits=self.in_bits, w_bits=p.w_bits,
-            validate=validate, w_shift=self._shifted_weights(),
+            w_shift=self._shifted_weights(),
         )
         if isinstance(p, ICNParams):
             return icn_requantize(phi, p)
@@ -131,10 +131,10 @@ class IntegerLinearLayer:
         self._w_shift_cache = _cached_shift(self._w_shift_cache, self.weights_q, self.z_w)
         return self._w_shift_cache[1]
 
-    def forward(self, x_codes: np.ndarray, validate: bool = True) -> np.ndarray:
+    def forward(self, x_codes: np.ndarray) -> np.ndarray:
         phi = int_linear(x_codes, self.weights_q, self.z_x, self.z_w,
                          x_bits=self.in_bits, w_bits=self.w_bits,
-                         validate=validate, w_shift=self._shifted_weights())
+                         w_shift=self._shifted_weights())
         s_w = np.asarray(self.s_w, dtype=np.float64).reshape(-1)
         if s_w.size == 1:
             logits = self.s_in * float(s_w[0]) * phi.astype(np.float64)

@@ -22,8 +22,9 @@ small integer and every partial sum is bounded by
 representable, so the result equals the integer accumulator bit for bit
 regardless of the summation order BLAS picks (the ``"blas"`` tier,
 :func:`exact_gemm_dtype_for_bound`).  Past ``2^53`` the plan runs the
-int64 einsum.  Range validation of the operand codes is opt-in via
-``validate`` so the plan can hoist it to the network boundary.
+int64 einsum.  These reference kernels range-check their operand codes
+on every call; the plan checks weight codes once at compile time and
+input codes once at the network boundary.
 
 The a-priori bound ``k * (2^Qx - 1) * (2^Qw - 1)`` assumes every weight
 sits at the corner of its code range.  At compile time the actual shifted
@@ -268,7 +269,6 @@ def int_conv2d(
     padding: int = 0,
     x_bits: int = 8,
     w_bits: int = 8,
-    validate: bool = True,
     w_shift: np.ndarray | None = None,
 ) -> np.ndarray:
     """Integer accumulator of a standard convolution (int64 reference).
@@ -281,9 +281,8 @@ def int_conv2d(
     (``w_codes - z_w``) so callers that run repeatedly can hoist the
     shift out of the per-inference path.
     """
-    if validate:
-        check_codes("activation", x_codes, x_bits)
-        check_codes("weight", w_codes, w_bits)
+    check_codes("activation", x_codes, x_bits)
+    check_codes("weight", w_codes, w_bits)
     n, c_in, h, w = x_codes.shape
     c_out, _, kh, kw = w_codes.shape
     if w_shift is None:
@@ -306,7 +305,6 @@ def int_depthwise_conv2d(
     padding: int = 0,
     x_bits: int = 8,
     w_bits: int = 8,
-    validate: bool = True,
     w_shift: np.ndarray | None = None,
 ) -> np.ndarray:
     """Integer accumulator of a depthwise convolution (int64 im2col
@@ -317,9 +315,8 @@ def int_depthwise_conv2d(
     truth the stencil kernel (:func:`depthwise_stencil_accumulate`) is
     property-tested against.
     """
-    if validate:
-        check_codes("activation", x_codes, x_bits)
-        check_codes("weight", w_codes, w_bits)
+    check_codes("activation", x_codes, x_bits)
+    check_codes("weight", w_codes, w_bits)
     n, c, h, w = x_codes.shape
     kh, kw = w_codes.shape[2], w_codes.shape[3]
     oh = conv_output_size(h, kh, stride, padding)
@@ -343,16 +340,14 @@ def int_linear(
     z_w: np.ndarray | int,
     x_bits: int = 8,
     w_bits: int = 8,
-    validate: bool = True,
     w_shift: np.ndarray | None = None,
 ) -> np.ndarray:
     """Integer accumulator of a fully connected layer (int64 reference).
 
     ``x_codes``: (N, in_features); ``w_codes``: (out_features, in_features).
     """
-    if validate:
-        check_codes("activation", x_codes, x_bits)
-        check_codes("weight", w_codes, w_bits)
+    check_codes("activation", x_codes, x_bits)
+    check_codes("weight", w_codes, w_bits)
     if w_shift is None:
         try:
             w_shift = shift_weights(w_codes, z_w, w_codes.shape[0])

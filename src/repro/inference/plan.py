@@ -27,8 +27,8 @@ per-inference path:
   layer that would overflow the int64 tier does not compile);
   threshold tables are pre-sliced for ``searchsorted``;
 * weight codes are range-checked once at compile time, and input codes
-  once at the network boundary (``run_codes(validate=True)`` by
-  default) instead of per layer inside the hot loop;
+  once at the network boundary (``run_codes`` always checks them)
+  instead of per layer inside the hot loop;
 * activation codes live at their *container width* end to end: uint8
   slabs for every <=8-bit activation, requantized accumulators streamed
   through a small cache-blocked scratch straight into the code slab —
@@ -50,6 +50,7 @@ memory stays bounded by one tile regardless of the sweep size.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -121,30 +122,35 @@ def _split_k_chunks(w_shift: np.ndarray, z_x: int, x_bits: int):
     float64.  Returns the chunk boundaries, or None when a single chunk
     suffices (plain sgemm) or more than ``_SPLIT_K_MAX_CHUNKS`` would be
     needed (float64 stays the better deal).
+
+    A chunk ends just before the first column where some row's sum of
+    ``|W'| * x_mag`` since the chunk's start reaches ``2^24``.  Those
+    sums never decrease along K, so a binary search over per-row
+    cumulative sums of ``|W'|`` finds that column.
     """
     x_mag = max(int(z_x), 2 ** x_bits - 1 - int(z_x))
-    contrib = np.abs(w_shift.reshape(w_shift.shape[0], -1)).astype(np.int64) * x_mag
-    k = contrib.shape[1]
-    limit = 1 << FLOAT32_EXACT_BITS
-    chunks = []
-    start = 0
-    run = np.zeros(contrib.shape[0], dtype=np.int64)
-    for j in range(k):
-        run += contrib[:, j]
-        if int(run.max()) >= limit and j > start:
-            chunks.append((start, j))
-            start = j
-            run = contrib[:, j].copy()
-        if len(chunks) >= _SPLIT_K_MAX_CHUNKS:
-            return None
-    chunks.append((start, k))
-    if len(chunks) < 2:
+    # An integer sum s has s * x_mag >= 2^24 exactly when s >= limit.
+    limit = -(-(1 << FLOAT32_EXACT_BITS) // x_mag)
+    csum = np.abs(w_shift.reshape(w_shift.shape[0], -1), dtype=np.int64)
+    np.cumsum(csum, axis=1, out=csum)
+    k = csum.shape[1]
+
+    def overflows(k0: int, k1: int) -> bool:
+        """Whether some row's sum over columns ``[k0, k1)`` reaches the limit."""
+        sums = csum[:, k1 - 1] - csum[:, k0 - 1] if k0 else csum[:, k1 - 1]
+        return int(sums.max()) >= limit
+
+    bounds = [0]
+    while bounds[-1] < k and len(bounds) <= _SPLIT_K_MAX_CHUNKS:
+        start = bounds[-1]
+        bounds.append(start + 1 + bisect.bisect_left(
+            range(start + 1, k), True, key=lambda j: overflows(start, j + 1)))
+    chunks = list(zip(bounds[:-1], bounds[1:]))
+    # Past the cap, or one chunk: float64 or plain sgemm.  Soundness
+    # guard: a single column can never exceed the limit for the paper's
+    # bit widths, but refuse rather than split unsoundly.
+    if bounds[-1] < k or len(chunks) < 2 or any(overflows(*c) for c in chunks):
         return None
-    # Soundness guard (a single column can never exceed the limit for
-    # the paper's bit widths, but refuse rather than split unsoundly).
-    for k0, k1 in chunks:
-        if int(contrib[:, k0:k1].sum(axis=1).max()) >= limit:
-            return None
     return chunks
 
 
@@ -865,14 +871,12 @@ class ExecutionPlan:
             x_codes = layer(x_codes, views)
         return x_codes, True
 
-    def run_codes(self, x_codes: np.ndarray, validate: bool = True) -> np.ndarray:
+    def run_codes(self, x_codes: np.ndarray) -> np.ndarray:
         """Run the convolutional trunk on integer codes; returns codes
-        the caller owns (never a live view into the arena).  ``validate``
-        range-checks the codes first; only a caller that guarantees
-        in-range codes may skip it, since every layer's accumulator
-        dispatch assumes them."""
-        if validate:
-            check_codes("input activation", x_codes, self.input_bits)
+        the caller owns (never a live view into the arena).  The codes
+        are range-checked first, since every layer's accumulator
+        dispatch assumes in-range codes."""
+        check_codes("input activation", x_codes, self.input_bits)
         codes, is_view = self._trunk(x_codes)
         return codes.copy() if is_view else codes
 

@@ -2,26 +2,26 @@
 
 This package is the single front door onto the integer inference stack:
 everything an application needs to quantize, compile, serve, save and
-reload a network lives behind three names::
+reload a network lives behind two names::
 
-    from repro.runtime import Session, SessionOptions, pipeline
+    from repro.runtime import Session, pipeline
 
 Quickstart
 ----------
 ::
 
     import repro
-    from repro.runtime import Session, SessionOptions, pipeline
+    from repro.runtime import Session, pipeline
 
     # spec + policy + device -> a running session (search included):
     spec = repro.mobilenet_v1_spec(192, 0.5)
     session = pipeline(spec, device=repro.STM32H7)
     logits = session.run(images)               # single shot
-    labels = session.predict(image_sweep)      # tiled through the arena
+    labels = session.predict(image_sweep, batch_size=16)  # tiled through the arena
     print(session.describe())                  # per-layer dispatch + arena plan
 
     # Or wrap a QAT-converted network directly:
-    session = Session(net, SessionOptions(batch_size=16, input_hw=(32, 32)))
+    session = Session(net, input_hw=(32, 32))
 
     # Round-trippable deployment artifact (JSON manifest + CRC'd blobs):
     session.save("model.artifact")
@@ -29,23 +29,22 @@ Quickstart
 
 Vocabulary
 ----------
-:class:`SessionOptions`
-    Frozen dataclass of serving knobs — ``batch_size`` (default tile
-    for ``run_batched``/``predict``), ``validate`` (input boundary
-    checks, on by default), ``input_hw`` (the session's geometry:
-    synthetic and health-check batches, ``describe``/``verify`` and a
-    saved artifact's arena section; construction plans nothing).
-    Pool width is the serving tier's (``ServerOptions.workers``).
-    Compilation takes no options: each layer's accumulator follows from
-    its refined bound, weight codes are always range-checked at compile
-    time, and every input geometry runs in the plan's one slab set.
-    Artifacts saved with a ``compile_options`` manifest section load
-    (only its legacy ``input_hw`` is read), and re-saving drops it.
 :class:`Session`
-    A compiled, servable network: ``run`` / ``run_batched`` /
-    ``predict`` / ``run_codes`` execute, ``describe`` / ``layer_info``
-    / ``profile`` introspect, ``save`` / ``load`` round-trip the
-    on-disk artifact.
+    A compiled, servable network and its input geometry,
+    ``Session(net, input_hw=(H, W))``: the geometry sizes synthetic and
+    health-check batches, ``describe``/``verify`` and a saved artifact's
+    arena section.  ``run`` / ``run_batched`` / ``predict`` /
+    ``run_codes`` execute, with every input checked at the boundary and
+    the tile size (``batch_size``, default 32) passed per call;
+    ``describe`` / ``layer_info`` / ``profile`` introspect; ``save`` /
+    ``load`` round-trip the on-disk artifact.  Compilation takes no
+    options: each layer's accumulator follows from its refined bound,
+    weight codes are always range-checked at compile time, and every
+    input geometry runs in the plan's one slab set.  Pool width is the
+    serving tier's (``ServerOptions.workers``).  Artifacts saved with
+    retired session keys (``batch_size``, ``validate``, ``workers``) or
+    a ``compile_options`` manifest section load (only a legacy
+    ``input_hw`` is read), and re-saving drops them.
 :func:`pipeline`
     ``spec [+ policy] [+ device] -> Session`` — the one-call
     replacement for hand-wired search → convert → compile chains, with
@@ -60,7 +59,7 @@ Vocabulary
     runs its round trip on the caller's thread, with crash detection
     and respawn-and-retry (``repro.runtime.pool``).
 
-All three core names are re-exported at the top level (``repro.Session``
+Both core names are re-exported at the top level (``repro.Session``
 …) and the ``repro-mcu run <artifact>`` CLI subcommand serves a saved
 artifact from the shell (``serve --workers N`` for the pool).
 """
@@ -75,12 +74,10 @@ from repro.runtime.errors import (
     WorkerCrashedError,
     WorkerTaskError,
 )
-from repro.runtime.options import SessionOptions
 from repro.runtime.pool import PoolOptions, WorkerPool
 from repro.runtime.session import LayerTiming, Session, SessionProfile, pipeline
 
 __all__ = [
-    "SessionOptions",
     "Session",
     "SessionProfile",
     "LayerTiming",

@@ -3,7 +3,7 @@
 A saved artifact is a directory with exactly two files::
 
     <artifact>/
-        manifest.json   # structure, session options, scalar parameters, blob table
+        manifest.json   # structure, session geometry, scalar parameters, blob table
         blobs.bin       # concatenated binary tensors (weights + requant arrays)
 
 The manifest is the :func:`repro.inference.export.export_network` dict
@@ -41,18 +41,47 @@ import shutil
 import uuid
 import zlib
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.inference.export import export_network, import_network, validate_export
 from repro.runtime.errors import ArtifactError, ArtifactNotFoundError
-from repro.runtime.options import SessionOptions
 
 ARTIFACT_FORMAT = "repro/session-artifact"
 ARTIFACT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 BLOBS_NAME = "blobs.bin"
+
+
+def normalize_hw(value: Any) -> Optional[Tuple[int, int]]:
+    """``value`` as a positive ``(height, width)`` int pair; ``None``
+    stays ``None`` and anything else is a ``ValueError``."""
+    if value is None:
+        return None
+    try:
+        h, w = (int(d) for d in value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"input_hw must be a (height, width) pair, got {value!r}") from None
+    if h < 1 or w < 1:
+        raise ValueError(f"input_hw must be positive, got {(h, w)}")
+    return (h, w)
+
+
+def _session_input_hw(manifest: Dict) -> Optional[Tuple[int, int]]:
+    """The session geometry a manifest records: ``session_options``'
+    ``input_hw``, else the legacy ``compile_options``' one.  The retired
+    ``batch_size``, ``validate`` and ``workers`` session keys are
+    ignored; any other key is a ``ValueError``."""
+    section = manifest.get("session_options", {})
+    unknown = set(section) - {"input_hw", "batch_size", "validate", "workers"}
+    if unknown:
+        raise ValueError(f"unknown session option(s) {sorted(unknown)}")
+    hw = section.get("input_hw")
+    if hw is None:
+        hw = manifest.get("compile_options", {}).get("input_hw")
+    return normalize_hw(hw)
 
 
 class _BlobWriter:
@@ -236,27 +265,25 @@ def _internalize(node, blobs, table: Dict[str, Dict], path: Path,
 def save_artifact(
     path: Union[str, Path],
     network,
-    session_options: Optional[SessionOptions] = None,
     input_hw: Optional[Tuple[int, int]] = None,
     plan=None,
 ) -> Path:
-    """Serialise ``network`` (+ session options) into an artifact directory.
+    """Serialise ``network`` (+ its session geometry) into an artifact directory.
 
-    ``input_hw`` (default: ``session_options.input_hw``) additionally
+    ``input_hw`` is recorded as the session's geometry and additionally
     embeds the activation-arena plan (Eq. 7 RW peak and container-width
-    physical bytes) for that geometry, so a loader can assert device fit
-    without rebuilding the plan; ``plan`` is ``network``'s compiled plan
-    to read it from (compiled here when absent).  Returns the artifact
-    directory path.
+    physical bytes) for it, so a loader can assert device fit without
+    rebuilding the plan; ``plan`` is ``network``'s compiled plan to read
+    it from (compiled here when absent).  Returns the artifact directory
+    path.
     """
-    session_options = session_options or SessionOptions()
-    exported = export_network(network, input_hw=input_hw or session_options.input_hw,
-                              plan=plan)
+    input_hw = normalize_hw(input_hw)
+    exported = export_network(network, input_hw=input_hw, plan=plan)
     writer = _BlobWriter()
     manifest = {
         "format": ARTIFACT_FORMAT,
         "version": ARTIFACT_VERSION,
-        "session_options": session_options.to_dict(),
+        "session_options": {"input_hw": None if input_hw is None else list(input_hw)},
         "network": _jsonable(_externalize(exported, writer, "net")),
     }
     manifest["blobs"] = writer.table
@@ -346,7 +373,7 @@ def read_manifest(path: Union[str, Path]) -> Dict:
 
 
 def load_artifact(path: Union[str, Path], *, mmap: bool = False):
-    """Load an artifact back into ``(network, session_options, manifest)``.
+    """Load an artifact back into ``(network, input_hw, manifest)``.
 
     Every blob is CRC-verified against the manifest table, the
     reassembled export dict passes the deployment-side
@@ -362,11 +389,12 @@ def load_artifact(path: Union[str, Path], *, mmap: bool = False):
     shares them between every process that loads the same artifact —
     the memory model behind :class:`repro.runtime.pool.WorkerPool`.
 
+    ``input_hw`` is the session geometry the manifest records, or None.
     An older manifest may carry a ``compile_options`` section.  Only its
-    legacy ``input_hw`` is read: it moves into session options that
-    carry no geometry, so the session still knows it.  Every other key
-    there selected a plan with bit-identical answers, so it is ignored,
-    as are per-layer ``gemm_backend`` labels.
+    legacy ``input_hw`` is read, when ``session_options`` records no
+    geometry.  Every other key there selected a plan with bit-identical
+    answers, so it is ignored, as are per-layer ``gemm_backend`` labels
+    and the retired session keys.
     """
     root = Path(path)
     manifest = read_manifest(root)
@@ -389,11 +417,7 @@ def load_artifact(path: Union[str, Path], *, mmap: bool = False):
         )
         validate_export(exported)
         network = import_network(exported)
-        legacy_hw = manifest.get("compile_options", {}).get("input_hw")
-        session_dict = manifest.get("session_options", {})
-        if session_dict.get("input_hw") is None and legacy_hw is not None:
-            session_dict = {**session_dict, "input_hw": legacy_hw}
-        session_options = SessionOptions.from_dict(session_dict)
+        input_hw = _session_input_hw(manifest)
     except ArtifactError:
         if mmap:
             _close_quietly(blobs)
@@ -410,7 +434,7 @@ def load_artifact(path: Union[str, Path], *, mmap: bool = False):
         # up so Session.close() can unmap deterministically (the fleet
         # registry's eviction path) instead of waiting for GC.
         network.mapped_blobs = blobs
-    return network, session_options, manifest
+    return network, input_hw, manifest
 
 
 def _close_quietly(blobs) -> None:

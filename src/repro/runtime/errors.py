@@ -65,7 +65,7 @@ class WorkerTaskError(PoolError):
     exception's type name and message; the worker stays alive — this is
     a task failure, not a worker failure, so no respawn happens."""
 
-    def __init__(self, etype: str, message: str):
+    def __init__(self, etype: str, message: str) -> None:
         super().__init__(f"{etype}: {message}")
         self.etype = etype
 

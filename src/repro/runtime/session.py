@@ -1,8 +1,8 @@
 """The :class:`Session` front door: quantize → compile → serve in one object.
 
 ``Session`` owns a compiled :class:`~repro.inference.plan.ExecutionPlan`
-plus the options it was built with, and adds the serving conveniences
-the bare plan does not have: default batch tiling, a per-layer
+plus the input geometry it serves, and adds the serving conveniences
+the bare plan does not have: input checks at the boundary, a per-layer
 :meth:`profile`, and — the round-trip capability — :meth:`save` /
 :meth:`load` to/from the on-disk artifact format of
 :mod:`repro.runtime.artifact`.  :func:`pipeline` is the one-call
@@ -19,9 +19,8 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.inference.plan import ExecutionPlan
-from repro.runtime.artifact import load_artifact, save_artifact
+from repro.runtime.artifact import load_artifact, normalize_hw, save_artifact
 from repro.runtime.errors import InvalidInputError
-from repro.runtime.options import SessionOptions
 
 
 @dataclass
@@ -73,13 +72,15 @@ def _best_of(fn, reps: int) -> float:
 
 
 class Session:
-    """A compiled, servable integer network.
+    """A compiled, servable integer network and the geometry it serves.
 
-    ``Session(network)`` serves with the default options;
-    ``Session(network, SessionOptions(...))`` customises serving
-    (compilation takes no options).  The plan binds each input shape on
+    ``Session(network, input_hw=(H, W))`` compiles ``network``
+    (compilation takes no options).  ``input_hw``, a positive ``(H, W)``
+    pair or ``None`` (anything else is a ``ValueError``), sizes
+    synthetic and health-check batches, ``describe``/``verify`` and a
+    saved artifact's arena section.  The plan binds each input shape on
     its first call, so steady-state serving performs no per-layer
-    allocations.
+    allocations, and every input is checked at the boundary.
 
     The session is also the unit of deployment: :meth:`save` writes a
     self-contained artifact (JSON manifest + CRC-checked binary blobs)
@@ -87,9 +88,9 @@ class Session:
     with no reference to the originating network object.
     """
 
-    def __init__(self, network, options: Optional[SessionOptions] = None):
+    def __init__(self, network, *, input_hw: Optional[Tuple[int, int]] = None):
         self.network = network
-        self.options = options or SessionOptions()
+        self.input_hw = normalize_hw(input_hw)
         # Artifact directory this session is known to round-trip with
         # (set by load/save) — lets WorkerPool.from_session reuse it
         # instead of staging a temporary copy.
@@ -112,7 +113,8 @@ class Session:
         :class:`~repro.runtime.artifact.MappedBlobs` mapping so the
         page-cache pin is released immediately instead of at GC time.
         Idempotent; the registry calls this on LRU eviction.  A closed
-        session raises ``RuntimeError`` from every inference entry point.
+        session raises ``RuntimeError("session is closed")`` from every
+        entry point, and :meth:`healthcheck` reports that error.
         """
         if self._closed:
             return
@@ -132,29 +134,25 @@ class Session:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _require_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("session is closed")
-
     # -- introspection -------------------------------------------------
     @property
     def plan(self) -> ExecutionPlan:
-        """The compiled :class:`ExecutionPlan` backing this session."""
-        self._require_open()
+        """The compiled :class:`ExecutionPlan` backing this session; every
+        entry point reaches it here, so a closed session raises."""
+        if self._closed:
+            raise RuntimeError("session is closed")
         return self._plan
 
     def layer_info(self):
-        return self._plan.layer_info()
+        return self.plan.layer_info()
 
     def describe(self, input_hw: Optional[Tuple[int, int]] = None,
-                 batch_size: Optional[int] = None) -> str:
+                 batch_size: int = 1) -> str:
         """Per-layer dispatch summary plus the arena plan (see
-        :meth:`ExecutionPlan.describe`); defaults come from the session
-        options."""
-        return self._plan.describe(
-            input_hw=input_hw or self.options.input_hw,
-            batch_size=batch_size or self.options.batch_size,
-        )
+        :meth:`ExecutionPlan.describe`) at ``input_hw`` (default: the
+        session's geometry) for ``batch_size`` images."""
+        return self.plan.describe(input_hw=input_hw or self.input_hw,
+                                  batch_size=batch_size)
 
     def verify(self, input_hw: Optional[Tuple[int, int]] = None,
                raise_on_violation: bool = True):
@@ -170,9 +168,8 @@ class Session:
         """
         from repro.analysis import verify_plan
 
-        self._require_open()
         return verify_plan(
-            self._plan, input_hw or self.options.input_hw,
+            self.plan, input_hw or self.input_hw,
             raise_on_violation=raise_on_violation,
         )
 
@@ -185,10 +182,9 @@ class Session:
         400) instead of letting numpy internals leak out of a kernel:
         non-array payloads, non-real dtypes, wrong rank, wrong channel
         count, NaN/Inf values, and geometries the layer cascade shrinks
-        below one pixel.  ``SessionOptions(validate=False)`` skips the
-        scan for trusted in-process callers.
+        below one pixel.
         """
-        self._require_open()
+        plan = self.plan
         try:
             arr = np.asarray(x_real)
         except Exception as exc:
@@ -205,7 +201,6 @@ class Session:
             raise InvalidInputError(
                 f"input must be an NCHW batch (4 dims), got shape {arr.shape}"
             )
-        plan = self._plan
         if plan.layers:
             expected = plan.layers[0].in_channels
             if arr.shape[1] != expected:
@@ -229,51 +224,38 @@ class Session:
             raise InvalidInputError("input contains non-finite values (NaN/Inf)")
         return arr
 
-    def _checked(self, x_real) -> np.ndarray:
-        if not self.options.validate:
-            return np.asarray(x_real)
-        return self.validate_input(x_real)
-
     # -- serving -------------------------------------------------------
     def run(self, x_real: np.ndarray) -> np.ndarray:
         """Single-shot inference: real NCHW batch -> real logits."""
-        self._require_open()
-        return self._plan.run(self._checked(x_real))
+        return self.plan.run(self.validate_input(x_real))
 
     def run_codes(self, x_codes: np.ndarray) -> np.ndarray:
-        """Run the conv trunk on integer codes, range-checked unless
-        ``options.validate`` is off."""
-        self._require_open()
-        return self._plan.run_codes(x_codes, validate=self.options.validate)
+        """Run the conv trunk on range-checked integer codes."""
+        return self.plan.run_codes(x_codes)
 
-    def run_batched(self, x_real: np.ndarray,
-                    batch_size: Optional[int] = None) -> np.ndarray:
-        """Stream a sweep through the arena in ``batch_size`` tiles
-        (default ``options.batch_size``)."""
-        self._require_open()
-        return self._plan.run_batched(
-            self._checked(x_real), batch_size=batch_size or self.options.batch_size
-        )
+    def run_batched(self, x_real: np.ndarray, batch_size: int = 32) -> np.ndarray:
+        """Stream a sweep through the arena in ``batch_size`` tiles."""
+        return self.plan.run_batched(self.validate_input(x_real),
+                                     batch_size=batch_size)
 
-    def predict(self, x_real: np.ndarray,
-                batch_size: Optional[int] = None) -> np.ndarray:
-        """Class predictions, tiled through the arena by default."""
+    def predict(self, x_real: np.ndarray, batch_size: int = 32) -> np.ndarray:
+        """Class predictions, tiled through the arena."""
         return np.argmax(self.run_batched(x_real, batch_size=batch_size), axis=1)
 
     def synthetic_batch(self, batch_size: int = 1, rng_seed: int = 0,
                         input_hw: Optional[Tuple[int, int]] = None) -> np.ndarray:
         """A random real-valued NCHW batch matching the session's input
         geometry: channel count from the first compiled layer, ``(H, W)``
-        from ``input_hw`` falling back to ``options.input_hw``.  The single
+        from ``input_hw`` falling back to the session's.  The single
         source of the synthetic-input rule shared by :meth:`profile`,
         :meth:`healthcheck` and the ``repro-mcu run`` CLI."""
-        hw = input_hw or self.options.input_hw
+        plan = self.plan
+        hw = input_hw or self.input_hw
         if hw is None:
             raise ValueError(
-                "no input geometry known: pass input_hw or set "
-                "SessionOptions(input_hw=...)"
+                "no input geometry known: pass input_hw or build the "
+                "session with Session(network, input_hw=...)"
             )
-        plan = self._plan
         channels = plan.layers[0].in_channels if plan.layers else 1
         return np.random.default_rng(rng_seed).uniform(
             0.0, 1.0, size=(int(batch_size), channels, hw[0], hw[1])
@@ -292,7 +274,7 @@ class Session:
         try:
             x = self.synthetic_batch(1, input_hw=input_hw)
             out = self.run(x)
-            shape, _ = self._plan.output_spec(x.shape[1:])
+            shape, _ = self.plan.output_spec(x.shape[1:])
             ok = out.shape == (1,) + shape and bool(np.isfinite(out).all())
             error = None if ok else f"bad output: shape {out.shape}, finite=False"
         except Exception as exc:  # liveness probe: report, never raise
@@ -310,20 +292,18 @@ class Session:
         }
 
     def profile(self, x_real: Optional[np.ndarray] = None,
-                batch_size: Optional[int] = None, repeats: int = 3,
+                batch_size: int = 1, repeats: int = 3,
                 rng_seed: int = 0) -> SessionProfile:
         """Best-of-``repeats`` per-layer latency breakdown.
 
-        With no input, a synthetic batch is drawn at the session's
-        geometry (``options.input_hw``); layer timings run inside the
+        With no input, a synthetic batch of ``batch_size`` images is
+        drawn at the session's geometry; layer timings run inside the
         arena on propagated intermediate codes, exactly like steady-state
         serving.
         """
-        plan = self._plan
+        plan = self.plan
         if x_real is None:
-            x_real = self.synthetic_batch(
-                batch_size or self.options.batch_size, rng_seed=rng_seed
-            )
+            x_real = self.synthetic_batch(batch_size, rng_seed=rng_seed)
         x_real = np.asarray(x_real)
         n, _, h, w = x_real.shape
         prof = SessionProfile(batch_size=n, input_hw=(h, w))
@@ -356,8 +336,8 @@ class Session:
     def save(self, path: Union[str, Path]) -> Path:
         """Write the session as a loadable artifact directory
         (manifest.json + CRC-checked blobs.bin); returns the path."""
-        out = save_artifact(path, self.network, session_options=self.options,
-                            plan=self._plan)
+        out = save_artifact(path, self.network, input_hw=self.input_hw,
+                            plan=self.plan)
         self.source_artifact = out
         return out
 
@@ -374,8 +354,8 @@ class Session:
         workers and the fleet registry load this way (``close()``
         releases the mapping).
         """
-        network, session_options, _ = load_artifact(path, mmap=mmap)
-        session = cls(network, options=session_options)
+        network, input_hw, _ = load_artifact(path, mmap=mmap)
+        session = cls(network, input_hw=input_hw)
         session.source_artifact = Path(path)
         return session
 
@@ -388,7 +368,7 @@ def pipeline(
     method=None,
     network=None,
     seed: int = 0,
-    options: Optional[SessionOptions] = None,
+    input_hw: Optional[Tuple[int, int]] = None,
     strict: bool = False,
 ) -> Session:
     """One front door for quantize → compile → serve.
@@ -407,6 +387,8 @@ def pipeline(
     prebuilt :class:`~repro.inference.engine.IntegerNetwork` (e.g. from
     :func:`~repro.core.graph_convert.convert_to_integer_network` after
     QAT), in which case ``policy`` is only used for reporting/fit checks.
+    ``input_hw`` is the session's geometry (default: the spec's
+    resolution), which the device fit is checked at.
     """
     from repro.core.mixed_precision import search_mixed_precision
     from repro.core.policy import QuantMethod, QuantPolicy
@@ -433,15 +415,9 @@ def pipeline(
             spec, np.random.default_rng(seed),
             per_channel=method.per_channel, strategy=strategy, policy=policy,
         )
-    if options is None:
-        options = SessionOptions(input_hw=(spec.resolution, spec.resolution))
-    session = Session(network, options=options)
-    if (
-        device is not None
-        and policy.feasible
-        and options.input_hw is not None
-    ):
+    session = Session(network, input_hw=input_hw or (spec.resolution, spec.resolution))
+    if device is not None and policy.feasible:
         from repro.mcu.deploy import assert_arena_fits
 
-        assert_arena_fits(session.plan, device, options.input_hw)
+        assert_arena_fits(session.plan, device, session.input_hw)
     return session

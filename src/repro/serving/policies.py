@@ -131,8 +131,7 @@ class CircuitBreaker:
 
 @dataclass(frozen=True)
 class ServerOptions:
-    """Configuration of the serving front end (one frozen value object,
-    mirroring :class:`repro.runtime.options.SessionOptions`).
+    """Configuration of the serving front end (one frozen value object).
 
     ``max_batch`` / ``max_wait_ms``
         Micro-batcher tile size and partial-tile flush timeout.
@@ -153,8 +152,6 @@ class ServerOptions:
         On terminal batch failure, fall back to batch-of-1 to isolate
         and quarantine the poisoning request instead of failing the
         whole tile.
-    ``max_body_bytes``
-        Request-body size cap (oversized bodies are a 400, not an OOM).
     ``workers``
         Inference backend width: ``1`` executes in-process on the
         engine's single inference thread (the degenerate case); ``N >
@@ -180,7 +177,6 @@ class ServerOptions:
     circuit_threshold: int = 5
     circuit_reset_s: float = 2.0
     degrade: bool = True
-    max_body_bytes: int = 64 * 1024 * 1024
     workers: int = 1
     worker_retries: int = 1
 

@@ -134,7 +134,7 @@ def _native_hw(manifest: dict) -> Optional[Tuple[int, int]]:
     """The artifact's native (maximum) geometry, from the manifest.
 
     Preference order: the embedded arena plan (authoritative — it is
-    what the export sized), then session options.
+    what the export sized), then the session geometry it records.
     """
     arena = manifest.get("network", {}).get("arena") or {}
     for hw in (arena.get("input_hw"),

@@ -85,6 +85,9 @@ _REASONS = {
     503: "Service Unavailable", 504: "Gateway Timeout",
 }
 _MAX_HEADER_BYTES = 16 * 1024
+# Request-body cap: a larger Content-Length is a 400 before any body
+# byte is read, not an OOM.
+_MAX_BODY_BYTES = 64 * 1024 * 1024
 # Seconds a client has to send its whole request: request line, headers
 # and body.  A client that stalls mid-request gets a 408 instead of
 # holding its handler task forever.
@@ -457,10 +460,10 @@ class ServingServer:
                     # readexactly() raises ValueError on a negative
                     # count, which would escape as an empty reply.
                     raise MalformedRequestError("negative Content-Length")
-        if content_length > self.options.max_body_bytes:
+        if content_length > _MAX_BODY_BYTES:
             raise MalformedRequestError(
                 f"body of {content_length} bytes exceeds the "
-                f"{self.options.max_body_bytes}-byte cap"
+                f"{_MAX_BODY_BYTES}-byte cap"
             )
         body = await reader.readexactly(content_length) if content_length else b""
         return method, path, body

@@ -10,7 +10,6 @@ from repro.inference.testing import integer_network_from_spec, random_network
 from repro.models.model_zoo import all_mobilenet_configs
 from repro.runtime import Session
 from repro.mcu.device import STM32H7, STM32L4
-from repro.runtime.options import SessionOptions
 
 HW = (32, 32)
 CONFIGS = all_mobilenet_configs(num_classes=5)
@@ -376,7 +375,7 @@ class TestCorruptionRejection:
 class TestArtifactAndSession:
     def test_saved_artifact_verifies(self, tmp_path):
         net = _network(CONFIGS[0])
-        session = Session(net, options=SessionOptions(input_hw=HW))
+        session = Session(net, input_hw=HW)
         path = session.save(tmp_path / "model.artifact")
         session.close()
         report = verify_artifact(path)
@@ -391,7 +390,7 @@ class TestArtifactAndSession:
         import json
 
         net = _network(CONFIGS[0])
-        session = Session(net, options=SessionOptions(input_hw=HW))
+        session = Session(net, input_hw=HW)
         path = session.save(tmp_path / "model.artifact")
         session.close()
         manifest_path = path / "manifest.json"
@@ -406,7 +405,7 @@ class TestArtifactAndSession:
     def _native_128_artifact(tmp_path):
         net = _network(CONFIGS[0])
         native = (128, 128)
-        session = Session(net, options=SessionOptions(input_hw=native))
+        session = Session(net, input_hw=native)
         path = session.save(tmp_path / "model.artifact")
         session.close()
         return path
@@ -434,7 +433,7 @@ class TestArtifactAndSession:
 
     def test_session_verify(self):
         net = _network(CONFIGS[0])
-        session = Session(net, options=SessionOptions(input_hw=HW))
+        session = Session(net, input_hw=HW)
         report = session.verify()
         assert report.ok
         session.close()

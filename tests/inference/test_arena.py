@@ -28,7 +28,7 @@ from repro.inference.testing import (
 from repro.mcu.deploy import assert_arena_fits
 from repro.mcu.device import MCUDevice
 from repro.models.model_zoo import mobilenet_v1_spec
-from repro.runtime import Session, SessionOptions
+from repro.runtime import Session
 
 
 @given(seed=st.integers(0, 2 ** 16), bits=st.sampled_from([2, 4, 8]))
@@ -373,7 +373,7 @@ def test_many_geometries_stay_bounded():
     """Every new input shape binds a trunk; a plan keeps only the most
     recently used shapes, and all of them run in one slab set."""
     net = _mobilenet()
-    session = Session(net, options=SessionOptions(input_hw=(32, 32)))
+    session = Session(net, input_hw=(32, 32))
     plan = session.plan
     x = _images(1, (32, 32))
     # Warm the reference engine too: it caches its shifted weights.

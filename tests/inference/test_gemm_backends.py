@@ -14,6 +14,8 @@ from repro.inference.kernels import (
     FLOAT64_EXACT_BITS,
     exact_gemm_dtype_for_bound,
     int_conv2d,
+    int_depthwise_conv2d,
+    int_linear,
     max_abs_accumulator,
 )
 from repro.nn.functional import im2col
@@ -74,15 +76,24 @@ class TestExactnessBound:
         assert np.array_equal(phi.reshape(ref.shape), ref)
 
 
-class TestValidationFlag:
-    def test_validation_on_by_default(self):
-        x = np.full((1, 1, 3, 3), 300, dtype=np.int64)
-        w = np.zeros((1, 1, 3, 3), dtype=np.int64)
-        with pytest.raises(ValueError, match="out of UINT8 range"):
-            int_conv2d(x, w, 0, 0, x_bits=8)
+class TestReferenceRangeCheck:
+    """The int64 reference kernels range-check both operands on every
+    call: there is no switch that skips the scan."""
 
-    def test_validation_opt_out_skips_scan(self):
-        x = np.full((1, 1, 3, 3), 300, dtype=np.int64)
+    @pytest.mark.parametrize("kernel", [int_conv2d, int_depthwise_conv2d],
+                             ids=["conv", "dw"])
+    @pytest.mark.parametrize("operand", ["activation", "weight"])
+    def test_out_of_range_conv_codes_rejected(self, kernel, operand):
+        x = np.zeros((1, 1, 3, 3), dtype=np.int64)
         w = np.zeros((1, 1, 3, 3), dtype=np.int64)
-        phi = int_conv2d(x, w, 0, 0, x_bits=8, validate=False)
-        assert phi.shape == (1, 1, 1, 1)
+        (x if operand == "activation" else w)[0, 0, 1, 1] = 300
+        with pytest.raises(ValueError, match=f"{operand}.*out of UINT8 range"):
+            kernel(x, w, 0, 0, x_bits=8, w_bits=8)
+
+    @pytest.mark.parametrize("operand", ["activation", "weight"])
+    def test_out_of_range_linear_codes_rejected(self, operand):
+        x = np.zeros((1, 4), dtype=np.int64)
+        w = np.zeros((2, 4), dtype=np.int64)
+        (x if operand == "activation" else w)[0, 2] = 300
+        with pytest.raises(ValueError, match=f"{operand}.*out of UINT8 range"):
+            int_linear(x, w, 0, 0, x_bits=8, w_bits=8)

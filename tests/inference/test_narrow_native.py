@@ -204,6 +204,72 @@ class TestRefinedBound:
         assert _split_k_chunks(corner, 0, 8) is None
 
 
+def _split_k_chunks_loop(w_shift, z_x, x_bits):
+    """The column-by-column greedy cut ``_split_k_chunks`` replaces: the
+    oracle its binary search must reproduce exactly."""
+    x_mag = max(int(z_x), 2 ** x_bits - 1 - int(z_x))
+    contrib = np.abs(w_shift.reshape(w_shift.shape[0], -1)).astype(np.int64) * x_mag
+    limit = 1 << FLOAT32_EXACT_BITS
+    chunks, start = [], 0
+    run = np.zeros(contrib.shape[0], dtype=np.int64)
+    for j in range(contrib.shape[1]):
+        run += contrib[:, j]
+        if int(run.max()) >= limit and j > start:
+            chunks.append((start, j))
+            start = j
+            run = contrib[:, j].copy()
+        if len(chunks) >= 4:  # at most 4 chunks
+            return None
+    chunks.append((start, contrib.shape[1]))
+    if len(chunks) < 2:
+        return None
+    for k0, k1 in chunks:
+        if int(contrib[:, k0:k1].sum(axis=1).max()) >= limit:
+            return None
+    return chunks
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    out_channels=st.integers(1, 12),
+    k=st.integers(8, 400),
+    x_bits=st.integers(2, 16),
+    z_frac=st.floats(0.0, 1.0),
+)
+def test_split_k_binary_search_matches_the_column_loop(seed, out_channels, k, x_bits,
+                                                       z_frac):
+    """The cut over cumulative sums gives the loop's chunks on layers
+    drawn around the float32 limit: from one chunk to past the 4-chunk
+    cap, and with a column that alone exceeds the limit in a fifth of
+    the draws."""
+    from repro.inference.plan import _split_k_chunks
+
+    rng = np.random.default_rng(seed)
+    z_x = int(round(z_frac * (2 ** x_bits - 1)))
+    x_mag = max(z_x, 2 ** x_bits - 1 - z_x)
+    # Rows average |W'| ~ w_max / 2, so a row sums to ~`limits` limits.
+    limits = rng.uniform(0.5, 4.0)
+    w_max = max(1, int(2 * limits * 2 ** FLOAT32_EXACT_BITS / (x_mag * k)))
+    w_shift = rng.integers(-w_max, w_max + 1, size=(out_channels, k, 1, 1))
+    if rng.random() < 0.2:
+        w_shift[rng.integers(out_channels), rng.integers(k)] = \
+            2 ** FLOAT32_EXACT_BITS // x_mag + 1
+    expected = _split_k_chunks_loop(w_shift, z_x, x_bits)
+    assert _split_k_chunks(w_shift, z_x, x_bits) == expected
+
+
+def test_split_k_cut_is_exact_at_the_limit():
+    """With x_mag = 255, a running sum of 65793 reaches 2^24 - 1 and
+    65794 reaches 2^24 + 254: the cut falls on the column that crosses
+    2^24, never on the one just below it."""
+    from repro.inference.plan import _split_k_chunks
+
+    w_shift = np.array([[1, 65792, 1, 65792]])
+    assert _split_k_chunks_loop(w_shift, 0, 8) == [(0, 2), (2, 4)]
+    assert _split_k_chunks(w_shift, 0, 8) == [(0, 2), (2, 4)]
+
+
 def test_int_einsum_gemm_k_tiling_bit_exact(rng):
     """The K-tiled int64 fallback GEMM equals the untiled contraction
     (integer addition is associative) across tile boundaries."""

@@ -15,7 +15,7 @@ from repro.inference.engine import IntegerNetwork
 from repro.inference.kernels import int_conv2d, int_depthwise_conv2d
 from repro.inference.plan import ExecutionPlan
 from repro.inference.testing import integer_network_from_spec, random_conv_layer
-from repro.runtime import Session, SessionOptions
+from repro.runtime import Session
 from repro.models.model_zoo import mobilenet_v1_spec
 from repro.nn.functional import conv_output_size
 
@@ -125,22 +125,18 @@ class TestBoundaryValidation:
         with pytest.raises(ValueError, match="out of UINT8 range"):
             plan.run_codes(bad)
 
-    def test_validation_can_be_disabled(self, integer_net, small_dataset, monkeypatch):
-        """``run_codes(validate=False)`` and a ``SessionOptions(validate=False)``
-        session skip the input scan; by default both run it."""
+    def test_run_codes_always_scans(self, integer_net, small_dataset, monkeypatch):
+        """The plan and a session both range-check input codes on every
+        ``run_codes`` call."""
         import repro.inference.plan as plan_mod
 
         plan = integer_net.compile()
-        lax = Session(integer_net, options=SessionOptions(validate=False))
-        strict = Session(integer_net)
+        session = Session(integer_net)
         scans = []
         monkeypatch.setattr(plan_mod, "check_codes", lambda *a: scans.append(a[0]))
         codes = integer_net.quantize_input(small_dataset.x_test[:2])
-        assert plan.run_codes(codes, validate=False).shape[0] == 2
-        lax.run_codes(codes)
-        assert scans == []
-        plan.run_codes(codes)
-        strict.run_codes(codes)
+        assert plan.run_codes(codes).shape[0] == 2
+        session.run_codes(codes)
         assert scans == ["input activation"] * 2
 
     def test_out_of_range_weights_rejected_at_compile_time(self, integer_net):
@@ -346,11 +342,11 @@ class TestInt64Fallback:
         profile names the int64 dispatch."""
         x = np.random.default_rng(6).uniform(0, 1, size=(3, self.CHANNELS, *self.HW))
         net = self._net(kind, "thr", x)
-        with Session(net, SessionOptions(batch_size=2, input_hw=self.HW)) as session:
+        with Session(net, input_hw=self.HW) as session:
             assert session.layer_info()[0].backend == "int64"
             ref = net.forward(x)
             assert np.array_equal(session.run(x), ref)
-            assert np.array_equal(session.run_batched(x), ref)
+            assert np.array_equal(session.run_batched(x, batch_size=2), ref)
             assert "int64/int64->uint8" in session.profile(x, repeats=1).table()
             assert session.healthcheck()["ok"]
 

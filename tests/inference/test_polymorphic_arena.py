@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis import verify_plan
 from repro.models.model_zoo import mobilenet_v1_spec
-from repro.runtime import SessionOptions, pipeline
+from repro.runtime import pipeline
 
 NATIVE_HW = (64, 64)
 #: The native geometry first, then smaller, mixed and larger ones — the
@@ -25,8 +25,7 @@ GEOMETRIES = [(64, 64), (32, 32), (32, 64), (64, 32), (96, 96)]
 
 def _zoo_session(resolution, width, *, seed=3):
     spec = mobilenet_v1_spec(resolution, width, num_classes=5)
-    options = SessionOptions(input_hw=(resolution, resolution))
-    return pipeline(spec, seed=seed, options=options)
+    return pipeline(spec, seed=seed, input_hw=(resolution, resolution))
 
 
 @pytest.fixture(scope="module")

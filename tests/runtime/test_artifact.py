@@ -11,7 +11,7 @@ from repro.inference.export import export_network, import_network
 from repro.inference.plan import ExecutionPlan
 from repro.inference.testing import integer_network_from_spec, random_network
 from repro.models.model_zoo import all_mobilenet_configs, mobilenet_v1_spec
-from repro.runtime import ArtifactError, Session, SessionOptions
+from repro.runtime import ArtifactError, Session
 from repro.runtime.artifact import BLOBS_NAME, MANIFEST_NAME, load_artifact, read_manifest
 
 _CONFIGS = all_mobilenet_configs(num_classes=5)
@@ -66,13 +66,15 @@ def test_every_requant_strategy_round_trips(idx, strategy, tmp_path):
     assert np.array_equal(session.run(x), restored.run(x))
 
 
-def test_options_survive_the_round_trip(tmp_path):
+@pytest.mark.parametrize("input_hw", [(32, 32), (24, 40), None],
+                         ids=["square", "non-square", "none"])
+def test_input_hw_survives_the_round_trip(tmp_path, input_hw):
     net = integer_network_from_spec(_SMALL, np.random.default_rng(0))
-    session = Session(
-        net, SessionOptions(batch_size=3, validate=False, input_hw=(32, 32))
-    )
-    restored = _roundtrip(tmp_path, session)
-    assert restored.options == session.options
+    restored = _roundtrip(tmp_path, Session(net, input_hw=input_hw))
+    assert restored.input_hw == input_hw
+    manifest = read_manifest(restored.source_artifact)
+    expected = None if input_hw is None else list(input_hw)
+    assert manifest["session_options"] == {"input_hw": expected}
 
 
 #: Compile options retired before compilation lost its last one, each set
@@ -93,16 +95,14 @@ def test_artifact_with_retired_options_loads_as_default(tmp_path, backend):
     from repro.analysis import verify_artifact
 
     net = integer_network_from_spec(_SMALL, np.random.default_rng(0))
-    path = Session(net, options=SessionOptions(input_hw=(32, 32))).save(
-        tmp_path / "old.artifact"
-    )
+    path = Session(net, input_hw=(32, 32)).save(tmp_path / "old.artifact")
     manifest_path = path / MANIFEST_NAME
     manifest = json.loads(manifest_path.read_text())
     manifest["compile_options"] = {"backend": backend, **_RETIRED_COMPILE_OPTIONS}
     manifest_path.write_text(json.dumps(manifest))
 
     session = Session.load(path)
-    assert session.options == SessionOptions(input_hw=(32, 32))
+    assert session.input_hw == (32, 32)
     assert session.layer_info() == net.compile().layer_info()
     x = np.random.default_rng(1).uniform(0, 1, size=(2, 3, 32, 32))
     assert np.array_equal(net.forward(x), session.run(x))
@@ -121,10 +121,10 @@ def test_artifact_with_retired_geometry_and_workers_loads(tmp_path, mmap):
     server's alone.  Its compile-side geometry moves to the session and
     every other compile option is ignored (each selected a plan with
     bit-identical answers; forced int32 only added a raise past 2^31),
-    as are its per-layer ``gemm_backend`` labels; ``validate: null``
-    reads as on (so input codes are range-checked, where compile-side
-    ``validate: false`` skipped that), and re-saving drops every retired
-    field."""
+    as are its per-layer ``gemm_backend`` labels and its session-side
+    ``batch_size``, ``validate`` and ``workers``.  Input codes are
+    range-checked (compile-side ``validate: false`` skipped that), and
+    re-saving drops every retired field."""
     from repro.analysis import verify_artifact
 
     net = integer_network_from_spec(_SMALL, np.random.default_rng(0))
@@ -140,7 +140,7 @@ def test_artifact_with_retired_geometry_and_workers_loads(tmp_path, mmap):
     manifest_path.write_text(json.dumps(manifest))
 
     session = Session.load(path, mmap=mmap)
-    assert session.options == SessionOptions(batch_size=3, input_hw=(32, 32))
+    assert session.input_hw == (32, 32)
     assert session.layer_info() == net.compile().layer_info()
     x = np.random.default_rng(1).uniform(0, 1, size=(2, 3, 32, 32))
     assert np.array_equal(net.forward(x), session.run(x))
@@ -156,10 +156,35 @@ def test_artifact_with_retired_geometry_and_workers_loads(tmp_path, mmap):
     assert "compile_options" not in resaved
     assert not any("gemm_backend" in e for e in resaved["network"]["conv_layers"])
     assert "gemm_backend" not in resaved["network"]["classifier"]
-    assert resaved["session_options"] == {"batch_size": 3, "validate": True,
-                                          "input_hw": [32, 32]}
+    assert resaved["session_options"] == {"input_hw": [32, 32]}
     assert resaved["network"]["arena"]["input_hw"] == [32, 32]
     session.close()
+
+
+@pytest.mark.parametrize("retired", [{"batch_size": 64}, {"validate": False},
+                                     {"validate": None}, {"workers": 4}],
+                         ids=["batch_size", "validate-false", "validate-null",
+                              "workers"])
+def test_retired_session_keys_load(tmp_path, retired):
+    """The session-side default tile, boundary-check switch and pool
+    width older runtimes saved are ignored: the session keeps its
+    geometry and still range-checks codes, and re-saving writes only
+    the geometry."""
+    net = integer_network_from_spec(_SMALL, np.random.default_rng(0))
+    path = Session(net, input_hw=(32, 32)).save(tmp_path / "old.artifact")
+    manifest_path = path / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest["session_options"].update(retired)
+    manifest_path.write_text(json.dumps(manifest))
+
+    with Session.load(path) as session:
+        assert session.input_hw == (32, 32)
+        with pytest.raises(ValueError, match="out of UINT8 range"):
+            session.run_codes(np.full((1, 3, 32, 32), 300, dtype=np.int64))
+        resaved = json.loads(
+            (session.save(tmp_path / "new.artifact") / MANIFEST_NAME).read_text()
+        )
+    assert resaved["session_options"] == {"input_hw": [32, 32]}
 
 
 def test_export_import_round_trip_in_memory():
@@ -172,7 +197,7 @@ def test_export_import_round_trip_in_memory():
 
 def test_manifest_carries_arena_plan(tmp_path):
     net = integer_network_from_spec(_SMALL, np.random.default_rng(0))
-    session = Session(net, options=SessionOptions(input_hw=(32, 32)))
+    session = Session(net, input_hw=(32, 32))
     path = session.save(tmp_path / "artifact")
     manifest = json.loads((path / MANIFEST_NAME).read_text())
     arena = manifest["network"]["arena"]
@@ -185,7 +210,7 @@ def test_save_compiles_nothing(tmp_path, monkeypatch):
     """Saving reads the arena section from the plan the session holds;
     a bare export still compiles its own."""
     net = integer_network_from_spec(_SMALL, np.random.default_rng(0))
-    session = Session(net, options=SessionOptions(input_hw=(32, 32)))
+    session = Session(net, input_hw=(32, 32))
     compiled = []
     original = ExecutionPlan.__init__
 
@@ -254,7 +279,24 @@ class TestCorruption:
         with pytest.raises(ArtifactError, match=f"'{section}' is not a JSON object"):
             read_manifest(saved)
 
+    def test_unknown_session_option_rejected(self, saved):
+        manifest = json.loads((saved / MANIFEST_NAME).read_text())
+        manifest["session_options"]["batchsize"] = 2
+        (saved / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactError, match=r"unknown session option\(s\) \['batchsize'\]"):
+            Session.load(saved)
+
+    @pytest.mark.parametrize("section", ["session_options", "compile_options"])
+    @pytest.mark.parametrize("value", [[0, 32], 32, [32, 32, 3]],
+                             ids=["zero", "scalar", "triple"])
+    def test_bad_input_hw_rejected(self, saved, section, value):
+        manifest = json.loads((saved / MANIFEST_NAME).read_text())
+        manifest[section] = {"input_hw": value}
+        (saved / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactError, match="input_hw"):
+            Session.load(saved)
+
     def test_load_artifact_returns_manifest(self, saved):
-        network, sopts, manifest = load_artifact(saved)
+        network, input_hw, manifest = load_artifact(saved)
         assert manifest["format"] == "repro/session-artifact"
-        assert network.conv_layers and sopts == SessionOptions()
+        assert network.conv_layers and input_hw is None

@@ -15,7 +15,6 @@ from repro.runtime import (
     ArtifactNotFoundError,
     InvalidInputError,
     Session,
-    SessionOptions,
 )
 from repro.runtime.artifact import BLOBS_NAME, MANIFEST_NAME
 
@@ -25,7 +24,7 @@ _SMALL = mobilenet_v1_spec(32, 0.25, num_classes=5)
 @pytest.fixture(scope="module")
 def session():
     net = integer_network_from_spec(_SMALL, np.random.default_rng(7))
-    return Session(net, options=SessionOptions(input_hw=(32, 32)))
+    return Session(net, input_hw=(32, 32))
 
 
 @pytest.fixture
@@ -157,16 +156,6 @@ class TestInputValidation:
     def test_run_batched_validates_before_compute(self, session):
         with pytest.raises(InvalidInputError):
             session.run_batched(np.full((1, 3, 32, 32), np.nan))
-
-    def test_validation_can_be_disabled(self):
-        net = integer_network_from_spec(_SMALL, np.random.default_rng(7))
-        unchecked = Session(net, options=SessionOptions(validate=False,
-                                                        input_hw=(32, 32)))
-        # Bad geometry now surfaces as whatever the kernels raise — the
-        # point is only that the typed gate is off.
-        with pytest.raises(Exception) as exc_info:
-            unchecked.run(np.zeros((1, 3, 32)))
-        assert not isinstance(exc_info.value, InvalidInputError)
 
     def test_invalid_input_error_is_a_value_error(self):
         assert issubclass(InvalidInputError, ValueError)

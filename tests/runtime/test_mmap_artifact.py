@@ -27,7 +27,7 @@ import pytest
 
 from repro.inference.testing import integer_network_from_spec
 from repro.models.model_zoo import mobilenet_v1_spec
-from repro.runtime import PoolOptions, Session, SessionOptions, WorkerPool
+from repro.runtime import PoolOptions, Session, WorkerPool
 from repro.runtime.artifact import (
     BLOBS_NAME,
     ArtifactError,
@@ -45,7 +45,7 @@ _HAS_SMAPS = Path("/proc/self/smaps").exists()
 
 def _saved(spec, tmp_path, seed=7, **net_kwargs):
     net = integer_network_from_spec(spec, np.random.default_rng(seed), **net_kwargs)
-    session = Session(net, options=SessionOptions(input_hw=(32, 32)))
+    session = Session(net, input_hw=(32, 32))
     return session, session.save(tmp_path / "artifact")
 
 

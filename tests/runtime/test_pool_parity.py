@@ -25,7 +25,6 @@ from repro.runtime import (
     PoolClosedError,
     PoolOptions,
     Session,
-    SessionOptions,
     WorkerCrashedError,
     WorkerPool,
     WorkerTaskError,
@@ -44,7 +43,7 @@ _SMALL = mobilenet_v1_spec(32, 0.25, num_classes=5)
 
 def _session_for(spec, seed):
     net = integer_network_from_spec(spec, np.random.default_rng(seed))
-    return Session(net, options=SessionOptions(input_hw=(32, 32), batch_size=4))
+    return Session(net, input_hw=(32, 32))
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +78,7 @@ def test_ragged_run_batched_edges(small_setup, n):
     in order and bit-exactly."""
     session, pool = small_setup
     x = np.random.default_rng(n).uniform(0, 1, size=(n, 3, 32, 32))
-    assert np.array_equal(session.run_batched(x), pool.run_batched(x))
+    assert np.array_equal(session.run_batched(x, batch_size=4), pool.run_batched(x))
     # Explicit batch_size overrides, including degenerate tile=1.
     assert np.array_equal(
         session.run_batched(x, batch_size=1), pool.run_batched(x, batch_size=1)

@@ -8,7 +8,7 @@ from repro.core.policy import QuantMethod, QuantPolicy
 from repro.inference.testing import integer_network_from_spec
 from repro.mcu.deploy import assert_arena_fits
 from repro.models.model_zoo import mobilenet_v1_spec
-from repro.runtime import Session, SessionOptions, pipeline
+from repro.runtime import Session, pipeline
 
 SPEC = mobilenet_v1_spec(32, 0.25, num_classes=5)
 
@@ -28,26 +28,44 @@ class TestSession:
         session = Session(net)
         assert np.array_equal(session.run(x), net.forward(x))
 
-    def test_run_batched_uses_session_tile_size(self, net, x):
-        session = Session(net, options=SessionOptions(batch_size=2))
-        assert np.array_equal(session.run_batched(x), session.run(x))
+    def test_run_batched_tiles_per_call(self, net, x):
+        session = Session(net)
+        assert np.array_equal(session.run_batched(x, batch_size=2), session.run(x))
+        assert np.array_equal(session.predict(x, batch_size=2), net.predict(x))
         assert np.array_equal(session.predict(x), net.predict(x))
 
     def test_input_hw_sizes_describe_and_construction_binds_nothing(self, net):
-        session = Session(net, options=SessionOptions(input_hw=(32, 32)))
+        session = Session(net, input_hw=(32, 32))
         assert not session.plan._bound
         assert session.plan._slabs.allocated_bytes == 0
-        assert "activation arena (input 32x32)" in session.describe()
+        described = session.describe()
+        assert "activation arena (input 32x32)" in described
+        # One image by default, as ExecutionPlan.describe.
+        arena = session.plan.arena_for((32, 32))
+        assert f"planned host peak  : {arena.planned_bytes(1)} bytes (batch 1," in described
         session.run(np.zeros((2, 3, 32, 32)))
         assert list(session.plan._bound) == [(2, 3, 32, 32)]
 
-    def test_run_codes_validate_override(self, net):
+    def test_input_hw_normalised_to_int_tuple(self, net):
+        session = Session(net, input_hw=[64.0, 32])
+        assert session.input_hw == (64, 32)
+        assert all(isinstance(d, int) for d in session.input_hw)
+        assert Session(net).input_hw is None
+
+    @pytest.mark.parametrize("bad", [(0, 4), (4, -1), 32, (1, 2, 3), "abc"],
+                             ids=["zero", "negative", "scalar", "triple", "string"])
+    def test_invalid_input_hw_rejected(self, net, bad):
+        with pytest.raises(ValueError, match="input_hw"):
+            Session(net, input_hw=bad)
+
+    def test_input_hw_is_keyword_only(self, net):
+        with pytest.raises(TypeError):
+            Session(net, (32, 32))
+
+    def test_run_codes_always_range_checks(self, net):
         bad = np.full((1, 3, 8, 8), 300, dtype=np.int64)  # out of 8-bit range
-        strict = Session(net, options=SessionOptions(validate=True))
-        with pytest.raises(ValueError):
-            strict.run_codes(bad)
-        lax = Session(net, options=SessionOptions(validate=False))
-        lax.run_codes(bad)  # no boundary scan, garbage in garbage out
+        with pytest.raises(ValueError, match="out of UINT8 range"):
+            Session(net).run_codes(bad)
 
     def test_profile_covers_every_layer(self, net, x):
         session = Session(net)
@@ -61,12 +79,13 @@ class TestSession:
     def test_profile_synthetic_batch_needs_geometry(self, net):
         with pytest.raises(ValueError, match="input_hw"):
             Session(net).profile()
-        prof = Session(net, options=SessionOptions(input_hw=(32, 32),
-                                                   batch_size=2)).profile(repeats=1)
-        assert prof.batch_size == 2 and prof.input_hw == (32, 32)
+        session = Session(net, input_hw=(32, 32))
+        prof = session.profile(repeats=1)  # one image by default
+        assert prof.batch_size == 1 and prof.input_hw == (32, 32)
+        assert session.profile(batch_size=2, repeats=1).batch_size == 2
 
     def test_session_accepted_by_assert_arena_fits(self, net):
-        session = Session(net, options=SessionOptions(input_hw=(32, 32)))
+        session = Session(net, input_hw=(32, 32))
         peak = assert_arena_fits(session, repro.STM32H7, (32, 32))
         assert peak == session.plan.arena_for((32, 32)).logical_rw_peak_bytes
 
@@ -80,8 +99,13 @@ class TestPipeline:
         )
         # the session's geometry is the spec resolution by default, and
         # the run bound that shape
-        assert session.options.input_hw == (32, 32)
+        assert session.input_hw == (32, 32)
         assert (1, 3, 32, 32) in session.plan._bound
+
+    def test_input_hw_overrides_the_spec_resolution(self):
+        session = pipeline(SPEC, seed=1, input_hw=[24, 40])
+        assert session.input_hw == (24, 40)
+        assert "activation arena (input 24x40)" in session.describe()
 
     def test_policy_bits_are_materialised(self):
         policy = QuantPolicy.uniform(SPEC, method=QuantMethod.PC_ICN, bits=4)

@@ -19,16 +19,35 @@ import pytest
 
 from repro.inference.testing import integer_network_from_spec
 from repro.models.model_zoo import mobilenet_v1_spec
-from repro.runtime import Session, SessionOptions
+from repro.runtime import Session
 from repro.runtime.artifact import MappedBlobs
 
 _SPEC = mobilenet_v1_spec(32, 0.25, num_classes=5)
+
+_X = np.zeros((1, 3, 32, 32))
+
+#: One call per public entry point of a session, each of which must
+#: raise the typed error once the session is closed.
+_ENTRY_POINTS = {
+    "plan": lambda s, tmp: s.plan,
+    "layer_info": lambda s, tmp: s.layer_info(),
+    "describe": lambda s, tmp: s.describe(),
+    "verify": lambda s, tmp: s.verify(),
+    "validate_input": lambda s, tmp: s.validate_input(_X),
+    "run": lambda s, tmp: s.run(_X),
+    "run_codes": lambda s, tmp: s.run_codes(np.zeros((1, 3, 32, 32), np.uint8)),
+    "run_batched": lambda s, tmp: s.run_batched(_X),
+    "predict": lambda s, tmp: s.predict(_X),
+    "synthetic_batch": lambda s, tmp: s.synthetic_batch(),
+    "profile": lambda s, tmp: s.profile(repeats=1),
+    "save": lambda s, tmp: s.save(tmp / "resaved"),
+}
 
 
 @pytest.fixture()
 def artifact(tmp_path):
     network = integer_network_from_spec(_SPEC, np.random.default_rng(9))
-    session = Session(network, options=SessionOptions(input_hw=(32, 32)))
+    session = Session(network, input_hw=(32, 32))
     return session.save(tmp_path / "model")
 
 
@@ -93,16 +112,27 @@ class TestSessionClose:
         assert session.closed
         assert session.mapped_blobs is None
 
-    def test_closed_session_refuses_work(self, artifact):
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_closed_session_refuses_work(self, artifact, tmp_path, entry):
         session = Session.load(artifact, mmap=True)
-        x = session.synthetic_batch(1, input_hw=(32, 32))
+        _ENTRY_POINTS[entry](session, tmp_path)  # works while open
         session.close()
-        for call in (lambda: session.run(x),
-                     lambda: session.run_batched(x),
-                     lambda: session.validate_input(x),
-                     lambda: session.plan):
-            with pytest.raises(RuntimeError, match="closed"):
-                call()
+        with pytest.raises(RuntimeError, match="session is closed"):
+            _ENTRY_POINTS[entry](session, tmp_path)
+
+    def test_every_public_entry_point_is_covered(self):
+        public = {name for name in dir(Session) if not name.startswith("_")}
+        # close is idempotent, closed and load need no open session, and
+        # healthcheck reports instead of raising.
+        assert public - {"close", "closed", "load", "healthcheck"} == set(_ENTRY_POINTS)
+
+    def test_closed_session_healthcheck_reports_the_error(self, artifact):
+        session = Session.load(artifact)
+        assert session.healthcheck()["ok"] is True
+        session.close()
+        report = session.healthcheck()
+        assert report["ok"] is False
+        assert report["error"] == "RuntimeError: session is closed"
 
     def test_close_is_idempotent(self, artifact):
         session = Session.load(artifact, mmap=True)

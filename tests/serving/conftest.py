@@ -12,7 +12,7 @@ import pytest
 
 from repro.inference.testing import integer_network_from_spec
 from repro.models.model_zoo import mobilenet_v1_spec
-from repro.runtime import Session, SessionOptions
+from repro.runtime import Session
 
 SPEC = mobilenet_v1_spec(32, 0.25, num_classes=5)
 
@@ -20,7 +20,7 @@ SPEC = mobilenet_v1_spec(32, 0.25, num_classes=5)
 @pytest.fixture(scope="session")
 def tiny_session():
     net = integer_network_from_spec(SPEC, np.random.default_rng(3))
-    return Session(net, options=SessionOptions(input_hw=(32, 32)))
+    return Session(net, input_hw=(32, 32))
 
 
 @pytest.fixture(scope="session")

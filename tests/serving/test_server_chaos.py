@@ -342,6 +342,32 @@ class TestMalformedPayloads:
 
         run_scenario(tiny_session, BASE, None, scenario)
 
+    def test_body_over_the_cap_gets_400_before_it_is_read(self, tiny_session, image):
+        """A Content-Length one byte past the cap is refused from the
+        headers alone: the client sends no body and still gets its 400."""
+        from repro.serving.server import _MAX_BODY_BYTES as cap
+
+        async def scenario(server, host, port):
+            st, stats = await request_json(host, port, "GET", "/stats")
+            before = stats["requests"]["malformed"]
+            status, _, reply = await raw_request(
+                host, port,
+                b"POST /v1/predict HTTP/1.1\r\nContent-Length: "
+                + str(cap + 1).encode() + b"\r\n\r\n",
+                timeout=5.0,
+            )
+            assert status == 400
+            detail = json.loads(reply)
+            assert detail["error"] == "MalformedRequestError"
+            assert f"body of {cap + 1} bytes exceeds the {cap}-byte cap" in detail["detail"]
+            st, stats = await request_json(host, port, "GET", "/stats")
+            assert st == 200 and stats["requests"]["malformed"] == before + 1
+            st, health = await request_json(host, port, "GET", "/healthz")
+            assert st == 200 and health["status"] == "ok"
+            await alive(host, port, image)
+
+        run_scenario(tiny_session, BASE, None, scenario)
+
     def test_unknown_route_and_method(self, tiny_session):
         async def scenario(server, host, port):
             status, _ = await request_json(host, port, "GET", "/nope")

@@ -100,7 +100,7 @@ class TestRunCommand:
         from repro.runtime import Session
 
         session = Session.load(artifact)
-        assert session.options.input_hw == (128, 128)
+        assert session.input_hw == (128, 128)
 
     def test_run_serves_synthetic_batch(self, artifact, capsys):
         rc = cli.main(["run", str(artifact), "--batch", "2"])
