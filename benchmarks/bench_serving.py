@@ -55,7 +55,6 @@ from repro.models.model_zoo import mobilenet_v1_spec
 from repro.runtime import Session
 from repro.serving import (
     FaultInjector,
-    RetryPolicy,
     ServerOptions,
     ServingServer,
     predict,
@@ -144,7 +143,7 @@ async def _run_profile(session, faults_spec, quick):
     options = ServerOptions(
         port=0, max_batch=8, max_wait_ms=2.0, queue_depth=256,
         default_deadline_ms=0.0,  # measure latency, don't drop
-        retry=RetryPolicy(attempts=2, base_delay_s=0.005),
+        retries=2,
     )
     server = ServingServer(session, options, faults=faults)
     host, port = await server.start()
@@ -181,7 +180,7 @@ async def _run_workers_point(session, workers, quick):
     options = ServerOptions(
         port=0, max_batch=8, max_wait_ms=2.0, queue_depth=256,
         default_deadline_ms=0.0,
-        retry=RetryPolicy(attempts=2, base_delay_s=0.005),
+        retries=2,
         workers=workers,
     )
     server = ServingServer(session, options)
@@ -236,7 +235,7 @@ async def _run_fleet_axis(fleet_dir, quick):
     options = ServerOptions(
         port=0, max_batch=8, max_wait_ms=2.0, queue_depth=256,
         default_deadline_ms=0.0,
-        retry=RetryPolicy(attempts=2, base_delay_s=0.005),
+        retries=2,
     )
     server = ServingServer(registry=registry, options=options)
     host, port = await server.start()

@@ -141,7 +141,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import (
         FaultInjector,
         ModelRegistry,
-        RetryPolicy,
         ServerOptions,
         serve,
     )
@@ -174,12 +173,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         default_deadline_ms=args.deadline_ms,
         batch_timeout_s=args.batch_timeout,
-        retry=RetryPolicy(attempts=args.retries),
+        retries=args.retries,
         circuit_threshold=args.circuit_threshold,
         circuit_reset_s=args.circuit_reset,
         degrade=not args.no_degrade,
         workers=args.workers,
-        worker_retries=args.worker_retries,
     )
     serve(session, options, faults=faults, ttl_s=args.ttl,
           registry=registry, default_model=default_model)
@@ -375,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--batch-timeout", type=float, default=30.0,
                          help="hung-batch watchdog, seconds (default: 30)")
     p_serve.add_argument("--retries", type=int, default=2,
-                         help="retries per batch on transient faults (default: 2)")
+                         help="retries per tile on transient faults, worker "
+                              "crashes included (default: 2)")
     p_serve.add_argument("--circuit-threshold", type=int, default=5,
                          help="consecutive batch failures that open the "
                               "circuit breaker (default: 5)")
@@ -386,9 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--workers", type=int, default=1,
                          help="worker processes sharing one mmap'd copy of "
                               "the weights (default: 1 = in-process)")
-    p_serve.add_argument("--worker-retries", type=int, default=1,
-                         help="respawn-and-retry budget per task after a "
-                              "worker crash (default: 1)")
     p_serve.add_argument("--inject", metavar="SPEC", type=_fault_spec,
                          help="deterministic fault injection, e.g. "
                               "'kernel:every=7;slow:every=5,delay=0.05'")

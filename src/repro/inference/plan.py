@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -786,6 +787,10 @@ class ExecutionPlan:
     through views of the plan's one
     :class:`~repro.inference.arena.SlabSet`, bound once per input shape
     (:meth:`bound`) from the geometry's size plan (:meth:`arena_for`).
+
+    The plan runs one call at a time: :meth:`run` and :meth:`run_codes`
+    hold the plan's lock for the whole call, since every call writes
+    the same slabs.  A second thread waits for the first to finish.
     """
 
     def __init__(self, network):
@@ -803,6 +808,9 @@ class ExecutionPlan:
         self._slabs = SlabSet()
         #: Input shape -> every layer's views, least recently used first.
         self._bound: OrderedDict[Tuple[int, ...], Tuple[_LayerViews, ...]] = OrderedDict()
+        #: Held by each call from the first slab write until its result
+        #: no longer views a slab.
+        self._lock = threading.Lock()
 
     # -- input boundary ------------------------------------------------
     def quantize_input(self, x_real: np.ndarray) -> np.ndarray:
@@ -876,22 +884,25 @@ class ExecutionPlan:
         the caller owns (never a live view into the arena).  The codes
         are range-checked first, since every layer's accumulator
         dispatch assumes in-range codes."""
-        check_codes("input activation", x_codes, self.input_bits)
-        codes, is_view = self._trunk(x_codes)
-        return codes.copy() if is_view else codes
+        with self._lock:
+            check_codes("input activation", x_codes, self.input_bits)
+            codes, is_view = self._trunk(x_codes)
+            return codes.copy() if is_view else codes
 
     def run(self, x_real: np.ndarray) -> np.ndarray:
         """End-to-end inference from a real image batch to real logits."""
-        codes = self.quantize_input(x_real)
-        # quantize_input clips into range, so the boundary check is moot
-        # here; pool/classifier consume the trunk's arena view before any
-        # subsequent call reuses the slabs, so no defensive copy either.
-        codes, _ = self._trunk(codes)
-        if self.has_pool:
-            codes = int_avg_pool_global(codes)
-        if self.classifier is not None:
-            return self.classifier(codes)
-        return codes.astype(np.float64)
+        with self._lock:
+            codes = self.quantize_input(x_real)
+            # quantize_input clips into range, so the boundary check is
+            # moot here; pool/classifier consume the trunk's arena view
+            # before the lock lets another call reuse the slabs, so no
+            # defensive copy either.
+            codes, _ = self._trunk(codes)
+            if self.has_pool:
+                codes = int_avg_pool_global(codes)
+            if self.classifier is not None:
+                return self.classifier(codes)
+            return codes.astype(np.float64)
 
     def output_spec(self, input_shape: Sequence[int]) -> Tuple[Tuple[int, ...], np.dtype]:
         """Per-image output shape and dtype of :meth:`run` — without running.

@@ -56,8 +56,8 @@ Vocabulary
 :class:`WorkerPool` / :class:`PoolOptions`
     Process-pool scale-out over a saved artifact: N workers share one
     mmap'd copy of the weights, and each call borrows an idle worker and
-    runs its round trip on the caller's thread, with crash detection
-    and respawn-and-retry (``repro.runtime.pool``).
+    runs its round trip on the caller's thread; a crashed worker is
+    respawned in place and the call raises (``repro.runtime.pool``).
 
 Both core names are re-exported at the top level (``repro.Session``
 …) and the ``repro-mcu run <artifact>`` CLI subcommand serves a saved

@@ -84,6 +84,26 @@ def _session_input_hw(manifest: Dict) -> Optional[Tuple[int, int]]:
     return normalize_hw(hw)
 
 
+def manifest_input_hw(manifest: Dict) -> Optional[Tuple[int, int]]:
+    """The largest input geometry an artifact is sized for: its arena
+    section's (what the export planned), else the session geometry
+    :func:`load_artifact` reads, the legacy ``compile_options`` key
+    included; None when it records neither."""
+    hw = (manifest.get("network", {}).get("arena") or {}).get("input_hw")
+    return normalize_hw(hw) if hw is not None else _session_input_hw(manifest)
+
+
+def manifest_input_channels(manifest: Dict) -> Optional[int]:
+    """The input channel count of an artifact's first conv layer: a
+    depthwise layer's ``weight_shape[0]`` (one filter per channel),
+    else ``weight_shape[1]``; None for a network without conv layers."""
+    layers = manifest.get("network", {}).get("conv_layers") or []
+    if not layers:
+        return None
+    shape = layers[0]["weight_shape"]
+    return int(shape[0] if layers[0]["kind"] == "dw" else shape[1])
+
+
 class _BlobWriter:
     """Accumulates named tensors into one byte stream + a manifest table."""
 

@@ -56,8 +56,8 @@ class PoolError(RuntimeError):
 class WorkerCrashedError(PoolError):
     """A worker process died (or wedged past the task watchdog) while a
     task was in flight.  The caller that borrowed the worker respawns it
-    and retries the task up to the pool's retry budget; this error
-    reaches the caller only after the last respawn."""
+    and then raises this error; the pool never re-runs the task, so a
+    retry is the caller's (the serving engine's ``retries``)."""
 
 
 class WorkerTaskError(PoolError):

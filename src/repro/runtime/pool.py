@@ -23,9 +23,10 @@ pipe, counted).
 Failure contract:
 
 * a worker that dies mid-task (crash, OOM-kill, injected SIGKILL) is
-  **respawned** in place by the caller that borrowed it, and the task is
-  retried up to ``PoolOptions.retries`` times before the caller sees a
-  :class:`~repro.runtime.errors.WorkerCrashedError`;
+  **respawned** in place by the caller that borrowed it, which then
+  sees a :class:`~repro.runtime.errors.WorkerCrashedError`; the pool
+  never re-runs a task, so whoever retries (the serving engine, under
+  ``ServerOptions.retries``) retries once per crash;
 * a worker wedged past :data:`TASK_TIMEOUT_S` is SIGKILL'd and handled
   the same way (the pool-side analogue of the engine's hung-batch watchdog);
 * an exception *inside* the task (bad input reaching a kernel) comes
@@ -57,6 +58,11 @@ from typing import Any, Deque, List, Optional, Union
 
 import numpy as np
 
+from repro.runtime.artifact import (
+    manifest_input_channels,
+    manifest_input_hw,
+    read_manifest,
+)
 from repro.runtime.errors import (
     PoolClosedError,
     WorkerCrashedError,
@@ -85,9 +91,6 @@ class PoolOptions:
 
     ``workers``
         Number of worker processes.
-    ``retries``
-        Respawn-and-retry budget per task after a worker crash
-        (0 = fail the task on the first crash).
     ``max_tile``
         Upper bound on images per dispatched task; ``run_batched``
         sweeps are split into tiles of at most this many images, and
@@ -95,14 +98,11 @@ class PoolOptions:
     """
 
     workers: int = 2
-    retries: int = 1
     max_tile: int = 32
 
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.max_tile < 1:
             raise ValueError(f"max_tile must be >= 1, got {self.max_tile}")
 
@@ -240,14 +240,14 @@ class WorkerPool:
 
     def _slab_bytes(self, manifest: dict) -> int:
         try:
-            net = manifest["network"]
-            arena = net["arena"]
-            h, w = arena["input_hw"]
-            channels = int(net["conv_layers"][0]["weight_shape"][1])
-            per_image = channels * int(h) * int(w) * 8  # float64 NCHW
-            return max(64 * 1024, self.options.max_tile * per_image)
+            hw = manifest_input_hw(manifest)
+            channels = manifest_input_channels(manifest)
         except (KeyError, IndexError, TypeError, ValueError):
             return _FALLBACK_SLAB_BYTES
+        if hw is None or channels is None:
+            return _FALLBACK_SLAB_BYTES
+        per_image = channels * hw[0] * hw[1] * 8  # float64 NCHW
+        return max(64 * 1024, self.options.max_tile * per_image)
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "WorkerPool":
@@ -264,8 +264,6 @@ class WorkerPool:
             if self._closed:
                 raise PoolClosedError("pool is closed")
             import multiprocessing as mp
-
-            from repro.runtime.artifact import read_manifest
 
             manifest = read_manifest(self.artifact_path)  # fail fast + sizing
             slab_bytes = self._slab_bytes(manifest)
@@ -488,32 +486,29 @@ class WorkerPool:
     def run(self, xs: np.ndarray) -> np.ndarray:
         """One tile, synchronously, on the calling thread: real NCHW
         batch -> real logits (bit-identical to ``Session.run`` on any
-        worker's session).  Borrows an idle worker, respawns and retries
-        it here if it crashes, and gives it back.  Thread-safe."""
+        worker's session).  Borrows an idle worker, runs one round trip
+        and gives the worker back.  Thread-safe.
+
+        If the worker crashes, this call respawns it and then raises the
+        :class:`WorkerCrashedError`, with a failed respawn as its cause;
+        it never runs the tile again."""
         if not self._started:
             self.start()
         xs = np.ascontiguousarray(np.asarray(xs))
         handle = self._borrow()
         served = False
-        crash: Optional[WorkerCrashedError] = None
         try:
-            for _ in range(self.options.retries + 1):
-                if crash is not None and self._closed:
-                    raise PoolClosedError("pool closed during retry") from crash
-                try:
-                    out = self._roundtrip(handle, xs)
-                except WorkerCrashedError as exc:
-                    crash = exc
-                    try:
-                        self._respawn(handle)
-                    except WorkerCrashedError as respawn_exc:
-                        # The slot did not come back: the next attempt
-                        # (or the next borrower) spawns it afresh.
-                        crash = respawn_exc
-                    continue
-                served = True
-                return out
-            raise crash
+            out = self._roundtrip(handle, xs)
+            served = True
+            return out
+        except WorkerCrashedError as crash:
+            try:
+                self._respawn(handle)
+            except WorkerCrashedError as failed:
+                # The slot did not come back: its next borrower finds it
+                # dead and respawns it afresh.
+                raise crash from failed
+            raise
         finally:
             self._give_back(handle, served)
 

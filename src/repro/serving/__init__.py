@@ -5,8 +5,9 @@ The serving tier turns the synchronous, single-process
 failure: concurrent single requests are gathered into engine-shaped
 tiles (flush on max-batch or max-wait, remainders carried over), every
 request carries a deadline enforced *before* batching, admission is
-bounded with explicit 503 shedding, transient faults retry with
-deterministic backoff, consecutive batch failures open a per-model
+bounded with explicit 503 shedding, a tile that hits a transient fault
+(a worker crash included) is retried ``ServerOptions.retries`` times
+with deterministic backoff, consecutive batch failures open a per-model
 circuit breaker, and a poisoned tile degrades to batch-of-1 so one bad
 request cannot take its neighbours down.
 
@@ -47,7 +48,6 @@ from repro.serving.metrics import DrainTracker, LatencyRecorder, ServerStats
 from repro.serving.policies import (
     BreakerState,
     CircuitBreaker,
-    RetryPolicy,
     ServerOptions,
     retry_after_s,
 )
@@ -65,7 +65,6 @@ __all__ = [
     "ServingServer",
     "serve",
     "ServerOptions",
-    "RetryPolicy",
     "CircuitBreaker",
     "BreakerState",
     "FaultInjector",

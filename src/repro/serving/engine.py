@@ -6,30 +6,30 @@ One ``BatchEngine`` runs tiles through one
 session adopted as a fleet of one — on an executor, with the
 robustness machinery around it:
 
-* **retry with deterministic backoff** for transient faults,
+* **retry with deterministic backoff** for transient faults — the only
+  retry of a tile: ``ServerOptions.retries`` re-runs, with
+  :func:`~repro.serving.policies.retry_delays` between them,
 * a **hung-batch watchdog**: a batch exceeding ``batch_timeout_s`` is
   abandoned and the executor thread *replaced*, so one wedged kernel
-  cannot take the tier down (the abandoned thread dies with its batch),
+  cannot take the tier down,
 * **fault injection hooks** that run inside the executor thread,
   exactly where a real kernel would fail,
 * one **circuit breaker per model**, created on first use.
 
 Executor width follows ``ServerOptions.workers``.  At ``workers=1`` the
-executor has a single inference thread — a compiled plan's activation
-arena is not concurrency-safe, so one in-process thread is the
-correctness contract, not a limitation.  At ``workers=N`` the registry
+executor has a single inference thread.  At ``workers=N`` the registry
 gives every resident model a :class:`repro.runtime.pool.WorkerPool` of
 N artifact-backed processes and the executor widens to N threads, each
 of which borrows an idle worker and runs its tile's round trip to that
-process itself — the arena-safety contract moves into the per-worker
-processes and N tiles really execute concurrently.
+process itself, so N tiles really execute concurrently.
 
 The engine reports terminal failures as
 :class:`~repro.serving.errors.BatchExecutionError`; the server layered
 above decides what a terminal failure *means* (degrade, quarantine,
-circuit state) — the engine only executes and retries.  A worker crash
-that survives the pool's own respawn-and-retry budget surfaces like any
-other transient batch fault and goes through the same retry policy.
+circuit state) — the engine only executes and retries.  A crashed pool
+worker is respawned by the pool, which then raises
+:class:`~repro.runtime.errors.WorkerCrashedError`; the engine retries
+it like any other transient batch fault.
 """
 
 from __future__ import annotations
@@ -49,11 +49,23 @@ from repro.serving.errors import (
 )
 from repro.serving.faults import FaultInjector
 from repro.serving.metrics import ServerStats
-from repro.serving.policies import CircuitBreaker, ServerOptions
+from repro.serving.policies import CircuitBreaker, ServerOptions, retry_delays
 
 
 class BatchEngine:
-    """Executes engine-shaped tiles with retry, watchdog, and injection."""
+    """Executes engine-shaped tiles with retry, watchdog, and injection.
+
+    In process, a compiled plan's activation slabs are safe because the
+    plan runs one call at a time (:class:`~repro.inference.plan.ExecutionPlan`
+    holds its lock for the whole call), not because of the executor's
+    width: an abandoned batch's thread goes on into the plan after the
+    watchdog has replaced it, and it waits for the plan's lock like any
+    other caller instead of writing the slabs under a live batch.  The
+    trade-off: a kernel that truly wedges in process holds the lock, so
+    the batches after it block until their own watchdog fires and the
+    circuit breaker opens; without the lock they would run beside it
+    and return corrupt answers.
+    """
 
     def __init__(self, registry, options: Optional[ServerOptions] = None,
                  faults: Optional[FaultInjector] = None,
@@ -141,7 +153,8 @@ class BatchEngine:
     async def run_batch(self, xs: np.ndarray, poisoned: bool = False,
                         model: Optional[str] = None) -> np.ndarray:
         """Run one tile of ``model`` (default: the default model) to
-        per-image class predictions, retrying per the policy; raises
+        per-image class predictions, retrying up to
+        ``ServerOptions.retries`` times; raises
         :class:`BatchExecutionError` when retries are exhausted.  Does
         *not* touch the circuit breaker — the server records outcomes
         after degradation has had its say.
@@ -155,7 +168,7 @@ class BatchEngine:
         if model is None:
             model = self.default_model
         self.stats.observe_batch(len(xs))
-        delays = list(self.options.retry.delays())
+        delays = retry_delays(self.options.retries)
         last: Optional[BaseException] = None
         for attempt in range(len(delays) + 1):
             if attempt:

@@ -24,9 +24,9 @@ event counts, not on luck:
 ``worker-kill``
     Consumed by :class:`repro.runtime.pool.WorkerPool`: the task goes
     out marked, and the worker SIGKILLs itself on reading it, before it
-    computes or replies — a deterministic mid-batch crash the caller
-    that borrowed the worker must absorb via respawn-and-retry
-    (``serve --workers N --inject worker-kill:every=7``).
+    computes or replies — a deterministic mid-batch crash: the caller
+    that borrowed the worker respawns it, and the engine retries the
+    tile (``serve --workers N --inject worker-kill:every=7``).
 ``malformed``
     Consumed by the *load generator*: emit a garbage payload instead of
     a valid one (the server must 400 it and stay live).
@@ -130,18 +130,18 @@ class FaultInjector:
 
     # -- engine-side application (runs on the executor thread) ---------
     def apply_batch_faults(self, sleep=time.sleep) -> None:
-        """Called by the engine at the top of every batch execution."""
-        spec = self.fire("slow")
-        if spec is not None:
-            sleep(spec.delay)
-        spec = self.fire("hang")
-        if spec is not None:
-            sleep(spec.delay)
-        spec = self.fire("kernel")
-        if spec is not None:
-            raise InjectedFaultError(
-                f"injected kernel fault (event {self.events['kernel']})"
-            )
+        """Called by the engine at the top of every batch execution.
+
+        Every batch fault is drawn before any of them sleeps, so a hung
+        batch that wakes after the watchdog has moved on draws nothing
+        late and leaves the later batches' schedule as it was."""
+        slow, hang, kernel = self.fire("slow"), self.fire("hang"), self.fire("kernel")
+        event = self.events.get("kernel")
+        for spec in (slow, hang):
+            if spec is not None:
+                sleep(spec.delay)
+        if kernel is not None:
+            raise InjectedFaultError(f"injected kernel fault (event {event})")
 
     def summary(self) -> dict:
         return {

@@ -1,4 +1,4 @@
-"""Robustness policies: retry/backoff, circuit breaking, server options.
+"""Robustness policies: retry backoff, circuit breaking, server options.
 
 Everything here is deterministic and clock-injected so the chaos suite
 can step time by hand: retry delays are a fixed exponential series (no
@@ -11,34 +11,15 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, List
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Deterministic exponential backoff for transient batch faults.
-
-    ``attempts`` counts *retries* after the first try (0 = fail fast).
-    ``delays()`` yields the sleep before each retry:
-    ``base * factor**i`` capped at ``max_delay_s``.
-    """
-
-    attempts: int = 2
-    base_delay_s: float = 0.02
-    factor: float = 2.0
-    max_delay_s: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.attempts < 0:
-            raise ValueError(f"attempts must be >= 0, got {self.attempts}")
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
-            raise ValueError("backoff delays must be >= 0")
-
-    def delays(self) -> Iterator[float]:
-        for i in range(self.attempts):
-            yield min(self.base_delay_s * self.factor ** i, self.max_delay_s)
+def retry_delays(retries: int) -> List[float]:
+    """The sleep before each of a tile's ``retries`` retries: 20 ms,
+    doubling per retry, capped at 0.5 s."""
+    return [min(0.02 * 2.0 ** i, 0.5) for i in range(retries)]
 
 
 def retry_after_s(queue_depth: int, drain_rate: float,
@@ -144,8 +125,12 @@ class ServerOptions:
     ``batch_timeout_s``
         Hung-batch watchdog: a batch exceeding this wall time is
         abandoned and the executor thread replaced.
-    ``retry``
-        :class:`RetryPolicy` for transient batch faults.
+    ``retries``
+        How many times the engine re-runs a tile after a transient
+        fault (a kernel fault, a hung batch, a crashed pool worker,
+        which the pool respawns first), waiting :func:`retry_delays`
+        between tries; 0 fails the tile on its first fault.  It is the
+        only retry of a tile.
     ``circuit_threshold`` / ``circuit_reset_s``
         :class:`CircuitBreaker` parameters.
     ``degrade``
@@ -160,10 +145,6 @@ class ServerOptions:
         processes sharing one mmap'd copy of its weights (tiles of up to
         ``max(32, max_batch)`` images), and the batch loop runs up to N
         tiles concurrently.
-    ``worker_retries``
-        Pool-level respawn-and-retry budget per task after a worker
-        crash (on top of — and usually instead of — the engine-level
-        ``retry`` policy, which re-runs whole batches).
     """
 
     host: str = "127.0.0.1"
@@ -173,12 +154,11 @@ class ServerOptions:
     queue_depth: int = 64
     default_deadline_ms: float = 1000.0
     batch_timeout_s: float = 30.0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    retries: int = 2
     circuit_threshold: int = 5
     circuit_reset_s: float = 2.0
     degrade: bool = True
     workers: int = 1
-    worker_retries: int = 1
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -189,12 +169,10 @@ class ServerOptions:
             raise ValueError("timeouts must be >= 0")
         if self.batch_timeout_s <= 0:
             raise ValueError("batch_timeout_s must be > 0")
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.worker_retries < 0:
-            raise ValueError(
-                f"worker_retries must be >= 0, got {self.worker_retries}"
-            )
 
     def replace(self, **changes: Any) -> "ServerOptions":
         return dataclasses.replace(self, **changes)

@@ -46,10 +46,15 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.runtime.artifact import (
+    manifest_input_channels,
+    manifest_input_hw,
+    read_manifest,
+)
 from repro.runtime.errors import InvalidInputError
 from repro.serving.errors import ModelNotFoundError, OverBudgetError
 
@@ -60,8 +65,8 @@ class FleetEntry:
     def __init__(self, name: str, path: Optional[Path], manifest: dict):
         self.name = name
         self.path = Path(path) if path is not None else None
-        self.max_hw = _native_hw(manifest)
-        self.in_channels = _input_channels(manifest)
+        self.max_hw = manifest_input_hw(manifest)
+        self.in_channels = manifest_input_channels(manifest)
         #: Read-only cost: the byte length of blobs.bin (what the mmap
         #: pins), from the manifest blob table.
         self.ro_bytes = sum(
@@ -130,29 +135,6 @@ class FleetEntry:
         }
 
 
-def _native_hw(manifest: dict) -> Optional[Tuple[int, int]]:
-    """The artifact's native (maximum) geometry, from the manifest.
-
-    Preference order: the embedded arena plan (authoritative — it is
-    what the export sized), then the session geometry it records.
-    """
-    arena = manifest.get("network", {}).get("arena") or {}
-    for hw in (arena.get("input_hw"),
-               manifest.get("session_options", {}).get("input_hw")):
-        if hw is not None:
-            return (int(hw[0]), int(hw[1]))
-    return None
-
-
-def _input_channels(manifest: dict) -> Optional[int]:
-    """The first conv layer's input channel count, from the manifest."""
-    layers = manifest.get("network", {}).get("conv_layers") or []
-    if not layers:
-        return None
-    shape = layers[0]["weight_shape"]
-    return int(shape[0] if layers[0]["kind"] == "dw" else shape[1])
-
-
 class ModelRegistry:
     """Artifact registry with LRU residency under a memory budget.
 
@@ -184,8 +166,6 @@ class ModelRegistry:
         """Scan ``root`` for artifact subdirectories (anything holding a
         ``manifest.json``) and register each under its directory name.
         The directory itself may also be a single artifact."""
-        from repro.runtime.artifact import read_manifest
-
         root = Path(root)
         registry = cls(**kwargs)
         candidates: List[Path] = []
@@ -203,8 +183,6 @@ class ModelRegistry:
         return registry
 
     def add(self, name: str, path, manifest: Optional[dict] = None) -> FleetEntry:
-        from repro.runtime.artifact import read_manifest
-
         if manifest is None:
             manifest = read_manifest(path)
         return self._register(FleetEntry(name, Path(path), manifest))

@@ -38,6 +38,7 @@ deadline passed        drop before batching, never infer          504
 queue at depth         shed with ``Retry-After`` (backpressure)   503
 circuit open           shed until half-open probe succeeds        503
 transient batch fault  retry with deterministic backoff           —
+worker crash           respawn, then retry as a transient fault   —
 hung batch             watchdog abandons it, executor replaced    (retry)
 poisoned batch         re-run batch-of-1, quarantine poisoner     500*
 server shutdown        fail pending fast, close sockets           503
@@ -137,7 +138,6 @@ class ServingServer:
         if self.options.workers > 1:
             registry.use_pools(PoolOptions(
                 workers=self.options.workers,
-                retries=self.options.worker_retries,
                 max_tile=max(32, self.options.max_batch),
             ), faults)
         self.registry = registry

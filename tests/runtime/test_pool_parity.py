@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.inference.testing import integer_network_from_spec
+from repro.inference.testing import integer_network_from_spec, random_network
 from repro.models.model_zoo import all_mobilenet_configs, mobilenet_v1_spec
 from repro.runtime import (
     PoolClosedError,
@@ -31,6 +31,7 @@ from repro.runtime import (
 )
 from repro.runtime.artifact import BLOBS_NAME
 from repro.runtime.shm import SharedSlab
+from repro.serving import FaultInjector
 
 # A sampled slice of the 16-config zoo: the extremes plus two interior
 # points.  Structure (depth/width) comes from the spec; inputs run at
@@ -148,6 +149,62 @@ def test_worker_task_error_is_typed_and_nonfatal(small_setup):
     assert pool.restarts == restarts_before
     x = np.random.default_rng(5).uniform(0, 1, size=(2, 3, 32, 32))
     assert np.array_equal(session.run(x), pool.run(x))
+
+
+def test_a_crash_respawns_the_worker_and_raises_once(tmp_path):
+    """The pool never re-runs a task: a killed worker is respawned in
+    place, the call that lost it raises, and the next call is exact."""
+    session = _session_for(_SMALL, seed=35)
+    path = session.save(tmp_path / "k.artifact")
+    faults = FaultInjector.parse("worker-kill:every=1,limit=1")
+    x = np.random.default_rng(36).uniform(0, 1, size=(2, 3, 32, 32))
+    with WorkerPool(path, PoolOptions(workers=1), faults=faults) as pool:
+        with pytest.raises(WorkerCrashedError):
+            pool.run(x)
+        assert pool.kills == pool.restarts == 1
+        assert pool.alive_workers() == 1
+        assert np.array_equal(session.run(x), pool.run(x))
+        assert pool.kills == pool.restarts == 1
+
+
+def test_a_failed_respawn_is_chained_and_the_next_borrower_respawns(tmp_path):
+    """The worker dies and its respawn fails too (the artifact went bad
+    under it): the crash is raised with the failed respawn as its cause.
+    The next borrower finds the slot dead and respawns it afresh."""
+    session = _session_for(_SMALL, seed=37)
+    path = session.save(tmp_path / "f.artifact")
+    blob = path / BLOBS_NAME
+    good = blob.read_bytes()
+    faults = FaultInjector.parse("worker-kill:every=1,limit=1")
+    x = np.random.default_rng(38).uniform(0, 1, size=(2, 3, 32, 32))
+    with WorkerPool(path, PoolOptions(workers=1), faults=faults) as pool:
+        bad = bytearray(good)
+        bad[len(bad) // 2] ^= 0xFF
+        blob.write_bytes(bytes(bad))
+        with pytest.raises(WorkerCrashedError, match="mid-task") as err:
+            pool.run(x)
+        assert isinstance(err.value.__cause__, WorkerCrashedError)
+        assert "startup" in str(err.value.__cause__)
+        blob.write_bytes(good)
+        with pytest.raises(WorkerCrashedError):
+            pool.run(x)  # the dead slot: this caller respawns it
+        assert np.array_equal(session.run(x), pool.run(x))
+        assert pool.kills == 1 and pool.restarts == 2
+
+
+def test_a_depthwise_first_network_ships_tiles_through_the_slabs(tmp_path):
+    """The request slab is sized from the first layer's input channels,
+    which a depthwise layer records as its filter count: every tile of
+    ``max_tile`` images fits it, and none falls back to the pipe."""
+    net = random_network(np.random.default_rng(0), resolution=32, max_layers=3)
+    assert net.conv_layers[0].kind == "dw"
+    session = Session(net, input_hw=(32, 32))
+    path = session.save(tmp_path / "dw.artifact")
+    x = np.random.default_rng(39).uniform(0, 1, size=(20, 3, 32, 32))
+    with WorkerPool(path, PoolOptions(workers=1, max_tile=4)) as pool:
+        assert np.array_equal(session.run_batched(x), pool.run_batched(x))
+        assert pool.stats()["served"] == 5
+        assert pool.inline_fallbacks == 0
 
 
 def test_from_session_stages_and_cleans_up(tmp_path):

@@ -1,5 +1,7 @@
 """Session front door: serving delegation, profiling, and pipeline()."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,35 @@ class TestSession:
         bad = np.full((1, 3, 8, 8), 300, dtype=np.int64)  # out of 8-bit range
         with pytest.raises(ValueError, match="out of UINT8 range"):
             Session(net).run_codes(bad)
+
+    @pytest.mark.parametrize("entry", ["run", "run_codes"])
+    def test_concurrent_calls_on_one_session_are_exact(self, net, entry):
+        """Two threads call one session, so one plan and one slab set,
+        200 times each on different images: the plan runs one call at a
+        time, and every answer equals the single-threaded one."""
+        session = Session(net)
+        rng = np.random.default_rng(9)
+        images = [rng.uniform(0, 1, size=(1, 3, 32, 32)) for _ in range(2)]
+        if entry == "run_codes":
+            images = [session.plan.quantize_input(im) for im in images]
+        call = getattr(session, entry)
+        expected = [call(im) for im in images]
+        start = threading.Barrier(2)
+        calls, wrong = [0, 0], [0, 0]
+
+        def worker(i):
+            start.wait()
+            for _ in range(200):
+                wrong[i] += not np.array_equal(call(images[i]), expected[i])
+                calls[i] += 1
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert calls == [200, 200] and wrong == [0, 0]
 
     def test_profile_covers_every_layer(self, net, x):
         session = Session(net)

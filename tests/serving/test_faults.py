@@ -57,6 +57,14 @@ class TestApplyBatchFaults:
         inj.apply_batch_faults(sleep=slept.append)
         assert slept == [0.25]
 
+    def test_every_batch_fault_is_drawn_before_any_sleep(self):
+        """A hung batch draws its kernel fault with its hang, not when it
+        wakes, so a late wake cannot shift the kernel schedule."""
+        inj = FaultInjector.parse("hang:every=1,delay=5;kernel:every=2")
+        seen = []
+        inj.apply_batch_faults(sleep=lambda _: seen.append(dict(inj.events)))
+        assert seen == [{"hang": 1, "kernel": 1}]
+
     def test_summary_reports_events_and_fires(self):
         inj = FaultInjector([FaultSpec("kernel", every=2)])
         inj.fire("kernel")

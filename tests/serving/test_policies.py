@@ -5,8 +5,8 @@ import pytest
 from repro.serving.policies import (
     BreakerState,
     CircuitBreaker,
-    RetryPolicy,
     ServerOptions,
+    retry_delays,
 )
 
 
@@ -21,23 +21,18 @@ class FakeClock:
         self.t += dt
 
 
-class TestRetryPolicy:
-    def test_delays_are_exponential_and_capped(self):
-        p = RetryPolicy(attempts=5, base_delay_s=0.1, factor=2.0, max_delay_s=0.5)
-        assert list(p.delays()) == [0.1, 0.2, 0.4, 0.5, 0.5]
+class TestRetryDelays:
+    def test_default_retries_wait_20_then_40_ms(self):
+        assert retry_delays(ServerOptions().retries) == [0.02, 0.04]
 
-    def test_zero_attempts_fails_fast(self):
-        assert list(RetryPolicy(attempts=0).delays()) == []
+    def test_delays_double_and_cap_at_half_a_second(self):
+        assert retry_delays(8) == [0.02, 0.04, 0.08, 0.16, 0.32, 0.5, 0.5, 0.5]
+
+    def test_zero_retries_fail_fast(self):
+        assert retry_delays(0) == []
 
     def test_deterministic_no_jitter(self):
-        p = RetryPolicy(attempts=3)
-        assert list(p.delays()) == list(p.delays())
-
-    def test_rejects_negative_parameters(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay_s=-0.1)
+        assert retry_delays(5) == retry_delays(5)
 
 
 class TestCircuitBreaker:
@@ -101,6 +96,7 @@ class TestServerOptions:
         {"max_wait_ms": -1},
         {"default_deadline_ms": -1},
         {"batch_timeout_s": 0},
+        {"retries": -1},
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):

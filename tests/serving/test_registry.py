@@ -127,6 +127,33 @@ class TestRegistry:
             assert not registry.entry("32x0.25").resident
             assert registry.entry("32x0.25").in_channels == 3
 
+    def test_a_legacy_compile_geometry_bounds_the_entry(self, tmp_path):
+        """An artifact whose only geometry is a legacy
+        ``compile_options.input_hw`` (the one ``Session.load`` reads) is
+        sized at it, and a larger request is refused without a load."""
+        import json
+
+        from repro.inference.testing import integer_network_from_spec
+        from repro.models.model_zoo import mobilenet_v1_spec
+        from repro.runtime import Session
+        from repro.runtime.errors import InvalidInputError
+
+        net = integer_network_from_spec(
+            mobilenet_v1_spec(32, 0.25, num_classes=5), np.random.default_rng(2))
+        path = Session(net).save(tmp_path / "legacy.artifact")
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert "arena" not in manifest["network"]
+        manifest["compile_options"] = {"input_hw": [32, 32]}
+        manifest_path.write_text(json.dumps(manifest))
+        assert Session.load(path).input_hw == (32, 32)
+        with ModelRegistry() as registry:
+            entry = registry.add("legacy", path)
+            assert entry.max_hw == (32, 32)
+            with pytest.raises(InvalidInputError, match="max geometry"):
+                registry.run("legacy", np.zeros((1, 3, 96, 96)))
+            assert not entry.resident
+
     def test_inflight_models_are_not_evictable(self, fleet_dir, costs):
         budget = _two_of_three_budget(costs)
         with ModelRegistry.from_directory(
@@ -326,8 +353,7 @@ class TestFleetServer:
         like a pooled single model's — the server's fault injector,
         ``--max-batch``-sized tiles, one concurrent tile per worker —
         and shows up in ``/healthz`` and ``/stats``."""
-        options = ServerOptions(port=0, max_wait_ms=2.0, workers=2,
-                                worker_retries=2)
+        options = ServerOptions(port=0, max_wait_ms=2.0, workers=2)
         faults = FaultInjector([FaultSpec("worker-kill", every=2, limit=1)])
 
         async def _main():
@@ -356,6 +382,8 @@ class TestFleetServer:
                                                    "/stats")
                 assert status == 200
                 assert stats["pool"]["kills"] >= 1
+                # The engine retried each killed tile once.
+                assert stats["batches"]["retries"] == stats["pool"]["kills"]
                 pool = registry.entry("32x0.25").pool
                 assert pool.options.max_tile == max(32, options.max_batch)
             finally:

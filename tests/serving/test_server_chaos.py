@@ -14,11 +14,12 @@ import json
 import numpy as np
 import pytest
 
+from repro.inference.testing import integer_network_from_spec
+from repro.models.model_zoo import mobilenet_v1_spec
 from repro.runtime import Session
 from repro.serving import (
     FaultInjector,
     FaultSpec,
-    RetryPolicy,
     ServerOptions,
     ServingServer,
     predict,
@@ -32,7 +33,7 @@ BASE = ServerOptions(
     port=0,
     max_batch=4,
     max_wait_ms=5.0,
-    retry=RetryPolicy(attempts=2, base_delay_s=0.01, max_delay_s=0.05),
+    retries=2,
     circuit_reset_s=0.3,
 )
 
@@ -102,8 +103,7 @@ class TestKernelFaults:
     def test_persistent_failures_open_the_circuit_then_recover(
             self, tiny_session, image, wait_until):
         options = BASE.replace(
-            max_batch=2, circuit_threshold=2, degrade=False,
-            retry=RetryPolicy(attempts=0),
+            max_batch=2, circuit_threshold=2, degrade=False, retries=0,
         )
         # Fails the first 2 batches (opening the circuit), then heals.
         faults = FaultInjector([FaultSpec("kernel", every=1, limit=2)])
@@ -138,8 +138,7 @@ class TestKernelFaults:
 
 class TestPoisonedBatch:
     def test_degradation_quarantines_only_the_poisoner(self, tiny_session, image):
-        options = BASE.replace(max_wait_ms=30.0,
-                               retry=RetryPolicy(attempts=1, base_delay_s=0.01))
+        options = BASE.replace(max_wait_ms=30.0, retries=1)
         faults = FaultInjector([FaultSpec("poison", every=4)])  # 4th admit
 
         async def scenario(server, host, port):
@@ -157,8 +156,7 @@ class TestPoisonedBatch:
         run_scenario(tiny_session, options, faults, scenario)
 
     def test_without_degradation_the_whole_tile_fails(self, tiny_session, image):
-        options = BASE.replace(max_wait_ms=30.0, degrade=False,
-                               retry=RetryPolicy(attempts=0))
+        options = BASE.replace(max_wait_ms=30.0, degrade=False, retries=0)
         faults = FaultInjector([FaultSpec("poison", every=4)])
 
         async def scenario(server, host, port):
@@ -174,8 +172,7 @@ class TestPoisonedBatch:
 class TestHungBatch:
     def test_watchdog_abandons_the_batch_and_replaces_the_executor(
             self, tiny_session, image):
-        options = BASE.replace(batch_timeout_s=0.25,
-                               retry=RetryPolicy(attempts=1, base_delay_s=0.01))
+        options = BASE.replace(batch_timeout_s=0.25, retries=1)
         faults = FaultInjector([FaultSpec("hang", every=1, limit=1, delay=10.0)])
 
         async def scenario(server, host, port):
@@ -185,6 +182,38 @@ class TestHungBatch:
             await alive(host, port, image)
 
         run_scenario(tiny_session, options, faults, scenario)
+
+    def test_woken_hung_batches_leave_live_answers_exact(self):
+        """Each hung batch wakes after the watchdog has replaced its
+        thread and goes on into the same plan while later tiles run.
+        The plan runs one call at a time, so every reply is a 200 with
+        the answer of ``Session.run``.  This network's close margins
+        split the images between two classes, so a tile that another
+        call wrote over would show."""
+        session = Session(integer_network_from_spec(
+            mobilenet_v1_spec(32, 0.25, num_classes=5),
+            np.random.default_rng(1)))
+        options = BASE.replace(batch_timeout_s=0.05, retries=3)
+        faults = FaultInjector([FaultSpec("hang", every=5, delay=0.1)])
+        rng = np.random.default_rng(12)
+        images = [rng.uniform(0.0, 1.0, size=(3, 32, 32)) for _ in range(8)]
+        expected = [int(np.argmax(session.run(x[None]), axis=1)[0])
+                    for x in images]
+        assert len(set(expected)) == 2
+
+        async def client(host, port, x):
+            return [await predict(host, port, x, deadline_ms=0, timeout=60.0)
+                    for _ in range(40)]
+
+        async def scenario(server, host, port):
+            replies = await asyncio.gather(
+                *[client(host, port, x) for x in images]
+            )
+            for want, got in zip(expected, replies):
+                assert [(s, b.get("prediction")) for s, b in got] == [(200, want)] * 40
+            assert server.stats.hung_batches >= 1
+
+        run_scenario(session, options, faults, scenario)
 
 
 class TestMixedGeometry:
@@ -465,10 +494,10 @@ class TestWorkerCrash:
     These scenarios boot a real 2-worker process pool over the saved
     tiny artifact; the ``worker-kill`` fault SIGKILLs a worker right
     after a batch is handed to it, mid-flight.  What must hold: the
-    executor thread that borrowed the worker respawns it before the
-    batch retries (or fails, when every retry budget is zero) per
-    policy, and the restart is visible through ``/healthz`` and
-    ``/stats``.
+    executor thread that borrowed the worker respawns it, then the
+    engine retries the batch under ``retries`` (or fails it, at zero)
+    like any transient fault, and the restart is visible through
+    ``/healthz`` and ``/stats``.
     """
 
     def run_pooled(self, tiny_session, tiny_artifact, options, faults,
@@ -490,7 +519,7 @@ class TestWorkerCrash:
 
     def test_killed_worker_respawns_and_requests_retry(
             self, tiny_session, tiny_artifact, image):
-        options = BASE.replace(workers=2, worker_retries=2)
+        options = BASE.replace(workers=2)
         # SIGKILL a worker on the 2nd dispatched task (how many tasks
         # are dispatched in total depends on microbatch tiling, so the
         # schedule pins only the first kill and the counters are
@@ -517,15 +546,16 @@ class TestWorkerCrash:
             assert stats["pool"]["restarts"] == pool.restarts >= 1
             assert stats["pool"]["kills"] == pool.kills
             assert stats["faults"]["worker-kill"]["fires"] == pool.kills
+            # Every kill was absorbed by an engine retry.
+            assert stats["batches"]["retries"] >= pool.kills
 
         self.run_pooled(tiny_session, tiny_artifact, options, faults, scenario)
 
     def test_exhausted_retry_budget_fails_the_batch_then_recovers(
             self, tiny_session, tiny_artifact, image):
-        # Zero retry budget everywhere: the one killed batch must fail
-        # with a 500 — and the tier must still heal for the next request.
-        options = BASE.replace(workers=2, worker_retries=0, degrade=False,
-                               retry=RetryPolicy(attempts=0))
+        # Zero retries: the one killed batch must fail with a 500 — and
+        # the tier must still heal for the next request.
+        options = BASE.replace(workers=2, degrade=False, retries=0)
         faults = FaultInjector([FaultSpec("worker-kill", every=1, limit=1)])
 
         async def scenario(server, host, port):
@@ -540,6 +570,25 @@ class TestWorkerCrash:
             assert status == 200
             assert server.engine.pool.restarts >= 1
             assert server.engine.pool.alive_workers() == 2
+
+        self.run_pooled(tiny_session, tiny_artifact, options, faults, scenario)
+
+    def test_a_crash_storm_costs_one_respawn_per_try(
+            self, tiny_session, tiny_artifact, image):
+        """Every pool task crashes.  The pool respawns each worker once
+        and retries nothing, so one request costs ``retries + 1`` kills
+        and respawns, one per engine try, and ends in a 500."""
+        options = BASE.replace(workers=2)
+        faults = FaultInjector([FaultSpec("worker-kill", every=1)])
+
+        async def scenario(server, host, port):
+            status, body = await predict(host, port, image, deadline_ms=0,
+                                         timeout=60.0)
+            assert status == 500
+            assert "WorkerCrashedError" in body["detail"]
+            pool = server.engine.pool
+            assert pool.kills == pool.restarts == options.retries + 1
+            assert server.stats.retries == options.retries
 
         self.run_pooled(tiny_session, tiny_artifact, options, faults, scenario)
 
