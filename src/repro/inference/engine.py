@@ -41,11 +41,14 @@ def _cached_shift(cache: Optional[tuple], weights_q: np.ndarray, z_w) -> tuple:
     ``cache`` is ``(weights_q identity, int64 shifted weights)`` or
     ``None``; keyed on the identity of ``weights_q``, so swapping in a
     new weight tensor recomputes while repeated forwards reuse the
-    zero-point shift.  (In-place mutation of the same array is not
+    zero-point shift.  :func:`shift_weights` returns the narrow signed
+    dtype the compiled plan works in; the reference widens its copy to
+    int64 here, once.  (In-place mutation of the same array is not
     tracked — replace the tensor to requantize.)
     """
     if cache is None or cache[0] is not weights_q:
-        cache = (weights_q, shift_weights(weights_q, z_w, int(weights_q.shape[0])))
+        w_shift = shift_weights(weights_q, z_w, int(weights_q.shape[0]))
+        cache = (weights_q, w_shift.astype(np.int64, copy=False))
     return cache
 
 

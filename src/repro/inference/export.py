@@ -204,12 +204,16 @@ def validate_export(exported: Dict) -> Dict[str, int]:
     For every conv layer and the classifier: the packed blob must have
     exactly the byte length the Table 1 accounting predicts, match its
     recorded CRC32 (packing masks codes into range by construction, so a
-    checksum — not a range scan — is what detects a corrupted blob),
-    unpack into its declared narrow container dtype, and contain one
-    code per weight element.  Returns summary counts (``layers``,
-    ``weight_bytes``); raises ``ValueError`` on the first violation —
-    the deployment-side integrity check a firmware loader would run
-    before committing the image to Flash.
+    checksum — not a range scan — is what detects a corrupted blob), and
+    declare the narrow container :func:`container_dtype` of its bit
+    width.  Nothing is unpacked: the length check already proves the
+    blob holds one code per weight element, and
+    :func:`~repro.inference.packing.unpack_subbyte` always unpacks into
+    that container, so :func:`import_network` unpacks each blob once.
+    Returns summary counts (``layers``, ``weight_bytes``); raises
+    ``ValueError`` on the first violation — the deployment-side
+    integrity check a firmware loader would run before committing the
+    image to Flash.
     """
     entries = list(exported["conv_layers"])
     if "classifier" in exported:
@@ -234,12 +238,11 @@ def validate_export(exported: Dict) -> Dict[str, int]:
                 f"{name}: packed blob checksum {crc:#010x} does not match the "
                 f"recorded CRC32 {int(entry['weights_crc32']):#010x}"
             )
-        codes = unpack_subbyte(blob, bits, count)
         declared = np.dtype(entry["container_dtype"])
-        if codes.dtype != declared or codes.dtype != container_dtype(bits):
+        if declared != container_dtype(bits):
             raise ValueError(
-                f"{name}: blob unpacks to {codes.dtype}, declared container "
-                f"is {declared}"
+                f"{name}: UINT{bits} codes unpack to {container_dtype(bits)}, "
+                f"declared container is {declared}"
             )
         total += expected
     return {"layers": len(entries), "weight_bytes": total}

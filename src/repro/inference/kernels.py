@@ -71,9 +71,14 @@ def refined_max_abs_accumulator(w_shift: np.ndarray, z_x: int, x_bits: int) -> i
     usually far below the a-priori :func:`max_abs_accumulator` corner
     case.  The compiled plan uses it to pick the narrowest exact
     accumulator dtype per layer.
+
+    ``w_shift`` stays in the signed dtype :func:`shift_weights` gave it
+    (int16 for 8-bit codes): ``|W'|`` is taken there, which cannot
+    overflow because that dtype holds ``-W'`` too, and only the row sums
+    accumulate in int64.
     """
     x_mag = max(int(z_x), 2 ** x_bits - 1 - int(z_x))
-    w2 = np.asarray(w_shift, dtype=np.int64).reshape(w_shift.shape[0], -1)
+    w2 = np.asarray(w_shift).reshape(w_shift.shape[0], -1)
     if w2.size == 0:
         return 0
     row = np.abs(w2).sum(axis=1, dtype=np.int64)
@@ -128,14 +133,45 @@ def gemm_reduction_length(kind: str, weight_shape) -> int:
     return int(weight_shape[1]) * int(weight_shape[2]) * int(weight_shape[3])
 
 
+_INT64 = np.dtype(np.int64)
+
+
+def shifted_weight_dtype(container: np.dtype) -> np.dtype:
+    """Signed dtype one step wider than an integer weight container:
+    int16 for the uint8 codes of every paper width, int32 for uint16 and
+    int64 for anything wider (or not an integer dtype at all).  The
+    difference of two values of the container fits it."""
+    container = np.dtype(container)
+    if container.kind in "ui" and container.itemsize <= 2:
+        return np.dtype(np.int16 if container.itemsize == 1 else np.int32)
+    return _INT64
+
+
 def shift_weights(w_codes: np.ndarray, z_w: np.ndarray | int, c_out: int) -> np.ndarray:
-    """Zero-point-shifted int64 weights; ``z_w`` scalar or per-channel."""
+    """Zero-point-shifted weights ``W - Z_w``; ``z_w`` scalar or per-channel.
+
+    The result is in :func:`shifted_weight_dtype` of the codes' container
+    (int16 for uint8 codes), not int64: the compiled plan takes its
+    bounds there and casts it once into its GEMM dtype, and the
+    interpreted reference widens its own cached copy to int64 once.  A
+    zero point outside the container's range would not fit that dtype,
+    so such a layer is shifted in int64.
+    """
+    w_codes = np.asarray(w_codes)
     z_w_arr = np.asarray(z_w, dtype=np.int64).reshape(-1)
-    if z_w_arr.size == 1:
-        return np.subtract(w_codes, z_w_arr[0], dtype=np.int64)
-    if z_w_arr.size != c_out:
+    if z_w_arr.size != 1 and z_w_arr.size != c_out:
         raise ValueError("per-channel z_w must have one entry per output channel")
-    return np.subtract(w_codes, z_w_arr.reshape((-1,) + (1,) * (w_codes.ndim - 1)), dtype=np.int64)
+    dtype = shifted_weight_dtype(w_codes.dtype)
+    if dtype != _INT64 and z_w_arr.size:
+        info = np.iinfo(w_codes.dtype)
+        if z_w_arr.min() < info.min or z_w_arr.max() > info.max:
+            dtype = _INT64
+    # The zero points in the result dtype too: a subtraction that casts
+    # an int64 operand runs numpy's buffered loop, ~3x slower.
+    z_w_arr = z_w_arr.astype(dtype)
+    if z_w_arr.size == 1:
+        return np.subtract(w_codes, z_w_arr[0], dtype=dtype)
+    return np.subtract(w_codes, z_w_arr.reshape((-1,) + (1,) * (w_codes.ndim - 1)), dtype=dtype)
 
 
 #: Reduction-axis tile of the integer einsum GEMM.  A plain
@@ -277,8 +313,8 @@ def int_conv2d(
     kh, kw).  ``z_w`` may be a scalar (per-layer) or a per-output-channel
     vector (per-channel).  Zero padding pads with the code ``z_x`` so that
     the padded positions represent the real value 0, as the MCU kernel
-    does.  ``w_shift`` optionally supplies the pre-shifted int64 weights
-    (``w_codes - z_w``) so callers that run repeatedly can hoist the
+    does.  ``w_shift`` optionally supplies the pre-shifted weights
+    (``w_codes - z_w``, widened to int64) so callers that run repeatedly can hoist the
     shift out of the per-inference path.
     """
     check_codes("activation", x_codes, x_bits)
@@ -286,7 +322,7 @@ def int_conv2d(
     n, c_in, h, w = x_codes.shape
     c_out, _, kh, kw = w_codes.shape
     if w_shift is None:
-        w_shift = shift_weights(w_codes, z_w, c_out)
+        w_shift = shift_weights(w_codes, z_w, c_out).astype(np.int64, copy=False)
     # Shift activations by Z_x before im2col so zero padding contributes 0.
     x_shift = np.subtract(x_codes, int(z_x), dtype=np.int64)
     cols = im2col(x_shift, kh, kw, stride, padding, contiguous=False)
@@ -323,7 +359,7 @@ def int_depthwise_conv2d(
     ow = conv_output_size(w, kw, stride, padding)
     if w_shift is None:
         try:
-            w_shift = shift_weights(w_codes, z_w, c)
+            w_shift = shift_weights(w_codes, z_w, c).astype(np.int64, copy=False)
         except ValueError:
             raise ValueError("per-channel z_w must have one entry per channel") from None
     x_shift = np.subtract(x_codes, int(z_x), dtype=np.int64)
@@ -350,7 +386,7 @@ def int_linear(
     check_codes("weight", w_codes, w_bits)
     if w_shift is None:
         try:
-            w_shift = shift_weights(w_codes, z_w, w_codes.shape[0])
+            w_shift = shift_weights(w_codes, z_w, w_codes.shape[0]).astype(np.int64, copy=False)
         except ValueError:
             raise ValueError("per-channel z_w must have one entry per output feature") from None
     return np.subtract(x_codes, int(z_x), dtype=np.int64) @ w_shift.T

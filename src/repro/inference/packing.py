@@ -84,6 +84,11 @@ def unpack_subbyte(packed: np.ndarray, bits: int, count: int,
     Returns ``count`` values in ``dtype``; by default the narrow
     :func:`container_dtype` of ``bits`` (uint8 for every paper width) —
     unpacking never inflates codes back to int64 unless asked to.
+
+    8-bit codes are a view of the packed buffer.  A 2- or 4-bit blob is
+    unpacked into one preallocated uint8 array, one shift-and-mask pass
+    per code position: position ``j`` of every byte lands at stride
+    ``8 // bits`` in the output.
     """
     if bits not in SUPPORTED_BITS:
         raise ValueError(f"bits must be one of {SUPPORTED_BITS}, got {bits}")
@@ -99,7 +104,12 @@ def unpack_subbyte(packed: np.ndarray, bits: int, count: int,
     per_byte = 8 // bits
     if count > packed.size * per_byte:
         raise ValueError("not enough packed bytes")
-    shifts = (np.arange(per_byte) * bits).astype(np.uint8)
-    mask = np.uint16(2 ** bits - 1)
-    expanded = (packed[:, None].astype(np.uint16) >> shifts) & mask
-    return expanded.reshape(-1)[:count].astype(dtype)
+    packed = packed[: -(-count // per_byte)]
+    codes = np.empty((packed.size, per_byte), dtype=np.uint8)
+    mask = np.uint8(2 ** bits - 1)
+    for j in range(per_byte):
+        position = codes[:, j]
+        np.right_shift(packed, np.uint8(j * bits), out=position)
+        if j < per_byte - 1:
+            position &= mask
+    return codes.reshape(-1)[:count].astype(dtype, copy=False)

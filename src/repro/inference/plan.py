@@ -4,8 +4,12 @@
 everything that does not depend on the input batch out of the
 per-inference path:
 
-* weight tensors are zero-point-shifted and reshaped to GEMM form once
-  (the interpreted engine re-shifts and re-reshapes them on every call);
+* weight tensors are zero-point-shifted and reshaped to GEMM form once,
+  from the narrow codes: the shift lands in the signed dtype one step
+  wider than the code container (int16 for uint8 codes,
+  :func:`~repro.inference.kernels.shift_weights`), the accumulator
+  bound and split-K cut are taken there, and one cast makes the GEMM
+  operand, so compiling holds no int64 copy of a weight tensor;
 * each layer's GEMM backend follows from its *weight-data refined*
   accumulator bound ``max_o sum_k |W_ok - Z_w| * max|X - Z_x|``
   (:func:`repro.inference.kernels.refined_max_abs_accumulator`) alone:
@@ -106,6 +110,12 @@ _INT64 = np.dtype(np.int64)
 #: (~0.5 ms at 128_0.5 batch 1) on its next call.
 MAX_BOUND_SHAPES = 64
 
+#: Output features per block of the classifier's transposing cast.
+_TRANSPOSE_BLOCK = 256
+
+#: Columns between two stored prefix sums of the split-K cut search.
+_SPLIT_K_BLOCK = 32
+
 #: Most K-chunks a split-K sgemm layer may use.  Each chunk is one sgemm
 #: call plus one accumulate pass; past a few chunks the float64 GEMM is
 #: the better deal again.
@@ -127,19 +137,36 @@ def _split_k_chunks(w_shift: np.ndarray, z_x: int, x_bits: int):
     A chunk ends just before the first column where some row's sum of
     ``|W'| * x_mag`` since the chunk's start reaches ``2^24``.  Those
     sums never decrease along K, so a binary search over per-row
-    cumulative sums of ``|W'|`` finds that column.
+    prefix sums of ``|W'|`` finds that column.  ``|W'|`` is taken in the
+    shifted weights' own narrow dtype, and the prefix sums run in the
+    narrowest integer dtype that holds ``K * max|W'|``.  They are kept
+    at every :data:`_SPLIT_K_BLOCK`-th column only, and a probe between
+    two adds the columns since the last (a full per-column cumulative
+    sum is numpy's scalar accumulate loop, ~3 ns per weight).
     """
     x_mag = max(int(z_x), 2 ** x_bits - 1 - int(z_x))
     # An integer sum s has s * x_mag >= 2^24 exactly when s >= limit.
     limit = -(-(1 << FLOAT32_EXACT_BITS) // x_mag)
-    csum = np.abs(w_shift.reshape(w_shift.shape[0], -1), dtype=np.int64)
-    np.cumsum(csum, axis=1, out=csum)
-    k = csum.shape[1]
+    w_abs = np.abs(w_shift.reshape(w_shift.shape[0], -1))
+    k = w_abs.shape[1]
+    top = k * int(w_abs.max()) if w_abs.size else 0
+    sum_dtype = next(
+        (dt for dt in (np.int16, np.int32) if top <= np.iinfo(dt).max), np.int64)
+    # blocks[:, q] sums the columns [0, q * _SPLIT_K_BLOCK).
+    blocks = np.zeros((w_abs.shape[0], -(-k // _SPLIT_K_BLOCK) + 1), dtype=sum_dtype)
+    np.cumsum(np.add.reduceat(w_abs, np.arange(0, k, _SPLIT_K_BLOCK), axis=1,
+                              dtype=sum_dtype), axis=1, out=blocks[:, 1:])
+
+    def prefix(j: int) -> np.ndarray:
+        """Every row's sum over columns ``[0, j)``."""
+        q, r = divmod(j, _SPLIT_K_BLOCK)
+        if not r:
+            return blocks[:, q]
+        return blocks[:, q] + w_abs[:, j - r:j].sum(axis=1, dtype=sum_dtype)
 
     def overflows(k0: int, k1: int) -> bool:
         """Whether some row's sum over columns ``[k0, k1)`` reaches the limit."""
-        sums = csum[:, k1 - 1] - csum[:, k0 - 1] if k0 else csum[:, k1 - 1]
-        return int(sums.max()) >= limit
+        return int((prefix(k1) - prefix(k0)).max()) >= limit
 
     bounds = [0]
     while bounds[-1] < k and len(bounds) <= _SPLIT_K_MAX_CHUNKS:
@@ -514,9 +541,10 @@ class CompiledConvLayer:
                 self.gemm_dtype = np.dtype(np.float32)
                 self.acc_dtype = np.dtype(np.float64)
         self.out_dtype = container_dtype(self.out_bits)
-        w2 = np.ascontiguousarray(
-            w_shift.reshape(self.out_channels, -1).astype(self.gemm_dtype)
-        )
+        # One cast from the narrow shifted weights into the GEMM dtype
+        # (a fresh C-contiguous array).
+        w2 = w_shift.reshape(self.out_channels, -1).astype(self.gemm_dtype)
+        del w_shift  # freed before the split-K copies: a lower compile peak
         self.w2 = w2
         self.w2_chunks = (
             None if self.split_k is None
@@ -525,8 +553,8 @@ class CompiledConvLayer:
         self.gemm_itemsize = self.gemm_dtype.itemsize
         if self.kind == "dw" and self.backend == "blas":
             # (C, 1, kh*kw) batched-matmul form (the integer einsum
-            # contraction keeps the flat form).
-            self.w2 = np.ascontiguousarray(self.w2[:, None, :])
+            # contraction keeps the flat form); a view of ``w2``.
+            self.w2 = w2[:, None, :]
         self.requant = _compile_requant(p, self.acc_bound, self.name)
         self.requant_kind = self.requant.kind
         #: Eq. 5 epilogue tier: "f64", "i64" or "thr" (thresholds).
@@ -730,7 +758,13 @@ class CompiledLinear:
             refined_max_abs_accumulator(w_shift, self.z_x, self.in_bits),
         )
         self.backend, self.gemm_dtype = _resolve_compiled_backend(self.acc_bound)
-        self.w_t = np.ascontiguousarray(w_shift.T.astype(self.gemm_dtype))
+        # The (K, O) operand, transposed and cast in one pass, a block of
+        # output features at a time (2x faster than one strided copy of
+        # a 1024x1000 classifier).
+        self.w_t = np.empty(w_shift.shape[::-1], dtype=self.gemm_dtype)
+        for o0 in range(0, self.out_channels, _TRANSPOSE_BLOCK):
+            o1 = o0 + _TRANSPOSE_BLOCK
+            np.copyto(self.w_t[:, o0:o1], w_shift[o0:o1].T, casting="unsafe")
         s_w = np.asarray(layer.s_w, dtype=np.float64).reshape(-1)
         # Match IntegerLinearLayer.forward exactly: s_in * s_w is evaluated
         # first there too (left-to-right), so hoisting it preserves ulps.

@@ -184,16 +184,30 @@ class Session:
         count, NaN/Inf values, and geometries the layer cascade shrinks
         below one pixel.
         """
+        arr = self._check_batch(x_real, codes=False)
+        if arr.size and np.issubdtype(arr.dtype, np.floating) \
+                and not np.isfinite(arr).all():
+            raise InvalidInputError("input contains non-finite values (NaN/Inf)")
+        return arr
+
+    def _check_batch(self, x, *, codes: bool) -> np.ndarray:
+        """The checks :meth:`validate_input` and :meth:`run_codes` share:
+        an array of a real numeric dtype (integer or bool for ``codes``),
+        NCHW, with the first layer's channel count and a geometry no
+        layer shrinks below one pixel."""
         plan = self.plan
         try:
-            arr = np.asarray(x_real)
+            arr = np.asarray(x)
         except Exception as exc:
             raise InvalidInputError(f"input is not array-like: {exc}") from exc
+        integral = (np.issubdtype(arr.dtype, np.integer)
+                    or np.issubdtype(arr.dtype, np.bool_))
+        if codes and not integral:
+            raise InvalidInputError(
+                f"input codes dtype {arr.dtype} is not an integer type"
+            )
         if arr.dtype == object or not (
-            np.issubdtype(arr.dtype, np.floating)
-            or np.issubdtype(arr.dtype, np.integer)
-            or np.issubdtype(arr.dtype, np.bool_)
-        ):
+                integral or np.issubdtype(arr.dtype, np.floating)):
             raise InvalidInputError(
                 f"input dtype {arr.dtype} is not a real numeric type"
             )
@@ -219,9 +233,6 @@ class Session:
                         f"input geometry {arr.shape[2]}x{arr.shape[3]} "
                         f"collapses below 1x1 at layer {layer.name!r}"
                     )
-        if arr.size and np.issubdtype(arr.dtype, np.floating) \
-                and not np.isfinite(arr).all():
-            raise InvalidInputError("input contains non-finite values (NaN/Inf)")
         return arr
 
     # -- serving -------------------------------------------------------
@@ -230,8 +241,11 @@ class Session:
         return self.plan.run(self.validate_input(x_real))
 
     def run_codes(self, x_codes: np.ndarray) -> np.ndarray:
-        """Run the conv trunk on range-checked integer codes."""
-        return self.plan.run_codes(x_codes)
+        """Run the conv trunk on integer codes.  The batch gets the rank,
+        channel and geometry checks of :meth:`validate_input` and must
+        hold integers (or bools), else :class:`InvalidInputError`; the
+        plan then range-checks the codes (``ValueError``)."""
+        return self.plan.run_codes(self._check_batch(x_codes, codes=True))
 
     def run_batched(self, x_real: np.ndarray, batch_size: int = 32) -> np.ndarray:
         """Stream a sweep through the arena in ``batch_size`` tiles."""

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import threading
 from typing import Optional
 
 import numpy as np
@@ -65,6 +66,13 @@ class BatchEngine:
     the batches after it block until their own watchdog fires and the
     circuit breaker opens; without the lock they would run beside it
     and return corrupt answers.
+
+    Each attempt carries a flag that the watchdog sets when it abandons
+    the attempt.  A thread that wakes from its injected faults after
+    that returns without calling :meth:`ModelRegistry.run`, so an
+    abandoned batch costs no inference on top of its retry.  A tile
+    already inside ``registry.run`` when the watchdog fires still runs
+    to the end; its result is discarded.
     """
 
     def __init__(self, registry, options: Optional[ServerOptions] = None,
@@ -117,15 +125,18 @@ class BatchEngine:
         for the in-process single-thread backend."""
         return self.workers
 
-    def _run_sync(self, xs: np.ndarray, poisoned: bool,
-                  model: str) -> np.ndarray:
+    def _run_sync(self, xs: np.ndarray, poisoned: bool, model: str,
+                  abandoned: threading.Event) -> Optional[np.ndarray]:
         """Executor-thread body: faults first (that is where a real
         kernel would blow up), then the inference, routed through the
         registry (which loads/evicts under its budget right here, off
         the event loop, and runs the tile in-process or on the model's
-        worker pool)."""
+        worker pool).  An attempt the watchdog gave up on while its
+        faults held the thread returns without running the tile."""
         if self.faults:
             self.faults.apply_batch_faults()
+        if abandoned.is_set():
+            return None
         if poisoned:
             raise InjectedFaultError("poisoned request in batch")
         return np.argmax(self.registry.run(model, xs), axis=1)
@@ -133,15 +144,19 @@ class BatchEngine:
     async def _attempt(self, xs: np.ndarray, poisoned: bool,
                        model: str) -> np.ndarray:
         loop = asyncio.get_running_loop()
+        abandoned = threading.Event()
         future = loop.run_in_executor(self._executor, self._run_sync, xs,
-                                      poisoned, model)
+                                      poisoned, model, abandoned)
         try:
             return await asyncio.wait_for(future, self.options.batch_timeout_s)
         except asyncio.TimeoutError:
-            # The batch is wedged. Abandon the executor (its thread will
-            # die when the stuck call eventually returns or the process
-            # exits) and replace it so the next batch runs on a healthy
-            # thread. wait_for already cancelled `future` for us.
+            # The batch is wedged. Flag the attempt, so a thread that
+            # wakes from its faults skips the inference, abandon the
+            # executor (its thread will die when the stuck call
+            # eventually returns or the process exits) and replace it so
+            # the next batch runs on a healthy thread. wait_for already
+            # cancelled `future` for us.
+            abandoned.set()
             self.stats.hung_batches += 1
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = self._new_executor()

@@ -23,7 +23,10 @@ Residency is managed lazily with LRU eviction:
   the blobs *now*, not at GC time — until it fits;
 * a model that cannot fit even with every idle model evicted is a
   :class:`~repro.serving.errors.OverBudgetError` (HTTP 413);
-* models with requests in flight are never evicted.
+* models with requests in flight, or being loaded, are never evicted;
+* the load and the worker-pool start run outside the registry lock, so
+  ``stats``, admission and other models' checkouts answer meanwhile,
+  and a second checkout of a loading model waits for that load.
 
 A single-model server is a fleet of one: :meth:`ModelRegistry.adopt`
 registers the caller's live session as a resident entry that the
@@ -81,6 +84,9 @@ class FleetEntry:
         )
         self.session = None
         self.pool = None
+        #: A checkout is loading the session or starting the pool outside
+        #: the registry lock; other checkouts of this entry wait for it.
+        self.loading = False
         #: An adopted session: the caller owns it, so the registry never
         #: evicts or closes it.
         self.borrowed = False
@@ -123,6 +129,7 @@ class FleetEntry:
     def to_dict(self) -> dict:
         return {
             "resident": self.resident,
+            "loading": self.loading,
             "inflight": self.inflight,
             "loads": self.loads,
             "evictions": self.evictions,
@@ -155,6 +162,8 @@ class ModelRegistry:
         self.faults = None
         self._entries: Dict[str, FleetEntry] = {}
         self._lock = threading.RLock()
+        #: Signalled whenever an entry stops loading.
+        self._loaded = threading.Condition(self._lock)
         self._tick = 0
         self.loads = 0
         self.evictions = 0
@@ -243,24 +252,49 @@ class ModelRegistry:
         """Pin ``name`` resident and mark a request in flight.  Loads
         (and evicts) as needed, and stands up the model's worker pool
         once :meth:`use_pools` has configured one; every checkout must
-        be paired with :meth:`release`."""
+        be paired with :meth:`release`.
+
+        The load and the pool start run outside the registry lock, so
+        ``stats``, admission and the other models' checkouts do not wait
+        for them.  Under the lock the entry is pinned (a loading or
+        in-flight entry is never evicted), marked loading, and room is
+        made on its manifest cost; the lock is taken again to run the
+        budget check and publish the session and pool.  A second
+        checkout of a loading model waits for that load.
+        """
         with self._lock:
-            if self._closed:
-                raise ModelNotFoundError("registry is closed")
-            entry = self._entries.get(name)
-            if entry is None:
-                raise ModelNotFoundError(
-                    f"unknown model {name!r}; fleet has {sorted(self._entries)}"
-                )
-            if not entry.resident:
-                self._load_locked(entry)
-            if entry.pool is None and self.pool_options is not None:
-                entry.pool = self._start_pool(entry)
+            entry = self._lookup_locked(name)
+            while entry.loading:
+                self._loaded.wait()
+                entry = self._lookup_locked(name)
+            need_session = not entry.resident
+            need_pool = entry.pool is None and self.pool_options is not None
             entry.inflight += 1
+            if need_session or need_pool:
+                entry.loading = True
+                if need_session:
+                    self._pre_evict_locked(entry)
+        if need_session or need_pool:
+            try:
+                self._load(entry, need_session, need_pool)
+            except BaseException:
+                self.release(entry)
+                raise
+        with self._lock:
             entry.requests += 1
             self._tick += 1
             entry.last_used = self._tick
-            return entry
+        return entry
+
+    def _lookup_locked(self, name: str) -> FleetEntry:
+        if self._closed:
+            raise ModelNotFoundError("registry is closed")
+        entry = self._entries.get(name)
+        if entry is None:
+            raise ModelNotFoundError(
+                f"unknown model {name!r}; fleet has {sorted(self._entries)}"
+            )
+        return entry
 
     def release(self, entry: FleetEntry) -> None:
         with self._lock:
@@ -301,39 +335,65 @@ class ModelRegistry:
         if not np.isfinite(x).all():
             raise InvalidInputError("input contains non-finite values")
 
-    def _load_locked(self, entry: FleetEntry) -> None:
-        """Load ``entry`` under the lock, evicting LRU idle models until
-        the budget admits it; raises OverBudgetError when it never can."""
-        from repro.runtime.session import Session
-
-        # Pre-evict on manifest metadata so the transient (loaded but
-        # not yet admitted) state overshoots the budget as little as
-        # possible.  The authoritative check still runs on the compiled
-        # plan below.
+    def _pre_evict_locked(self, entry: FleetEntry) -> None:
+        """Evict on manifest metadata before a load, so the transient
+        (loaded but not yet admitted) state overshoots the budget as
+        little as possible.  The authoritative check still runs on the
+        compiled plan, in :meth:`_load`."""
         if self.memory_budget_bytes is not None and entry.rw_bytes is not None:
             while (self.resident_bytes() + entry.cost_bytes()
                    > self.memory_budget_bytes):
                 if not self._evict_lru_locked():
                     break
-        session = Session.load(entry.path, mmap=True)
-        rejection = None
+
+    def _load(self, entry: FleetEntry, need_session: bool,
+              need_pool: bool) -> None:
+        """Load ``entry``'s session and start its pool, both outside the
+        lock, then admit and publish them under it; raises
+        OverBudgetError when the budget never admits the model.  Whatever
+        is not published is closed outside the lock."""
+        from repro.runtime.session import Session
+
+        session = pool = None
+        failure: Optional[BaseException] = None
         try:
-            self._admit_locked(entry, session)
+            if need_session:
+                session = Session.load(entry.path, mmap=True)
+            if need_pool:
+                # A cold entry's pool maps its artifact; an adopted one
+                # (no path) is resident already.
+                pool = self._start_pool(entry)
+            with self._lock:
+                if self._closed:
+                    raise ModelNotFoundError("registry is closed")
+                if session is not None:
+                    self._admit_locked(entry, session)
+                    entry.session, session = session, None
+                    entry.loads += 1
+                    self.loads += 1
+                    rw = self.rw_from_plan(entry)
+                    if rw is not None:
+                        entry.rw_bytes = rw
+                if pool is not None:
+                    entry.pool, pool = pool, None
         except OverBudgetError as exc:
             # Keep only the message: the live exception's traceback (and
             # chained assert_arena_fits frames) pins the plan — and with
             # it the mmap views — which would make session.close() fail
             # with BufferError.
-            rejection = str(exc)
-        if rejection is not None:
+            failure = OverBudgetError(str(exc))
+        except BaseException as exc:
+            failure = exc
+        finally:
+            with self._lock:
+                entry.loading = False
+                self._loaded.notify_all()
+        if pool is not None:
+            pool.close()
+        if session is not None:
             session.close()
-            raise OverBudgetError(rejection)
-        entry.session = session
-        entry.loads += 1
-        self.loads += 1
-        rw = self.rw_from_plan(entry)
-        if rw is not None:
-            entry.rw_bytes = rw
+        if failure is not None:
+            raise failure
 
     @staticmethod
     def rw_from_plan(entry: FleetEntry) -> Optional[int]:
@@ -446,6 +506,9 @@ class ModelRegistry:
             self._closed = True
             for entry in self._entries.values():
                 self._close_entry(entry)
+            # Checkouts waiting on a load give up; the load itself
+            # closes what it made when it finds the registry closed.
+            self._loaded.notify_all()
 
     def __enter__(self) -> "ModelRegistry":
         return self

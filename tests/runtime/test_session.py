@@ -7,10 +7,12 @@ import pytest
 
 import repro
 from repro.core.policy import QuantMethod, QuantPolicy
-from repro.inference.testing import integer_network_from_spec
+from repro.inference.engine import IntegerNetwork
+from repro.inference.testing import integer_network_from_spec, random_conv_layer
 from repro.mcu.deploy import assert_arena_fits
 from repro.models.model_zoo import mobilenet_v1_spec
 from repro.runtime import Session, pipeline
+from repro.runtime.errors import InvalidInputError
 
 SPEC = mobilenet_v1_spec(32, 0.25, num_classes=5)
 
@@ -68,6 +70,40 @@ class TestSession:
         bad = np.full((1, 3, 8, 8), 300, dtype=np.int64)  # out of 8-bit range
         with pytest.raises(ValueError, match="out of UINT8 range"):
             Session(net).run_codes(bad)
+
+    @pytest.mark.parametrize("shape,dtype,fill", [
+        ((1, 4, 32, 32), np.uint8, 7),
+        ((1, 2, 32, 32), np.uint8, 7),
+        ((1, 1, 32, 32), np.uint8, 7),
+        ((3, 32, 32), np.uint8, 7),
+        ((1, 3, 32, 32), np.float32, 3.7),
+        ((1, 3, 32, 32), np.float64, 3.0),
+    ], ids=["4-channels", "2-channels", "1-channel", "rank-3", "float32",
+            "float64-integral"])
+    def test_run_codes_refuses_malformed_codes(self, net, shape, dtype, fill):
+        """Malformed codes get the typed error :meth:`Session.validate_input`
+        gives real input, not a numpy error from inside a kernel (or, for
+        float codes, an answer the int64 reference refuses to give)."""
+        with pytest.raises(InvalidInputError):
+            Session(net).run_codes(np.full(shape, fill, dtype=dtype))
+
+    def test_run_codes_refuses_a_geometry_that_collapses(self):
+        layer = random_conv_layer(np.random.default_rng(0), "conv", 3, 4,
+                                  kernel=3, padding=0)
+        session = Session(IntegerNetwork(conv_layers=[layer]))
+        with pytest.raises(InvalidInputError, match="collapses below 1x1"):
+            session.run_codes(np.zeros((1, 3, 2, 2), dtype=np.uint8))
+        codes = np.random.default_rng(1).integers(0, 256, (2, 3, 3, 3), dtype=np.uint8)
+        assert np.array_equal(session.run_codes(codes),
+                              session.network.forward_codes(codes))
+
+    def test_run_codes_takes_integer_and_bool_codes(self, net):
+        rng = np.random.default_rng(2)
+        session = Session(net)
+        for codes in (rng.integers(0, 256, (2, 3, 32, 32), dtype=np.uint8),
+                      rng.integers(0, 256, (2, 3, 32, 32)),
+                      rng.integers(0, 2, (2, 3, 32, 32)).astype(bool)):
+            assert np.array_equal(session.run_codes(codes), net.forward_codes(codes))
 
     @pytest.mark.parametrize("entry", ["run", "run_codes"])
     def test_concurrent_calls_on_one_session_are_exact(self, net, entry):

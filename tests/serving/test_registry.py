@@ -10,6 +10,8 @@ session: residency churn may never change an answer.
 """
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -48,6 +50,29 @@ def _two_of_three_budget(costs):
     budget = ordered[-1] + ordered[-2] + 1024
     assert budget < sum(ordered)
     return budget
+
+
+def _slow_loads(monkeypatch, seconds=0.5) -> threading.Event:
+    """Make every ``Session.load`` in this process sleep first, as a large
+    artifact's load would run; the event is set when one starts."""
+    from repro.runtime import Session
+
+    real, started = Session.load, threading.Event()
+
+    def slow(cls, path, *, mmap=False):
+        started.set()
+        time.sleep(seconds)
+        return real(path, mmap=mmap)
+
+    monkeypatch.setattr(Session, "load", classmethod(slow))
+    return started
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
 
 
 def _image(model, seed=21):
@@ -166,6 +191,131 @@ class TestRegistry:
             for entry in pinned:
                 registry.release(entry)
             registry.run("32x0.25", _image("32x0.25")[None])  # now fits
+
+    def test_stats_and_other_models_answer_during_a_cold_load(
+            self, fleet_dir, monkeypatch):
+        """The load runs outside the registry lock: while one model
+        loads, ``stats`` reports it loading and another model checks
+        out, each at once."""
+        with ModelRegistry.from_directory(fleet_dir) as registry:
+            registry.run("32x0.25", _image("32x0.25")[None])
+            started = _slow_loads(monkeypatch)
+            loader = threading.Thread(
+                target=registry.run, args=("64x0.25", _image("64x0.25")[None]))
+            loader.start()
+            try:
+                assert started.wait(10.0)
+                t0 = time.monotonic()
+                stats = registry.stats()
+                registry.release(registry.checkout("32x0.25"))
+                registry.validate_input("32x0.25", _image("32x0.25")[None])
+                assert time.monotonic() - t0 < 0.2
+                assert registry.entry("64x0.25").loading, "load ended early"
+                assert stats["models"]["64x0.25"]["loading"]
+                assert not stats["models"]["64x0.25"]["resident"]
+            finally:
+                loader.join()
+            assert registry.entry("64x0.25").resident
+            assert not registry.stats()["models"]["64x0.25"]["loading"]
+
+    def test_a_second_checkout_waits_for_the_load(self, fleet_dir, monkeypatch):
+        """Two checkouts of one cold model load it once and share it."""
+        with ModelRegistry.from_directory(fleet_dir) as registry:
+            _slow_loads(monkeypatch, seconds=0.2)
+            entries = []
+            threads = [threading.Thread(
+                target=lambda: entries.append(registry.checkout("32x0.25")))
+                for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert len(entries) == 2 and entries[0] is entries[1]
+            entry = entries[0]
+            assert entry.loads == 1 and registry.loads == 1
+            assert entry.inflight == 2 and entry.requests == 2
+            for e in entries:
+                registry.release(e)
+            assert entry.inflight == 0
+
+    def test_concurrent_checkouts_keep_the_books(self, fleet_dir, costs):
+        """Six threads (more than the cores) check models out and in
+        under a budget that holds two of three, with a short switch
+        interval: every checkout gets a resident session, and afterwards
+        nothing is in flight or loading, the load counters agree and the
+        budget holds."""
+        import sys
+
+        budget = _two_of_three_budget(costs)
+        errors = []
+        with ModelRegistry.from_directory(
+                fleet_dir, memory_budget_bytes=budget) as registry:
+            models = registry.models
+
+            def worker(seed):
+                rng = np.random.default_rng(seed)
+                for _ in range(15):
+                    try:
+                        entry = registry.checkout(models[rng.integers(3)])
+                    except OverBudgetError:
+                        continue  # every resident model was in flight
+                    try:
+                        if entry.session is None or entry.loading:
+                            errors.append(entry.name)
+                    finally:
+                        registry.release(entry)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=worker, args=(i,))
+                           for i in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            entries = [registry.entry(m) for m in models]
+            assert [(e.inflight, e.loading) for e in entries] == [(0, False)] * 3
+            assert registry.loads == sum(e.loads for e in entries)
+            assert registry.evictions == sum(e.evictions for e in entries)
+            assert registry.resident_bytes() <= budget
+
+    def test_a_loading_model_is_never_evicted(self, fleet_dir, costs,
+                                              monkeypatch):
+        """A resident model whose pool is starting is pinned: a second
+        model that only fits by evicting it is refused instead."""
+        from types import SimpleNamespace
+
+        budget = max(costs["32x0.25"], costs["64x0.25"]) + 1024
+        assert budget < costs["32x0.25"] + costs["64x0.25"]
+        with ModelRegistry.from_directory(
+                fleet_dir, memory_budget_bytes=budget) as registry:
+            registry.run("32x0.25", _image("32x0.25")[None])
+            registry.use_pools(SimpleNamespace(workers=1))
+
+            def slow_pool(*args):
+                time.sleep(0.3)
+                return SimpleNamespace(options=SimpleNamespace(workers=1),
+                                       close=lambda: None)
+
+            monkeypatch.setattr(registry, "_start_pool", slow_pool)
+            starter = threading.Thread(target=registry.checkout,
+                                       args=("32x0.25",))
+            starter.start()
+            try:
+                _wait_until(lambda: registry.entry("32x0.25").loading)
+                with pytest.raises(OverBudgetError):
+                    registry.checkout("64x0.25")
+            finally:
+                starter.join()
+            entry = registry.entry("32x0.25")
+            assert entry.resident and entry.pool is not None
+            assert entry.evictions == 0 and entry.inflight == 1
+            assert not registry.entry("64x0.25").resident
 
     def test_polymorphic_routing_inside_one_model(self, fleet_dir):
         """A smaller geometry runs in the model's one slab set, which the
@@ -386,6 +536,45 @@ class TestFleetServer:
                 assert stats["batches"]["retries"] == stats["pool"]["kills"]
                 pool = registry.entry("32x0.25").pool
                 assert pool.options.max_tile == max(32, options.max_batch)
+            finally:
+                await server.stop()
+
+        asyncio.run(_main())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_cold_load_leaves_the_front_end_responsive(
+            self, fleet_dir, monkeypatch, workers):
+        """While a cold model loads (and, pooled, starts its workers),
+        ``/healthz`` and ``/stats`` answer at once, and with a second
+        executor thread so does a resident model's predict."""
+        options = ServerOptions(port=0, max_wait_ms=2.0, workers=workers)
+
+        async def _main():
+            registry = ModelRegistry.from_directory(fleet_dir)
+            server = ServingServer(registry=registry, options=options,
+                                   default_model="32x0.25")
+            host, port = await server.start()
+            started = _slow_loads(monkeypatch)
+            try:
+                cold = asyncio.create_task(predict(
+                    host, port, _image("64x0.25"), model="64x0.25",
+                    timeout=60.0))
+                while not started.is_set():
+                    await asyncio.sleep(0.005)
+                calls = [request_json(host, port, "GET", "/healthz"),
+                         request_json(host, port, "GET", "/stats")]
+                if workers > 1:
+                    calls.append(predict(host, port, _image("32x0.25"),
+                                         model="32x0.25"))
+                for call in calls:
+                    t0 = time.monotonic()
+                    status, reply = await call
+                    assert status == 200, reply
+                    assert time.monotonic() - t0 < 0.2
+                assert registry.entry("64x0.25").loading, "load ended early"
+                status, reply = await cold
+                assert status == 200, reply
+                assert registry.entry("64x0.25").resident
             finally:
                 await server.stop()
 

@@ -10,6 +10,7 @@ engine, executor thread, watchdog and breaker all run for real.
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -182,6 +183,39 @@ class TestHungBatch:
             await alive(host, port, image)
 
         run_scenario(tiny_session, options, faults, scenario)
+
+    def test_an_abandoned_batch_skips_its_inference(self, image, wait_until):
+        """The watchdog gives up on a batch hung for 0.3 s after 0.1 s,
+        and the retry answers.  The hung thread wakes after that and
+        returns without running its tile: one predict, one
+        ``Session.run``."""
+        session = Session(integer_network_from_spec(
+            mobilenet_v1_spec(32, 0.25, num_classes=5),
+            np.random.default_rng(3)), input_hw=(32, 32))
+        options = BASE.replace(batch_timeout_s=0.1, retries=1)
+        faults = FaultInjector([FaultSpec("hang", every=1, delay=0.3, limit=1)])
+        hung = []
+        apply_batch_faults = faults.apply_batch_faults
+
+        def recording():
+            hung.append(threading.current_thread())
+            apply_batch_faults()
+
+        faults.apply_batch_faults = recording
+
+        async def scenario(server, host, port):
+            runs = []
+            run = session.run
+            session.run = lambda xs: runs.append(len(xs)) or run(xs)
+            status, _ = await predict(host, port, image, deadline_ms=0)
+            assert status == 200
+            assert server.stats.hung_batches == 1
+            # The abandoned executor's thread exits once its task ends.
+            await wait_until(lambda: not hung[0].is_alive(),
+                             desc="the hung thread woke and finished")
+            assert runs == [1]
+
+        run_scenario(session, options, faults, scenario)
 
     def test_woken_hung_batches_leave_live_answers_exact(self):
         """Each hung batch wakes after the watchdog has replaced its
