@@ -16,9 +16,10 @@ Five rule families (the rule name appears in every diagnostic):
 ``acc-bound``
     Per-layer worst-case ``|Phi|`` recomputed from the actual shifted
     weights (a-priori corner case *and* the refined weight-data bound,
-    plus split-K per-chunk bounds) must fit the dispatched backend:
-    float32 < 2^24, float64 < 2^53, int64 unconditional; any other
-    GEMM dtype is rejected.
+    plus split-K per-chunk bounds, each chunk operand being the very
+    column block of ``w2`` they are proved on) must fit the dispatched
+    backend: float32 < 2^24, float64 < 2^53, int64 unconditional; any
+    other GEMM dtype is rejected.
 ``container-dtype``
     Output codes must land in exactly the container
     :func:`~repro.inference.packing.container_dtype` prescribes for
@@ -276,6 +277,16 @@ def _check_acc_bound(layer, report: VerificationReport) -> None:
     report.passed("acc-bound")
 
 
+def _is_view(a, b: np.ndarray) -> bool:
+    """Whether ``a`` is the very array ``b``: the same memory, shape,
+    strides and dtype — not an equal copy — so what is proved of the
+    bytes ``b`` views holds for ``a``."""
+    return (isinstance(a, np.ndarray) and a.dtype == b.dtype
+            and a.shape == b.shape and a.strides == b.strides
+            and a.__array_interface__["data"][0]
+            == b.__array_interface__["data"][0])
+
+
 def _check_split_k(layer, w: np.ndarray, x_mag: int,
                    report: VerificationReport) -> None:
     """Split-K soundness: chunk partition + per-chunk float32 bounds."""
@@ -326,12 +337,13 @@ def _check_split_k(layer, w: np.ndarray, x_mag: int,
             )
             ok = False
     w2c = getattr(layer, "w2_chunks", None)
-    if w2c is None or len(w2c) != len(chunks) or any(
-        c.shape != (w.shape[0], k1 - k0) for c, (k0, k1) in zip(w2c, chunks)
+    if w2c is None or len(w2c) != len(chunks) or not all(
+        _is_view(c, layer.w2[:, k0:k1]) for c, (k0, k1) in zip(w2c, chunks)
     ):
         report.fail(
             "structure", name,
-            "w2_chunks do not match the declared split-K partition",
+            "w2_chunks are not the column blocks w2[:, k0:k1] of the "
+            "declared split-K partition",
         )
         ok = False
     if ok:

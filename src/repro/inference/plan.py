@@ -544,11 +544,12 @@ class CompiledConvLayer:
         # One cast from the narrow shifted weights into the GEMM dtype
         # (a fresh C-contiguous array).
         w2 = w_shift.reshape(self.out_channels, -1).astype(self.gemm_dtype)
-        del w_shift  # freed before the split-K copies: a lower compile peak
         self.w2 = w2
+        # Split-K operands are column views of ``w2`` (BLAS takes the
+        # row stride), so the layer holds its weights once.
         self.w2_chunks = (
             None if self.split_k is None
-            else [np.ascontiguousarray(w2[:, k0:k1]) for k0, k1 in self.split_k]
+            else tuple(w2[:, k0:k1] for k0, k1 in self.split_k)
         )
         self.gemm_itemsize = self.gemm_dtype.itemsize
         if self.kind == "dw" and self.backend == "blas":

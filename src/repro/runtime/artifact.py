@@ -40,13 +40,15 @@ import os
 import shutil
 import uuid
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.inference.export import export_network, import_network, validate_export
-from repro.runtime.errors import ArtifactError, ArtifactNotFoundError
+from repro.nn.functional import conv_output_size
+from repro.runtime.errors import ArtifactError, ArtifactNotFoundError, InvalidInputError
 
 ARTIFACT_FORMAT = "repro/session-artifact"
 ARTIFACT_VERSION = 1
@@ -93,15 +95,95 @@ def manifest_input_hw(manifest: Dict) -> Optional[Tuple[int, int]]:
     return normalize_hw(hw) if hw is not None else _session_input_hw(manifest)
 
 
-def manifest_input_channels(manifest: Dict) -> Optional[int]:
-    """The input channel count of an artifact's first conv layer: a
-    depthwise layer's ``weight_shape[0]`` (one filter per channel),
-    else ``weight_shape[1]``; None for a network without conv layers."""
-    layers = manifest.get("network", {}).get("conv_layers") or []
-    if not layers:
-        return None
-    shape = layers[0]["weight_shape"]
-    return int(shape[0] if layers[0]["kind"] == "dw" else shape[1])
+@dataclass(frozen=True)
+class InputSpec:
+    """The batches a model accepts, read from its compiled plan (a
+    :class:`~repro.runtime.Session`'s) or its manifest (a fleet entry's):
+    the first conv layer's input ``channels`` (None without one), each
+    conv layer's ``(name, kh, kw, stride, padding)``, and the native
+    geometry ``max_hw`` a manifest records (None for a plan)."""
+
+    channels: Optional[int]
+    layers: Tuple[Tuple[str, int, int, int, int], ...]
+    max_hw: Optional[Tuple[int, int]] = None
+
+    @classmethod
+    def from_plan(cls, plan) -> "InputSpec":
+        layers = plan.layers
+        return cls(
+            layers[0].in_channels if layers else None,
+            tuple((l.name, l.kh, l.kw, l.stride, l.padding) for l in layers),
+        )
+
+    @classmethod
+    def from_manifest(cls, manifest: Dict) -> "InputSpec":
+        """The spec a manifest records: its ``network.conv_layers``
+        (a depthwise first layer has ``weight_shape[0]`` input channels,
+        any other ``weight_shape[1]``) and :func:`manifest_input_hw`.
+        A layer entry it cannot read is an :class:`ArtifactError`."""
+        convs = manifest.get("network", {}).get("conv_layers") or []
+        try:
+            channels = None
+            if convs:
+                shape = convs[0]["weight_shape"]
+                channels = int(shape[0] if convs[0]["kind"] == "dw" else shape[1])
+            layers = tuple(
+                (str(c["name"]), int(c["weight_shape"][2]), int(c["weight_shape"][3]),
+                 int(c["stride"]), int(c["padding"]))
+                for c in convs
+            )
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ArtifactError(
+                f"unreadable network.conv_layers entry: {exc!r}") from exc
+        return cls(channels, layers, manifest_input_hw(manifest))
+
+    def check(self, x, codes: bool = False) -> np.ndarray:
+        """``x`` as an array, or :class:`InvalidInputError` (a client
+        error; the serving tier answers 400): not array-like, not a real
+        numeric dtype (for ``codes``, not integer or bool), not NCHW,
+        another channel count, larger than ``max_hw``, a geometry some
+        layer shrinks below 1x1, or (real input) a NaN or Inf."""
+        try:
+            arr = np.asarray(x)
+        except Exception as exc:
+            raise InvalidInputError(f"input is not array-like: {exc}") from exc
+        integral = (np.issubdtype(arr.dtype, np.integer)
+                    or np.issubdtype(arr.dtype, np.bool_))
+        if codes and not integral:
+            raise InvalidInputError(
+                f"input codes dtype {arr.dtype} is not an integer type"
+            )
+        if arr.dtype == object or not (
+                integral or np.issubdtype(arr.dtype, np.floating)):
+            raise InvalidInputError(
+                f"input dtype {arr.dtype} is not a real numeric type"
+            )
+        if arr.ndim != 4:
+            raise InvalidInputError(
+                f"input must be an NCHW batch (4 dims), got shape {arr.shape}"
+            )
+        c, h, w = (int(d) for d in arr.shape[1:])
+        if self.channels is not None and c != self.channels:
+            raise InvalidInputError(
+                f"input has {c} channel(s), the network expects {self.channels}"
+            )
+        if self.max_hw is not None and (h > self.max_hw[0] or w > self.max_hw[1]):
+            raise InvalidInputError(
+                f"input geometry {h}x{w} exceeds the model's max geometry "
+                f"{self.max_hw[0]}x{self.max_hw[1]}"
+            )
+        oh, ow = h, w
+        for name, kh, kw, stride, padding in self.layers:
+            oh = conv_output_size(oh, kh, stride, padding)
+            ow = conv_output_size(ow, kw, stride, padding)
+            if oh < 1 or ow < 1:
+                raise InvalidInputError(
+                    f"input geometry {h}x{w} collapses below 1x1 at layer {name!r}"
+                )
+        if (not codes and arr.size and np.issubdtype(arr.dtype, np.floating)
+                and not np.isfinite(arr).all()):
+            raise InvalidInputError("input contains non-finite values (NaN/Inf)")
+        return arr
 
 
 class _BlobWriter:
@@ -241,15 +323,13 @@ class MappedBlobs:
         self.close()
 
 
-def _internalize(node, blobs, table: Dict[str, Dict], path: Path,
-                 copy: bool = True):
+def _internalize(node, blobs, table: Dict[str, Dict], path: Path):
     """Inverse of :func:`_externalize`: resolve blob refs, CRC-checked.
 
-    ``blobs`` is anything byte-sliceable — the whole file as ``bytes``,
-    or a :class:`MappedBlobs` whose slices are zero-copy memoryviews.
-    With ``copy=False`` the arrays stay views of ``blobs`` (read-only,
-    backed by shared pages in the mmap case); with ``copy=True`` they
-    own their bytes.
+    ``blobs`` is the whole file as a memoryview over one heap buffer, or
+    a :class:`MappedBlobs` whose slices are zero-copy memoryviews into
+    the mapping; either way every array is a view of it (read-only and
+    backed by shared pages in the mmap case).
     """
     if isinstance(node, dict):
         if set(node) == {"$blob"}:
@@ -273,12 +353,10 @@ def _internalize(node, blobs, table: Dict[str, Dict], path: Path,
                     f"match the recorded CRC32 {int(meta['crc32']):#010x}"
                 )
             arr = np.frombuffer(raw, dtype=np.dtype(meta["dtype"]))
-            arr = arr.reshape(tuple(meta["shape"]))
-            return arr.copy() if copy else arr
-        return {k: _internalize(v, blobs, table, path, copy)
-                for k, v in node.items()}
+            return arr.reshape(tuple(meta["shape"]))
+        return {k: _internalize(v, blobs, table, path) for k, v in node.items()}
     if isinstance(node, list):
-        return [_internalize(v, blobs, table, path, copy) for v in node]
+        return [_internalize(v, blobs, table, path) for v in node]
     return node
 
 
@@ -402,9 +480,10 @@ def load_artifact(path: Union[str, Path], *, mmap: bool = False):
     :func:`import_network` — all without the original
     ``IntegerNetwork``.
 
-    With ``mmap=True`` the blob file is memory-mapped read-only instead
-    of read into the heap: every weight tensor becomes a read-only view
-    of the mapping (zero copies, CRC still verified against the mapped
+    Every tensor is a view of the blob file's bytes.  By default the
+    file is read into one heap buffer; with ``mmap=True`` it is
+    memory-mapped read-only instead: every weight tensor becomes a
+    read-only view of the mapping (CRC still verified against the mapped
     bytes), and because the pages are file-backed and read-only the OS
     shares them between every process that loads the same artifact —
     the memory model behind :class:`repro.runtime.pool.WorkerPool`.
@@ -429,11 +508,10 @@ def load_artifact(path: Union[str, Path], *, mmap: bool = False):
         except (OSError, ValueError) as exc:
             raise ArtifactError(f"{root}: cannot mmap {BLOBS_NAME}: {exc}") from exc
     else:
-        blobs = blobs_path.read_bytes()
+        blobs = _read_blobs(blobs_path)
     try:
         exported = _internalize(
             manifest["network"], blobs, manifest.get("blobs", {}), root,
-            copy=not mmap,
         )
         validate_export(exported)
         network = import_network(exported)
@@ -455,6 +533,15 @@ def load_artifact(path: Union[str, Path], *, mmap: bool = False):
         # registry's eviction path) instead of waiting for GC.
         network.mapped_blobs = blobs
     return network, input_hw, manifest
+
+
+def _read_blobs(path: Path) -> memoryview:
+    """``blobs.bin`` read into one heap buffer, which every loaded array
+    then views: the heap holds the file once."""
+    with open(path, "rb") as fh:
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        n = fh.readinto(buf)
+    return memoryview(buf)[:n]
 
 
 def _close_quietly(blobs) -> None:

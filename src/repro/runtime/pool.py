@@ -58,11 +58,7 @@ from typing import Any, Deque, List, Optional, Union
 
 import numpy as np
 
-from repro.runtime.artifact import (
-    manifest_input_channels,
-    manifest_input_hw,
-    read_manifest,
-)
+from repro.runtime.artifact import InputSpec, read_manifest
 from repro.runtime.errors import (
     PoolClosedError,
     WorkerCrashedError,
@@ -240,13 +236,13 @@ class WorkerPool:
 
     def _slab_bytes(self, manifest: dict) -> int:
         try:
-            hw = manifest_input_hw(manifest)
-            channels = manifest_input_channels(manifest)
-        except (KeyError, IndexError, TypeError, ValueError):
+            spec = InputSpec.from_manifest(manifest)
+        except ValueError:
             return _FALLBACK_SLAB_BYTES
-        if hw is None or channels is None:
+        if spec.max_hw is None or spec.channels is None:
             return _FALLBACK_SLAB_BYTES
-        per_image = channels * hw[0] * hw[1] * 8  # float64 NCHW
+        h, w = spec.max_hw
+        per_image = spec.channels * h * w * 8  # float64 NCHW
         return max(64 * 1024, self.options.max_tile * per_image)
 
     # -- lifecycle -----------------------------------------------------

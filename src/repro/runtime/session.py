@@ -19,8 +19,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.inference.plan import ExecutionPlan
-from repro.runtime.artifact import load_artifact, normalize_hw, save_artifact
-from repro.runtime.errors import InvalidInputError
+from repro.runtime.artifact import InputSpec, load_artifact, normalize_hw, save_artifact
 
 
 @dataclass
@@ -100,6 +99,8 @@ class Session:
         self.mapped_blobs = getattr(network, "mapped_blobs", None)
         self._closed = False
         self._plan = ExecutionPlan(network)
+        #: The batches the plan accepts (:class:`InputSpec`).
+        self.input_spec = InputSpec.from_plan(self._plan)
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -180,60 +181,11 @@ class Session:
         Rejections raise :class:`~repro.runtime.errors.InvalidInputError`
         (a client-side error by contract — the serving tier maps it to a
         400) instead of letting numpy internals leak out of a kernel:
-        non-array payloads, non-real dtypes, wrong rank, wrong channel
-        count, NaN/Inf values, and geometries the layer cascade shrinks
-        below one pixel.
+        :attr:`input_spec`'s checks.
         """
-        arr = self._check_batch(x_real, codes=False)
-        if arr.size and np.issubdtype(arr.dtype, np.floating) \
-                and not np.isfinite(arr).all():
-            raise InvalidInputError("input contains non-finite values (NaN/Inf)")
-        return arr
-
-    def _check_batch(self, x, *, codes: bool) -> np.ndarray:
-        """The checks :meth:`validate_input` and :meth:`run_codes` share:
-        an array of a real numeric dtype (integer or bool for ``codes``),
-        NCHW, with the first layer's channel count and a geometry no
-        layer shrinks below one pixel."""
-        plan = self.plan
-        try:
-            arr = np.asarray(x)
-        except Exception as exc:
-            raise InvalidInputError(f"input is not array-like: {exc}") from exc
-        integral = (np.issubdtype(arr.dtype, np.integer)
-                    or np.issubdtype(arr.dtype, np.bool_))
-        if codes and not integral:
-            raise InvalidInputError(
-                f"input codes dtype {arr.dtype} is not an integer type"
-            )
-        if arr.dtype == object or not (
-                integral or np.issubdtype(arr.dtype, np.floating)):
-            raise InvalidInputError(
-                f"input dtype {arr.dtype} is not a real numeric type"
-            )
-        if arr.ndim != 4:
-            raise InvalidInputError(
-                f"input must be an NCHW batch (4 dims), got shape {arr.shape}"
-            )
-        if plan.layers:
-            expected = plan.layers[0].in_channels
-            if arr.shape[1] != expected:
-                raise InvalidInputError(
-                    f"input has {arr.shape[1]} channel(s), the compiled "
-                    f"network expects {expected}"
-                )
-            h, w = int(arr.shape[2]), int(arr.shape[3])
-            from repro.nn.functional import conv_output_size
-
-            for layer in plan.layers:
-                h = conv_output_size(h, layer.kh, layer.stride, layer.padding)
-                w = conv_output_size(w, layer.kw, layer.stride, layer.padding)
-                if h < 1 or w < 1:
-                    raise InvalidInputError(
-                        f"input geometry {arr.shape[2]}x{arr.shape[3]} "
-                        f"collapses below 1x1 at layer {layer.name!r}"
-                    )
-        return arr
+        if self._closed:
+            raise RuntimeError("session is closed")
+        return self.input_spec.check(x_real)
 
     # -- serving -------------------------------------------------------
     def run(self, x_real: np.ndarray) -> np.ndarray:
@@ -245,7 +197,7 @@ class Session:
         channel and geometry checks of :meth:`validate_input` and must
         hold integers (or bools), else :class:`InvalidInputError`; the
         plan then range-checks the codes (``ValueError``)."""
-        return self.plan.run_codes(self._check_batch(x_codes, codes=True))
+        return self.plan.run_codes(self.input_spec.check(x_codes, codes=True))
 
     def run_batched(self, x_real: np.ndarray, batch_size: int = 32) -> np.ndarray:
         """Stream a sweep through the arena in ``batch_size`` tiles."""

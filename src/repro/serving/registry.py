@@ -5,12 +5,10 @@ resident — the point of the paper's memory accounting is that models
 are sized against a *device budget*, and the registry applies the same
 discipline to the serving host: every resident model is charged its
 read-only weight bytes (the ``blobs.bin`` it maps) plus its Eq. 7
-activation-arena peak, and the sum must stay inside
-``memory_budget_bytes``.  Admission of a newly-loaded model is the
-deployment gate itself — :func:`repro.mcu.deploy.assert_arena_fits`
-against a synthetic :class:`~repro.mcu.device.MCUDevice` whose RAM is
-whatever the budget has left — so serving-side residency and MCU-side
-deployability are one check, not two parallel accountings.
+activation-arena peak at its native geometry, and the sum must stay
+inside ``memory_budget_bytes``: a newly-loaded model is admitted once
+``resident + weights + arena <= budget``, with the arena peak read from
+its compiled plan.
 
 Residency is managed lazily with LRU eviction:
 
@@ -36,10 +34,11 @@ from the server's options and fault injector); each resident model gets
 its own pool on first checkout, torn down at eviction or close.
 
 The registry owns the budget, so it owns the limit the budget was
-sized for: every entry with a manifest rejects an input larger than the
-model's native geometry, or with another channel count than its first
-layer, as :class:`~repro.runtime.errors.InvalidInputError`, resident or
-cold, at admission and in :meth:`ModelRegistry.run`.
+sized for: an entry with a manifest checks every batch, at admission
+and in :meth:`ModelRegistry.run`, against the manifest's
+:class:`~repro.runtime.artifact.InputSpec` (a loaded session's checks
+plus the native geometry as a maximum), cold, loading or resident
+alike, so a rejection loads nothing.
 
 All public methods are thread-safe; ``run`` is called from the batch
 engine's executor threads.
@@ -49,16 +48,11 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.runtime.artifact import (
-    manifest_input_channels,
-    manifest_input_hw,
-    read_manifest,
-)
-from repro.runtime.errors import InvalidInputError
+from repro.runtime.artifact import InputSpec, read_manifest
 from repro.serving.errors import ModelNotFoundError, OverBudgetError
 
 
@@ -68,8 +62,11 @@ class FleetEntry:
     def __init__(self, name: str, path: Optional[Path], manifest: dict):
         self.name = name
         self.path = Path(path) if path is not None else None
-        self.max_hw = manifest_input_hw(manifest)
-        self.in_channels = manifest_input_channels(manifest)
+        #: The batches the model accepts, as its manifest records them.
+        self.spec = InputSpec.from_manifest(manifest)
+        #: Checks a batch for this model: the spec's check, or an adopted
+        #: session's :meth:`~repro.runtime.Session.validate_input`.
+        self.check = self.spec.check
         #: Read-only cost: the byte length of blobs.bin (what the mmap
         #: pins), from the manifest blob table.
         self.ro_bytes = sum(
@@ -103,28 +100,13 @@ class FleetEntry:
     def cost_bytes(self) -> int:
         return self.ro_bytes + int(self.rw_bytes or 0)
 
-    def check_input(self, x: np.ndarray) -> None:
-        """Reject what the manifest rules out: a batch that is not NCHW,
-        has another channel count than the model's first layer, or
-        exceeds the native geometry the model is budgeted at.  An
-        adopted session has no manifest, so only the rank is checked
-        here; the session validates the rest itself."""
-        if x.ndim != 4:
-            raise InvalidInputError(
-                f"input must be NCHW (4 dims), got shape {x.shape}"
-            )
-        if self.in_channels is not None and x.shape[1] != self.in_channels:
-            raise InvalidInputError(
-                f"input has {x.shape[1]} channel(s), model {self.name!r} "
-                f"expects {self.in_channels}"
-            )
-        if self.max_hw is not None:
-            h, w = int(x.shape[2]), int(x.shape[3])
-            if h > self.max_hw[0] or w > self.max_hw[1]:
-                raise InvalidInputError(
-                    f"input geometry {h}x{w} exceeds model {self.name!r}'s "
-                    f"max geometry {self.max_hw[0]}x{self.max_hw[1]}"
-                )
+    @property
+    def max_hw(self) -> Optional[Tuple[int, int]]:
+        return self.spec.max_hw
+
+    @property
+    def in_channels(self) -> Optional[int]:
+        return self.spec.channels
 
     def to_dict(self) -> dict:
         return {
@@ -206,6 +188,7 @@ class ModelRegistry:
         entry = FleetEntry(name, None, {})
         entry.session = session
         entry.borrowed = True
+        entry.check = session.validate_input
         return self._register(entry)
 
     def _register(self, entry: FleetEntry) -> FleetEntry:
@@ -302,8 +285,11 @@ class ModelRegistry:
 
     def run(self, name: str, xs: np.ndarray) -> np.ndarray:
         """Execute one tile on ``name``'s session (or worker pool) —
-        the batch engine's executor-thread body."""
-        self.entry(name).check_input(np.asarray(xs))
+        the batch engine's executor-thread body.  An adopted session
+        checks the tile as it runs; any other entry checks it first."""
+        entry = self.entry(name)
+        if not entry.borrowed:
+            entry.check(xs)
         entry = self.checkout(name)
         try:
             if entry.pool is not None:
@@ -312,28 +298,11 @@ class ModelRegistry:
         finally:
             self.release(entry)
 
-    def validate_input(self, name: str, x_real) -> None:
-        """Boundary validation without forcing a load.
-
-        Every entry first gets the checks its manifest can answer
-        (:meth:`FleetEntry.check_input`: rank, channels, native
-        geometry).  Resident models then delegate to the session's full
-        check; cold models get a finiteness scan — so a bad request is a
-        400 at admission rather than a load plus a batch failure.
-        """
-        entry = self.entry(name)
-        x = np.asarray(x_real)
-        entry.check_input(x)
-        with self._lock:
-            session = entry.session
-        if session is not None:
-            try:
-                session.validate_input(x)
-                return
-            except RuntimeError:
-                pass  # evicted between the snapshot and the check
-        if not np.isfinite(x).all():
-            raise InvalidInputError("input contains non-finite values")
+    def validate_input(self, name: str, x_real) -> np.ndarray:
+        """Check one batch for ``name`` at admission without a load
+        (:attr:`FleetEntry.check`); a rejection is an
+        :class:`~repro.runtime.errors.InvalidInputError`."""
+        return self.entry(name).check(x_real)
 
     def _pre_evict_locked(self, entry: FleetEntry) -> None:
         """Evict on manifest metadata before a load, so the transient
@@ -371,16 +340,12 @@ class ModelRegistry:
                     entry.session, session = session, None
                     entry.loads += 1
                     self.loads += 1
-                    rw = self.rw_from_plan(entry)
-                    if rw is not None:
-                        entry.rw_bytes = rw
                 if pool is not None:
                     entry.pool, pool = pool, None
         except OverBudgetError as exc:
-            # Keep only the message: the live exception's traceback (and
-            # chained assert_arena_fits frames) pins the plan — and with
-            # it the mmap views — which would make session.close() fail
-            # with BufferError.
+            # Keep only the message: the live exception's traceback pins
+            # the plan — and with it the mmap views — which would make
+            # session.close() fail with BufferError.
             failure = OverBudgetError(str(exc))
         except BaseException as exc:
             failure = exc
@@ -395,52 +360,21 @@ class ModelRegistry:
         if failure is not None:
             raise failure
 
-    @staticmethod
-    def rw_from_plan(entry: FleetEntry) -> Optional[int]:
-        session = entry.session
-        if session is None or entry.max_hw is None:
-            return entry.rw_bytes
-        if not session.plan.layers:
-            return entry.rw_bytes
-        return session.plan.arena_for(entry.max_hw).logical_rw_peak_bytes
-
     def _admit_locked(self, entry: FleetEntry, session) -> None:
-        """The budget gate: the newcomer's arena must fit the RAM the
-        budget has left after its weights and everyone resident — the
-        same :func:`assert_arena_fits` check an MCU deployment runs."""
-        if self.memory_budget_bytes is None:
-            return
-        if entry.max_hw is None or not session.plan.layers:
-            # No arena to size: charge weights only.
-            while (self.resident_bytes() + entry.ro_bytes
+        """The budget gate: evict LRU idle models until everyone resident
+        plus the newcomer's weights and its Eq. 7 arena peak at the
+        native geometry (0 without one) fit the budget, then record that
+        peak as the entry's arena cost."""
+        plan = session.plan
+        rw = (plan.arena_for(entry.max_hw).logical_rw_peak_bytes
+              if entry.max_hw is not None and plan.layers else None)
+        if self.memory_budget_bytes is not None:
+            while (self.resident_bytes() + entry.ro_bytes + (rw or 0)
                    > self.memory_budget_bytes):
                 if not self._evict_lru_locked():
                     raise OverBudgetError(self._over_budget_msg(entry))
-            return
-        from repro.mcu.deploy import assert_arena_fits
-        from repro.mcu.device import MCUDevice
-
-        while True:
-            free = self.memory_budget_bytes - self.resident_bytes()
-            device = MCUDevice(
-                name="fleet-budget",
-                flash_bytes=max(1, free),
-                ram_bytes=max(1, free - entry.ro_bytes),
-                clock_hz=1,
-            )
-            try:
-                if entry.ro_bytes > free:
-                    raise ValueError(
-                        f"weights {entry.ro_bytes} B exceed the free "
-                        f"budget {free} B"
-                    )
-                assert_arena_fits(session.plan, device, entry.max_hw)
-                return
-            except ValueError:
-                if not self._evict_lru_locked():
-                    raise OverBudgetError(
-                        self._over_budget_msg(entry)
-                    ) from None
+        if rw is not None:
+            entry.rw_bytes = rw
 
     def _over_budget_msg(self, entry: FleetEntry) -> str:
         return (

@@ -597,8 +597,8 @@ class ServingServer:
                 f"unknown model {model!r}; fleet has {self.registry.models}"
             )
         try:
-            # Cold models validate against manifest metadata only —
-            # loading happens off the event loop, at batch time.
+            # Checked without a load: loading happens off the event
+            # loop, at batch time.
             self.registry.validate_input(model, x[None])
         except InvalidInputError as exc:
             self.stats.malformed += 1

@@ -372,6 +372,49 @@ class TestCorruptionRejection:
         assert "requant-shift" in rules
 
 
+@pytest.fixture(scope="module")
+def widest_artifact(tmp_path_factory):
+    """The widest config, saved: its split-K layer is checked on a
+    loaded plan."""
+    return Session(_network(CONFIGS[-1])).save(
+        tmp_path_factory.mktemp("widest") / "model.artifact")
+
+
+class TestSplitKOperand:
+    """A split-K layer runs column blocks of ``w2``, and the verifier
+    proves its bounds on ``w2``; so a chunk that is not the very block
+    ``w2[:, k0:k1]`` is refused, whatever its values."""
+
+    @staticmethod
+    def _split_k_layer(path):
+        plan = Session.load(path).plan
+        return plan, next(l for l in plan.layers if l.split_k is not None)
+
+    def test_chunks_are_column_views_of_w2(self, widest_artifact):
+        _, layer = self._split_k_layer(widest_artifact)
+        for chunk, (k0, k1) in zip(layer.w2_chunks, layer.split_k):
+            assert chunk.base is layer.w2
+            assert np.array_equal(chunk, layer.w2[:, k0:k1])
+
+    @pytest.mark.parametrize("forge,rule", [
+        ("in-place", "acc-bound"),    # the edit lands in w2, out of range
+        ("edited-copy", "structure"),
+        ("equal-copy", "structure"),  # right values, not the proved bytes
+    ])
+    def test_a_forged_chunk_is_rejected(self, widest_artifact, forge, rule):
+        plan, victim = self._split_k_layer(widest_artifact)
+        chunks = list(victim.w2_chunks)
+        if forge != "in-place":
+            chunks[0] = chunks[0].copy()
+        if forge != "equal-copy":
+            chunks[0][:, 0] += 1000
+        victim.w2_chunks = tuple(chunks)
+        with pytest.raises(PlanVerificationError) as exc_info:
+            verify_plan(plan, HW)
+        assert exc_info.value.rules == [rule]
+        assert exc_info.value.layers == [victim.name]
+
+
 class TestArtifactAndSession:
     def test_saved_artifact_verifies(self, tmp_path):
         net = _network(CONFIGS[0])

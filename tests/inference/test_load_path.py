@@ -1,5 +1,5 @@
-"""The load path: compiling from the narrow weight codes, and unpacking
-each sub-byte blob once.
+"""The load path: reading the blob file once, compiling from the narrow
+weight codes, and unpacking each sub-byte blob once.
 
 The compiler shifts weights into the signed dtype one step wider than
 their container (int16 for uint8 codes) and takes every bound there.  An
@@ -38,6 +38,7 @@ from repro.inference.testing import (
 )
 from repro.mcu.device import STM32H7, STM32L4
 from repro.models.model_zoo import all_mobilenet_configs, mobilenet_v1_spec
+from repro.runtime.artifact import load_artifact, save_artifact
 
 _SPECS = all_mobilenet_configs()
 _POLICIES = ("uniform", "STM32H7", "STM32L4")
@@ -122,7 +123,7 @@ def _oracle_conv(layer) -> dict:
         if split is not None:
             gemm, acc = np.dtype(np.float32), np.dtype(np.float64)
     w2 = np.ascontiguousarray(w_shift.reshape(c_out, -1).astype(gemm))
-    chunks = None if split is None else [np.ascontiguousarray(w2[:, a:b]) for a, b in split]
+    chunks = None if split is None else [w2[:, a:b] for a, b in split]
     if kind == "dw" and backend == "blas":
         w2 = np.ascontiguousarray(w2[:, None, :])
     return {"backend": backend, "gemm_dtype": gemm, "acc_dtype": acc,
@@ -162,6 +163,7 @@ def _assert_conv_matches(compiled: CompiledConvLayer, want: dict):
         assert len(compiled.w2_chunks) == len(want["w2_chunks"]), name
         for got, ref in zip(compiled.w2_chunks, want["w2_chunks"]):
             _assert_same_array(got, ref, f"{name} w2_chunks")
+            assert got.base is compiled.w2, f"{name} w2_chunks copy w2"
 
 
 def _assert_linear_matches(compiled: CompiledLinear, want: dict):
@@ -348,7 +350,7 @@ def test_validation_rejects_a_wrong_declared_container(declared):
 
 
 # ----------------------------------------------------------------------
-# Compile memory
+# Load and compile memory
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=None)
 def _memory_builds():
@@ -372,4 +374,20 @@ def test_compiling_peaks_near_what_the_plan_keeps(build):
     finally:
         tracemalloc.stop()
     assert plan.layers
+    assert peak <= 1.25 * retained, (peak, retained)
+
+
+@pytest.mark.parametrize("build", ["128_0.5", "224_1.0", "STM32H7 224_1.0"])
+def test_a_heap_load_holds_the_blob_file_once(build, tmp_path):
+    """``load_artifact`` reads ``blobs.bin`` into one buffer that every
+    loaded array views, so its peak stays within a quarter of what it
+    keeps (a copy of every blob out of the file peaked at 1.75-2.2x)."""
+    path = save_artifact(tmp_path / "model.artifact", _memory_builds()[build])
+    tracemalloc.start()
+    try:
+        network, _, _ = load_artifact(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert network.conv_layers
     assert peak <= 1.25 * retained, (peak, retained)

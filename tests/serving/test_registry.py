@@ -498,6 +498,39 @@ class TestFleetServer:
 
         self._scenario(fleet_dir, _two_of_three_budget(costs), body)
 
+    def test_a_collapsing_geometry_is_400_cold_and_resident(self, tmp_path):
+        """A geometry that an unpadded layer shrinks below 1x1 is refused
+        by the manifest's spec as the loaded session would refuse it: a
+        400 whether the model is cold or resident, and the cold request
+        loads nothing, retries nothing and fails no breaker."""
+        from repro.inference.testing import random_network
+        from repro.runtime import Session
+
+        net = random_network(np.random.default_rng(0), resolution=12,
+                             max_layers=4)
+        Session(net, input_hw=(12, 12)).save(tmp_path / "rand")
+        tiny = np.zeros((3, 1, 1))
+        ok = np.random.default_rng(4).uniform(0.0, 1.0, (3, 12, 12))
+
+        async def body(server, registry, host, port):
+            status, reply = await predict(host, port, tiny, model="rand")
+            assert status == 400, reply
+            assert "collapses" in reply["detail"]
+            status, stats = await request_json(host, port, "GET", "/stats")
+            assert stats["registry"]["loads"] == 0
+            assert stats["batches"]["retries"] == 0
+            assert server.stats.failed == 0
+            assert server.engine.breaker_for("rand").consecutive_failures == 0
+            status, _ = await predict(host, port, ok, model="rand")
+            assert status == 200
+            assert registry.entry("rand").resident
+            status, reply = await predict(host, port, tiny, model="rand")
+            assert status == 400, reply
+            assert "collapses" in reply["detail"]
+            assert registry.loads == 1
+
+        self._scenario(tmp_path, None, body)
+
     def test_pooled_fleet_gets_the_single_model_pool(self, fleet_dir, costs):
         """``--workers 2`` on a fleet: the default model's pool is built
         like a pooled single model's — the server's fault injector,
