@@ -176,7 +176,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retries=args.retries,
         circuit_threshold=args.circuit_threshold,
         circuit_reset_s=args.circuit_reset,
-        degrade=not args.no_degrade,
         workers=args.workers,
     )
     serve(session, options, faults=faults, ttl_s=args.ttl,
@@ -380,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "circuit breaker (default: 5)")
     p_serve.add_argument("--circuit-reset", type=float, default=2.0,
                          help="seconds before a half-open probe (default: 2)")
-    p_serve.add_argument("--no-degrade", action="store_true",
-                         help="disable the batch-of-1 poisoned-tile fallback")
     p_serve.add_argument("--workers", type=int, default=1,
                          help="worker processes sharing one mmap'd copy of "
                               "the weights (default: 1 = in-process)")

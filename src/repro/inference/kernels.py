@@ -325,7 +325,7 @@ def int_conv2d(
         w_shift = shift_weights(w_codes, z_w, c_out).astype(np.int64, copy=False)
     # Shift activations by Z_x before im2col so zero padding contributes 0.
     x_shift = np.subtract(x_codes, int(z_x), dtype=np.int64)
-    cols = im2col(x_shift, kh, kw, stride, padding, contiguous=False)
+    cols = im2col(x_shift, kh, kw, stride, padding)
     phi = int_einsum_gemm(w_shift.reshape(c_out, -1), cols)
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
@@ -363,7 +363,7 @@ def int_depthwise_conv2d(
         except ValueError:
             raise ValueError("per-channel z_w must have one entry per channel") from None
     x_shift = np.subtract(x_codes, int(z_x), dtype=np.int64)
-    cols = im2col(x_shift, kh, kw, stride, padding, contiguous=False)
+    cols = im2col(x_shift, kh, kw, stride, padding)
     cols = cols.reshape(n, c, kh * kw, oh * ow)
     phi = np.einsum("ck,nckl->ncl", w_shift.reshape(c, kh * kw), cols, optimize=True)
     return phi.reshape(n, c, oh, ow)

@@ -30,19 +30,17 @@ def im2col(
     kw: int,
     stride: int,
     pad: int,
-    contiguous: bool = True,
     out: np.ndarray | None = None,
     wide: bool = False,
 ) -> np.ndarray:
     """Unfold ``x`` (N, C, H, W) into columns of shape (N, C*kh*kw, L),
     with ``L = OH*OW`` (or the wide row grid's length, below).
 
-    With ``contiguous=False`` the result is not forced into a fresh
-    C-contiguous buffer: for 1x1 kernels the reshape is a pure view of the
-    input, and consumers that accept strided arrays (``einsum``,
-    ``matmul``) skip one full copy of the unfolded tensor.  Overlapping
-    kernels still copy inside ``reshape`` (the strided view cannot be
-    reshaped in place), so the flag only elides the redundant second copy.
+    The result is the reshape of a strided view, never forced into a
+    fresh C-contiguous buffer: for a 1x1/s1 kernel over a C-contiguous
+    input it is a read-only view of the input, which consumers that
+    accept strided arrays (``einsum``, ``matmul``) read without a copy;
+    overlapping kernels copy once, inside ``reshape``.
 
     With ``out`` the unfolded columns are written into the caller's
     preallocated ``(N, C*kh*kw, L)`` buffer (an activation-arena
@@ -99,10 +97,7 @@ def im2col(
             )
         np.copyto(out.reshape(shape), view)
         return out
-    cols = view.reshape(cols_shape)
-    if contiguous:
-        return np.ascontiguousarray(cols)
-    return cols
+    return view.reshape(cols_shape)
 
 
 def col2im(
@@ -163,7 +158,7 @@ def conv2d_forward(
         raise ValueError(f"input channels {c_in} != weight channels {c_in_w}")
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
-    cols = im2col(x, kh, kw, stride, pad, contiguous=False)  # (N, C*kh*kw, OH*OW)
+    cols = im2col(x, kh, kw, stride, pad)  # (N, C*kh*kw, OH*OW)
     w2 = weight.reshape(c_out, -1)  # (C_out, C*kh*kw)
     out = np.einsum("ok,nkl->nol", w2, cols, optimize=True)
     if bias is not None:
@@ -215,7 +210,7 @@ def depthwise_conv2d_forward(
         raise ValueError(f"depthwise weight shape {weight.shape} incompatible with input channels {c}")
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
-    cols = im2col(x, kh, kw, stride, pad, contiguous=False).reshape(n, c, kh * kw, oh * ow)
+    cols = im2col(x, kh, kw, stride, pad).reshape(n, c, kh * kw, oh * ow)
     w2 = weight.reshape(c, kh * kw)
     out = np.einsum("ck,nckl->ncl", w2, cols, optimize=True)
     if bias is not None:

@@ -26,7 +26,7 @@ Quickstart::
 or from the shell: ``repro-mcu serve model.artifact``.
 """
 
-from repro.serving.batcher import FleetBatcher, MicroBatcher, Request
+from repro.serving.batcher import MicroBatcher, Request
 from repro.serving.client import predict, raw_request, request_json
 from repro.serving.engine import BatchEngine
 from repro.serving.errors import (
@@ -56,7 +56,6 @@ from repro.serving.server import ServingServer, serve
 
 __all__ = [
     "MicroBatcher",
-    "FleetBatcher",
     "Request",
     "BatchEngine",
     "ModelRegistry",

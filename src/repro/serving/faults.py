@@ -27,9 +27,6 @@ event counts, not on luck:
     computes or replies — a deterministic mid-batch crash: the caller
     that borrowed the worker respawns it, and the engine retries the
     tile (``serve --workers N --inject worker-kill:every=7``).
-``malformed``
-    Consumed by the *load generator*: emit a garbage payload instead of
-    a valid one (the server must 400 it and stay live).
 
 Schedules are counter-based (``every=N`` fires on the N-th, 2N-th, …
 event, optionally at a phase ``offset``), optionally bounded by
@@ -42,7 +39,6 @@ Spec strings (CLI ``--inject``, bench ``--inject``)::
 
     kernel:every=7
     slow:every=5,delay=0.05;hang:every=40,delay=10,limit=1
-    malformed:rate=0.1
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ from typing import Dict, List, Optional, Union
 from repro.serving.errors import InjectedFaultError
 
 FAULT_KINDS = ("kernel", "slow", "hang", "poison", "queue-overflow",
-               "malformed", "worker-kill")
+               "worker-kill")
 
 
 @dataclass(frozen=True)
@@ -85,10 +81,10 @@ class FaultSpec:
 class FaultInjector:
     """Owns the event counters and decides, per event, whether to fire.
 
-    One injector instance is threaded through the engine (batch events)
-    and the server (admission events); the load generator holds its own
-    for payload faults.  All decisions are pure functions of the event
-    count and the seed, so a failing chaos run replays identically.
+    One injector instance is threaded through the engine (batch
+    events), the server (admission events) and the worker pool (task
+    events).  All decisions are pure functions of the event count and
+    the seed, so a failing chaos run replays identically.
     """
 
     def __init__(self, specs: Union[FaultSpec, List[FaultSpec], None] = None,

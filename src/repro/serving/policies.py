@@ -133,10 +133,6 @@ class ServerOptions:
         only retry of a tile.
     ``circuit_threshold`` / ``circuit_reset_s``
         :class:`CircuitBreaker` parameters.
-    ``degrade``
-        On terminal batch failure, fall back to batch-of-1 to isolate
-        and quarantine the poisoning request instead of failing the
-        whole tile.
     ``workers``
         Inference backend width: ``1`` executes in-process on the
         engine's single inference thread (the degenerate case); ``N >
@@ -157,7 +153,6 @@ class ServerOptions:
     retries: int = 2
     circuit_threshold: int = 5
     circuit_reset_s: float = 2.0
-    degrade: bool = True
     workers: int = 1
 
     def __post_init__(self) -> None:

@@ -14,12 +14,14 @@ One process, three moving parts:
   state, bounded queue), and park a
   :class:`~repro.serving.batcher.Request` future;
 * the **batch loop** (one task) drives the
-  :class:`~repro.serving.batcher.FleetBatcher` — one micro-batch lane
-  per (model, input shape); expire deadlines *before* batching, flush
-  on full-or-timeout, carry remainders — and hands tiles to the
+  :class:`~repro.serving.batcher.MicroBatcher` — one FIFO lane per
+  (model, input shape); expire deadlines *before* batching, flush on
+  full-or-timeout, carry remainders — and hands tiles to the
   :class:`~repro.serving.engine.BatchEngine`, keeping up to
   ``engine.concurrency`` tiles in flight at once (one in-process, N
-  with ``--workers N``);
+  with ``--workers N``).  An admitted request is either queued in the
+  batcher or in the tile of one batch task, so shutdown finds and
+  answers every one;
 * the **engine** executes through the registry with retry and a
   hung-batch watchdog — on its single inference thread, or across each
   model's process :class:`~repro.runtime.pool.WorkerPool` sharing one
@@ -41,7 +43,7 @@ transient batch fault  retry with deterministic backoff           —
 worker crash           respawn, then retry as a transient fault   —
 hung batch             watchdog abandons it, executor replaced    (retry)
 poisoned batch         re-run batch-of-1, quarantine poisoner     500*
-server shutdown        fail pending fast, close sockets           503
+server shutdown        fail queued and in-flight requests fast    503
 ====================  =========================================  ======
 
 (* only the poisoning request; innocents in the tile still get 200.)
@@ -52,14 +54,14 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import orjson
 
 from repro.runtime.errors import InvalidInputError
 from repro.runtime.pool import PoolOptions
-from repro.serving.batcher import FleetBatcher, Request
+from repro.serving.batcher import MicroBatcher, Request
 from repro.serving.engine import BatchEngine
 from repro.serving.errors import (
     BatchExecutionError,
@@ -148,19 +150,15 @@ class ServingServer:
         self.engine = BatchEngine(registry, self.options, faults=faults,
                                   stats=self.stats,
                                   default_model=default_model)
-        # Tiles must be homogeneous per (model, shape); the batcher
-        # keeps one lane per pair.
-        self.batcher = FleetBatcher(self.options.max_batch,
+        self.batcher = MicroBatcher(self.options.max_batch,
                                     self.options.max_wait_ms / 1e3)
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop_task: Optional[asyncio.Task] = None
         self._wakeup = asyncio.Event()
         self._closing = False
-        # In-flight batches keyed by identity: with a worker pool
-        # several batches execute at once (Request is unhashable, so
-        # lists-in-a-dict rather than a set).
-        self._inflight: dict = {}
-        self._batch_tasks: set = set()
+        # Each running batch task and its tile: with a worker pool
+        # several tiles execute at once.
+        self._inflight: Dict[asyncio.Task, List[Request]] = {}
         self._startup_health: Optional[dict] = None
         self.host: Optional[str] = None
         self.port: Optional[int] = None
@@ -210,31 +208,32 @@ class ServingServer:
         return report
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, fail everything pending
-        with a 503, stop the loop, release the inference backend."""
+        """Graceful shutdown: stop accepting, answer every queued and
+        in-flight request with a 503, then stop the loop and the batch
+        tasks and release the inference backend."""
         self._closing = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for task in [self._loop_task, *self._batch_tasks]:
-            if task is None:
-                continue
-            task.cancel()
-            try:
-                await task
-            # Shutdown drain: a batch task's terminal error was already
-            # surfaced to its requests; here only the cancellation counts
-            # (CancelledError is a BaseException and must be named).
-            except (asyncio.CancelledError, Exception):  # analysis: ignore[except-swallow]
-                pass
-        self._batch_tasks.clear()
+        # No await from here to the cancels: nothing can be taken or
+        # admitted between the answers and the cancellation.
         pending = self.batcher.drain() + [
             r for batch in self._inflight.values() for r in batch
         ]
         for r in pending:
             if self._fail(r, ServerClosingError("server is shutting down")):
                 self.stats.shed_shutdown += 1
-        self._inflight = {}
+        for task in [self._loop_task, *self._inflight]:
+            if task is None:
+                continue
+            task.cancel()
+            try:
+                await task
+            # Every request was answered above; here only the
+            # cancellation counts (CancelledError is a BaseException and
+            # must be named).
+            except (asyncio.CancelledError, Exception):  # analysis: ignore[except-swallow]
+                pass
         await self.engine.close()
 
     async def serve_forever(self, ttl_s: Optional[float] = None) -> None:
@@ -286,6 +285,13 @@ class ServingServer:
     # -- batch loop ----------------------------------------------------
     async def _batch_loop(self) -> None:
         while True:
+            # Up to engine.concurrency tiles execute at once (N pool
+            # workers -> N concurrent tiles).  At the limit, wait for a
+            # slot *before* taking a tile, so every request waits in the
+            # batcher, where it can expire and where shutdown finds it.
+            while len(self._inflight) >= self.engine.concurrency:
+                await asyncio.wait(list(self._inflight),
+                                   return_when=asyncio.FIRST_COMPLETED)
             # Clear *before* inspecting the batcher: an add() racing with
             # this iteration either lands before take() (and is seen) or
             # after the clear (and re-sets the event, waking us at once).
@@ -300,32 +306,20 @@ class ServingServer:
                 except asyncio.TimeoutError:
                     pass
                 continue
-            # Dispatch the tile as its own task so up to
-            # engine.concurrency batches execute at once (N pool
-            # workers -> N concurrent tiles); at the limit, wait for a
-            # slot instead of queueing unboundedly.
-            while len(self._batch_tasks) >= self.engine.concurrency:
-                await asyncio.wait(self._batch_tasks,
-                                   return_when=asyncio.FIRST_COMPLETED)
             task = asyncio.create_task(self._run_batch_task(batch),
                                        name="repro-batch")
-            self._batch_tasks.add(task)
-            task.add_done_callback(self._batch_tasks.discard)
+            self._inflight[task] = batch
+            task.add_done_callback(lambda t: self._inflight.pop(t, None))
 
     async def _run_batch_task(self, batch: List[Request]) -> None:
-        self._inflight[id(batch)] = batch
         try:
             await self._process_batch(batch)
-        except asyncio.CancelledError:
-            raise
         except Exception as exc:  # defence: batch tasks must not leak
             for r in batch:
                 self._fail(r, BatchExecutionError(
                     f"unexpected serving failure: {type(exc).__name__}: {exc}"
                 ))
                 self.stats.failed += 1
-        finally:
-            self._inflight.pop(id(batch), None)
 
     def _record_breaker(self, success: bool, model: str) -> None:
         breaker = self.engine.breaker_for(model)
@@ -365,15 +359,16 @@ class ServingServer:
 
     async def _degrade(self, batch: List[Request],
                        exc: BatchExecutionError) -> None:
-        """A tile failed terminally.  Fall back to batch-of-1 to isolate
-        the poisoning request(s): innocents still get answers, poisoners
-        are quarantined with a 500, and the breaker only counts the tile
-        as a failure if *nothing* in it could be served."""
+        """A tile failed terminally.  A tile of one fails with ``exc``
+        and counts against the breaker.  A larger tile falls back to
+        batch-of-1 to isolate the poisoning request(s): innocents still
+        get answers, poisoners are quarantined with a 500, and the
+        breaker only counts the tile as a failure if *nothing* in it
+        could be served."""
         model = batch[0].model
-        if not self.options.degrade or len(batch) == 1:
-            for r in batch:
-                if self._fail(r, exc):
-                    self.stats.failed += 1
+        if len(batch) == 1:
+            if self._fail(batch[0], exc):
+                self.stats.failed += 1
             self._record_breaker(success=False, model=model)
             return
         self.stats.degraded_batches += 1
@@ -671,11 +666,7 @@ def serve(session=None, options: Optional[ServerOptions] = None,
                      f"workers={server.engine.workers}, "
                      f"max_batch={server.options.max_batch}, "
                      f"queue_depth={server.options.queue_depth}) — Ctrl-C to stop")
-        try:
-            await server.serve_forever(ttl_s=ttl_s)
-        except asyncio.CancelledError:
-            await server.stop()
-            raise
+        await server.serve_forever(ttl_s=ttl_s)
 
     try:
         asyncio.run(_main())

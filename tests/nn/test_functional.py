@@ -55,10 +55,10 @@ class TestIm2Col:
         assert np.allclose(back, x * counts)
 
     def test_uncopied_columns_are_read_only(self, rng):
-        """A 1x1/s1 unfold without the copy aliases the input, so writing
-        through it must raise instead of corrupting ``x``."""
+        """A 1x1/s1 unfold is never copied: it aliases the input, so
+        writing through it must raise instead of corrupting ``x``."""
         x = rng.normal(size=(1, 4, 5, 5))
-        cols = F.im2col(x, 1, 1, 1, 0, contiguous=False)
+        cols = F.im2col(x, 1, 1, 1, 0)
         assert np.shares_memory(cols, x)
         with pytest.raises(ValueError, match="read-only"):
             cols[0, 0, 0] = 1.0

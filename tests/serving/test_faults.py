@@ -4,7 +4,7 @@ import pytest
 
 from repro.runtime import ArtifactError, Session
 from repro.serving.errors import InjectedFaultError
-from repro.serving.faults import FaultInjector, FaultSpec, corrupt_artifact
+from repro.serving.faults import FAULT_KINDS, FaultInjector, FaultSpec, corrupt_artifact
 
 
 class TestSchedules:
@@ -75,11 +75,11 @@ class TestApplyBatchFaults:
 class TestParse:
     def test_parse_round_trip(self):
         inj = FaultInjector.parse(
-            "kernel:every=7;slow:every=5,delay=0.05;malformed:rate=0.1,limit=3"
+            "kernel:every=7;slow:every=5,delay=0.05;queue-overflow:rate=0.1,limit=3"
         )
         assert inj.specs["kernel"] == FaultSpec("kernel", every=7)
         assert inj.specs["slow"] == FaultSpec("slow", every=5, delay=0.05)
-        assert inj.specs["malformed"] == FaultSpec("malformed", rate=0.1, limit=3)
+        assert inj.specs["queue-overflow"] == FaultSpec("queue-overflow", rate=0.1, limit=3)
 
     @pytest.mark.parametrize("text", [
         "gremlins:every=1",       # unknown kind
@@ -90,6 +90,14 @@ class TestParse:
     def test_parse_rejects_bad_specs(self, text):
         with pytest.raises(ValueError):
             FaultInjector.parse(text)
+
+    def test_malformed_is_not_a_fault_kind(self):
+        """Nothing fired a ``malformed`` fault, so it is refused like any
+        unknown kind, with the valid kinds listed."""
+        with pytest.raises(ValueError, match="unknown fault kind 'malformed'") as err:
+            FaultInjector.parse("malformed:every=1")
+        assert all(kind in str(err.value) for kind in FAULT_KINDS)
+        assert "malformed" not in FAULT_KINDS
 
 
 class TestCorruptArtifact:

@@ -11,6 +11,7 @@ engine, executor thread, watchdog and breaker all run for real.
 import asyncio
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -103,9 +104,9 @@ class TestKernelFaults:
 
     def test_persistent_failures_open_the_circuit_then_recover(
             self, tiny_session, image, wait_until):
-        options = BASE.replace(
-            max_batch=2, circuit_threshold=2, degrade=False, retries=0,
-        )
+        # Tiles of one: a failed tile has nothing to degrade to and
+        # counts against the breaker at once.
+        options = BASE.replace(max_batch=1, circuit_threshold=2, retries=0)
         # Fails the first 2 batches (opening the circuit), then heals.
         faults = FaultInjector([FaultSpec("kernel", every=1, limit=2)])
 
@@ -152,19 +153,6 @@ class TestPoisonedBatch:
             assert server.stats.quarantined == 1
             # The tile failure did not open the circuit: innocents served.
             assert server.engine.breaker.state is BreakerState.CLOSED
-            await alive(host, port, image)
-
-        run_scenario(tiny_session, options, faults, scenario)
-
-    def test_without_degradation_the_whole_tile_fails(self, tiny_session, image):
-        options = BASE.replace(max_wait_ms=30.0, degrade=False, retries=0)
-        faults = FaultInjector([FaultSpec("poison", every=4)])
-
-        async def scenario(server, host, port):
-            results = await asyncio.gather(
-                *[predict(host, port, image, deadline_ms=0) for _ in range(4)]
-            )
-            assert [s for s, _ in results] == [500] * 4
             await alive(host, port, image)
 
         run_scenario(tiny_session, options, faults, scenario)
@@ -495,6 +483,14 @@ class TestDeadlines:
         run_scenario(tiny_session, options, faults, scenario)
 
 
+def count_admissions(server):
+    """The requests ``server`` admits from now on (its batcher's adds)."""
+    admitted = []
+    add = server.batcher.add
+    server.batcher.add = lambda request: admitted.append(request) or add(request)
+    return admitted
+
+
 class TestShutdown:
     def test_pending_requests_fail_fast_on_stop(self, tiny_session, image,
                                                 wait_until):
@@ -504,20 +500,58 @@ class TestShutdown:
         async def scenario():
             server = ServingServer(tiny_session, options, faults=faults)
             host, port = await server.start()
+            admitted = count_admissions(server)
             tasks = [asyncio.create_task(predict(host, port, image, deadline_ms=0))
                      for _ in range(5)]
-            # Event-based wait: stop once the first (slowed) batch is
-            # actually inside the engine, not after a guessed sleep.
-            await wait_until(lambda: server.stats.batches >= 1,
+            # Event-based wait: stop once every request is admitted and
+            # the first (slowed) batch is actually inside the engine, not
+            # after a guessed sleep.
+            await wait_until(lambda: len(admitted) == 5 and server.stats.batches >= 1,
                              desc="first batch never reached the engine")
             await server.stop()
             results = await asyncio.gather(*tasks, return_exceptions=True)
-            statuses = [r[0] for r in results if isinstance(r, tuple)]
-            assert statuses and all(s in (200, 503) for s in statuses)
-            assert server.stats.shed_shutdown >= 1
+            # Every client gets a reply: an exception here is a request
+            # the server admitted and never answered.
+            assert all(isinstance(r, tuple) for r in results), results
+            statuses = [s for s, _ in results]
+            assert all(s in (200, 503) for s in statuses), statuses
+            assert server.stats.shed_shutdown == statuses.count(503) >= 1
             # Stopped server refuses connections.
             with pytest.raises(OSError):
                 await predict(host, port, image, timeout=1.0)
+
+        asyncio.run(scenario())
+
+    def test_stop_answers_the_batch_in_flight_and_the_queue(
+            self, tiny_session, image, wait_until):
+        """One request is inside a batch slowed for 3 s and three are
+        queued when ``stop()`` runs.  All four clients get a reply
+        within 1 s of it, long before the slow batch could end: the
+        in-flight one too, whose batch task ``stop()`` cancels."""
+        options = BASE.replace(max_batch=1, max_wait_ms=0.0)
+        faults = FaultInjector([FaultSpec("slow", every=1, limit=1, delay=3.0)])
+
+        async def client(host, port):
+            reply = await predict(host, port, image, deadline_ms=0, timeout=8.0)
+            return reply, time.monotonic()
+
+        async def scenario():
+            server = ServingServer(tiny_session, options, faults=faults)
+            host, port = await server.start()
+            admitted = count_admissions(server)
+            tasks = [asyncio.create_task(client(host, port)) for _ in range(4)]
+            await wait_until(lambda: len(admitted) == 4 and server.stats.batches == 1,
+                             desc="one batch in the engine and three queued")
+            stopped = time.monotonic()
+            await server.stop()
+            results = await asyncio.gather(*tasks, return_exceptions=True)
+            assert all(isinstance(r, tuple) for r in results), results
+            # No batch can answer within the second: every reply is the
+            # shutdown's.
+            replies = [(status, body["error"]) for (status, body), _ in results]
+            assert replies == [(503, "ServerClosingError")] * 4
+            assert max(t for _, t in results) - stopped < 1.0
+            assert server.stats.shed_shutdown == 4
 
         asyncio.run(scenario())
 
@@ -589,7 +623,7 @@ class TestWorkerCrash:
             self, tiny_session, tiny_artifact, image):
         # Zero retries: the one killed batch must fail with a 500 — and
         # the tier must still heal for the next request.
-        options = BASE.replace(workers=2, degrade=False, retries=0)
+        options = BASE.replace(workers=2, retries=0)
         faults = FaultInjector([FaultSpec("worker-kill", every=1, limit=1)])
 
         async def scenario(server, host, port):
